@@ -9,16 +9,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
+from .bounds import PhotonStatistics
 from .decoherence import DEFAULT_EFFICIENCY_ANCHORS, EfficiencyModel, MagneticModel
-from .errors import ConfigError
+from .errors import ConfigError, OamemError
 from .fieldgrid import GridSpec
-from .modes import QuditState, qubit_state
+from .holography import _focal_grid
+from .modes import QuditState, _support_check, qubit_state
 from .polariton import MemoryParams, constant_schedule
 
 EXPERIMENT_KINDS = ("interference_scan", "meridian_sweep", "storage_decay",
@@ -130,6 +133,12 @@ class CountingSection:
     acquisition: float = 300.0
     poisson: bool = True
 
+    def __post_init__(self):
+        if not 1 <= self.pulses < math.inf:
+            raise ConfigError("counting pulses must be a finite number >= 1")
+        if not self.bg_rate >= 0:
+            raise ConfigError("counting bg_rate must be >= 0")
+
 
 @dataclass(frozen=True)
 class SourceConfig:
@@ -142,6 +151,8 @@ class SourceConfig:
     def __post_init__(self):
         if self.kind not in ("ideal", "hologram"):
             raise ConfigError(f"unknown source kind {self.kind!r}")
+        if not (self.input_waist > 0 and self.focal > 0):
+            raise ConfigError("source input_waist and focal must be positive")
 
 
 @dataclass(frozen=True)
@@ -185,6 +196,26 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.experiment!r}")
         if any(t < 0 for t in self.storage_times):
             raise ConfigError("storage times must be >= 0")
+        if not (math.isfinite(self.photon.n_bar) and math.isfinite(self.photon.uncertainty)):
+            raise ConfigError("photon n_bar and uncertainty must be finite")
+        if self.source.kind == "hologram" and self.qudit.dim == 3 and self.qudit.l != 1:
+            raise ConfigError("the qutrit mask requires qudit l = 1")
+        # build every physics object now, so a value it rejects is a config error
+        try:
+            self.qudit.to_state()
+            self.memory.to_params()
+            self.magnetic.to_model()
+            self.efficiency.to_model()
+            PhotonStatistics(self.photon.n_bar, self.photon.uncertainty)
+            # the qudit modes are sampled where the field is: for a hologram
+            # source, on the focal-plane grid behind the mask's lens
+            mode_grid = self.grid
+            if self.source.kind == "hologram":
+                _support_check(0, self.source.input_waist, self.grid)
+                mode_grid = _focal_grid(self.grid, self.source.focal, self.memory.lambda_s)
+            _support_check(self.qudit.l, self.qudit.waist, mode_grid)
+        except (ValueError, OamemError) as exc:
+            raise ConfigError(f"invalid config: {exc}") from exc
 
 
 _SECTION_TYPES = {

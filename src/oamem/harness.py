@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +22,12 @@ from .config import ExperimentConfig, config_hash
 from .decoherence import (DiffusionParams, diffuse, longitudinal_drift_factor,
                           magnetic_dephase)
 from .errors import ConfigError
-from .fieldgrid import export_csv, export_pgm
-from .holography import (export_pgm_hologram, fraunhofer, project_and_couple,
+from .fieldgrid import TransverseField, export_csv, export_pgm
+from .holography import (export_pgm_hologram, focal_basis_phases, fraunhofer,
                          qubit_hologram, qutrit_hologram)
-from .measurement import (CountRecord, CountingConfig, fit_visibility,
-                          interference_scan, polar_retrieve, simulate_counts,
+from .measurement import (CountRecord, fit_visibility, polar_retrieve, simulate_counts,
                           subtract_background, write_count_records)
-from .modes import LGModeSpec, QuditState, lg_field, qubit_state, state_from_field, synthesize
+from .modes import LGModeSpec, QuditState, basis_charges, decompose, lg_field, synthesize
 from .polariton import read, write
 from .tomography import (DensityMatrix, ProjectionSet, export_density_csv,
                          fidelity, probabilities, reconstruct, tomography_report)
@@ -117,50 +116,74 @@ def _input_field(cfg: ExperimentConfig):
     return fraunhofer(holo.imprint(gauss), cfg.source.focal), holo
 
 
-def storage_point(cfg: ExperimentConfig, t_index: int, t_s: float) -> dict:
-    """One storage-and-tomography pass at a single storage time.
-
-    Chain: synthesize -> write -> decohere -> read -> project -> count ->
-    reconstruct -> fidelity, exactly composing the module operations.
-    """
-    state = cfg.qudit.to_state()
-    field_in, _ = _input_field(cfg)
+def _retrieve(cfg: ExperimentConfig, field: TransverseField, t_s: float) -> TransverseField:
+    """Write ``field``, let the spin wave decohere for t_s, and read it out."""
     params = cfg.memory.to_params()
-    wave = write(field_in, params)
     dp = DiffusionParams(cfg.memory.temperature, cfg.memory.mass)
+    wave = write(field, params)
     if cfg.decoherence.diffusion:
         wave = diffuse(wave, dp, t_s)
     if cfg.decoherence.magnetic:
         wave = magnetic_dephase(wave, cfg.magnetic.to_model(), t_s)
-    field_out = read(wave, params)
+    out = read(wave, params)
     if cfg.decoherence.longitudinal_drift:
-        factor = longitudinal_drift_factor(params.delta_k, dp, t_s)
-        field_out = field_out.with_values(field_out.values * factor)
+        out = out.with_values(out.values * longitudinal_drift_factor(params.delta_k, dp, t_s))
+    return out
 
+
+def _amplitudes(cfg: ExperimentConfig, field: TransverseField) -> np.ndarray:
+    """Qudit-basis mode amplitudes a of ``field``.
+
+    Projection is linear, so a ket psi couples |psi^H a|^2 of the field
+    into the fiber.  A hologram field lives in the focal plane, where the
+    lens gave each mode the phase (-i)^|l|; dividing it out expresses a
+    in the mask-plane convention of the configured state.
+    """
+    q = cfg.qudit
+    a = decompose(field, q.l, q.dim, q.waist)
+    if cfg.source.kind == "hologram":
+        a = a / focal_basis_phases(basis_charges(q.dim, q.l))
+    return a
+
+
+def _measure(cfg: ExperimentConfig, point: int, t_s: float, kets):
+    """Prepare, store for t_s and retrieve the configured state, then count.
+
+    ``kets`` are (label, psi) projectors; each gets one record, a Poisson
+    draw keyed (point, ket index) or the noiseless probability.  Returns
+    (input field, eta at t_s, records).
+    """
+    field_in, _ = _input_field(cfg)
+    a = _amplitudes(cfg, _retrieve(cfg, field_in, t_s))
     eta = cfg.efficiency.to_model()(t_s)
-    pset = ProjectionSet.qubit() if state.dim == 2 else ProjectionSet.qutrit()
-    waist = cfg.qudit.waist
+    counting = cfg.counting
     records = []
-    for b_index, (label, psi) in enumerate(pset.projectors):
-        target = QuditState(psi, l=state.l)
-        amp = project_and_couple(field_out, target, waist)
-        prob = min(abs(amp) ** 2, 1.0)
-        if cfg.counting.poisson:
-            seed = _record_seed(cfg.seed, t_index, b_index)
-            rec = simulate_counts(prob, cfg.photon.n_bar, eta, cfg.counting.pulses,
-                                  cfg.counting.bg_rate, seed, basis_id=label,
-                                  acquisition=cfg.counting.acquisition)
+    for k, (label, psi) in enumerate(kets):
+        prob = min(abs(np.vdot(psi, a)) ** 2, 1.0)
+        if counting.poisson:
+            records.append(simulate_counts(prob, cfg.photon.n_bar, eta, counting.pulses,
+                                           counting.bg_rate, _record_seed(cfg.seed, point, k),
+                                           basis_id=label, acquisition=counting.acquisition))
         else:
-            rec = CountRecord(basis_id=label, counts=prob,
-                              acquisition=cfg.counting.acquisition)
-        records.append(rec)
-    if cfg.counting.poisson and cfg.counting.bg_rate > 0:
+            records.append(CountRecord(basis_id=label, counts=prob,
+                                       acquisition=counting.acquisition))
+    if counting.poisson and counting.bg_rate > 0:
         records = subtract_background(records)
+    return field_in, eta, records
 
+
+def storage_point(cfg: ExperimentConfig, t_index: int, t_s: float) -> dict:
+    """One storage-and-tomography pass at a single storage time.
+
+    Chain: prepare -> write -> decohere -> read -> project -> count ->
+    reconstruct -> fidelity, exactly composing the module operations.
+    """
+    state = cfg.qudit.to_state()
+    pset = ProjectionSet.qubit() if state.dim == 2 else ProjectionSet.qutrit()
+    field_in, eta, records = _measure(cfg, t_index, t_s, pset.projectors)
     rho = reconstruct(records, pset)
-    ideal = DensityMatrix(state.density_matrix())
-    stored = state_from_field(field_in, state.l, state.dim, waist)
-    f_abs = fidelity(rho, ideal)
+    stored = QuditState(_amplitudes(cfg, field_in), l=state.l)
+    f_abs = fidelity(rho, DensityMatrix(state.density_matrix()))
     f_rel = fidelity(rho, DensityMatrix(stored.density_matrix()))
     bound = classical_limit(cfg.photon.n_bar, eta)
     band = threshold_band(PhotonStatistics(cfg.photon.n_bar, cfg.photon.uncertainty), eta)
@@ -219,25 +242,21 @@ def run_tomography(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Campai
                      RNG_SCHEME)
 
 
+def _first_time(cfg: ExperimentConfig) -> float:
+    return cfg.storage_times[0] if cfg.storage_times else 0.0
+
+
 def run_interference_scan(cfg: ExperimentConfig, out=None, parallel: int = 1) -> CampaignResult:
     """Equator scan of a stored qubit with the visibility fit."""
     out_dir = _out_dir(cfg, out)
-    state = cfg.qudit.to_state()
-    if state.dim != 2:
+    if cfg.qudit.dim != 2:
         raise ConfigError("interference scan requires a qubit")
     points = cfg.scan.beta_points
     betas = [2.0 * np.pi * i / points for i in range(points)]
-    counting = None
-    seeds = None
-    if cfg.counting.poisson:
-        eta = cfg.efficiency.to_model()(cfg.storage_times[0] if cfg.storage_times else 0.0)
-        counting = CountingConfig(n_bar=cfg.photon.n_bar, efficiency=eta,
-                                  pulses=cfg.counting.pulses, bg_rate=cfg.counting.bg_rate,
-                                  acquisition=cfg.counting.acquisition, poisson=True)
-        seeds = [_record_seed(cfg.seed, 0, i) for i in range(points)]
-    records = interference_scan(state, cfg.qudit.l, betas, counting, seeds)
-    if cfg.counting.poisson and cfg.counting.bg_rate > 0:
-        records = subtract_background(records)
+    kets = [(f"beta_{i:02d}", np.array([1.0, np.exp(1j * beta)]) / np.sqrt(2.0))
+            for i, beta in enumerate(betas)]
+    _, _, records = _measure(cfg, 0, _first_time(cfg), kets)
+    records = [replace(r, beta=beta) for r, beta in zip(records, betas)]
     fit = fit_visibility(records)
     write_count_records(out_dir / "scan.csv", records)
     _write_csv(out_dir / "fit.csv", ["n0", "delta", "visibility", "residual_rms"],
@@ -250,26 +269,20 @@ def run_interference_scan(cfg: ExperimentConfig, out=None, parallel: int = 1) ->
 def run_meridian_sweep(cfg: ExperimentConfig, out=None, parallel: int = 1) -> CampaignResult:
     """Polar-angle retrieval gamma_r versus prepared gamma_w at beta = 0."""
     out_dir = _out_dir(cfg, out)
+    if cfg.qudit.dim != 2:
+        raise ConfigError("meridian sweep requires a qubit")
+    if cfg.source.kind != "ideal":
+        raise ConfigError("meridian sweep needs an ideal source: a binary mask "
+                          "cannot prepare an arbitrary Bloch state")
     points = cfg.meridian.gamma_points
-    eta = cfg.efficiency.to_model()(cfg.storage_times[0] if cfg.storage_times else 0.0)
+    poles = ProjectionSet.qubit().projectors[:2]
     rows = []
     for i in range(points):
         gamma_w = np.pi * i / (points - 1)
-        state = qubit_state(gamma_w, 0.0, l=cfg.qudit.l)
-        p_l = float(abs(state.coeffs[0]) ** 2)
-        p_r = float(abs(state.coeffs[1]) ** 2)
-        if cfg.counting.poisson:
-            rec_l = simulate_counts(p_l, cfg.photon.n_bar, eta, cfg.counting.pulses,
-                                    cfg.counting.bg_rate, _record_seed(cfg.seed, i, 0),
-                                    basis_id="L")
-            rec_r = simulate_counts(p_r, cfg.photon.n_bar, eta, cfg.counting.pulses,
-                                    cfg.counting.bg_rate, _record_seed(cfg.seed, i, 1),
-                                    basis_id="R")
-            n_l, n_r = rec_l.counts, rec_r.counts
-        else:
-            n_l, n_r = p_l, p_r
-        gamma_r = polar_retrieve(n_r, n_l)
-        rows.append([gamma_w, n_l, n_r, gamma_r])
+        prepared = replace(cfg, qudit=replace(cfg.qudit, coeffs=None, gamma=gamma_w, beta=0.0))
+        _, _, (rec_l, rec_r) = _measure(prepared, i, _first_time(cfg), poles)
+        rows.append([gamma_w, rec_l.counts, rec_r.counts,
+                     polar_retrieve(rec_r.counts, rec_l.counts)])
     _write_csv(out_dir / "meridian.csv", ["gamma_w", "n_l", "n_r", "gamma_r"], rows)
     return _finalize(cfg, "meridian_sweep", out_dir, ["meridian.csv"], rows, RNG_SCHEME)
 
@@ -301,17 +314,9 @@ def run_field_render(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Camp
     if holo is not None:
         export_pgm_hologram(holo, out_dir / "hologram.pgm")
         files.append("hologram.pgm")
-    params = cfg.memory.to_params()
-    dp = DiffusionParams(cfg.memory.temperature, cfg.memory.mass)
     for i, t_s in enumerate(cfg.storage_times):
-        wave = write(field_in, params)
-        if cfg.decoherence.diffusion:
-            wave = diffuse(wave, dp, t_s)
-        if cfg.decoherence.magnetic:
-            wave = magnetic_dephase(wave, cfg.magnetic.to_model(), t_s)
-        retrieved = read(wave, params)
         name = f"retrieved_{i:02d}.pgm"
-        export_pgm(retrieved, out_dir / name)
+        export_pgm(_retrieve(cfg, field_in, t_s), out_dir / name)
         files.append(name)
     return _finalize(cfg, "field_render", out_dir, files, [], "none")
 

@@ -89,10 +89,15 @@ def fraunhofer(f: TransverseField, focal: float) -> TransverseField:
         raise ValueError("focal length must be positive")
     spec = transform_to_spectrum(f)
     coord_scale = focal * f.wavelength / (2.0 * np.pi)
-    out_grid = GridSpec(f.grid.n, f.grid.n * f.grid.q_pitch * coord_scale)
+    out_grid = _focal_grid(f.grid, focal, f.wavelength)
     # amplitude rescaled so sum |out|^2 dx'^2 == sum |S|^2 dq^2
     values = spec.values / coord_scale
     return TransverseField(out_grid, values, f.wavelength)
+
+
+def _focal_grid(grid: GridSpec, focal: float, wavelength: float) -> GridSpec:
+    """Grid of the far field of ``grid`` behind a lens of focal length ``focal``."""
+    return GridSpec(grid.n, grid.n * grid.q_pitch * (focal * wavelength / (2.0 * np.pi)))
 
 
 def project_and_couple(f: TransverseField, target: QuditState, w0: float) -> complex:

@@ -24,7 +24,6 @@ import numpy as np
 from .fieldgrid import GridSpec, TransverseField, spectral_energy_radius, transform_to_spectrum
 
 SPEED_OF_LIGHT = 299792458.0
-Z_SAMPLES = 64
 DIFFRACTION_PHASE_LIMIT = 0.1
 
 
@@ -88,19 +87,15 @@ def constant_schedule(value: float) -> Callable[[float], float]:
 class SpinWave:
     """Collective ground-state coherence holding a stored envelope.
 
-    ``values`` is the transverse profile; the longitudinal content is a
-    set of slices at positions ``z`` in [0, D] with atomic-density
-    weights (summing to 1) and the unit-modulus coherence phase each
-    slice carries.  At write time the phase is exp(-i dk z), so forward
-    readout recombines to unity.
+    ``values`` is the transverse profile.  Along z the coherence carries
+    exp(-i dk z), which forward readout undoes exactly; the loss when
+    atoms drift along z during storage is the analytic
+    :func:`oamem.decoherence.longitudinal_drift_factor`.
     """
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
     delta_k: float = 0.0
-    z: np.ndarray = field(default=None, repr=False)
-    weight: np.ndarray = field(default=None, repr=False)
-    coherence_phase: np.ndarray = field(default=None, repr=False)
     wavelength: float = 795e-9
 
     def __post_init__(self):
@@ -109,24 +104,12 @@ class SpinWave:
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid.n, self.grid.n):
             raise ValueError("spin-wave shape does not match grid")
-        for name in ("z", "weight", "coherence_phase"):
-            arr = getattr(self, name)
-            if arr is None:
-                raise ValueError(f"{name} must be provided")
-            arr = np.ascontiguousarray(arr)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.pixel_area))
 
-    def z_profile(self) -> np.ndarray:
-        """Complex longitudinal samples weight * coherence_phase."""
-        return self.weight * self.coherence_phase
-
     def with_values(self, values: np.ndarray) -> "SpinWave":
-        return SpinWave(self.grid, values, self.delta_k, self.z, self.weight,
-                        self.coherence_phase, self.wavelength)
+        return SpinWave(self.grid, values, self.delta_k, self.wavelength)
 
 
 @dataclass(frozen=True)
@@ -168,13 +151,6 @@ def polariton_split(params: MemoryParams, t: float, total_norm: float = 1.0) -> 
     return PolaritonState(theta, total_norm * math.cos(theta), total_norm * math.sin(theta))
 
 
-def _gaussian_z_profile(diameter: float) -> tuple[np.ndarray, np.ndarray]:
-    # Gaussian atomic density across [0, D], sigma = D/4
-    z = np.linspace(0.0, diameter, Z_SAMPLES)
-    w = np.exp(-((z - diameter / 2.0) ** 2) / (2.0 * (diameter / 4.0) ** 2))
-    return z, w / w.sum()
-
-
 def write(f: TransverseField, params: MemoryParams) -> SpinWave:
     """Map an optical envelope onto the spin wave (unit write efficiency).
 
@@ -188,32 +164,12 @@ def write(f: TransverseField, params: MemoryParams) -> SpinWave:
             "the stored profile will not read out faithfully",
             stacklevel=2,
         )
-    z, weight = _gaussian_z_profile(params.diameter)
-    coherence_phase = np.exp(-1j * params.delta_k * z)
-    return SpinWave(f.grid, -f.values, params.delta_k, z, weight, coherence_phase,
-                    f.wavelength)
+    return SpinWave(f.grid, -f.values, params.delta_k, f.wavelength)
 
 
 def read(s: SpinWave, params: MemoryParams) -> TransverseField:
-    """Forward readout of a (possibly decohered) spin wave.
-
-    The retrieved amplitude carries the longitudinal sum
-    sum_j w_j phase_j exp(+i dk z_j), which is exactly 1 right after
-    writing and drops when slices have drifted along z with dk != 0.
-    """
-    longitudinal = np.sum(s.weight * s.coherence_phase * np.exp(1j * params.delta_k * s.z))
-    return TransverseField(s.grid, -s.values * longitudinal, s.wavelength)
-
-
-def displace_longitudinal(s: SpinWave, dz) -> SpinWave:
-    """Move slices (atoms carry their coherence phase) by dz meters.
-
-    ``dz`` may be a scalar or a per-slice array; weights move with the
-    atoms so only the phase pattern relative to exp(i dk z) changes.
-    """
-    z = s.z + np.broadcast_to(np.asarray(dz, dtype=np.float64), s.z.shape)
-    return SpinWave(s.grid, s.values, s.delta_k, z, s.weight, s.coherence_phase,
-                    s.wavelength)
+    """Forward readout of a (possibly decohered) spin wave."""
+    return TransverseField(s.grid, -s.values, s.wavelength)
 
 
 def diffraction_check(params: MemoryParams, f: TransverseField) -> float:

@@ -140,19 +140,25 @@ def _hermitian_basis(dim: int) -> list[np.ndarray]:
     return basis
 
 
+def _traceless_design(pset: ProjectionSet) -> tuple[list[np.ndarray], np.ndarray]:
+    """Traceless Hermitian basis and rows tr(op |psi_i><psi_i|) over it."""
+    basis = _hermitian_basis(pset.dim)
+    rows = []
+    for _, psi in pset.projectors:
+        proj = np.outer(psi, psi.conj())
+        rows.append([float(np.real(np.trace(op @ proj))) for op in basis])
+    return basis, np.array(rows)
+
+
 def design_matrix(pset: ProjectionSet) -> np.ndarray:
     """Rows vec(|psi_i><psi_i|) over the full Hermitian basis (incl. identity).
 
     Rank 4 for the qubit set and 9 for the qutrit set, so each set
     exactly determines the state once the trace is pinned.
     """
-    dim = pset.dim
-    ops = [np.eye(dim, dtype=np.complex128) / math.sqrt(dim)] + _hermitian_basis(dim)
-    rows = []
-    for _, psi in pset.projectors:
-        proj = np.outer(psi, psi.conj())
-        rows.append([float(np.real(np.trace(op @ proj))) for op in ops])
-    return np.array(rows)
+    _, design = _traceless_design(pset)
+    identity = np.full((design.shape[0], 1), 1.0 / math.sqrt(pset.dim))
+    return np.hstack([identity, design])
 
 
 def _project_to_physical(m: np.ndarray) -> np.ndarray:
@@ -167,20 +173,10 @@ def _project_to_physical(m: np.ndarray) -> np.ndarray:
     return (vecs * vals) @ vecs.conj().T
 
 
-def reconstruct(records, pset: ProjectionSet, norm_policy: str = "pole_sum",
-                max_likelihood: bool = False) -> DensityMatrix:
-    """Estimate the density matrix from one count record per projector.
-
-    ``norm_policy='pole_sum'`` converts counts to probabilities by
-    dividing by the summed counts of the pole subset, the only policy
-    implemented.  Raises InsufficientData when the projector set does
-    not pin the state (rank check) or the reference flux is zero.
-    """
-    if norm_policy != "pole_sum":
-        raise ValueError(f"unknown normalization policy {norm_policy!r}")
-    by_label = {}
-    for r in records:
-        by_label[r.basis_id] = r
+def _least_squares(records, pset: ProjectionSet) -> tuple[np.ndarray, np.ndarray]:
+    """Pole-sum probabilities and the raw Hermitian unit-trace estimate,
+    with the checks :func:`reconstruct` documents."""
+    by_label = {r.basis_id: r for r in records}
     missing = [lab for lab in pset.labels if lab not in by_label]
     if missing:
         raise InsufficientData(f"missing projector records: {missing}")
@@ -190,19 +186,29 @@ def reconstruct(records, pset: ProjectionSet, norm_policy: str = "pole_sum",
     probs = np.array([by_label[lab].counts / reference for lab in pset.labels])
 
     dim = pset.dim
-    basis = _hermitian_basis(dim)
-    rows = []
-    for _, psi in pset.projectors:
-        proj = np.outer(psi, psi.conj())
-        rows.append([float(np.real(np.trace(op @ proj))) for op in basis])
-    design = np.array(rows)
+    basis, design = _traceless_design(pset)
     if np.linalg.matrix_rank(design) < dim * dim - 1:
         raise InsufficientData("projector set does not determine the state")
-    target = probs - 1.0 / dim
-    coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
+    coeffs, *_ = np.linalg.lstsq(design, probs - 1.0 / dim, rcond=None)
     raw = np.eye(dim, dtype=np.complex128) / dim
     for c, op in zip(coeffs, basis):
         raw = raw + c * op
+    return probs, raw
+
+
+def reconstruct(records, pset: ProjectionSet, norm_policy: str = "pole_sum",
+                max_likelihood: bool = False) -> DensityMatrix:
+    """Estimate the density matrix from one count record per projector.
+
+    ``norm_policy='pole_sum'`` converts counts to probabilities by
+    dividing by the summed counts of the pole subset, the only policy
+    implemented.  Raises InsufficientData when a record is missing or
+    the projector set does not pin the state (rank check), NoCounts when
+    the reference flux is zero.
+    """
+    if norm_policy != "pole_sum":
+        raise ValueError(f"unknown normalization policy {norm_policy!r}")
+    probs, raw = _least_squares(records, pset)
     physical = _project_to_physical(raw)
     if max_likelihood:
         physical = _ml_refine(physical, pset, probs)
@@ -211,18 +217,7 @@ def reconstruct(records, pset: ProjectionSet, norm_policy: str = "pole_sum",
 
 def linear_inversion(records, pset: ProjectionSet) -> np.ndarray:
     """Raw Hermitian unit-trace least-squares estimate, possibly indefinite."""
-    by_label = {r.basis_id: r for r in records}
-    reference = sum(by_label[lab].counts for lab in pset.pole_labels)
-    probs = np.array([by_label[lab].counts / reference for lab in pset.labels])
-    dim = pset.dim
-    basis = _hermitian_basis(dim)
-    rows = [[float(np.real(np.trace(op @ np.outer(psi, psi.conj())))) for op in basis]
-            for _, psi in pset.projectors]
-    coeffs, *_ = np.linalg.lstsq(np.array(rows), probs - 1.0 / dim, rcond=None)
-    raw = np.eye(dim, dtype=np.complex128) / dim
-    for c, op in zip(coeffs, basis):
-        raw = raw + c * op
-    return raw
+    return _least_squares(records, pset)[1]
 
 
 def _ml_refine(rho: np.ndarray, pset: ProjectionSet, freqs: np.ndarray,

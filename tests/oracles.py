@@ -1,8 +1,10 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the code paths they check: the convolution
-oracle is a dense separable matrix product in real space (no FFT), and
-the photon-statistics oracles are plain finite sums.
+oracle is a dense separable matrix product in real space (no FFT), the
+longitudinal-drift oracle moves discrete atomic slices at random instead
+of using the analytic Gaussian average, and the photon-statistics oracles
+are plain finite sums.
 """
 
 import math
@@ -21,6 +23,43 @@ def direct_gaussian_convolution(values: np.ndarray, pitch: float, sigma: float) 
     kernel = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * sigma ** 2))
     kernel *= pitch / math.sqrt(2.0 * math.pi * sigma ** 2)
     return kernel @ values @ kernel.T
+
+
+Z_SAMPLES = 64
+
+
+def longitudinal_slices(diameter: float, delta_k: float):
+    """A stored spin wave along z as Z_SAMPLES slices across [0, D].
+
+    Returns positions, Gaussian atomic-density weights (sigma = D/4,
+    summing to 1) and the coherence phase exp(-i dk z) each slice
+    carries right after writing.
+    """
+    z = np.linspace(0.0, diameter, Z_SAMPLES)
+    w = np.exp(-((z - diameter / 2.0) ** 2) / (2.0 * (diameter / 4.0) ** 2))
+    return z, w / w.sum(), np.exp(-1j * delta_k * z)
+
+
+def slice_readout(z, weight, phase, delta_k: float):
+    """Forward-readout amplitude sum_j w_j phase_j exp(+i dk z_j) / sum_j w_j.
+
+    ``z`` holds the current slice positions (the last axis runs over
+    slices); atoms carry their coherence phase when they move, so the
+    amplitude is exactly 1 until slices drift along z with dk != 0.
+    """
+    return np.sum(weight * phase * np.exp(1j * delta_k * z), axis=-1) / np.sum(weight)
+
+
+def monte_carlo_drift_factor(delta_k: float, diameter: float, sigma: float,
+                             draws: int, rng: np.random.Generator) -> tuple[float, float]:
+    """Mean readout amplitude and its standard error under ballistic drift.
+
+    Each draw displaces every slice by an independent N(0, sigma^2) step.
+    """
+    z, weight, phase = longitudinal_slices(diameter, delta_k)
+    moved = z + rng.normal(0.0, sigma, (draws, z.size))
+    samples = slice_readout(moved, weight, phase, delta_k).real
+    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(draws))
 
 
 def poisson_terms(n_bar: float, terms: int) -> list[float]:

@@ -86,7 +86,7 @@ def test_criterion_4_diffusion_oracle():
         grid = GridSpec(128, 0.9e-3)
         dp = DiffusionParams(temperature=100e-6, mass=RB85)
         f = synthesize(qutrit_state(1, 1, 1, l=1), 80e-6, grid)
-        s = SpinWave(grid, f.values, 0.0, np.zeros(1), np.ones(1), np.ones(1))
+        s = SpinWave(grid, f.values)
         errs = []
         for t_s in (100e-6, 500e-6):
             spectral = diffuse(s, dp, t_s).values

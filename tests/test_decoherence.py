@@ -52,7 +52,7 @@ class TestDiffuse:
         # acceptance-grade oracle: dense separable convolution, no FFT
         g = GridSpec(128, 0.9e-3)
         f = synthesize(qutrit_state(1.0, 1.0, 1.0, l=1), 80e-6, g)
-        s = SpinWave(g, f.values, 0.0, np.zeros(1), np.ones(1), np.ones(1))
+        s = SpinWave(g, f.values)
         blurred = diffuse(s, diffusion, t_s)
         expected = direct_gaussian_convolution(f.values, g.pitch, diffusion.sigma(t_s))
         err = np.sqrt(np.sum(np.abs(blurred.values - expected) ** 2)

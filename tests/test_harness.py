@@ -1,21 +1,28 @@
 import numpy as np
 import pytest
+import yaml
 
 from oamem.cli import main as cli_main
 from oamem.config import parse_config
-from oamem.decoherence import DiffusionParams, diffuse
-from oamem.harness import (run_bounds_table, run_field_render, run_interference_scan,
-                           run_meridian_sweep, run_storage_decay, run_tomography,
-                           storage_point)
-from oamem.holography import project_and_couple
-from oamem.measurement import simulate_counts
-from oamem.modes import QuditState, synthesize
+from oamem.decoherence import DiffusionParams, diffuse, magnetic_dephase
+from oamem.harness import (_amplitudes, _input_field, _retrieve, run_bounds_table,
+                           run_field_render, run_interference_scan, run_meridian_sweep,
+                           run_storage_decay, run_tomography, storage_point)
+from oamem.holography import focal_basis_phases, project_and_couple
+from oamem.measurement import interference_scan, simulate_counts
+from oamem.modes import QuditState, decompose, synthesize
 from oamem.polariton import read, write
 from oamem.tomography import DensityMatrix, ProjectionSet, fidelity, reconstruct
 
 QUTRIT = {"dim": 3, "l": 1, "waist": 250e-6,
           "coeffs": [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]}
 QUBIT = {"dim": 2, "l": 2, "waist": 250e-6, "gamma": np.pi / 2, "beta": 0.0}
+# magnetically sensitive coherence in an off-axis ambient quadrupole
+SENSITIVE = {"decoherence": {"diffusion": True, "magnetic": True},
+             "magnetic": {"trap_gradient": 0.1, "ambient_fraction": 0.05,
+                          "guiding_b": 0.0, "sensitivity": 4.4e10,
+                          "center": [3e-4, 4e-4]}}
+README_GRID = {"n": 256, "extent": 3.2e-3}
 
 
 def small_cfg(**overrides):
@@ -73,11 +80,12 @@ class TestPipelineComposition:
         wave = diffuse(write(field, params),
                        DiffusionParams(cfg.memory.temperature, cfg.memory.mass), t_s)
         out = read(wave, params)
+        a = decompose(out, state.l, state.dim, cfg.qudit.waist)
         eta = cfg.efficiency.to_model()(t_s)
         pset = ProjectionSet.qutrit()
         records = []
         for b_index, (label, psi) in enumerate(pset.projectors):
-            amp = project_and_couple(out, QuditState(psi, l=state.l), cfg.qudit.waist)
+            amp = np.vdot(psi, a)
             seed = int(np.random.SeedSequence(
                 entropy=cfg.seed, spawn_key=(t_index, b_index)).generate_state(1)[0])
             records.append(simulate_counts(min(abs(amp) ** 2, 1.0), cfg.photon.n_bar,
@@ -88,6 +96,19 @@ class TestPipelineComposition:
         assert [r.counts for r in records] == [r.counts for r in got["records"]]
         assert got["f_abs"] == f_abs
         assert got["eta"] == eta
+
+    @pytest.mark.parametrize("qudit", [QUBIT, QUTRIT], ids=["qubit", "qutrit"])
+    def test_linear_projection_matches_project_and_couple(self, qudit):
+        # psi^H decompose(f) against the synthesized-projector overlap, on a
+        # field decohered by diffusion and magnetic dephasing
+        cfg = small_cfg(qudit=dict(qudit), grid={"n": 128, "extent": 3.2e-3}, **SENSITIVE)
+        field = _retrieve(cfg, _input_field(cfg)[0], 2e-5)
+        a = _amplitudes(cfg, field)
+        state = cfg.qudit.to_state()
+        pset = ProjectionSet.qubit() if state.dim == 2 else ProjectionSet.qutrit()
+        for _, psi in pset.projectors:
+            ref = project_and_couple(field, QuditState(psi, l=state.l), cfg.qudit.waist)
+            assert abs(np.vdot(psi, a) - ref) <= 1e-12 * abs(ref)
 
 
 class TestCampaigns:
@@ -170,6 +191,50 @@ class TestCampaigns:
             res = run_field_render(cfg, out=tmp_path / "h")
         assert "hologram.pgm" in res.files
 
+    def test_hologram_qutrit_lens_phases_undone(self, tmp_path):
+        # the lens gives each focal-plane mode (-i)^|l|; without undoing it
+        # the equal qutrit made by the mask reads f_abs = 0.72
+        cfg = parse_config({
+            "seed": 1, "grid": README_GRID, "qudit": dict(QUTRIT),
+            "source": {"kind": "hologram", "input_waist": 5.0e-4, "focal": 0.5},
+            "storage_times": [0.0], "counting": {"poisson": False}})
+        f_abs = run_storage_decay(cfg, out=tmp_path / "h").summary[0][3]
+        field = _input_field(cfg)[0]
+        a = decompose(field, 1, 3, cfg.qudit.waist) / focal_basis_phases((1, 0, -1))
+        a_hat = a / np.linalg.norm(a)
+        c = cfg.qudit.to_state().coeffs
+        assert f_abs >= 0.99
+        assert f_abs == pytest.approx(abs(np.vdot(c, a_hat)), abs=1e-9)
+
+    def test_scan_honours_decoherence(self, tmp_path):
+        cfg = small_cfg(qudit=dict(QUBIT), counting={"poisson": False},
+                        storage_times=[2e-5], **SENSITIVE)
+        res = run_interference_scan(cfg, out=tmp_path / "s")
+        assert res.summary[0][2] < 0.9999
+
+        params = cfg.memory.to_params()
+        wave = diffuse(write(_input_field(cfg)[0], params),
+                       DiffusionParams(cfg.memory.temperature, cfg.memory.mass), 2e-5)
+        wave = magnetic_dephase(wave, cfg.magnetic.to_model(), 2e-5)
+        a = decompose(read(wave, params), 2, 2, cfg.qudit.waist)
+        rows = (tmp_path / "s" / "scan.csv").read_text().splitlines()[1:]
+        assert len(rows) == cfg.scan.beta_points
+        for row in rows:
+            _, beta, counts, _, _ = row.split(",")
+            psi = np.array([1.0, np.exp(1j * float(beta))]) / np.sqrt(2.0)
+            assert float(counts) == pytest.approx(abs(np.vdot(psi, a)) ** 2, rel=1e-12)
+
+    def test_scan_at_zero_time_matches_ideal_reference(self, tmp_path):
+        cfg = small_cfg(qudit=dict(QUBIT), counting={"poisson": False},
+                        storage_times=[0.0], decoherence={"diffusion": False})
+        res = run_interference_scan(cfg, out=tmp_path / "s")
+        betas = [2.0 * np.pi * i / cfg.scan.beta_points for i in range(cfg.scan.beta_points)]
+        ideal = interference_scan(cfg.qudit.to_state(), cfg.qudit.l, betas)
+        rows = (tmp_path / "s" / "scan.csv").read_text().splitlines()[1:]
+        got = [float(row.split(",")[2]) for row in rows]
+        assert got == pytest.approx([r.counts for r in ideal], abs=1e-12)
+        assert res.summary[0][2] >= 0.999
+
     def test_background_subtraction_applied(self, tmp_path):
         cfg = small_cfg(counting={"pulses": 20000, "poisson": True, "bg_rate": 1e-3})
         res = run_storage_decay(cfg, out=tmp_path / "bg")
@@ -230,3 +295,35 @@ class TestCli:
                          "--out", str(tmp_path / "s")]) == 0
         assert (tmp_path / "s" / "fit.csv").exists()
         assert (tmp_path / "s" / "scan.csv").exists()
+
+
+README_CONFIG = {
+    "seed": 1234, "grid": README_GRID,
+    "qudit": {"dim": 3, "l": 1, "waist": 250.0e-6,
+              "coeffs": [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]},
+    "storage_times": [0.0],
+}
+HOLOGRAM = {"kind": "hologram", "input_waist": 5.0e-4, "focal": 0.5}
+
+
+@pytest.mark.parametrize("subcommand, section, values", [
+    ("decay", "efficiency", {"eta0": 1.5, "tau": 1.0e-3}),
+    ("decay", "qudit", {"l": 0}),
+    ("decay", "qudit", {"coeffs": [[0.0, 0.0]] * 3}),
+    ("decay", "photon", {"n_bar": float("nan")}),
+    ("decay", "counting", {"pulses": 0}),
+    ("decay", "source", dict(HOLOGRAM, input_waist=1.0e-3)),
+    ("decay", "qudit", {"waist": 9.0e-4}),
+    ("meridian", "source", HOLOGRAM),
+], ids=["eta0", "zero-l", "zero-coeffs", "nan-n_bar", "zero-pulses",
+        "hologram-input-waist", "qudit-waist", "meridian-hologram"])
+def test_config_faults_exit_2(tmp_path, capsys, subcommand, section, values):
+    data = dict(README_CONFIG)
+    if section == "qudit":
+        data["qudit"] = dict(data["qudit"], **values)
+    else:
+        data[section] = values
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert cli_main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err

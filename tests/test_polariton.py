@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from oracles import longitudinal_slices, monte_carlo_drift_factor, slice_readout
 
-from oamem.decoherence import DiffusionParams, diffuse
+from oamem.decoherence import DiffusionParams, diffuse, longitudinal_drift_factor
 from oamem.fieldgrid import GridSpec, overlap
 from oamem.modes import LGModeSpec, QuditState, lg_field, synthesize
 from oamem.polariton import (MemoryParams, PolaritonState, constant_schedule,
-                             diffraction_check, displace_longitudinal, group_velocity,
+                             diffraction_check, group_velocity,
                              mixing_angle, polariton_split, read, write)
 
 W0 = 250e-6
@@ -88,15 +89,15 @@ class TestWriteRead:
         f = lg_field(LGModeSpec(1, W0), grid)
         assert write(f, p).norm() == pytest.approx(f.norm(), rel=1e-12)
 
-    def test_collinear_profile_phase_constant(self, grid):
+    def test_collinear_profile_phase_constant(self):
         p = make_params(alpha=0.0)
-        s = write(lg_field(LGModeSpec(1, W0), grid), p)
-        assert np.allclose(s.z_profile().imag, 0.0)
+        _, weight, phase = longitudinal_slices(p.diameter, p.delta_k)
+        assert np.allclose((weight * phase).imag, 0.0)
 
-    def test_angled_profile_phase_winds(self, grid):
+    def test_angled_profile_phase_winds(self):
         p = make_params(alpha=np.radians(2.0))
-        s = write(lg_field(LGModeSpec(1, W0), grid), p)
-        total = np.angle(s.coherence_phase[-1] / s.coherence_phase[0])
+        _, _, phase = longitudinal_slices(p.diameter, p.delta_k)
+        total = np.angle(phase[-1] / phase[0])
         expected = -p.delta_k * p.diameter  # coherence carries exp(-i dk z)
         assert np.angle(np.exp(1j * (total - expected))) == pytest.approx(0.0, abs=1e-9)
 
@@ -119,24 +120,49 @@ class TestWriteRead:
 
 
 class TestLongitudinalDrift:
-    def test_collinear_immune_to_drift(self, grid, rng):
+    """The slice oracle: atoms drifting along z dephase the readout."""
+
+    def test_collinear_immune_to_drift(self, rng):
         p = make_params(alpha=0.0)
-        s = write(lg_field(LGModeSpec(1, W0), grid), p)
-        moved = displace_longitudinal(s, rng.normal(0, 2e-4, s.z.shape))
-        f = read(moved, p)
-        assert f.norm() == pytest.approx(s.norm(), rel=1e-12)
+        z, weight, phase = longitudinal_slices(p.diameter, p.delta_k)
+        moved = z + rng.normal(0, 2e-4, z.shape)
+        assert abs(slice_readout(moved, weight, phase, p.delta_k)) == pytest.approx(1.0,
+                                                                                   rel=1e-12)
 
-    def test_angled_loses_amplitude_under_spread(self, grid, rng):
+    def test_angled_loses_amplitude_under_spread(self, rng):
         p = make_params(alpha=np.radians(2.0))
-        s = write(lg_field(LGModeSpec(1, W0), grid), p)
-        moved = displace_longitudinal(s, rng.normal(0, 2e-4, s.z.shape))
-        assert read(moved, p).norm() < 0.99 * s.norm()
+        z, weight, phase = longitudinal_slices(p.diameter, p.delta_k)
+        moved = z + rng.normal(0, 2e-4, z.shape)
+        assert abs(slice_readout(moved, weight, phase, p.delta_k)) < 0.99
 
-    def test_uniform_drift_is_global_phase(self, grid):
+    def test_uniform_drift_is_global_phase(self):
         p = make_params(alpha=np.radians(2.0))
-        s = write(lg_field(LGModeSpec(1, W0), grid), p)
-        moved = displace_longitudinal(s, 1e-4)
-        assert read(moved, p).norm() == pytest.approx(s.norm(), rel=1e-12)
+        z, weight, phase = longitudinal_slices(p.diameter, p.delta_k)
+        assert abs(slice_readout(z + 1e-4, weight, phase, p.delta_k)) == pytest.approx(
+            1.0, rel=1e-12)
+
+    def test_unmoved_slices_read_out_exactly(self):
+        p = make_params(alpha=np.radians(2.0))
+        z, weight, phase = longitudinal_slices(p.diameter, p.delta_k)
+        assert abs(slice_readout(z, weight, phase, p.delta_k) - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("t_s", [5e-4, 2e-3, 4e-3])
+    def test_analytic_factor_matches_slice_oracle(self, t_s):
+        # sigma = 49, 198 and 396 um: factors 0.97, 0.63 and 0.16 at 2 degrees
+        p = make_params(alpha=np.radians(2.0))
+        dp = DiffusionParams(p.temperature, p.mass)
+        rng = np.random.default_rng(int(t_s * 1e6))
+        mean, stderr = monte_carlo_drift_factor(p.delta_k, p.diameter, dp.sigma(t_s),
+                                                4000, rng)
+        assert abs(mean - longitudinal_drift_factor(p.delta_k, dp, t_s)) <= 3.0 * stderr
+
+    def test_collinear_factor_exactly_one(self, rng):
+        p = make_params(alpha=0.0)
+        dp = DiffusionParams(p.temperature, p.mass)
+        mean, stderr = monte_carlo_drift_factor(p.delta_k, p.diameter, dp.sigma(4e-3),
+                                                100, rng)
+        assert mean == 1.0 and stderr == 0.0
+        assert longitudinal_drift_factor(p.delta_k, dp, 4e-3) == 1.0
 
 
 class TestDiffractionCheck:

@@ -132,6 +132,18 @@ class TestReconstruct:
         with pytest.raises(NoCounts):
             reconstruct(records, pset)
 
+    def test_linear_inversion_missing_record(self):
+        pset = ProjectionSet.qutrit()
+        records = records_from_probs(pset, probabilities(DensityMatrix.pure([1, 1, 1]), pset))
+        with pytest.raises(InsufficientData):
+            linear_inversion(records[1:], pset)
+
+    def test_linear_inversion_zero_reference_counts(self):
+        pset = ProjectionSet.qubit()
+        records = [CountRecord(lab, counts=0.0) for lab in pset.labels]
+        with pytest.raises(NoCounts):
+            linear_inversion(records, pset)
+
     def test_ml_refinement_close_to_linear(self, rng):
         pset = ProjectionSet.qubit()
         rho_true = random_pure(rng, 2)
