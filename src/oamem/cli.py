@@ -21,7 +21,7 @@ from .harness import RUNNERS
 SUBCOMMANDS = {
     "scan": ("interference_scan", "equator interference scan and visibility fit, "
              "writes scan.csv (basis_id, beta_or_label, counts, background, "
-             "acquisition_s) and fit.csv (n0, delta, visibility, residual_rms)"),
+             "acquisition_s) and fit.csv (n0, delta, visibility, residual_rms, phase)"),
     "meridian": ("meridian_sweep", "polar-angle retrieval sweep, writes meridian.csv "
                  "(gamma_w, n_l, n_r, gamma_r)"),
     "decay": ("storage_decay", "fidelity/efficiency decay over storage time, writes "
@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--parallel", type=int, default=1,
-                       help="worker processes for sweep points")
+                       help="worker processes for the storage points of decay and tomo")
     return parser
 
 

@@ -127,7 +127,8 @@ class PhotonConfig:
 
 @dataclass(frozen=True)
 class CountingSection:
-    n_bar: float = 50.0
+    """Detector side of a campaign; the mean photon number is ``photon.n_bar``."""
+
     pulses: int = 100000
     bg_rate: float = 0.0
     acquisition: float = 300.0

@@ -28,7 +28,7 @@ from .holography import (export_pgm_hologram, focal_basis_phases, fraunhofer,
 from .measurement import (CountRecord, fit_visibility, polar_retrieve, simulate_counts,
                           subtract_background, write_count_records)
 from .modes import LGModeSpec, QuditState, basis_charges, decompose, lg_field, synthesize
-from .polariton import read, write
+from .polariton import SpinWave, read, write
 from .tomography import (DensityMatrix, ProjectionSet, export_density_csv,
                          fidelity, probabilities, reconstruct, tomography_report)
 
@@ -116,11 +116,21 @@ def _input_field(cfg: ExperimentConfig):
     return fraunhofer(holo.imprint(gauss), cfg.source.focal), holo
 
 
-def _retrieve(cfg: ExperimentConfig, field: TransverseField, t_s: float) -> TransverseField:
-    """Write ``field``, let the spin wave decohere for t_s, and read it out."""
+def _store(cfg: ExperimentConfig) -> tuple[np.ndarray, SpinWave]:
+    """The part of a storage point that does not depend on t.
+
+    Prepares the configured input field and writes it once.  Returns its
+    qudit-basis amplitudes (the stored state) and the written spin wave,
+    which :func:`_retrieve` decoheres and reads at each storage time.
+    """
+    field_in, _ = _input_field(cfg)
+    return _amplitudes(cfg, field_in), write(field_in, cfg.memory.to_params())
+
+
+def _retrieve(cfg: ExperimentConfig, wave: SpinWave, t_s: float) -> TransverseField:
+    """Let the written spin wave decohere for t_s, and read it out."""
     params = cfg.memory.to_params()
     dp = DiffusionParams(cfg.memory.temperature, cfg.memory.mass)
-    wave = write(field, params)
     if cfg.decoherence.diffusion:
         wave = diffuse(wave, dp, t_s)
     if cfg.decoherence.magnetic:
@@ -146,15 +156,14 @@ def _amplitudes(cfg: ExperimentConfig, field: TransverseField) -> np.ndarray:
     return a
 
 
-def _measure(cfg: ExperimentConfig, point: int, t_s: float, kets):
-    """Prepare, store for t_s and retrieve the configured state, then count.
+def _measure(cfg: ExperimentConfig, wave: SpinWave, point: int, t_s: float, kets):
+    """Retrieve the written ``wave`` after t_s, then count.
 
     ``kets`` are (label, psi) projectors; each gets one record, a Poisson
     draw keyed (point, ket index) or the noiseless probability.  Returns
-    (input field, eta at t_s, records).
+    (eta at t_s, records).
     """
-    field_in, _ = _input_field(cfg)
-    a = _amplitudes(cfg, _retrieve(cfg, field_in, t_s))
+    a = _amplitudes(cfg, _retrieve(cfg, wave, t_s))
     eta = cfg.efficiency.to_model()(t_s)
     counting = cfg.counting
     records = []
@@ -169,22 +178,24 @@ def _measure(cfg: ExperimentConfig, point: int, t_s: float, kets):
                                        acquisition=counting.acquisition))
     if counting.poisson and counting.bg_rate > 0:
         records = subtract_background(records)
-    return field_in, eta, records
+    return eta, records
 
 
-def storage_point(cfg: ExperimentConfig, t_index: int, t_s: float) -> dict:
+def storage_point(cfg: ExperimentConfig, stored: tuple[np.ndarray, SpinWave],
+                  t_index: int, t_s: float) -> dict:
     """One storage-and-tomography pass at a single storage time.
 
-    Chain: prepare -> write -> decohere -> read -> project -> count ->
-    reconstruct -> fidelity, exactly composing the module operations.
+    ``stored`` is :func:`_store` of ``cfg``.  Chain: decohere -> read ->
+    project -> count -> reconstruct -> fidelity, exactly composing the
+    module operations.
     """
+    amplitudes, wave = stored
     state = cfg.qudit.to_state()
     pset = ProjectionSet.qubit() if state.dim == 2 else ProjectionSet.qutrit()
-    field_in, eta, records = _measure(cfg, t_index, t_s, pset.projectors)
+    eta, records = _measure(cfg, wave, t_index, t_s, pset.projectors)
     rho = reconstruct(records, pset)
-    stored = QuditState(_amplitudes(cfg, field_in), l=state.l)
     f_abs = fidelity(rho, DensityMatrix(state.density_matrix()))
-    f_rel = fidelity(rho, DensityMatrix(stored.density_matrix()))
+    f_rel = fidelity(rho, DensityMatrix(QuditState(amplitudes, l=state.l).density_matrix()))
     bound = classical_limit(cfg.photon.n_bar, eta)
     band = threshold_band(PhotonStatistics(cfg.photon.n_bar, cfg.photon.uncertainty), eta)
     return {
@@ -200,7 +211,8 @@ def _storage_point_star(args):
 
 
 def _map_points(cfg: ExperimentConfig, parallel: int):
-    jobs = [(cfg, i, t) for i, t in enumerate(cfg.storage_times)]
+    stored = _store(cfg)
+    jobs = [(cfg, stored, i, t) for i, t in enumerate(cfg.storage_times)]
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             return list(pool.map(_storage_point_star, jobs))
@@ -255,13 +267,13 @@ def run_interference_scan(cfg: ExperimentConfig, out=None, parallel: int = 1) ->
     betas = [2.0 * np.pi * i / points for i in range(points)]
     kets = [(f"beta_{i:02d}", np.array([1.0, np.exp(1j * beta)]) / np.sqrt(2.0))
             for i, beta in enumerate(betas)]
-    _, _, records = _measure(cfg, 0, _first_time(cfg), kets)
+    _, records = _measure(cfg, _store(cfg)[1], 0, _first_time(cfg), kets)
     records = [replace(r, beta=beta) for r, beta in zip(records, betas)]
     fit = fit_visibility(records)
     write_count_records(out_dir / "scan.csv", records)
-    _write_csv(out_dir / "fit.csv", ["n0", "delta", "visibility", "residual_rms"],
-               [[fit.n0, fit.delta, fit.visibility, fit.residual_rms]])
     summary = [[fit.n0, fit.delta, fit.visibility, fit.residual_rms]]
+    _write_csv(out_dir / "fit.csv", ["n0", "delta", "visibility", "residual_rms", "phase"],
+               [summary[0] + [fit.phase]])
     return _finalize(cfg, "interference_scan", out_dir, ["scan.csv", "fit.csv"],
                      summary, RNG_SCHEME)
 
@@ -280,7 +292,8 @@ def run_meridian_sweep(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Ca
     for i in range(points):
         gamma_w = np.pi * i / (points - 1)
         prepared = replace(cfg, qudit=replace(cfg.qudit, coeffs=None, gamma=gamma_w, beta=0.0))
-        _, _, (rec_l, rec_r) = _measure(prepared, i, _first_time(cfg), poles)
+        _, (rec_l, rec_r) = _measure(prepared, _store(prepared)[1], i, _first_time(cfg),
+                                     poles)
         rows.append([gamma_w, rec_l.counts, rec_r.counts,
                      polar_retrieve(rec_r.counts, rec_l.counts)])
     _write_csv(out_dir / "meridian.csv", ["gamma_w", "n_l", "n_r", "gamma_r"], rows)
@@ -314,9 +327,10 @@ def run_field_render(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Camp
     if holo is not None:
         export_pgm_hologram(holo, out_dir / "hologram.pgm")
         files.append("hologram.pgm")
+    wave = write(field_in, cfg.memory.to_params())
     for i, t_s in enumerate(cfg.storage_times):
         name = f"retrieved_{i:02d}.pgm"
-        export_pgm(_retrieve(cfg, field_in, t_s), out_dir / name)
+        export_pgm(_retrieve(cfg, wave, t_s), out_dir / name)
         files.append(name)
     return _finalize(cfg, "field_render", out_dir, files, [], "none")
 

@@ -3,9 +3,10 @@
 Counting follows the Poissonian model of an attenuated coherent pulse:
 the expected detections per pulse are n_bar * eta * prob plus a flat
 background rate, and a gated detector integrates over many pulses.
-Reductions recover the interference visibility N(beta) = N0 (1 + delta
-+ cos beta), the Bloch polar angle 2 arctan sqrt(N_R / N_L), and apply
-the per-basis relative-transmittance correction.
+Reductions recover the interference visibility and fringe phase of
+N(beta) = N0 (1 + delta + cos(beta - phase)), the Bloch polar angle
+2 arctan sqrt(N_R / N_L), and apply the per-basis relative-transmittance
+correction.
 """
 
 from __future__ import annotations
@@ -63,12 +64,13 @@ class CountingConfig:
 
 @dataclass(frozen=True)
 class VisibilityFit:
-    """Result of the N0 (1 + delta + cos beta) least-squares fit."""
+    """Result of the N0 (1 + delta + cos(beta - phase)) least-squares fit."""
 
     n0: float
     delta: float
     visibility: float
     residual_rms: float
+    phase: float
 
 
 @dataclass(frozen=True)
@@ -154,9 +156,11 @@ def interference_scan(state: QuditState, l: int, beta_values,
 
 
 def fit_visibility(records) -> VisibilityFit:
-    """Least-squares fit of N(beta) = N0 (1 + delta + cos beta).
+    """Least-squares fit of N(beta) = N0 (1 + delta + cos(beta - phase)).
 
-    Linear in (a, b) = (N0 (1 + delta), N0); the visibility of the fitted
+    Linear in (a, c, s) of a + c cos(beta) + s sin(beta), so
+    N0 = hypot(c, s), phase = atan2(s, c) and delta = a / N0 - 1: a fringe
+    shifted by dephasing keeps its contrast.  The visibility of the fitted
     curve is (max - min) / (max + min) = 1 / (1 + delta), clamped to
     [0, 1] as a physical contrast.
     """
@@ -167,18 +171,20 @@ def fit_visibility(records) -> VisibilityFit:
     if np.unique(np.round(betas, 12)).size < 4:
         raise FitDegenerate("need at least 4 distinct beta values")
     counts = np.array([r.counts for r in records], dtype=np.float64)
-    design = np.column_stack([np.ones_like(betas), np.cos(betas)])
-    if np.linalg.matrix_rank(design) < 2:
-        raise FitDegenerate("design matrix is singular (cos(beta) not resolved)")
-    (a, b), *_ = np.linalg.lstsq(design, counts, rcond=None)
-    if b <= 0:
+    design = np.column_stack([np.ones_like(betas), np.cos(betas), np.sin(betas)])
+    if np.linalg.matrix_rank(design) < 3:
+        raise FitDegenerate("design matrix is singular (fringe not resolved)")
+    coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
+    a, c, s = coef
+    n0 = math.hypot(c, s)
+    if not n0 > 0:
         raise FitDegenerate("fitted modulation amplitude is not positive")
-    n0 = b
-    delta = a / b - 1.0
+    delta = a / n0 - 1.0
     visibility = min(max(1.0 / (1.0 + delta), 0.0), 1.0)
-    residual = counts - design @ np.array([a, b])
+    residual = counts - design @ coef
     return VisibilityFit(n0=float(n0), delta=float(delta), visibility=float(visibility),
-                         residual_rms=float(np.sqrt(np.mean(residual ** 2))))
+                         residual_rms=float(np.sqrt(np.mean(residual ** 2))),
+                         phase=float(math.atan2(s, c)))
 
 
 def polar_retrieve(n_r: float, n_l: float) -> float:

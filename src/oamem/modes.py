@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, GridTooSmall
-from .fieldgrid import GridSpec, TransverseField, inner_product
+from .fieldgrid import GridSpec, TransverseField
 
 QUBIT_LABELS = ("L", "R")
 QUTRIT_LABELS = ("L", "G", "R")
@@ -103,24 +103,44 @@ def _support_check(l: int, w0: float, grid: GridSpec) -> None:
         )
 
 
+def _mode_factors(l: int, w0: float, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """LG_{l,0} on the grid as a sum of |l| + 1 separable terms.
+
+    With s = sgn(l), the mode is proportional to (x + i s y)^|l| g(x) g(y),
+    g(u) = exp(-u^2 / w0^2), which the binomial theorem splits into
+
+        sum_k coef[k] * outer(powers[|l| - k], powers[k])
+
+    where powers[k] = (u / w0)^k g(u) on the grid axis (rows are y) and
+    coef[k] = C(|l|, k) (i s)^(|l| - k) / norm.  The discrete norm
+    sum |mode|^2 dx^2 expands the same way through |x + i y|^(2|l|), so it
+    needs only the 1-D moments sum powers[k]^2 and no n x n array.
+    """
+    _support_check(l, w0, grid)
+    order = abs(l)
+    u = grid.axis() / w0
+    g = np.exp(-u * u)
+    powers = np.array([u ** k * g for k in range(order + 1)])
+    moments = np.sum(powers * powers, axis=1)
+    binom = np.array([math.comb(order, k) for k in range(order + 1)], dtype=np.float64)
+    norm = math.sqrt(grid.pixel_area * float(np.sum(binom * moments * moments[::-1])))
+    phases = (1j * math.copysign(1.0, l)) ** np.arange(order, -1, -1)
+    return binom * phases / norm, powers
+
+
 def lg_field(spec: LGModeSpec, grid: GridSpec, wavelength: float = 795e-9) -> TransverseField:
     """Sample a normalized LG_{l,0} mode on the grid.
 
-    Amplitude ~ (sqrt(2) r / w0)^|l| exp(-r^2/w0^2) e^{i l phi}; the
-    result is renormalized on the grid so its discrete norm is exactly 1.
+    Amplitude ~ (sqrt(2) r / w0)^|l| exp(-r^2/w0^2) e^{i l phi}, built from
+    the separable factors of :func:`_mode_factors` and normalized so its
+    discrete norm is 1.
     """
-    _support_check(spec.l, spec.w0, grid)
-    r, phi = grid.polar()
-    amp = lg_amplitude(spec.l, spec.w0, r, phi)
-    f = TransverseField(grid, amp, wavelength)
-    return f.normalized()
-
-
-def lg_amplitude(l: int, w0: float, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Analytically normalized continuum LG_{l,0} amplitude."""
-    c = math.sqrt(2.0 / (math.pi * math.factorial(abs(l)))) / w0
-    radial = (np.sqrt(2.0) * r / w0) ** abs(l) * np.exp(-(r / w0) ** 2)
-    return c * radial * np.exp(1j * l * phi)
+    coefs, powers = _mode_factors(spec.l, spec.w0, grid)
+    order = len(coefs) - 1
+    values = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    for k, coef in enumerate(coefs):
+        values += coef * np.outer(powers[order - k], powers[k])
+    return TransverseField(grid, values, wavelength)
 
 
 def synthesize(state: QuditState, w0: float, grid: GridSpec,
@@ -138,12 +158,23 @@ def synthesize(state: QuditState, w0: float, grid: GridSpec,
 
 
 def decompose(f: TransverseField, l: int, dim: int, w0: float) -> np.ndarray:
-    """Project a field onto the qudit basis; returns raw mode amplitudes."""
+    """Project a field onto the qudit basis; returns raw mode amplitudes <m|f>.
+
+    Each mode is separable (see :func:`_mode_factors`), so <m|f> is
+    sum_k conj(coef[k]) (powers[|l| - k])^T F powers[k] dx^2.  One pass over
+    the n x n field contracts it with every 1-D factor at once; no mode is
+    sampled on the grid.
+    """
     charges = basis_charges(dim, l)
+    factors = [_mode_factors(charge, w0, f.grid) for charge in charges]
+    powers = max((p for _, p in factors), key=len)
+    # overlaps[j, k] = powers[j]^T F powers[k]; einsum keeps BLAS threads idle
+    overlaps = np.einsum("jy,yk->jk", powers, np.einsum("yx,kx->yk", f.values, powers))
     out = np.empty(dim, dtype=np.complex128)
-    for i, charge in enumerate(charges):
-        mode = lg_field(LGModeSpec(charge, w0), f.grid, f.wavelength)
-        out[i] = inner_product(mode, f)
+    for i, (coefs, _) in enumerate(factors):
+        order = len(coefs) - 1
+        terms = np.array([overlaps[order - k, k] for k in range(order + 1)])
+        out[i] = np.sum(np.conj(coefs) * terms) * f.grid.pixel_area
     return out
 
 

@@ -25,6 +25,13 @@ def direct_gaussian_convolution(values: np.ndarray, pitch: float, sigma: float) 
     return kernel @ values @ kernel.T
 
 
+def lg_amplitude(l: int, w0: float, r: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Analytically normalized continuum LG_{l,0} amplitude, in polar form."""
+    c = math.sqrt(2.0 / (math.pi * math.factorial(abs(l)))) / w0
+    radial = (np.sqrt(2.0) * r / w0) ** abs(l) * np.exp(-(r / w0) ** 2)
+    return c * radial * np.exp(1j * l * phi)
+
+
 Z_SAMPLES = 64
 
 

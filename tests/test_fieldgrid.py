@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from oracles import lg_amplitude
 
 from oamem.errors import GridMismatch
 from oamem.fieldgrid import (GridSpec, TransverseField, export_csv, export_pgm,
                              inner_product, inverse_transform, read_pgm,
                              transform_to_spectrum)
-from oamem.modes import LGModeSpec, lg_amplitude, lg_field
+from oamem.modes import LGModeSpec, lg_field
 
 LAMBDA = 795e-9
 

@@ -3,9 +3,9 @@ import pytest
 import yaml
 
 from oamem.cli import main as cli_main
-from oamem.config import parse_config
+from oamem.config import parse_config, serialize_config
 from oamem.decoherence import DiffusionParams, diffuse, magnetic_dephase
-from oamem.harness import (_amplitudes, _input_field, _retrieve, run_bounds_table,
+from oamem.harness import (_amplitudes, _input_field, _retrieve, _store, run_bounds_table,
                            run_field_render, run_interference_scan, run_meridian_sweep,
                            run_storage_decay, run_tomography, storage_point)
 from oamem.holography import focal_basis_phases, project_and_couple
@@ -72,7 +72,7 @@ class TestPipelineComposition:
     def test_storage_point_equals_manual_chain(self):
         cfg = small_cfg()
         t_index, t_s = 1, cfg.storage_times[1]
-        got = storage_point(cfg, t_index, t_s)
+        got = storage_point(cfg, _store(cfg), t_index, t_s)
 
         state = cfg.qudit.to_state()
         field = synthesize(state, cfg.qudit.waist, cfg.grid, cfg.memory.lambda_s)
@@ -102,13 +102,42 @@ class TestPipelineComposition:
         # psi^H decompose(f) against the synthesized-projector overlap, on a
         # field decohered by diffusion and magnetic dephasing
         cfg = small_cfg(qudit=dict(qudit), grid={"n": 128, "extent": 3.2e-3}, **SENSITIVE)
-        field = _retrieve(cfg, _input_field(cfg)[0], 2e-5)
+        field = _retrieve(cfg, _store(cfg)[1], 2e-5)
         a = _amplitudes(cfg, field)
         state = cfg.qudit.to_state()
         pset = ProjectionSet.qubit() if state.dim == 2 else ProjectionSet.qutrit()
         for _, psi in pset.projectors:
             ref = project_and_couple(field, QuditState(psi, l=state.l), cfg.qudit.waist)
             assert abs(np.vdot(psi, a) - ref) <= 1e-12 * abs(ref)
+
+
+class TestCallCounts:
+    def test_decay_stores_once_and_projects_without_modes(self, monkeypatch, tmp_path):
+        # the t-invariant work runs once per campaign, and projection needs
+        # no sampled mode: lg_field runs only to synthesize the input field
+        import oamem.harness as harness
+        import oamem.modes as modes
+        import oamem.polariton as polariton
+
+        calls = []
+
+        def count(func, *modules):
+            def wrapper(*args, **kwargs):
+                calls.append((func.__name__, args))
+                return func(*args, **kwargs)
+            for module in modules:
+                monkeypatch.setattr(module, func.__name__, wrapper)
+
+        count(polariton.write, polariton, harness)
+        count(polariton.diffraction_check, polariton)
+        count(modes.lg_field, modes, harness)
+        cfg = small_cfg(storage_times=[0.0, 1e-5, 2e-5, 3e-5], counting={"poisson": False},
+                        **SENSITIVE)
+        run_storage_decay(cfg, out=tmp_path / "d")
+        names = [name for name, _ in calls]
+        assert names.count("write") == 1
+        assert names.count("diffraction_check") == 1
+        assert sorted(args[0].l for name, args in calls if name == "lg_field") == [-1, 0, 1]
 
 
 class TestCampaigns:
@@ -156,6 +185,25 @@ class TestCampaigns:
         n0, delta, vis, rms = res.summary[0]
         assert vis >= 0.999
         assert rms / n0 < 1e-9
+
+    def test_dephased_scan_fits_shifted_fringe(self, tmp_path):
+        # at 40 us the magnetic phase map shifts the l = 2 fringe by about
+        # -2.66 rad; the cosine-only fit failed with FitDegenerate (exit 3)
+        cfg = small_cfg(qudit=dict(QUBIT), counting={"poisson": False},
+                        storage_times=[4e-5], **SENSITIVE)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(serialize_config(cfg)))
+        assert cli_main(["scan", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+        header, row = (tmp_path / "s" / "fit.csv").read_text().splitlines()
+        assert header == "n0,delta,visibility,residual_rms,phase"
+        n0, delta, vis, rms, phase = map(float, row.split(","))
+
+        a_l, a_r = _amplitudes(cfg, _retrieve(cfg, _store(cfg)[1], 4e-5))
+        z = np.conj(a_l) * a_r
+        assert n0 == pytest.approx(abs(z), rel=1e-9)
+        assert vis == pytest.approx(2 * abs(z) / (abs(a_l) ** 2 + abs(a_r) ** 2), rel=1e-9)
+        assert np.exp(1j * phase) == pytest.approx(z / abs(z), abs=1e-9)
+        assert vis > 0.99
 
     def test_meridian_identity(self, tmp_path):
         cfg = small_cfg(qudit=dict(QUBIT), counting={"poisson": False})
@@ -315,8 +363,9 @@ HOLOGRAM = {"kind": "hologram", "input_waist": 5.0e-4, "focal": 0.5}
     ("decay", "source", dict(HOLOGRAM, input_waist=1.0e-3)),
     ("decay", "qudit", {"waist": 9.0e-4}),
     ("meridian", "source", HOLOGRAM),
+    ("decay", "counting", {"n_bar": 50.0}),
 ], ids=["eta0", "zero-l", "zero-coeffs", "nan-n_bar", "zero-pulses",
-        "hologram-input-waist", "qudit-waist", "meridian-hologram"])
+        "hologram-input-waist", "qudit-waist", "meridian-hologram", "counting-n_bar"])
 def test_config_faults_exit_2(tmp_path, capsys, subcommand, section, values):
     data = dict(README_CONFIG)
     if section == "qudit":

@@ -108,6 +108,25 @@ class TestFitVisibility:
         fit = fit_visibility(records)
         assert 0.9 < fit.visibility <= 1.0
 
+    @pytest.mark.parametrize("phase", [0.7, -2.66, np.pi])
+    def test_shifted_fringe_keeps_contrast(self, phase):
+        # a fringe moved along beta is fitted with its phase, not read as
+        # lost contrast
+        delta = 0.05
+        records = [CountRecord(f"b{i}", 200.0 * (1 + delta + np.cos(b - phase)), beta=b)
+                   for i, b in enumerate(BETAS)]
+        fit = fit_visibility(records)
+        assert fit.n0 == pytest.approx(200.0, rel=1e-12)
+        assert fit.delta == pytest.approx(delta, abs=1e-12)
+        assert fit.visibility == pytest.approx(1 / (1 + delta), rel=1e-12)
+        assert np.exp(1j * fit.phase) == pytest.approx(np.exp(1j * phase), abs=1e-12)
+        assert fit.residual_rms < 1e-10
+
+    def test_no_modulation_degenerate(self):
+        records = [CountRecord(f"b{i}", 0.0, beta=b) for i, b in enumerate(BETAS)]
+        with pytest.raises(FitDegenerate):
+            fit_visibility(records)
+
     def test_too_few_betas(self):
         records = [CountRecord("a", 1.0, beta=0.0),
                    CountRecord("b", 0.5, beta=np.pi / 2),

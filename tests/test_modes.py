@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from oracles import lg_amplitude
 
 from oamem.errors import DimMismatch, GridTooSmall
-from oamem.fieldgrid import GridSpec, inner_product
-from oamem.modes import (LGModeSpec, QuditState, lg_field, qubit_state,
-                         qutrit_state, state_from_field, synthesize)
+from oamem.fieldgrid import GridSpec, TransverseField, inner_product
+from oamem.holography import fraunhofer, qubit_hologram
+from oamem.modes import (LGModeSpec, QuditState, basis_charges, decompose, lg_field,
+                         qubit_state, qutrit_state, state_from_field, synthesize)
 
 W0 = 200e-6
 
@@ -53,6 +55,16 @@ class TestLGField:
     def test_grid_too_small(self):
         with pytest.raises(GridTooSmall):
             lg_field(LGModeSpec(3, W0), GridSpec(64, 2e-3))
+
+    @pytest.mark.parametrize("l", range(-3, 4))
+    def test_matches_polar_form(self, wide_grid, l):
+        # the separable build equals r^|l| e^{i l phi} exp(-r^2/w0^2) on the grid
+        grid = GridSpec(wide_grid.n, wide_grid.extent, center=(3e-4, -2e-4))
+        r, phi = grid.polar()
+        ref = lg_amplitude(l, W0, r, phi)
+        ref = ref / np.sqrt(np.sum(np.abs(ref) ** 2) * grid.pixel_area)
+        got = lg_field(LGModeSpec(l, W0), grid).values
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestQuditState:
@@ -144,3 +156,34 @@ def test_state_from_field_round_trip(grid, rng):
     recovered = state_from_field(synthesize(state, W0, grid), 1, 3, W0)
     # global phase fixed by construction here, compare directly
     assert np.max(np.abs(recovered.coeffs - state.coeffs)) < 1e-8
+
+
+class TestSeparableProjection:
+    """decompose contracts 1-D mode factors; the reference samples each mode."""
+
+    @staticmethod
+    def reference(f, l, dim, w0):
+        return np.array([inner_product(lg_field(LGModeSpec(c, w0), f.grid, f.wavelength), f)
+                         for c in basis_charges(dim, l)])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_random_field_off_centre_grid(self, rng, l, dim):
+        grid = GridSpec(128, 3.2e-3, center=(2.0e-4, -1.5e-4))
+        values = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
+        f = TransverseField(grid, values, 795e-9)
+        got, ref = decompose(f, l, dim, 120e-6), self.reference(f, l, dim, 120e-6)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+    def test_hologram_focal_field(self):
+        grid = GridSpec(128, 8e-3)
+        gauss = lg_field(LGModeSpec(0, 1e-3), grid)
+        f = fraunhofer(qubit_hologram(2, grid).imprint(gauss), 0.5)
+        got, ref = decompose(f, 2, 2, 155e-6), self.reference(f, 2, 2, 155e-6)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+    def test_grid_too_small(self, rng):
+        grid = GridSpec(64, 2e-3)
+        f = TransverseField(grid, rng.normal(size=(64, 64)) + 0j, 795e-9)
+        with pytest.raises(GridTooSmall):
+            decompose(f, 3, 2, W0)
