@@ -20,7 +20,7 @@ from .modes import LGModeSpec, QuditState, lg_field, qubit_state, qutrit_state, 
 from .holography import PhaseHologram, fraunhofer, project_and_couple, qubit_hologram, qutrit_hologram
 from .polariton import MemoryParams, PolaritonState, SpinWave, group_velocity, mixing_angle, read, write
 from .decoherence import (DiffusionParams, EfficiencyModel, MagneticModel, diffuse,
-                          magnetic_dephase, qutrit_nodal_shift, retrieval_efficiency)
+                          magnetic_dephase, qutrit_nodal_shift)
 from .measurement import (CountRecord, CountingConfig, TransmittanceTable, VisibilityFit,
                           correct_transmittance, fit_visibility, interference_scan,
                           polar_retrieve, simulate_counts)
@@ -35,7 +35,7 @@ __all__ = [
     "PhaseHologram", "qubit_hologram", "qutrit_hologram", "fraunhofer", "project_and_couple",
     "MemoryParams", "SpinWave", "PolaritonState", "mixing_angle", "group_velocity", "write", "read",
     "DiffusionParams", "MagneticModel", "EfficiencyModel", "diffuse", "magnetic_dephase",
-    "qutrit_nodal_shift", "retrieval_efficiency",
+    "qutrit_nodal_shift",
     "CountRecord", "CountingConfig", "VisibilityFit", "TransmittanceTable",
     "simulate_counts", "interference_scan", "fit_visibility", "polar_retrieve",
     "correct_transmittance",

@@ -23,10 +23,12 @@ _MAX_TERMS = 100000
 class PhotonStatistics:
     """Mean photons per pulse and its absolute uncertainty."""
 
-    n_bar: float
-    uncertainty: float = 0.0
+    n_bar: float = 1.6
+    uncertainty: float = 0.4
 
     def __post_init__(self):
+        if not (math.isfinite(self.n_bar) and math.isfinite(self.uncertainty)):
+            raise DomainError("n_bar and uncertainty must be finite")
         if not self.n_bar > 0:
             raise DomainError("mean photon number must be positive")
         if self.uncertainty < 0:
@@ -37,12 +39,11 @@ class PhotonStatistics:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Classical limit with its ingredients and optional uncertainty band."""
+    """Classical limit with its ingredients."""
 
     f_co: float
     f_classical: float
     n_min: int
-    band: tuple[float, float]
 
 
 def _poisson_pmf(n_bar: float):
@@ -99,9 +100,8 @@ def nmin(n_bar: float, eta_m: float) -> int:
 def classical_limit(n_bar: float, eta_m: float) -> BoundResult:
     """Intercept/resend fidelity bound for efficiency eta_m.
 
-    Reduces to the Poisson-weighted limit at eta_m = 1.  The returned
-    band is degenerate; use :func:`threshold_band` for uncertainty-aware
-    edges.
+    Reduces to the Poisson-weighted limit at eta_m = 1; see
+    :func:`threshold_band` for the edges over n_bar +- uncertainty.
     """
     n_min = nmin(n_bar, eta_m)
     terms = list(_poisson_pmf(n_bar))
@@ -116,8 +116,7 @@ def classical_limit(n_bar: float, eta_m: float) -> BoundResult:
     denominator = gamma + tail
     f_classical = numerator / denominator
     f_co = poisson_weighted_limit(n_bar)
-    return BoundResult(f_co=f_co, f_classical=f_classical, n_min=n_min,
-                       band=(f_classical, f_classical))
+    return BoundResult(f_co=f_co, f_classical=f_classical, n_min=n_min)
 
 
 def threshold_band(stats: PhotonStatistics, eta_m: float,

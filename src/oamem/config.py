@@ -1,8 +1,11 @@
 """Experiment configuration: parsing, validation, serialization, hashing.
 
-One YAML file drives every campaign.  Sections mirror the physics
-modules; unknown keys are rejected everywhere so a typo cannot silently
-fall back to a default physics parameter.
+One YAML file drives every campaign.  The ``grid``, ``memory``,
+``magnetic`` and ``photon`` sections are the physics types themselves
+(:class:`GridSpec`, :class:`MemoryParams`, :class:`MagneticModel`,
+:class:`PhotonStatistics`).  Unknown keys are rejected everywhere so a
+typo cannot silently fall back to a default physics parameter, every
+value must have its field's declared type, and every number is finite.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ import yaml
 
 from .bounds import PhotonStatistics
 from .decoherence import DEFAULT_EFFICIENCY_ANCHORS, EfficiencyModel, MagneticModel
-from .errors import ConfigError, OamemError
+from .errors import ConfigError
 from .fieldgrid import GridSpec
 from .holography import _focal_grid
 from .modes import QuditState, _support_check, qubit_state
-from .polariton import MemoryParams, constant_schedule
+from .polariton import MemoryParams
 
 EXPERIMENT_KINDS = ("interference_scan", "meridian_sweep", "storage_decay",
                     "tomography", "bounds_table", "field_render")
@@ -46,8 +49,8 @@ class QuditConfig:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ConfigError("qudit dim must be 2 or 3")
-        if self.coeffs is None and self.gamma is None:
-            raise ConfigError("qudit needs either coeffs or Bloch angles")
+        if self.coeffs is None and (self.gamma is None or self.dim != 2):
+            raise ConfigError("qudit needs coeffs, or Bloch angles for a qubit")
         if self.coeffs is not None and len(self.coeffs) != self.dim:
             raise ConfigError("qudit coeffs length must equal dim")
         if not self.waist > 0:
@@ -61,47 +64,10 @@ class QuditConfig:
 
 
 @dataclass(frozen=True)
-class MemoryConfig:
-    lambda_s: float = 795e-9
-    lambda_c: float = 795e-9
-    alpha: float = 0.0
-    g2n: float = 1e16
-    omega_c: float = 5e7
-    diameter: float = 2e-3
-    temperature: float = 100e-6
-    mass: float = 1.4099932e-25
-
-    def to_params(self) -> MemoryParams:
-        return MemoryParams(lambda_s=self.lambda_s, lambda_c=self.lambda_c,
-                            alpha=self.alpha, g2n=self.g2n,
-                            omega_c=constant_schedule(self.omega_c),
-                            diameter=self.diameter, temperature=self.temperature,
-                            mass=self.mass)
-
-
-@dataclass(frozen=True)
 class DecoherenceConfig:
     diffusion: bool = True
     magnetic: bool = False
     longitudinal_drift: bool = False
-
-
-@dataclass(frozen=True)
-class MagneticConfig:
-    trap_gradient: float = 0.1
-    ambient_fraction: float = 0.05
-    guiding_b: float = 9.7e-5
-    sensitivity: float = 0.0
-    second_order: float = 0.0
-    center: tuple = (0.0, 0.0)
-
-    def to_model(self) -> MagneticModel:
-        return MagneticModel(trap_gradient=self.trap_gradient,
-                             ambient_fraction=self.ambient_fraction,
-                             guiding_b=self.guiding_b,
-                             sensitivity=self.sensitivity,
-                             second_order_coeff=self.second_order,
-                             center=self.center)
 
 
 @dataclass(frozen=True)
@@ -120,12 +86,6 @@ class EfficiencyConfig:
 
 
 @dataclass(frozen=True)
-class PhotonConfig:
-    n_bar: float = 1.6
-    uncertainty: float = 0.4
-
-
-@dataclass(frozen=True)
 class CountingSection:
     """Detector side of a campaign; the mean photon number is ``photon.n_bar``."""
 
@@ -135,8 +95,8 @@ class CountingSection:
     poisson: bool = True
 
     def __post_init__(self):
-        if not 1 <= self.pulses < math.inf:
-            raise ConfigError("counting pulses must be a finite number >= 1")
+        if self.pulses < 1:
+            raise ConfigError("counting pulses must be >= 1")
         if not self.bg_rate >= 0:
             raise ConfigError("counting bg_rate must be >= 0")
 
@@ -181,11 +141,11 @@ class ExperimentConfig:
     output_dir: str | None = None
     grid: GridSpec = GridSpec(256, 3.2e-3)
     qudit: QuditConfig = QuditConfig(dim=2, l=2, gamma=np.pi / 2, beta=0.0)
-    memory: MemoryConfig = MemoryConfig()
+    memory: MemoryParams = MemoryParams()
     decoherence: DecoherenceConfig = DecoherenceConfig()
-    magnetic: MagneticConfig = MagneticConfig()
+    magnetic: MagneticModel = MagneticModel()
     efficiency: EfficiencyConfig = EfficiencyConfig()
-    photon: PhotonConfig = PhotonConfig()
+    photon: PhotonStatistics = PhotonStatistics()
     counting: CountingSection = CountingSection()
     source: SourceConfig = SourceConfig()
     scan: ScanConfig = ScanConfig()
@@ -193,21 +153,19 @@ class ExperimentConfig:
     storage_times: tuple = (0.0, 1e-4, 2e-4, 3e-4, 4e-4, 5e-4)
 
     def __post_init__(self):
-        if self.experiment is not None and self.experiment not in EXPERIMENT_KINDS:
-            raise ConfigError(f"unknown experiment kind {self.experiment!r}")
-        if any(t < 0 for t in self.storage_times):
-            raise ConfigError("storage times must be >= 0")
-        if not (math.isfinite(self.photon.n_bar) and math.isfinite(self.photon.uncertainty)):
-            raise ConfigError("photon n_bar and uncertainty must be finite")
-        if self.source.kind == "hologram" and self.qudit.dim == 3 and self.qudit.l != 1:
-            raise ConfigError("the qutrit mask requires qudit l = 1")
-        # build every physics object now, so a value it rejects is a config error
+        # build every physics object now, so a value it rejects is a config
+        # error; an anchor pair can overflow the extrapolation to t = 0
         try:
+            if self.seed < 0:
+                raise ConfigError("seed must be >= 0")
+            if self.experiment is not None and self.experiment not in EXPERIMENT_KINDS:
+                raise ConfigError(f"unknown experiment kind {self.experiment!r}")
+            if any(t < 0 for t in self.storage_times):
+                raise ConfigError("storage times must be >= 0")
+            if self.source.kind == "hologram" and self.qudit.dim == 3 and self.qudit.l != 1:
+                raise ConfigError("the qutrit mask requires qudit l = 1")
             self.qudit.to_state()
-            self.memory.to_params()
-            self.magnetic.to_model()
             self.efficiency.to_model()
-            PhotonStatistics(self.photon.n_bar, self.photon.uncertainty)
             # the qudit modes are sampled where the field is: for a hologram
             # source, on the focal-plane grid behind the mask's lens
             mode_grid = self.grid
@@ -215,18 +173,18 @@ class ExperimentConfig:
                 _support_check(0, self.source.input_waist, self.grid)
                 mode_grid = _focal_grid(self.grid, self.source.focal, self.memory.lambda_s)
             _support_check(self.qudit.l, self.qudit.waist, mode_grid)
-        except (ValueError, OamemError) as exc:
+        except (TypeError, ValueError, ArithmeticError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
 
 
 _SECTION_TYPES = {
     "grid": GridSpec,
     "qudit": QuditConfig,
-    "memory": MemoryConfig,
+    "memory": MemoryParams,
     "decoherence": DecoherenceConfig,
-    "magnetic": MagneticConfig,
+    "magnetic": MagneticModel,
     "efficiency": EfficiencyConfig,
-    "photon": PhotonConfig,
+    "photon": PhotonStatistics,
     "counting": CountingSection,
     "source": SourceConfig,
     "scan": ScanConfig,
@@ -236,9 +194,7 @@ _SECTION_TYPES = {
 
 def _listify(value):
     """Tuples to lists, recursively (YAML-friendly)."""
-    if isinstance(value, tuple):
-        return [_listify(v) for v in value]
-    if isinstance(value, list):
+    if isinstance(value, (tuple, list)):
         return [_listify(v) for v in value]
     if isinstance(value, dict):
         return {k: _listify(v) for k, v in value.items()}
@@ -251,18 +207,63 @@ def _tuplify(value):
     return value
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the values each declared field type accepts; a bool is never a number
+_ACCEPTS = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": _is_number,
+    "float | None": lambda v: v is None or _is_number(v),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "str | None": lambda v: v is None or isinstance(v, str),
+    "tuple": lambda v: isinstance(v, tuple),
+    "tuple | None": lambda v: v is None or isinstance(v, tuple),
+    "tuple[float, float]": lambda v: (isinstance(v, tuple) and len(v) == 2
+                                      and all(map(_is_number, v))),
+}
+
+
+def _check_finite(value, where: str) -> None:
+    """Reject a nan, an infinity or an int beyond float range anywhere in ``value``."""
+    if isinstance(value, tuple):
+        for v in value:
+            _check_finite(v, where)
+    elif _is_number(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(f"{where} must be finite, got {value!r}")
+
+
+def _check_fields(cls, data: dict, where: str) -> None:
+    """Each value has its field's declared type, and every number is finite."""
+    for f in fields(cls):
+        if f.name in data:
+            value, name = data[f.name], f"{where}.{f.name}"
+            if not _ACCEPTS[f.type](value):
+                raise ConfigError(f"{name} must be {f.type}, got {value!r}")
+            _check_finite(value, name)
+
+
+def _unknown_keys(cls, data: dict) -> list:
+    return sorted(set(data) - {f.name for f in fields(cls)}, key=str)
+
+
 def _parse_section(cls, data: dict, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"section {where!r} must be a mapping")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
+    unknown = _unknown_keys(cls, data)
     if unknown:
-        raise ConfigError(f"unknown keys in {where!r}: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {where!r}: {unknown}")
     kwargs = {k: _tuplify(v) for k, v in data.items()}
+    _check_fields(cls, kwargs, where)
     try:
         return cls(**kwargs)
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {where!r} section: {exc}") from exc
 
@@ -270,24 +271,17 @@ def _parse_section(cls, data: dict, where: str):
 def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be a mapping")
-    allowed = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(data) - allowed
+    unknown = _unknown_keys(ExperimentConfig, data)
     if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown top-level keys: {unknown}")
     if "seed" not in data:
         raise ConfigError("seed is mandatory")
-    kwargs = {}
+    kwargs = {k: _tuplify(v) for k, v in data.items() if k not in _SECTION_TYPES}
+    _check_fields(ExperimentConfig, kwargs, "config")
     for key, value in data.items():
         if key in _SECTION_TYPES:
             kwargs[key] = _parse_section(_SECTION_TYPES[key], value, key)
-        else:
-            kwargs[key] = _tuplify(value)
-    try:
-        return ExperimentConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+    return ExperimentConfig(**kwargs)
 
 
 def serialize_config(cfg: ExperimentConfig) -> dict:

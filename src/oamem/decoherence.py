@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -35,15 +34,14 @@ class DiffusionParams:
 
     temperature: float = 100e-6
     mass: float = 1.4099932e-25
-    k_b: float = BOLTZMANN
 
     def __post_init__(self):
-        if not (self.temperature > 0 and self.mass > 0 and self.k_b > 0):
+        if not (self.temperature > 0 and self.mass > 0):
             raise ValueError("diffusion parameters must be positive")
 
     def sigma(self, t_s: float) -> float:
         """Per-axis ballistic spread t_s * sqrt(k_B T / m), meters."""
-        return t_s * math.sqrt(self.k_b * self.temperature / self.mass)
+        return t_s * math.sqrt(BOLTZMANN * self.temperature / self.mass)
 
 
 @dataclass(frozen=True)
@@ -57,33 +55,28 @@ class MagneticModel:
     on it; an on-axis zero gives a reflection-symmetric phase map that a
     same-|l| superposition is immune to).  ``sensitivity`` is the
     first-order coherence shift in rad/(s T) (zero for clock states);
-    ``second_order_coeff`` the quadratic clock-state shift in rad/(s T^2).
-    A custom ``field`` callable (X, Y) -> tesla overrides the analytic map
-    and is used as-is.
+    ``second_order`` the quadratic clock-state shift in rad/(s T^2).
     """
 
     trap_gradient: float = 0.1
     ambient_fraction: float = 0.05
-    guiding_b: float = 0.0
+    guiding_b: float = 9.7e-5
     sensitivity: float = 0.0
-    second_order_coeff: float = 0.0
+    second_order: float = 0.0
     center: tuple[float, float] = (0.0, 0.0)
-    field: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.guiding_b < 0:
             raise ValueError("guiding field must be >= 0")
 
     def field_at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.field is not None:
-            return np.asarray(self.field(x, y), dtype=np.float64)
         g = self.ambient_fraction * self.trap_gradient
         dx, dy = x - self.center[0], y - self.center[1]
         return np.sqrt(self.guiding_b ** 2 + (g * dx) ** 2 + (g * dy) ** 2)
 
     def angular_shift(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         b = self.field_at(x, y)
-        return self.sensitivity * b + self.second_order_coeff * b ** 2
+        return self.sensitivity * b + self.second_order * b ** 2
 
 
 @dataclass(frozen=True)
@@ -115,10 +108,6 @@ class EfficiencyModel:
         if t_s < 0:
             raise ValueError("storage time must be >= 0")
         return self.eta0 * math.exp(-t_s / self.tau)
-
-
-def retrieval_efficiency(mdl: EfficiencyModel, t_s: float) -> float:
-    return mdl(t_s)
 
 
 def gaussian_blur_spectral(values: np.ndarray, pitch: float, sigma: float) -> np.ndarray:

@@ -2,18 +2,18 @@
 
 
 class OamemError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; those that reject a value are ValueErrors."""
 
 
 class GridMismatch(OamemError):
     """Two fields live on different grids."""
 
 
-class GridTooSmall(OamemError):
+class GridTooSmall(OamemError, ValueError):
     """Requested mode does not fit on the grid."""
 
 
-class InvalidCharge(OamemError):
+class InvalidCharge(OamemError, ValueError):
     """Topological charge not supported by the requested hologram."""
 
 
@@ -33,11 +33,11 @@ class MissingBasis(OamemError):
     """A record references a basis absent from the lookup table."""
 
 
-class DomainError(OamemError):
+class DomainError(OamemError, ValueError):
     """Argument outside the mathematically valid domain."""
 
 
-class DimMismatch(OamemError):
+class DimMismatch(OamemError, ValueError):
     """Operands have incompatible Hilbert-space dimensions."""
 
 

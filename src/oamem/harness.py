@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import PhotonStatistics, classical_limit, threshold_band
+from .bounds import classical_limit, threshold_band
 from .config import ExperimentConfig, config_hash
 from .decoherence import (DiffusionParams, diffuse, longitudinal_drift_factor,
                           magnetic_dephase)
@@ -124,20 +124,19 @@ def _store(cfg: ExperimentConfig) -> tuple[np.ndarray, SpinWave]:
     which :func:`_retrieve` decoheres and reads at each storage time.
     """
     field_in, _ = _input_field(cfg)
-    return _amplitudes(cfg, field_in), write(field_in, cfg.memory.to_params())
+    return _amplitudes(cfg, field_in), write(field_in, cfg.memory)
 
 
 def _retrieve(cfg: ExperimentConfig, wave: SpinWave, t_s: float) -> TransverseField:
     """Let the written spin wave decohere for t_s, and read it out."""
-    params = cfg.memory.to_params()
     dp = DiffusionParams(cfg.memory.temperature, cfg.memory.mass)
     if cfg.decoherence.diffusion:
         wave = diffuse(wave, dp, t_s)
     if cfg.decoherence.magnetic:
-        wave = magnetic_dephase(wave, cfg.magnetic.to_model(), t_s)
-    out = read(wave, params)
+        wave = magnetic_dephase(wave, cfg.magnetic, t_s)
+    out = read(wave, cfg.memory)
     if cfg.decoherence.longitudinal_drift:
-        out = out.with_values(out.values * longitudinal_drift_factor(params.delta_k, dp, t_s))
+        out = out.with_values(out.values * longitudinal_drift_factor(cfg.memory.delta_k, dp, t_s))
     return out
 
 
@@ -197,7 +196,7 @@ def storage_point(cfg: ExperimentConfig, stored: tuple[np.ndarray, SpinWave],
     f_abs = fidelity(rho, DensityMatrix(state.density_matrix()))
     f_rel = fidelity(rho, DensityMatrix(QuditState(amplitudes, l=state.l).density_matrix()))
     bound = classical_limit(cfg.photon.n_bar, eta)
-    band = threshold_band(PhotonStatistics(cfg.photon.n_bar, cfg.photon.uncertainty), eta)
+    band = threshold_band(cfg.photon, eta)
     return {
         "t_s": t_s, "eta": eta, "f_rel": f_rel, "f_abs": f_abs,
         "f_classical": bound.f_classical, "band_low": band[0], "band_high": band[1],
@@ -304,12 +303,11 @@ def run_bounds_table(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Camp
     """Classical limit and threshold band over the storage-time grid."""
     out_dir = _out_dir(cfg, out)
     model = cfg.efficiency.to_model()
-    stats = PhotonStatistics(cfg.photon.n_bar, cfg.photon.uncertainty)
     rows = []
     for t_s in cfg.storage_times:
         eta = model(t_s)
         bound = classical_limit(cfg.photon.n_bar, eta)
-        band = threshold_band(stats, eta)
+        band = threshold_band(cfg.photon, eta)
         rows.append([t_s, eta, bound.f_classical, band[0], band[1]])
     _write_csv(out_dir / "bounds.csv",
                ["t_s", "eta", "f_classical", "band_low", "band_high"], rows)
@@ -327,7 +325,7 @@ def run_field_render(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Camp
     if holo is not None:
         export_pgm_hologram(holo, out_dir / "hologram.pgm")
         files.append("hologram.pgm")
-    wave = write(field_in, cfg.memory.to_params())
+    wave = write(field_in, cfg.memory)
     for i, t_s in enumerate(cfg.storage_times):
         name = f"retrieved_{i:02d}.pgm"
         export_pgm(_retrieve(cfg, wave, t_s), out_dir / name)

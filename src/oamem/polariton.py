@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -31,30 +30,29 @@ DIFFRACTION_PHASE_LIMIT = 0.1
 class MemoryParams:
     """Ensemble and beam constants of the storage medium.
 
-    ``omega_c`` is the coupling Rabi-frequency schedule in rad/s as a
-    function of time; ``g2n`` is the collective coupling g^2 N in
-    rad^2/s^2.  ``alpha`` is the signal/coupling angle, which sets the
-    spin-wave longitudinal wave vector dk = k_c (cos(alpha) - 1) <= 0.
+    ``omega_c`` is the constant coupling Rabi frequency in rad/s; ``g2n``
+    is the collective coupling g^2 N in rad^2/s^2.  ``alpha`` is the
+    signal/coupling angle, which sets the spin-wave longitudinal wave
+    vector dk = k_c (cos(alpha) - 1) <= 0.
     """
 
     lambda_s: float = 795e-9
     lambda_c: float = 795e-9
     alpha: float = 0.0
     g2n: float = 1e16
-    omega_c: Callable[[float], float] | None = None
+    omega_c: float = 5e7
     diameter: float = 2e-3
     temperature: float = 100e-6
     mass: float = 1.4099932e-25
-    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
-        for name in ("lambda_s", "lambda_c", "g2n", "diameter", "temperature", "mass", "c"):
+        for name in ("lambda_s", "lambda_c", "g2n", "diameter", "temperature", "mass"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
-        if self.omega_c is None:
-            object.__setattr__(self, "omega_c", _constant_schedule(5e7))
+        if self.omega_c < 0:
+            raise ValueError("Rabi frequency must be >= 0")
 
     @property
     def k_s(self) -> float:
@@ -68,19 +66,6 @@ class MemoryParams:
     def delta_k(self) -> float:
         """Longitudinal spin-wave vector k_c (cos(alpha) - 1), in rad/m."""
         return self.k_c * (math.cos(self.alpha) - 1.0)
-
-
-def _constant_schedule(value: float) -> Callable[[float], float]:
-    def schedule(t: float) -> float:
-        return value
-    return schedule
-
-
-def constant_schedule(value: float) -> Callable[[float], float]:
-    """Time-independent coupling Rabi frequency."""
-    if value < 0:
-        raise ValueError("Rabi frequency must be >= 0")
-    return _constant_schedule(value)
 
 
 @dataclass(frozen=True)
@@ -130,24 +115,20 @@ class PolaritonState:
             raise ValueError("parts inconsistent with mixing angle")
 
 
-def mixing_angle(params: MemoryParams, t: float) -> float:
-    """theta = arctan(sqrt(g^2 N) / Omega_c(t)); pi/2 when the coupling is off."""
-    omega = params.omega_c(t)
-    if omega < 0:
-        raise ValueError("Omega_c must be >= 0")
-    return math.atan2(math.sqrt(params.g2n), omega)
+def mixing_angle(params: MemoryParams) -> float:
+    """theta = arctan(sqrt(g^2 N) / Omega_c); pi/2 when the coupling is off."""
+    return math.atan2(math.sqrt(params.g2n), params.omega_c)
 
 
-def group_velocity(params: MemoryParams, t: float) -> float:
+def group_velocity(params: MemoryParams) -> float:
     """v_g = c / (1 + g^2 N / Omega_c^2); zero exactly when Omega_c = 0."""
-    omega = params.omega_c(t)
-    if omega == 0.0:
+    if params.omega_c == 0.0:
         return 0.0
-    return params.c / (1.0 + params.g2n / omega ** 2)
+    return SPEED_OF_LIGHT / (1.0 + params.g2n / params.omega_c ** 2)
 
 
-def polariton_split(params: MemoryParams, t: float, total_norm: float = 1.0) -> PolaritonState:
-    theta = mixing_angle(params, t)
+def polariton_split(params: MemoryParams, total_norm: float = 1.0) -> PolaritonState:
+    theta = mixing_angle(params)
     return PolaritonState(theta, total_norm * math.cos(theta), total_norm * math.sin(theta))
 
 

@@ -196,18 +196,14 @@ def _least_squares(records, pset: ProjectionSet) -> tuple[np.ndarray, np.ndarray
     return probs, raw
 
 
-def reconstruct(records, pset: ProjectionSet, norm_policy: str = "pole_sum",
-                max_likelihood: bool = False) -> DensityMatrix:
+def reconstruct(records, pset: ProjectionSet, max_likelihood: bool = False) -> DensityMatrix:
     """Estimate the density matrix from one count record per projector.
 
-    ``norm_policy='pole_sum'`` converts counts to probabilities by
-    dividing by the summed counts of the pole subset, the only policy
-    implemented.  Raises InsufficientData when a record is missing or
+    Counts become probabilities by division by the summed counts of the
+    pole subset.  Raises InsufficientData when a record is missing or
     the projector set does not pin the state (rank check), NoCounts when
     the reference flux is zero.
     """
-    if norm_policy != "pole_sum":
-        raise ValueError(f"unknown normalization policy {norm_policy!r}")
     probs, raw = _least_squares(records, pset)
     physical = _project_to_physical(raw)
     if max_likelihood:

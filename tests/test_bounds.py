@@ -128,3 +128,14 @@ class TestThresholdBand:
             PhotonStatistics(1.6, 1.7)
         with pytest.raises(DomainError):
             PhotonStatistics(-1.0, 0.0)
+
+    def test_rejects_non_finite_stats(self):
+        for n_bar, uncertainty in ((np.inf, 0.4), (1.6, np.nan), (np.nan, 0.4), (np.inf, np.inf)):
+            with pytest.raises(DomainError, match="finite"):
+                PhotonStatistics(n_bar, uncertainty)
+
+    def test_defaults_and_value_error(self):
+        assert PhotonStatistics() == PhotonStatistics(1.6, 0.4)
+        # a rejected value is a ValueError as well as an OamemError
+        with pytest.raises(ValueError):
+            PhotonStatistics(0.0)

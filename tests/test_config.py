@@ -1,8 +1,13 @@
+import copy
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oamem.config import (ExperimentConfig, config_hash, dump_config, load_config,
-                          parse_config, serialize_config)
+from oamem.config import (_ACCEPTS, _SECTION_TYPES, ExperimentConfig, config_hash,
+                          dump_config, load_config, parse_config, serialize_config)
 from oamem.errors import ConfigError
 
 BASE = {
@@ -98,3 +103,68 @@ def test_defaults_construct():
     cfg = ExperimentConfig(seed=5)
     assert cfg.efficiency.to_model()(10e-6) == pytest.approx(0.1074)
     assert cfg.qudit.to_state().dim == 2
+
+
+# sets every key of memory, magnetic and photon, some as ints; the hashes
+# were recorded when these sections still had config classes of their own
+EVERY_PHYSICS_KEY = {
+    **BASE,
+    "memory": {"lambda_s": 795e-9, "lambda_c": 780e-9, "alpha": 0.03, "g2n": 10 ** 16,
+               "omega_c": 40000000, "diameter": 2e-3, "temperature": 90e-6,
+               "mass": 1.4099932e-25},
+    "magnetic": {"trap_gradient": 0.1, "ambient_fraction": 0.05, "guiding_b": 2e-5,
+                 "sensitivity": 44000000000, "second_order": 0, "center": [3e-4, 4e-4]},
+    "photon": {"n_bar": 2, "uncertainty": 0.5},
+}
+
+
+def test_hash_pinned_across_section_types():
+    assert config_hash(parse_config(EVERY_PHYSICS_KEY)) == \
+        "314e7cc422ae860903e3c6179abed31c824b1e5fa514b8d60aab0668f2457694"
+    assert config_hash(parse_config({"seed": 5})) == \
+        "f601da4b887c2ade81930031fd4732a5fbeef24fc3a37659a4a82d894069747b"
+
+
+def test_every_field_type_is_checked():
+    declared = {f.type for cls in _SECTION_TYPES.values() for f in fields(cls)}
+    declared |= {f.type for f in fields(ExperimentConfig) if f.name not in _SECTION_TYPES}
+    assert declared <= set(_ACCEPTS)
+
+
+def test_photon_domain_error_is_config_error():
+    with pytest.raises(ConfigError, match="photon"):
+        parse_config({**BASE, "photon": {"n_bar": 1.0, "uncertainty": 2.0}})
+
+
+_NUMBERS = (st.integers() | st.floats()
+            | st.sampled_from([10 ** 400, -(10 ** 400), 0, 1, 16, 1000.0, 3.2e-3, 250e-6]))
+# numbers three times over, so most drawn values get past the type checks
+_LEAVES = (_NUMBERS | _NUMBERS | _NUMBERS | st.none() | st.booleans() | st.text(max_size=4)
+           | st.sampled_from(["hologram", "tomography"]))
+_VALUES = st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+# every top-level key, and every key of every section
+_PATHS = ([(f.name,) for f in fields(ExperimentConfig)]
+          + [(name, f.name) for name, cls in _SECTION_TYPES.items() for f in fields(cls)])
+
+
+@st.composite
+def _mappings(draw):
+    """BASE with one to three keys, or whole sections, set to drawn values."""
+    data = copy.deepcopy(BASE)
+    for path in draw(st.lists(st.sampled_from(_PATHS), min_size=1, max_size=3)):
+        value = draw(_VALUES)
+        if len(path) == 1:
+            data[path[0]] = value
+        elif isinstance(data.setdefault(path[0], {}), dict):
+            data[path[0]][path[1]] = value
+    return data
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(_mappings())
+def test_any_mapping_parses_or_raises_config_error(data):
+    try:
+        cfg = parse_config(data)
+    except ConfigError:
+        return
+    assert parse_config(serialize_config(cfg)) == cfg

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from oracles import direct_gaussian_convolution
 
-from oamem.decoherence import (DiffusionParams, EfficiencyModel, MagneticModel,
+from oamem.decoherence import (BOLTZMANN, DiffusionParams, EfficiencyModel, MagneticModel,
                                diffuse, longitudinal_drift_factor, magnetic_dephase,
-                               qutrit_nodal_shift, retrieval_efficiency)
+                               qutrit_nodal_shift)
 from oamem.errors import NodalLineNotFound
 from oamem.fieldgrid import GridSpec, overlap
 from oamem.modes import LGModeSpec, lg_field, qubit_state, qutrit_state, synthesize
@@ -79,7 +79,7 @@ class TestDiffuse:
         t1, t2 = 2e-4, 3.5e-4
         seq = diffuse(diffuse(s, diffusion, t1), diffusion, t2)
         sigma_eq = np.sqrt(diffusion.sigma(t1) ** 2 + diffusion.sigma(t2) ** 2)
-        t_eq = sigma_eq / np.sqrt(diffusion.k_b * diffusion.temperature / diffusion.mass)
+        t_eq = sigma_eq / np.sqrt(BOLTZMANN * diffusion.temperature / diffusion.mass)
         merged = diffuse(s, diffusion, t_eq)
         assert np.max(np.abs(seq.values - merged.values)) < 1e-12 * np.max(np.abs(s.values))
 
@@ -135,7 +135,7 @@ class TestMagneticDephase:
     def test_clock_states_identity(self, grid):
         s = stored(synthesize(qubit_state(np.pi / 2, 0.0, l=2), W0, grid))
         mdl = MagneticModel(trap_gradient=0.1, guiding_b=9.7e-5,
-                            sensitivity=0.0, second_order_coeff=0.0)
+                            sensitivity=0.0, second_order=0.0)
         s2 = magnetic_dephase(s, mdl, 1e-4)
         assert np.max(np.abs(s2.values - s.values)) == 0.0
 
@@ -149,7 +149,12 @@ class TestMagneticDephase:
     def test_linear_ramp_matches_characteristic_function(self, grid):
         # phase kappa*x on a Gaussian: |<f|f e^{i kappa x}>| = exp(-kappa^2 w^2/8)
         kappa = 3.0e4
-        mdl = MagneticModel(sensitivity=1.0, field=lambda x, y: kappa * x)
+
+        class Ramp(MagneticModel):
+            def field_at(self, x, y):
+                return kappa * x
+
+        mdl = Ramp(sensitivity=1.0)
         f = lg_field(LGModeSpec(0, W0), grid)
         s2 = magnetic_dephase(stored(f), mdl, 1.0)
         p = MemoryParams()
@@ -196,7 +201,7 @@ class TestEfficiencyModel:
 
     def test_zero_time_gives_eta0(self):
         em = EfficiencyModel(eta0=0.25, tau=1e-4)
-        assert retrieval_efficiency(em, 0.0) == 0.25
+        assert em(0.0) == 0.25
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -76,10 +76,9 @@ class TestPipelineComposition:
 
         state = cfg.qudit.to_state()
         field = synthesize(state, cfg.qudit.waist, cfg.grid, cfg.memory.lambda_s)
-        params = cfg.memory.to_params()
-        wave = diffuse(write(field, params),
+        wave = diffuse(write(field, cfg.memory),
                        DiffusionParams(cfg.memory.temperature, cfg.memory.mass), t_s)
-        out = read(wave, params)
+        out = read(wave, cfg.memory)
         a = decompose(out, state.l, state.dim, cfg.qudit.waist)
         eta = cfg.efficiency.to_model()(t_s)
         pset = ProjectionSet.qutrit()
@@ -260,11 +259,10 @@ class TestCampaigns:
         res = run_interference_scan(cfg, out=tmp_path / "s")
         assert res.summary[0][2] < 0.9999
 
-        params = cfg.memory.to_params()
-        wave = diffuse(write(_input_field(cfg)[0], params),
+        wave = diffuse(write(_input_field(cfg)[0], cfg.memory),
                        DiffusionParams(cfg.memory.temperature, cfg.memory.mass), 2e-5)
-        wave = magnetic_dephase(wave, cfg.magnetic.to_model(), 2e-5)
-        a = decompose(read(wave, params), 2, 2, cfg.qudit.waist)
+        wave = magnetic_dephase(wave, cfg.magnetic, 2e-5)
+        a = decompose(read(wave, cfg.memory), 2, 2, cfg.qudit.waist)
         rows = (tmp_path / "s" / "scan.csv").read_text().splitlines()[1:]
         assert len(rows) == cfg.scan.beta_points
         for row in rows:
@@ -345,34 +343,50 @@ class TestCli:
         assert (tmp_path / "s" / "scan.csv").exists()
 
 
-README_CONFIG = {
-    "seed": 1234, "grid": README_GRID,
-    "qudit": {"dim": 3, "l": 1, "waist": 250.0e-6,
-              "coeffs": [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]},
-    "storage_times": [0.0],
-}
+README_QUDIT = {"dim": 3, "l": 1, "waist": 250.0e-6,
+                "coeffs": [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]}
+README_QUBIT = {"dim": 2, "l": 2, "waist": 250.0e-6, "gamma": 1.5707963, "beta": 0.0}
+README_CONFIG = {"seed": 1234, "grid": README_GRID, "qudit": README_QUDIT,
+                 "storage_times": [0.0]}
 HOLOGRAM = {"kind": "hologram", "input_waist": 5.0e-4, "focal": 0.5}
+NAN, INF = float("nan"), float("inf")
 
 
-@pytest.mark.parametrize("subcommand, section, values", [
-    ("decay", "efficiency", {"eta0": 1.5, "tau": 1.0e-3}),
-    ("decay", "qudit", {"l": 0}),
-    ("decay", "qudit", {"coeffs": [[0.0, 0.0]] * 3}),
-    ("decay", "photon", {"n_bar": float("nan")}),
-    ("decay", "counting", {"pulses": 0}),
-    ("decay", "source", dict(HOLOGRAM, input_waist=1.0e-3)),
-    ("decay", "qudit", {"waist": 9.0e-4}),
-    ("meridian", "source", HOLOGRAM),
-    ("decay", "counting", {"n_bar": 50.0}),
+@pytest.mark.parametrize("subcommand, changes", [
+    ("decay", {"efficiency": {"eta0": 1.5, "tau": 1.0e-3}}),
+    ("decay", {"qudit": dict(README_QUDIT, l=0)}),
+    ("decay", {"qudit": dict(README_QUDIT, coeffs=[[0.0, 0.0]] * 3)}),
+    ("decay", {"photon": {"n_bar": NAN}}),
+    ("decay", {"counting": {"pulses": 0}}),
+    ("decay", {"source": dict(HOLOGRAM, input_waist=1.0e-3)}),
+    ("decay", {"qudit": dict(README_QUDIT, waist=9.0e-4)}),
+    ("meridian", {"source": HOLOGRAM}),
+    ("decay", {"counting": {"n_bar": 50.0}}),
+    ("decay", {"seed": "x"}),
+    ("decay", {"seed": 1.5}),
+    ("decay", {"seed": -3}),
+    ("scan", {"qudit": README_QUBIT, "scan": {"beta_points": 4.5}}),
+    ("meridian", {"qudit": README_QUBIT, "meridian": {"gamma_points": 3.5}}),
+    ("decay", {"qudit": dict(README_QUDIT, l=1.5)}),
+    ("decay", {"grid": dict(README_GRID, center=[0.0, 0.0, 0.0])}),
+    ("decay", {"storage_times": [NAN]}),
+    ("decay", {"storage_times": [INF]}),
+    ("decay", {"qudit": dict(README_QUBIT, gamma=NAN)}),
+    ("decay", {"source": dict(HOLOGRAM, focal=INF)}),
+    ("decay", {"decoherence": {"magnetic": True}, "magnetic": {"center": [1, 2, 3]}}),
+    ("decay", {"qudit": dict(README_QUDIT, l=10 ** 400)}),
+    # extrapolating these anchors back to t = 0 overflows a float
+    ("decay", {"efficiency": {"anchors": [[1000.0, 0.5], [1001.0, 0.1]]}}),
+    ("decay", {"qudit": dict(README_QUBIT, dim=3)}),
+    ("bounds", {"storage_times": {0.0: "x", 1.0e-4: "y"}}),
 ], ids=["eta0", "zero-l", "zero-coeffs", "nan-n_bar", "zero-pulses",
-        "hologram-input-waist", "qudit-waist", "meridian-hologram", "counting-n_bar"])
-def test_config_faults_exit_2(tmp_path, capsys, subcommand, section, values):
-    data = dict(README_CONFIG)
-    if section == "qudit":
-        data["qudit"] = dict(data["qudit"], **values)
-    else:
-        data[section] = values
+        "hologram-input-waist", "qudit-waist", "meridian-hologram", "counting-n_bar",
+        "str-seed", "float-seed", "negative-seed", "float-beta_points",
+        "float-gamma_points", "float-l", "grid-center-3", "nan-storage-time",
+        "inf-storage-time", "nan-gamma", "inf-focal", "magnetic-center-3", "huge-l",
+        "anchor-overflow", "qutrit-bloch-angles", "mapping-storage-times"])
+def test_config_faults_exit_2(tmp_path, capsys, subcommand, changes):
     path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump(data))
+    path.write_text(yaml.safe_dump({**README_CONFIG, **changes}))
     assert cli_main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err

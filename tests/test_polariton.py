@@ -5,77 +5,74 @@ from oracles import longitudinal_slices, monte_carlo_drift_factor, slice_readout
 from oamem.decoherence import DiffusionParams, diffuse, longitudinal_drift_factor
 from oamem.fieldgrid import GridSpec, overlap
 from oamem.modes import LGModeSpec, QuditState, lg_field, synthesize
-from oamem.polariton import (MemoryParams, PolaritonState, constant_schedule,
-                             diffraction_check, group_velocity,
-                             mixing_angle, polariton_split, read, write)
+from oamem.polariton import (SPEED_OF_LIGHT, MemoryParams, PolaritonState, diffraction_check,
+                             group_velocity, mixing_angle, polariton_split, read, write)
 
 W0 = 250e-6
 
 
-def make_params(omega=5e7, g2n=1e16, alpha=0.0):
-    return MemoryParams(alpha=alpha, g2n=g2n, omega_c=constant_schedule(omega))
-
-
 class TestMixingAngle:
     def test_balanced(self):
-        p = make_params(omega=1e8, g2n=1e16)
-        assert mixing_angle(p, 0.0) == pytest.approx(np.pi / 4)
+        p = MemoryParams(omega_c=1e8, g2n=1e16)
+        assert mixing_angle(p) == pytest.approx(np.pi / 4)
 
     def test_strong_coupling_limit(self):
-        p = make_params(omega=1e12, g2n=1e16)
-        assert mixing_angle(p, 0.0) < 1e-3
+        p = MemoryParams(omega_c=1e12, g2n=1e16)
+        assert mixing_angle(p) < 1e-3
 
     def test_sixty_degrees(self):
         # g^2 N = 3 Omega^2 -> arctan(sqrt 3) = pi/3
-        p = make_params(omega=1e8, g2n=3e16)
-        assert mixing_angle(p, 0.0) == pytest.approx(np.pi / 3)
+        p = MemoryParams(omega_c=1e8, g2n=3e16)
+        assert mixing_angle(p) == pytest.approx(np.pi / 3)
 
     def test_coupling_off(self):
-        p = make_params(omega=0.0)
-        assert mixing_angle(p, 0.0) == np.pi / 2
+        p = MemoryParams(omega_c=0.0)
+        assert mixing_angle(p) == np.pi / 2
 
 
 class TestGroupVelocity:
     def test_approaches_c(self):
-        p = make_params(omega=1e12, g2n=1e16)
-        assert group_velocity(p, 0.0) == pytest.approx(p.c, rel=1e-6)
+        p = MemoryParams(omega_c=1e12, g2n=1e16)
+        assert group_velocity(p) == pytest.approx(SPEED_OF_LIGHT, rel=1e-6)
 
     def test_zero_at_cutoff(self):
-        p = make_params(omega=0.0)
-        assert group_velocity(p, 0.0) == 0.0
+        p = MemoryParams(omega_c=0.0)
+        assert group_velocity(p) == 0.0
 
     def test_half_c(self):
-        p = make_params(omega=1e8, g2n=1e16)
-        assert group_velocity(p, 0.0) == pytest.approx(p.c / 2)
+        p = MemoryParams(omega_c=1e8, g2n=1e16)
+        assert group_velocity(p) == pytest.approx(SPEED_OF_LIGHT / 2)
 
     def test_monotone_in_omega(self):
-        vs = [group_velocity(make_params(omega=om), 0.0) for om in (1e7, 5e7, 2e8)]
+        vs = [group_velocity(MemoryParams(omega_c=om)) for om in (1e7, 5e7, 2e8)]
         assert vs[0] < vs[1] < vs[2]
 
 
 class TestMemoryParams:
     def test_collinear_wave_vector_vanishes(self):
-        assert make_params(alpha=0.0).delta_k == 0.0
+        assert MemoryParams(alpha=0.0).delta_k == 0.0
 
     def test_two_degree_wave_vector(self):
-        p = make_params(alpha=np.radians(2.0))
+        p = MemoryParams(alpha=np.radians(2.0))
         assert p.delta_k == pytest.approx(-4814.52, rel=1e-4)
         assert p.delta_k * 2e-3 == pytest.approx(-9.629, rel=1e-3)
 
     def test_delta_k_nonpositive(self):
         for alpha in (0.0, 0.01, 0.1):
-            assert make_params(alpha=alpha).delta_k <= 0.0
+            assert MemoryParams(alpha=alpha).delta_k <= 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             MemoryParams(lambda_s=-1.0)
         with pytest.raises(ValueError):
             MemoryParams(alpha=-0.1)
+        with pytest.raises(ValueError, match="Rabi"):
+            MemoryParams(omega_c=-1.0)
 
 
 class TestWriteRead:
     def test_round_trip_random_states(self, grid, rng):
-        p = make_params()
+        p = MemoryParams()
         for _ in range(20):
             dim = rng.choice([2, 3])
             state = QuditState(rng.normal(size=dim) + 1j * rng.normal(size=dim), l=1)
@@ -85,24 +82,24 @@ class TestWriteRead:
             assert abs(f2.norm() - f.norm()) < 1e-12
 
     def test_write_stores_full_norm(self, grid):
-        p = make_params()
+        p = MemoryParams()
         f = lg_field(LGModeSpec(1, W0), grid)
         assert write(f, p).norm() == pytest.approx(f.norm(), rel=1e-12)
 
     def test_collinear_profile_phase_constant(self):
-        p = make_params(alpha=0.0)
+        p = MemoryParams(alpha=0.0)
         _, weight, phase = longitudinal_slices(p.diameter, p.delta_k)
         assert np.allclose((weight * phase).imag, 0.0)
 
     def test_angled_profile_phase_winds(self):
-        p = make_params(alpha=np.radians(2.0))
+        p = MemoryParams(alpha=np.radians(2.0))
         _, _, phase = longitudinal_slices(p.diameter, p.delta_k)
         total = np.angle(phase[-1] / phase[0])
         expected = -p.delta_k * p.diameter  # coherence carries exp(-i dk z)
         assert np.angle(np.exp(1j * (total - expected))) == pytest.approx(0.0, abs=1e-9)
 
     def test_global_phase_leaves_intensity(self, grid):
-        p = make_params()
+        p = MemoryParams()
         f = lg_field(LGModeSpec(1, W0), grid)
         s = write(f, p)
         s2 = s.with_values(s.values * np.exp(1j * 0.7))
@@ -110,7 +107,7 @@ class TestWriteRead:
                            np.abs(read(s, p).values) ** 2)
 
     def test_linearity(self, grid, rng):
-        p = make_params()
+        p = MemoryParams()
         a = synthesize(QuditState(rng.normal(size=2) + 0j, l=2), W0, grid)
         b = synthesize(QuditState(rng.normal(size=2) + 0j, l=2), W0, grid)
         combo = a.with_values(0.6 * a.values + 0.8j * b.values)
@@ -123,33 +120,33 @@ class TestLongitudinalDrift:
     """The slice oracle: atoms drifting along z dephase the readout."""
 
     def test_collinear_immune_to_drift(self, rng):
-        p = make_params(alpha=0.0)
+        p = MemoryParams(alpha=0.0)
         z, weight, phase = longitudinal_slices(p.diameter, p.delta_k)
         moved = z + rng.normal(0, 2e-4, z.shape)
         assert abs(slice_readout(moved, weight, phase, p.delta_k)) == pytest.approx(1.0,
                                                                                    rel=1e-12)
 
     def test_angled_loses_amplitude_under_spread(self, rng):
-        p = make_params(alpha=np.radians(2.0))
+        p = MemoryParams(alpha=np.radians(2.0))
         z, weight, phase = longitudinal_slices(p.diameter, p.delta_k)
         moved = z + rng.normal(0, 2e-4, z.shape)
         assert abs(slice_readout(moved, weight, phase, p.delta_k)) < 0.99
 
     def test_uniform_drift_is_global_phase(self):
-        p = make_params(alpha=np.radians(2.0))
+        p = MemoryParams(alpha=np.radians(2.0))
         z, weight, phase = longitudinal_slices(p.diameter, p.delta_k)
         assert abs(slice_readout(z + 1e-4, weight, phase, p.delta_k)) == pytest.approx(
             1.0, rel=1e-12)
 
     def test_unmoved_slices_read_out_exactly(self):
-        p = make_params(alpha=np.radians(2.0))
+        p = MemoryParams(alpha=np.radians(2.0))
         z, weight, phase = longitudinal_slices(p.diameter, p.delta_k)
         assert abs(slice_readout(z, weight, phase, p.delta_k) - 1.0) < 1e-15
 
     @pytest.mark.parametrize("t_s", [5e-4, 2e-3, 4e-3])
     def test_analytic_factor_matches_slice_oracle(self, t_s):
         # sigma = 49, 198 and 396 um: factors 0.97, 0.63 and 0.16 at 2 degrees
-        p = make_params(alpha=np.radians(2.0))
+        p = MemoryParams(alpha=np.radians(2.0))
         dp = DiffusionParams(p.temperature, p.mass)
         rng = np.random.default_rng(int(t_s * 1e6))
         mean, stderr = monte_carlo_drift_factor(p.delta_k, p.diameter, dp.sigma(t_s),
@@ -157,7 +154,7 @@ class TestLongitudinalDrift:
         assert abs(mean - longitudinal_drift_factor(p.delta_k, dp, t_s)) <= 3.0 * stderr
 
     def test_collinear_factor_exactly_one(self, rng):
-        p = make_params(alpha=0.0)
+        p = MemoryParams(alpha=0.0)
         dp = DiffusionParams(p.temperature, p.mass)
         mean, stderr = monte_carlo_drift_factor(p.delta_k, p.diameter, dp.sigma(4e-3),
                                                 100, rng)
@@ -169,38 +166,38 @@ class TestDiffractionCheck:
     def test_plane_wave_negligible(self, grid):
         from oamem.fieldgrid import TransverseField
         f = TransverseField(grid, np.ones((grid.n, grid.n)), 795e-9)
-        assert diffraction_check(make_params(), f) < 1e-3
+        assert diffraction_check(MemoryParams(), f) < 1e-3
 
     def test_stored_mode_within_budget(self, grid):
         f = lg_field(LGModeSpec(1, 200e-6), grid)
-        value = diffraction_check(make_params(), f)
+        value = diffraction_check(MemoryParams(), f)
         assert value == pytest.approx(0.0829, abs=0.01)
         assert value < 0.1
 
     def test_small_waist_flagged(self):
         g = GridSpec(256, 1.6e-4)
         f = lg_field(LGModeSpec(1, 1e-5), g)
-        assert diffraction_check(make_params(), f) > 0.1
+        assert diffraction_check(MemoryParams(), f) > 0.1
 
     def test_write_warns_on_tight_focus(self):
         g = GridSpec(256, 1.6e-4)
         f = lg_field(LGModeSpec(1, 1e-5), g)
         with pytest.warns(UserWarning, match="diffraction phase"):
-            write(f, make_params())
+            write(f, MemoryParams())
 
 
 class TestPolaritonState:
     def test_norm_bookkeeping_over_schedule(self):
         # rotating theta moves norm between parts, the total is conserved
         for omega in (0.0, 1e6, 5e7, 1e9, 1e12):
-            p = make_params(omega=omega)
-            ps = polariton_split(p, 0.0, total_norm=1.0)
+            p = MemoryParams(omega_c=omega)
+            ps = polariton_split(p, total_norm=1.0)
             assert ps.field_part ** 2 + ps.matter_part ** 2 == pytest.approx(1.0, abs=1e-10)
 
     def test_part_ratio_matches_angle(self):
-        p = make_params(omega=7e7, g2n=2e16)
-        ps = polariton_split(p, 0.0)
-        theta = mixing_angle(p, 0.0)
+        p = MemoryParams(omega_c=7e7, g2n=2e16)
+        ps = polariton_split(p)
+        theta = mixing_angle(p)
         assert ps.matter_part ** 2 / ps.field_part ** 2 == pytest.approx(np.tan(theta) ** 2,
                                                                          rel=1e-10)
 
@@ -213,7 +210,7 @@ def test_read_after_diffusion_is_field_convolution(grid):
     # storing, expanding, and reading equals blurring the input directly,
     # checked against the dense real-space convolution oracle
     from oracles import direct_gaussian_convolution
-    p = make_params()
+    p = MemoryParams()
     dp = DiffusionParams(temperature=100e-6, mass=85 * 1.66053906892e-27)
     f = synthesize(QuditState(np.array([1.0, 1.0]), l=2), W0, grid)
     t_s = 3e-4
