@@ -17,6 +17,8 @@ from .errors import DomainError
 
 TAIL_EPS = 1e-15
 _MAX_TERMS = 100000
+# n_bar values between the two edges of the threshold band
+BAND_INTERIOR_POINTS = 9
 
 
 @dataclass(frozen=True)
@@ -119,18 +121,16 @@ def classical_limit(n_bar: float, eta_m: float) -> BoundResult:
     return BoundResult(f_co=f_co, f_classical=f_classical, n_min=n_min)
 
 
-def threshold_band(stats: PhotonStatistics, eta_m: float,
-                   interior_points: int = 9) -> tuple[float, float]:
+def threshold_band(stats: PhotonStatistics, eta_m: float) -> tuple[float, float]:
     """Classical-limit range over n_bar +- uncertainty.
 
-    Evaluates both endpoints plus an interior grid (guarding against
-    non-monotonicity in n_bar) and returns (min, max).
+    Evaluates both endpoints plus BAND_INTERIOR_POINTS evenly spaced
+    interior values (guarding against non-monotonicity in n_bar) and
+    returns (min, max).
     """
     lo = stats.n_bar - stats.uncertainty
     hi = stats.n_bar + stats.uncertainty
-    values = []
-    count = interior_points + 2
-    for i in range(count):
-        n = lo + (hi - lo) * i / (count - 1) if count > 1 else lo
-        values.append(classical_limit(n, eta_m).f_classical)
+    count = BAND_INTERIOR_POINTS + 2
+    values = [classical_limit(lo + (hi - lo) * i / (count - 1), eta_m).f_classical
+              for i in range(count)]
     return (min(values), max(values))

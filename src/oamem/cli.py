@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--parallel", type=int, default=1,
-                       help="worker processes for the storage points of decay and tomo")
+                       help="worker processes for the storage points of decay and tomo, "
+                       "at most one per point and per CPU")
     return parser
 
 

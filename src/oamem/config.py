@@ -42,7 +42,7 @@ class QuditConfig:
     dim: int = 2
     l: int = 2
     waist: float = 250e-6
-    coeffs: tuple | None = None
+    coeffs: tuple[tuple[float, float], ...] | None = None
     gamma: float | None = None
     beta: float | None = None
 
@@ -76,7 +76,7 @@ class EfficiencyConfig:
 
     eta0: float | None = None
     tau: float | None = None
-    anchors: tuple = DEFAULT_EFFICIENCY_ANCHORS
+    anchors: tuple[tuple[float, float], ...] = DEFAULT_EFFICIENCY_ANCHORS
 
     def to_model(self) -> EfficiencyModel:
         if self.eta0 is not None and self.tau is not None:
@@ -150,7 +150,7 @@ class ExperimentConfig:
     source: SourceConfig = SourceConfig()
     scan: ScanConfig = ScanConfig()
     meridian: MeridianConfig = MeridianConfig()
-    storage_times: tuple = (0.0, 1e-4, 2e-4, 3e-4, 4e-4, 5e-4)
+    storage_times: tuple[float, ...] = (0.0, 1e-4, 2e-4, 3e-4, 4e-4, 5e-4)
 
     def __post_init__(self):
         # build every physics object now, so a value it rejects is a config
@@ -211,6 +211,18 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_numbers(value) -> bool:
+    return isinstance(value, tuple) and all(map(_is_number, value))
+
+
+def _is_pair(value) -> bool:
+    return _is_numbers(value) and len(value) == 2
+
+
+def _is_pairs(value) -> bool:
+    return isinstance(value, tuple) and all(map(_is_pair, value))
+
+
 # the values each declared field type accepts; a bool is never a number
 _ACCEPTS = {
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
@@ -219,10 +231,10 @@ _ACCEPTS = {
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
     "str | None": lambda v: v is None or isinstance(v, str),
-    "tuple": lambda v: isinstance(v, tuple),
-    "tuple | None": lambda v: v is None or isinstance(v, tuple),
-    "tuple[float, float]": lambda v: (isinstance(v, tuple) and len(v) == 2
-                                      and all(map(_is_number, v))),
+    "tuple[float, float]": _is_pair,
+    "tuple[float, ...]": _is_numbers,
+    "tuple[tuple[float, float], ...]": _is_pairs,
+    "tuple[tuple[float, float], ...] | None": lambda v: v is None or _is_pairs(v),
 }
 
 
@@ -298,10 +310,6 @@ def load_config(path) -> ExperimentConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     return parse_config(data)
-
-
-def dump_config(cfg: ExperimentConfig, path) -> None:
-    Path(path).write_text(yaml.safe_dump(serialize_config(cfg), sort_keys=True))
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -29,10 +29,6 @@ class NoCounts(OamemError):
     """A reduction requires at least one registered count."""
 
 
-class MissingBasis(OamemError):
-    """A record references a basis absent from the lookup table."""
-
-
 class DomainError(OamemError, ValueError):
     """Argument outside the mathematically valid domain."""
 

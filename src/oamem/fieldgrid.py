@@ -1,9 +1,9 @@
-"""Transverse field grids, inner products, and unitary 2-D spectral transforms.
+"""Transverse field grids, inner products, and the unitary 2-D spectral transform.
 
 A transverse plane is sampled on a square grid of ``n`` pixels per side.
 Fields carry a complex envelope per pixel; spectra carry the envelope's
 angular-frequency content on the matching ``q`` grid (rad/m).  The
-transform pair uses the symmetric 1/(2*pi) continuous convention,
+transform uses the symmetric 1/(2*pi) continuous convention,
 discretized so that the physical L2 norm (pixel value times pixel area)
 is conserved exactly:
 
@@ -20,14 +20,17 @@ import numpy as np
 
 from .errors import GridMismatch
 
+MAX_GRID_N = 4096
+
 
 @dataclass(frozen=True)
 class GridSpec:
     """Square sampling grid: ``n`` pixels per side over ``extent`` meters.
 
     ``n`` must be a power of two (keeps the FFT fast and the centered
-    transform exact) and at least 16.  ``center`` is the physical position
-    of the grid center in meters.
+    transform exact) from 16 to MAX_GRID_N = 4096, so that one n x n
+    complex128 array takes at most 256 MiB.  ``center`` is the physical
+    position of the grid center in meters.
     """
 
     n: int
@@ -35,8 +38,8 @@ class GridSpec:
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.n < 16:
-            raise ValueError(f"grid needs n >= 16, got {self.n}")
+        if not 16 <= self.n <= MAX_GRID_N:
+            raise ValueError(f"grid needs 16 <= n <= {MAX_GRID_N}, got {self.n}")
         if self.n & (self.n - 1) != 0:
             raise ValueError(f"grid size must be a power of two, got {self.n}")
         if not self.extent > 0:
@@ -78,10 +81,6 @@ class GridSpec:
     def q_pitch(self) -> float:
         return 2.0 * np.pi / self.extent
 
-    @property
-    def q_pixel_area(self) -> float:
-        return self.q_pitch ** 2
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.complex128)
@@ -110,25 +109,12 @@ class TransverseField:
         if not self.wavelength > 0:
             raise ValueError("wavelength must be positive")
 
-    @property
-    def wavenumber(self) -> float:
-        return 2.0 * np.pi / self.wavelength
-
     def norm(self) -> float:
         """Physical L2 norm sqrt(sum |f|^2 * pixel_area)."""
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.pixel_area))
 
-    def power(self) -> float:
-        return self.norm() ** 2
-
     def intensity(self) -> np.ndarray:
         return np.abs(self.values) ** 2
-
-    def normalized(self) -> "TransverseField":
-        n = self.norm()
-        if n == 0:
-            raise ValueError("cannot normalize a zero field")
-        return self.with_values(self.values / n)
 
     def with_values(self, values: np.ndarray) -> "TransverseField":
         return TransverseField(self.grid, values, self.wavelength)
@@ -153,18 +139,12 @@ class SpectrumField:
         return np.meshgrid(q, q)
 
     def norm(self) -> float:
-        return float(
-            np.sqrt(np.sum(np.abs(self.values) ** 2) * self.source_grid.q_pixel_area)
-        )
+        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.source_grid.q_pitch ** 2))
 
 
 def _centered_fft2(v: np.ndarray) -> np.ndarray:
     # exact centered DFT for even n: index j -> coordinate (j - n/2)
     return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(v), norm="ortho"))
-
-
-def _centered_ifft2(v: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(v), norm="ortho"))
 
 
 def _center_phase(grid: GridSpec) -> np.ndarray | float:
@@ -186,14 +166,6 @@ def transform_to_spectrum(f: TransverseField) -> SpectrumField:
     return SpectrumField(g, values, f.wavelength)
 
 
-def inverse_transform(s: SpectrumField) -> TransverseField:
-    """Exact inverse of :func:`transform_to_spectrum`."""
-    g = s.source_grid
-    scale = g.n * g.pixel_area / (2.0 * np.pi)
-    values = _centered_ifft2(s.values * np.conj(_center_phase(g)) / scale)
-    return TransverseField(g, values, s.wavelength)
-
-
 def inner_product(a: TransverseField, b: TransverseField) -> complex:
     """Discrete <a|b> = sum conj(a) * b * pixel_area.
 
@@ -202,11 +174,6 @@ def inner_product(a: TransverseField, b: TransverseField) -> complex:
     if a.grid != b.grid:
         raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
     return complex(np.vdot(a.values, b.values) * a.grid.pixel_area)
-
-
-def overlap(a: TransverseField, b: TransverseField) -> complex:
-    """Normalized projection <a|b> / (|a| |b|)."""
-    return inner_product(a, b) / (a.norm() * b.norm())
 
 
 def spectral_energy_radius(s: SpectrumField, fraction: float = 0.99) -> float:
@@ -244,19 +211,3 @@ def export_csv(f: TransverseField, path) -> None:
         for xi, yi, vi in zip(x.ravel(), y.ravel(), f.values.ravel()):
             w.writerow([repr(float(xi)), repr(float(yi)),
                         repr(float(vi.real)), repr(float(vi.imag))])
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read back a binary PGM written by :func:`export_pgm` (test helper)."""
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P5":
-            raise ValueError("not a binary PGM file")
-        dims = fh.readline().split()
-        width, height = int(dims[0]), int(dims[1])
-        maxval = int(fh.readline())
-        count = width * height
-        nbytes = 2 * count if maxval > 255 else count
-        raw = fh.read(nbytes)
-    dtype = ">u2" if maxval > 255 else "u1"
-    return np.frombuffer(raw, dtype=dtype).reshape(height, width).astype(np.int64)

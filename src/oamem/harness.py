@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -210,10 +211,16 @@ def _storage_point_star(args):
 
 
 def _map_points(cfg: ExperimentConfig, parallel: int):
+    """Every storage point, on at most ``parallel`` worker processes.
+
+    The pool forks all its workers at once, so it never gets more than
+    there are points or CPUs; one worker runs the points in this process.
+    """
     stored = _store(cfg)
     jobs = [(cfg, stored, i, t) for i, t in enumerate(cfg.storage_times)]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    workers = min(parallel, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_storage_point_star, jobs))
     return [storage_point(*job) for job in jobs]
 

@@ -4,9 +4,8 @@ Counting follows the Poissonian model of an attenuated coherent pulse:
 the expected detections per pulse are n_bar * eta * prob plus a flat
 background rate, and a gated detector integrates over many pulses.
 Reductions recover the interference visibility and fringe phase of
-N(beta) = N0 (1 + delta + cos(beta - phase)), the Bloch polar angle
-2 arctan sqrt(N_R / N_L), and apply the per-basis relative-transmittance
-correction.
+N(beta) = N0 (1 + delta + cos(beta - phase)) and the Bloch polar angle
+2 arctan sqrt(N_R / N_L), and subtract the background.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, FitDegenerate, MissingBasis, NoCounts
-from .modes import QuditState
+from .errors import DomainError, FitDegenerate, NoCounts
 
 
 @dataclass(frozen=True)
@@ -43,26 +41,6 @@ class CountRecord:
 
 
 @dataclass(frozen=True)
-class CountingConfig:
-    """Detector-side knobs for simulated acquisitions."""
-
-    n_bar: float = 1.0
-    efficiency: float = 1.0
-    pulses: int = 10 ** 6
-    bg_rate: float = 0.0
-    acquisition: float = 1.0
-    poisson: bool = True
-
-    def __post_init__(self):
-        if self.n_bar <= 0 or self.pulses <= 0:
-            raise ValueError("n_bar and pulses must be positive")
-        if not 0 <= self.efficiency <= 1:
-            raise DomainError("efficiency must lie in [0, 1]")
-        if self.bg_rate < 0:
-            raise ValueError("background rate must be >= 0")
-
-
-@dataclass(frozen=True)
 class VisibilityFit:
     """Result of the N0 (1 + delta + cos(beta - phase)) least-squares fit."""
 
@@ -73,30 +51,9 @@ class VisibilityFit:
     phase: float
 
 
-@dataclass(frozen=True)
-class TransmittanceTable:
-    """Per-basis transmittances in (0, 1]; corrections are relative to the max."""
-
-    transmittance: dict
-
-    def __post_init__(self):
-        if not self.transmittance:
-            raise ValueError("empty transmittance table")
-        for k, t in self.transmittance.items():
-            if not 0 < t <= 1:
-                raise ValueError(f"transmittance for {k!r} must lie in (0, 1]")
-
-    def relative(self, basis_id: str) -> float:
-        try:
-            t = self.transmittance[basis_id]
-        except KeyError:
-            raise MissingBasis(f"no transmittance for basis {basis_id!r}") from None
-        return t / max(self.transmittance.values())
-
-
 def simulate_counts(prob: float, n_bar: float, eta: float, pulses: int,
                     bg_rate: float, seed: int, basis_id: str = "",
-                    acquisition: float = 1.0, beta: float | None = None) -> CountRecord:
+                    acquisition: float = 1.0) -> CountRecord:
     """Draw integrated counts ~ Poisson(pulses * (n_bar eta prob + bg_rate)).
 
     The background field holds an independent same-mean draw, standing in
@@ -110,49 +67,7 @@ def simulate_counts(prob: float, n_bar: float, eta: float, pulses: int,
     counts = int(rng.poisson(pulses * (n_bar * eta * prob + bg_rate)))
     background = int(rng.poisson(pulses * bg_rate))
     return CountRecord(basis_id=basis_id, counts=counts, background=background,
-                       acquisition=acquisition, beta=beta)
-
-
-def equator_probability(state: QuditState, beta: float) -> float:
-    """Born probability of the equator projector (|L> + e^{i beta}|R>)/sqrt(2)."""
-    if state.dim != 2:
-        raise DimMismatch("equator scan requires a qubit state")
-    proj = np.array([1.0, np.exp(1j * beta)]) / math.sqrt(2.0)
-    return float(np.abs(np.vdot(proj, state.coeffs)) ** 2)
-
-
-def interference_scan(state: QuditState, l: int, beta_values,
-                      counting: CountingConfig | None = None,
-                      seeds=None) -> list[CountRecord]:
-    """Scan the measurement base along the Bloch equator.
-
-    For the balanced qubit the noiseless curve is proportional to
-    1 + cos(beta).  With ``counting=None`` the records hold the exact
-    Born probabilities; otherwise counts are Poisson draws using one seed
-    per point.
-    """
-    if state.l != l:
-        raise DimMismatch(f"state carries l={state.l}, scan requested l={l}")
-    beta_values = list(beta_values)
-    records = []
-    for i, beta in enumerate(beta_values):
-        prob = equator_probability(state, beta)
-        basis_id = f"beta_{i:02d}"
-        if counting is None:
-            records.append(CountRecord(basis_id=basis_id, counts=prob, beta=beta))
-        elif not counting.poisson:
-            mean = counting.pulses * (counting.n_bar * counting.efficiency * prob
-                                      + counting.bg_rate)
-            records.append(CountRecord(basis_id=basis_id, counts=mean,
-                                       background=counting.pulses * counting.bg_rate,
-                                       acquisition=counting.acquisition, beta=beta))
-        else:
-            seed = seeds[i] if seeds is not None else i
-            records.append(simulate_counts(prob, counting.n_bar, counting.efficiency,
-                                           counting.pulses, counting.bg_rate, seed,
-                                           basis_id=basis_id,
-                                           acquisition=counting.acquisition, beta=beta))
-    return records
+                       acquisition=acquisition)
 
 
 def fit_visibility(records) -> VisibilityFit:
@@ -206,20 +121,6 @@ def subtract_background(records) -> list[CountRecord]:
     return out
 
 
-def correct_transmittance(records, table: TransmittanceTable) -> list[CountRecord]:
-    """Divide counts (and background) by the relative transmittance.
-
-    The documented pipeline order is subtract background first, then
-    correct; because the background is divided by the same factor the
-    two steps in fact commute.
-    """
-    out = []
-    for r in records:
-        t_rel = table.relative(r.basis_id)
-        out.append(replace(r, counts=r.counts / t_rel, background=r.background / t_rel))
-    return out
-
-
 def write_count_records(path, records) -> None:
     """CSV columns: basis_id, beta_or_label, counts, background, acquisition_s."""
     with open(path, "w", newline="") as fh:
@@ -230,20 +131,3 @@ def write_count_records(path, records) -> None:
             w.writerow([r.basis_id, label, repr(float(r.counts)),
                         repr(float(r.background)), repr(float(r.acquisition))])
 
-
-def read_count_records(path) -> list[CountRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            label = row["beta_or_label"]
-            try:
-                beta = float(label)
-            except ValueError:
-                beta = None
-            records.append(CountRecord(basis_id=row["basis_id"],
-                                       counts=float(row["counts"]),
-                                       background=float(row["background"]),
-                                       acquisition=float(row["acquisition_s"]),
-                                       beta=beta))
-    return records

@@ -97,24 +97,6 @@ class SpinWave:
         return SpinWave(self.grid, values, self.delta_k, self.wavelength)
 
 
-@dataclass(frozen=True)
-class PolaritonState:
-    """Norm split of a polariton between its field and matter parts."""
-
-    theta: float
-    field_part: float
-    matter_part: float
-
-    def __post_init__(self):
-        total = self.field_part ** 2 + self.matter_part ** 2
-        if total == 0:
-            raise ValueError("empty polariton")
-        ratio_ok = np.isclose(self.matter_part ** 2 / total, math.sin(self.theta) ** 2,
-                              atol=1e-10)
-        if not ratio_ok:
-            raise ValueError("parts inconsistent with mixing angle")
-
-
 def mixing_angle(params: MemoryParams) -> float:
     """theta = arctan(sqrt(g^2 N) / Omega_c); pi/2 when the coupling is off."""
     return math.atan2(math.sqrt(params.g2n), params.omega_c)
@@ -125,11 +107,6 @@ def group_velocity(params: MemoryParams) -> float:
     if params.omega_c == 0.0:
         return 0.0
     return SPEED_OF_LIGHT / (1.0 + params.g2n / params.omega_c ** 2)
-
-
-def polariton_split(params: MemoryParams, total_norm: float = 1.0) -> PolaritonState:
-    theta = mixing_angle(params)
-    return PolaritonState(theta, total_norm * math.cos(theta), total_norm * math.sin(theta))
 
 
 def write(f: TransverseField, params: MemoryParams) -> SpinWave:

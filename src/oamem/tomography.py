@@ -150,17 +150,6 @@ def _traceless_design(pset: ProjectionSet) -> tuple[list[np.ndarray], np.ndarray
     return basis, np.array(rows)
 
 
-def design_matrix(pset: ProjectionSet) -> np.ndarray:
-    """Rows vec(|psi_i><psi_i|) over the full Hermitian basis (incl. identity).
-
-    Rank 4 for the qubit set and 9 for the qutrit set, so each set
-    exactly determines the state once the trace is pinned.
-    """
-    _, design = _traceless_design(pset)
-    identity = np.full((design.shape[0], 1), 1.0 / math.sqrt(pset.dim))
-    return np.hstack([identity, design])
-
-
 def _project_to_physical(m: np.ndarray) -> np.ndarray:
     """Clip negative eigenvalues and renormalize the trace to 1."""
     m = (m + m.conj().T) / 2.0
@@ -211,11 +200,6 @@ def reconstruct(records, pset: ProjectionSet, max_likelihood: bool = False) -> D
     return DensityMatrix(physical)
 
 
-def linear_inversion(records, pset: ProjectionSet) -> np.ndarray:
-    """Raw Hermitian unit-trace least-squares estimate, possibly indefinite."""
-    return _least_squares(records, pset)[1]
-
-
 def _ml_refine(rho: np.ndarray, pset: ProjectionSet, freqs: np.ndarray,
                tol: float = 1e-10, max_iter: int = 10 ** 4) -> np.ndarray:
     """Fixed-point R rho R iteration maximizing sum f_i log p_i."""
@@ -242,12 +226,11 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def fidelity(rho: DensityMatrix, rho0: DensityMatrix, convention: str = "sqrt") -> float:
+def fidelity(rho: DensityMatrix, rho0: DensityMatrix) -> float:
     """Square-root (amplitude) fidelity tr sqrt(sqrt(rho) rho0 sqrt(rho)).
 
-    For a pure reference this reduces to sqrt(<psi|rho|psi>).  Pass
-    ``convention='squared'`` for the squared (transition-probability)
-    variant.
+    For a pure reference this reduces to sqrt(<psi|rho|psi>); its square
+    is the transition probability.
     """
     if rho.dim != rho0.dim:
         raise DimMismatch("density matrices have different dimensions")
@@ -258,19 +241,7 @@ def fidelity(rho: DensityMatrix, rho0: DensityMatrix, convention: str = "sqrt") 
     # the square root would otherwise inflate them to ~1e-8
     floor = max(vals.max(), 0.0) * 1e-13
     f = float(np.sum(np.sqrt(vals[vals > floor])))
-    f = min(max(f, 0.0), 1.0)
-    if convention == "sqrt":
-        return f
-    if convention == "squared":
-        return f * f
-    raise ValueError(f"unknown fidelity convention {convention!r}")
-
-
-def trace_distance(rho: DensityMatrix, rho0: DensityMatrix) -> float:
-    if rho.dim != rho0.dim:
-        raise DimMismatch("density matrices have different dimensions")
-    vals = np.linalg.eigvalsh(rho.matrix - rho0.matrix)
-    return float(0.5 * np.sum(np.abs(vals)))
+    return min(max(f, 0.0), 1.0)
 
 
 def resample_records(records, seed: int) -> list[CountRecord]:

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: the convolution
 oracle is a dense separable matrix product in real space (no FFT), the
 longitudinal-drift oracle moves discrete atomic slices at random instead
-of using the analytic Gaussian average, and the photon-statistics oracles
-are plain finite sums.
+of using the analytic Gaussian average, the photon-statistics oracles
+are plain finite sums, and the field overlap and PGM reader work on the
+raw arrays and bytes.
 """
 
 import math
@@ -23,6 +24,28 @@ def direct_gaussian_convolution(values: np.ndarray, pitch: float, sigma: float) 
     kernel = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * sigma ** 2))
     kernel *= pitch / math.sqrt(2.0 * math.pi * sigma ** 2)
     return kernel @ values @ kernel.T
+
+
+def overlap(a, b) -> complex:
+    """Normalized projection <a|b> / (|a| |b|) of two fields' sample arrays."""
+    return complex(np.vdot(a.values, b.values)
+                   / (np.linalg.norm(a.values) * np.linalg.norm(b.values)))
+
+
+def read_pgm(path) -> np.ndarray:
+    """Pixel values of a binary (P5) PGM file, as int64 rows."""
+    with open(path, "rb") as fh:
+        magic = fh.readline().strip()
+        if magic != b"P5":
+            raise ValueError("not a binary PGM file")
+        dims = fh.readline().split()
+        width, height = int(dims[0]), int(dims[1])
+        maxval = int(fh.readline())
+        count = width * height
+        nbytes = 2 * count if maxval > 255 else count
+        raw = fh.read(nbytes)
+    dtype = ">u2" if maxval > 255 else "u1"
+    return np.frombuffer(raw, dtype=dtype).reshape(height, width).astype(np.int64)
 
 
 def lg_amplitude(l: int, w0: float, r: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -4,12 +4,12 @@ PASS/FAIL line with its measured value and runtime budget."""
 import time
 
 import numpy as np
-from oracles import direct_gaussian_convolution
+from oracles import direct_gaussian_convolution, overlap
 
 from oamem.bounds import PhotonStatistics, classical_limit, poisson_weighted_limit, threshold_band
 from oamem.config import parse_config
 from oamem.decoherence import DiffusionParams, EfficiencyModel, diffuse, qutrit_nodal_shift
-from oamem.fieldgrid import GridSpec, overlap
+from oamem.fieldgrid import GridSpec
 from oamem.harness import (run_interference_scan, run_meridian_sweep,
                            run_storage_decay)
 from oamem.measurement import CountRecord, simulate_counts

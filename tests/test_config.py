@@ -3,11 +3,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oamem.config import (_ACCEPTS, _SECTION_TYPES, ExperimentConfig, config_hash,
-                          dump_config, load_config, parse_config, serialize_config)
+                          load_config, parse_config, serialize_config)
 from oamem.errors import ConfigError
 
 BASE = {
@@ -31,7 +32,7 @@ def test_round_trip_identity():
 def test_round_trip_through_file(tmp_path):
     cfg = parse_config(BASE)
     path = tmp_path / "cfg.yaml"
-    dump_config(cfg, path)
+    path.write_text(yaml.safe_dump(serialize_config(cfg), sort_keys=True))
     assert load_config(path) == cfg
 
 

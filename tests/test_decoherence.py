@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from oracles import direct_gaussian_convolution
+from oracles import direct_gaussian_convolution, overlap
 
 from oamem.decoherence import (BOLTZMANN, DiffusionParams, EfficiencyModel, MagneticModel,
                                diffuse, longitudinal_drift_factor, magnetic_dephase,
                                qutrit_nodal_shift)
 from oamem.errors import NodalLineNotFound
-from oamem.fieldgrid import GridSpec, overlap
+from oamem.fieldgrid import GridSpec
 from oamem.modes import LGModeSpec, lg_field, qubit_state, qutrit_state, synthesize
 from oamem.polariton import MemoryParams, SpinWave, read, write
 

@@ -9,7 +9,7 @@ from oamem.harness import (_amplitudes, _input_field, _retrieve, _store, run_bou
                            run_field_render, run_interference_scan, run_meridian_sweep,
                            run_storage_decay, run_tomography, storage_point)
 from oamem.holography import focal_basis_phases, project_and_couple
-from oamem.measurement import interference_scan, simulate_counts
+from oamem.measurement import simulate_counts
 from oamem.modes import QuditState, decompose, synthesize
 from oamem.polariton import read, write
 from oamem.tomography import DensityMatrix, ProjectionSet, fidelity, reconstruct
@@ -66,6 +66,39 @@ class TestDeterminism:
         listed = {line.split(",")[0] for line in manifest[1:]}
         on_disk = {p.name for p in (tmp_path / "t").iterdir()} - {"manifest.csv"}
         assert listed == on_disk
+
+
+class TestWorkerCap:
+    """The pool forks all its workers at once, so their number is capped."""
+
+    @pytest.mark.parametrize("cpus, workers", [(64, [2]), (1, []), (None, [])],
+                             ids=["many-cpus", "one-cpu", "unknown-cpus"])
+    def test_pool_never_outgrows_points_or_cpus(self, monkeypatch, tmp_path, cpus, workers):
+        import oamem.harness as harness
+
+        created = []
+
+        class RecordingPool:
+            """Records max_workers and maps in this process."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        cfg = small_cfg()
+        pooled = run_storage_decay(cfg, out=tmp_path / "p", parallel=10 ** 6)
+        assert created == workers
+        assert pooled.summary == run_storage_decay(cfg, out=tmp_path / "s").summary
 
 
 class TestPipelineComposition:
@@ -274,11 +307,14 @@ class TestCampaigns:
         cfg = small_cfg(qudit=dict(QUBIT), counting={"poisson": False},
                         storage_times=[0.0], decoherence={"diffusion": False})
         res = run_interference_scan(cfg, out=tmp_path / "s")
-        betas = [2.0 * np.pi * i / cfg.scan.beta_points for i in range(cfg.scan.beta_points)]
-        ideal = interference_scan(cfg.qudit.to_state(), cfg.qudit.l, betas)
+        psi = cfg.qudit.to_state().coeffs
         rows = (tmp_path / "s" / "scan.csv").read_text().splitlines()[1:]
-        got = [float(row.split(",")[2]) for row in rows]
-        assert got == pytest.approx([r.counts for r in ideal], abs=1e-12)
+        assert len(rows) == cfg.scan.beta_points
+        for i, row in enumerate(rows):
+            _, beta, counts, _, _ = row.split(",")
+            assert float(beta) == pytest.approx(2.0 * np.pi * i / cfg.scan.beta_points)
+            ket = np.array([1.0, np.exp(1j * float(beta))]) / np.sqrt(2.0)
+            assert float(counts) == pytest.approx(abs(np.vdot(ket, psi)) ** 2, abs=1e-12)
         assert res.summary[0][2] >= 0.999
 
     def test_background_subtraction_applied(self, tmp_path):
@@ -379,12 +415,17 @@ NAN, INF = float("nan"), float("inf")
     ("decay", {"efficiency": {"anchors": [[1000.0, 0.5], [1001.0, 0.1]]}}),
     ("decay", {"qudit": dict(README_QUBIT, dim=3)}),
     ("bounds", {"storage_times": {0.0: "x", 1.0e-4: "y"}}),
+    ("bounds", {"grid": dict(README_GRID, n=2 ** 40)}),
+    ("decay", {"storage_times": [True]}),
+    ("decay", {"qudit": dict(README_QUDIT, coeffs=[[True, 0], [1, 0], [1, 0]])}),
+    ("decay", {"efficiency": {"anchors": [[0.0, True], [4.0e-4, 0.05]]}}),
 ], ids=["eta0", "zero-l", "zero-coeffs", "nan-n_bar", "zero-pulses",
         "hologram-input-waist", "qudit-waist", "meridian-hologram", "counting-n_bar",
         "str-seed", "float-seed", "negative-seed", "float-beta_points",
         "float-gamma_points", "float-l", "grid-center-3", "nan-storage-time",
         "inf-storage-time", "nan-gamma", "inf-focal", "magnetic-center-3", "huge-l",
-        "anchor-overflow", "qutrit-bloch-angles", "mapping-storage-times"])
+        "anchor-overflow", "qutrit-bloch-angles", "mapping-storage-times", "huge-grid-n",
+        "bool-storage-time", "bool-coeff", "bool-anchor"])
 def test_config_faults_exit_2(tmp_path, capsys, subcommand, changes):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({**README_CONFIG, **changes}))

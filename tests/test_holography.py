@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from oracles import read_pgm
 
 from oamem.errors import InvalidCharge
-from oamem.fieldgrid import GridSpec, TransverseField, read_pgm
+from oamem.fieldgrid import GridSpec, TransverseField
 from oamem.holography import (export_pgm_hologram, focal_basis_phases, fraunhofer,
                               project_and_couple, qubit_hologram, qutrit_hologram)
 from oamem.modes import (LGModeSpec, QuditState, decompose, lg_field, qubit_state,

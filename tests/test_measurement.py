@@ -1,16 +1,27 @@
+import csv
+
 import numpy as np
 import pytest
 
-from oamem.errors import (DimMismatch, DomainError, FitDegenerate, MissingBasis,
-                          NoCounts)
-from oamem.measurement import (CountRecord, CountingConfig, TransmittanceTable,
-                               correct_transmittance, fit_visibility,
-                               interference_scan, polar_retrieve,
-                               read_count_records, simulate_counts,
+from oamem.config import parse_config
+from oamem.errors import ConfigError, DomainError, FitDegenerate, NoCounts
+from oamem.harness import run_interference_scan
+from oamem.measurement import (CountRecord, fit_visibility, polar_retrieve, simulate_counts,
                                subtract_background, write_count_records)
-from oamem.modes import qubit_state, qutrit_state
+from oamem.modes import qubit_state
 
 BETAS = [2 * np.pi * i / 12 for i in range(12)]
+BALANCED = {"dim": 2, "l": 2, "waist": 250e-6, "gamma": np.pi / 2, "beta": 0.0}
+
+
+def scan_records(tmp_path, qudit=BALANCED, counting=None):
+    """scan.csv rows of a 64-pixel equator scan at t = 0 without decoherence."""
+    cfg = parse_config({"seed": 5, "grid": {"n": 64, "extent": 3.2e-3}, "qudit": qudit,
+                        "counting": counting or {"poisson": False},
+                        "storage_times": [0.0], "decoherence": {"diffusion": False}})
+    run_interference_scan(cfg, out=tmp_path)
+    with open(tmp_path / "scan.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestSimulateCounts:
@@ -46,40 +57,39 @@ class TestSimulateCounts:
 
 
 class TestInterferenceScan:
-    def test_ideal_curve_shape(self):
-        state = qubit_state(np.pi / 2, 0.0, l=2)
-        records = interference_scan(state, 2, BETAS, None)
-        for rec in records:
-            assert rec.counts == pytest.approx((1 + np.cos(rec.beta)) / 2, abs=1e-12)
+    """The equator scan of the campaign runner, on its noiseless records."""
 
-    def test_twelve_points_per_period(self):
-        records = interference_scan(qubit_state(np.pi / 2, 0.0, l=2), 2, BETAS, None)
-        assert len(records) == 12
-        assert np.allclose(np.diff([r.beta for r in records]), np.pi / 6)
+    def test_ideal_curve_shape(self, tmp_path):
+        for row in scan_records(tmp_path):
+            beta = float(row["beta_or_label"])
+            assert float(row["counts"]) == pytest.approx((1 + np.cos(beta)) / 2, abs=1e-12)
 
-    def test_pole_state_flat(self):
-        records = interference_scan(qubit_state(0.0, 0.0, l=2), 2, BETAS, None)
-        assert all(r.counts == pytest.approx(0.5, abs=1e-12) for r in records)
+    def test_twelve_points_per_period(self, tmp_path):
+        betas = [float(row["beta_or_label"]) for row in scan_records(tmp_path)]
+        assert len(betas) == 12
+        assert np.allclose(np.diff(betas), np.pi / 6)
 
-    def test_qutrit_rejected(self):
-        with pytest.raises(DimMismatch):
-            interference_scan(qutrit_state(1, 1, 1, l=1), 1, BETAS, None)
+    def test_pole_state_flat(self, tmp_path):
+        pole = dict(BALANCED, gamma=0.0)
+        rows = scan_records(tmp_path, qudit=pole)
+        assert all(float(r["counts"]) == pytest.approx(0.5, abs=1e-12) for r in rows)
 
-    def test_charge_mismatch_rejected(self):
-        with pytest.raises(DimMismatch):
-            interference_scan(qubit_state(0.3, 0.0, l=2), 3, BETAS, None)
+    def test_qutrit_rejected(self, tmp_path):
+        qutrit = {"dim": 3, "l": 1, "waist": 250e-6, "coeffs": [[1, 0], [1, 0], [1, 0]]}
+        with pytest.raises(ConfigError, match="requires a qubit"):
+            scan_records(tmp_path, qudit=qutrit)
 
-    def test_poisson_deterministic(self):
-        cfg = CountingConfig(n_bar=10.0, efficiency=0.5, pulses=10 ** 4)
-        state = qubit_state(np.pi / 2, 0.0, l=2)
-        a = interference_scan(state, 2, BETAS, cfg, seeds=list(range(12)))
-        b = interference_scan(state, 2, BETAS, cfg, seeds=list(range(12)))
-        assert [r.counts for r in a] == [r.counts for r in b]
+    def test_poisson_deterministic(self, tmp_path):
+        counting = {"pulses": 10 ** 4, "poisson": True}
+        a = scan_records(tmp_path / "a", counting=counting)
+        b = scan_records(tmp_path / "b", counting=counting)
+        assert [r["counts"] for r in a] == [r["counts"] for r in b]
 
 
 class TestFitVisibility:
     def test_ideal_data_unit_visibility(self):
-        records = interference_scan(qubit_state(np.pi / 2, 0.0, l=2), 2, BETAS, None)
+        records = [CountRecord(f"b{i}", (1 + np.cos(b)) / 2, beta=b)
+                   for i, b in enumerate(BETAS)]
         fit = fit_visibility(records)
         assert fit.visibility == pytest.approx(1.0, abs=1e-12)
         assert abs(fit.delta) < 1e-12
@@ -102,9 +112,10 @@ class TestFitVisibility:
 
     def test_noisy_visibility_plausible(self):
         # Poisson noise at experimental scale lands in the high-90s range
-        cfg = CountingConfig(n_bar=50.0, efficiency=0.04, pulses=3 * 10 ** 4)
-        records = interference_scan(qubit_state(np.pi / 2, 0.0, l=2), 2, BETAS,
-                                    cfg, seeds=list(range(12)))
+        records = [CountRecord(f"b{i}", simulate_counts((1 + np.cos(b)) / 2, 50.0, 0.04,
+                                                        3 * 10 ** 4, 0.0, seed=i).counts,
+                               beta=b)
+                   for i, b in enumerate(BETAS)]
         fit = fit_visibility(records)
         assert 0.9 < fit.visibility <= 1.0
 
@@ -180,45 +191,13 @@ class TestPolarRetrieve:
         assert sweep_variance(2 * 10 ** 5) < sweep_variance(2 * 10 ** 2)
 
 
-class TestBackgroundAndTransmittance:
+class TestBackgroundSubtraction:
     def test_subtract_clamps_and_flags(self):
         records = [CountRecord("a", 100, background=30),
                    CountRecord("b", 10, background=25)]
         net = subtract_background(records)
         assert net[0].counts == 70 and not net[0].clamped
         assert net[1].counts == 0 and net[1].clamped
-
-    def test_uniform_table_identity(self):
-        records = [CountRecord("a", 100.0), CountRecord("b", 60.0)]
-        table = TransmittanceTable({"a": 0.8, "b": 0.8})
-        out = correct_transmittance(records, table)
-        assert [r.counts for r in out] == [100.0, 60.0]
-
-    def test_half_transmittance_doubles(self):
-        records = [CountRecord("a", 100.0), CountRecord("b", 50.0)]
-        table = TransmittanceTable({"a": 1.0, "b": 0.5})
-        out = correct_transmittance(records, table)
-        assert out[0].counts == 100.0
-        assert out[1].counts == 100.0
-
-    def test_missing_basis(self):
-        with pytest.raises(MissingBasis):
-            correct_transmittance([CountRecord("zz", 5.0)],
-                                  TransmittanceTable({"a": 1.0}))
-
-    def test_subtract_then_correct_order(self):
-        # correction divides counts and background alike, so the documented
-        # order (subtract, then correct) agrees with the reverse
-        records = [CountRecord("a", 100.0, background=10.0),
-                   CountRecord("b", 80.0, background=10.0)]
-        table = TransmittanceTable({"a": 1.0, "b": 0.5})
-        first = correct_transmittance(subtract_background(records), table)
-        second = subtract_background(correct_transmittance(records, table))
-        assert [r.counts for r in first] == [r.counts for r in second]
-
-    def test_rejects_bad_table(self):
-        with pytest.raises(ValueError):
-            TransmittanceTable({"a": 1.5})
 
 
 def test_count_record_csv_round_trip(tmp_path):
@@ -228,12 +207,12 @@ def test_count_record_csv_round_trip(tmp_path):
     ]
     path = tmp_path / "records.csv"
     write_count_records(path, records)
-    back = read_count_records(path)
-    assert back[0].beta == 0.0
-    assert back[0].counts == 120
-    assert back[1].basis_id == "L"
-    assert back[1].beta is None
-    assert back[1].acquisition == 1200.0
+    with open(path, newline="") as fh:
+        back = list(csv.DictReader(fh))
+    assert float(back[0]["beta_or_label"]) == 0.0
+    assert float(back[0]["counts"]) == 120
+    assert back[1]["basis_id"] == back[1]["beta_or_label"] == "L"
+    assert float(back[1]["acquisition_s"]) == 1200.0
 
 
 def test_count_record_rejects_negative():

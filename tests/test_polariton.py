@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from oracles import longitudinal_slices, monte_carlo_drift_factor, slice_readout
+from oracles import longitudinal_slices, monte_carlo_drift_factor, overlap, slice_readout
 
 from oamem.decoherence import DiffusionParams, diffuse, longitudinal_drift_factor
-from oamem.fieldgrid import GridSpec, overlap
+from oamem.fieldgrid import GridSpec
 from oamem.modes import LGModeSpec, QuditState, lg_field, synthesize
-from oamem.polariton import (SPEED_OF_LIGHT, MemoryParams, PolaritonState, diffraction_check,
-                             group_velocity, mixing_angle, polariton_split, read, write)
+from oamem.polariton import (SPEED_OF_LIGHT, MemoryParams, diffraction_check, group_velocity,
+                             mixing_angle, read, write)
 
 W0 = 250e-6
 
@@ -184,26 +184,6 @@ class TestDiffractionCheck:
         f = lg_field(LGModeSpec(1, 1e-5), g)
         with pytest.warns(UserWarning, match="diffraction phase"):
             write(f, MemoryParams())
-
-
-class TestPolaritonState:
-    def test_norm_bookkeeping_over_schedule(self):
-        # rotating theta moves norm between parts, the total is conserved
-        for omega in (0.0, 1e6, 5e7, 1e9, 1e12):
-            p = MemoryParams(omega_c=omega)
-            ps = polariton_split(p, total_norm=1.0)
-            assert ps.field_part ** 2 + ps.matter_part ** 2 == pytest.approx(1.0, abs=1e-10)
-
-    def test_part_ratio_matches_angle(self):
-        p = MemoryParams(omega_c=7e7, g2n=2e16)
-        ps = polariton_split(p)
-        theta = mixing_angle(p)
-        assert ps.matter_part ** 2 / ps.field_part ** 2 == pytest.approx(np.tan(theta) ** 2,
-                                                                         rel=1e-10)
-
-    def test_rejects_inconsistent_parts(self):
-        with pytest.raises(ValueError):
-            PolaritonState(theta=0.3, field_part=1.0, matter_part=1.0)
 
 
 def test_read_after_diffusion_is_field_convolution(grid):
