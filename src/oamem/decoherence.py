@@ -8,6 +8,13 @@ Two physical mechanisms act on the transverse coherence pattern:
 * spatially inhomogeneous Larmor precession in the residual magnetic
   field, a pure per-pixel phase exp(i dOmega(rho) t_s).
 
+Neither channel rebuilds work that does not depend on t_s.  The forward
+spectrum of a written wave is computed once (``SpinWave.spectrum``) and
+each storage time applies the separable kernel as two 1-D factors and
+inverts it in place; the Larmor map dOmega(x, y) is built once per
+(model, grid) pair and each storage time only takes cos and sin of
+dOmega t_s.
+
 End-to-end retrieval efficiency is a separate, empirical exponential
 decay fitted to two measured anchor points.
 """
@@ -16,10 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NodalLineNotFound
+from .fieldgrid import GridSpec
 from .polariton import SpinWave
 
 BOLTZMANN = 1.380649e-23
@@ -68,6 +77,8 @@ class MagneticModel:
     def __post_init__(self):
         if self.guiding_b < 0:
             raise ValueError("guiding field must be >= 0")
+        # hashable, so that the Larmor map can be cached per model
+        object.__setattr__(self, "center", tuple(self.center))
 
     def field_at(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         g = self.ambient_fraction * self.trap_gradient
@@ -110,36 +121,57 @@ class EfficiencyModel:
         return self.eta0 * math.exp(-t_s / self.tau)
 
 
-def gaussian_blur_spectral(values: np.ndarray, pitch: float, sigma: float) -> np.ndarray:
-    """Convolve with a unit-mass Gaussian of per-axis std sigma via FFT."""
-    n = values.shape[0]
-    q = 2.0 * np.pi * np.fft.fftfreq(n, d=pitch)
-    qx, qy = np.meshgrid(q, q)
-    kernel = np.exp(-0.5 * (qx ** 2 + qy ** 2) * sigma ** 2)
-    return np.fft.ifft2(np.fft.fft2(values) * kernel)
-
-
 def diffuse(s: SpinWave, p: DiffusionParams, t_s: float) -> SpinWave:
     """Free expansion of the stored coherence over t_s seconds.
 
     The spectral kernel exp(-q^2 sigma^2 / 2) is a contraction, so the
-    coherence norm never grows; t_s = 0 is the identity.
+    coherence norm never grows; t_s = 0 is the identity.  It factors as
+    k1(q_x) k1(q_y), so each call takes n exponentials, scales the cached
+    forward spectrum of ``s`` and inverts it in place.
     """
     if t_s < 0:
         raise ValueError("storage time must be >= 0")
     if t_s == 0.0:
         return s
     sigma = p.sigma(t_s)
-    return s.with_values(gaussian_blur_spectral(s.values, s.grid.pitch, sigma))
+    q = 2.0 * np.pi * np.fft.fftfreq(s.grid.n, d=s.grid.pitch)
+    k1 = np.exp(-0.5 * q ** 2 * sigma ** 2)
+    blurred = s.spectrum * k1
+    blurred *= k1[:, None]
+    np.fft.ifft(blurred, axis=1, out=blurred)
+    np.fft.ifft(blurred, axis=0, out=blurred)
+    return s.with_values(blurred)
+
+
+@lru_cache(maxsize=1)
+def _larmor_map(mdl: MagneticModel, grid: GridSpec) -> np.ndarray:
+    """Read-only angular shift dOmega(x, y) of ``mdl`` on ``grid``, rad/s.
+
+    Rows are y, as in ``GridSpec.mesh``; the axes broadcast, so no mesh is
+    built.  A ``field_at`` that ignores an axis may return fewer rows.
+    """
+    omega = np.asarray(mdl.angular_shift(grid.xs()[None, :], grid.ys()[:, None]),
+                       dtype=np.float64)
+    omega.flags.writeable = False
+    return omega
 
 
 def magnetic_dephase(s: SpinWave, mdl: MagneticModel, t_s: float) -> SpinWave:
-    """Pixel-wise Larmor phase accumulated over t_s; magnitudes untouched."""
+    """Pixel-wise Larmor phase accumulated over t_s; magnitudes untouched.
+
+    exp(i dOmega t_s) is built in one complex array: the phase goes into
+    its imaginary part, then cos and sin overwrite both parts.
+    """
     if t_s < 0:
         raise ValueError("storage time must be >= 0")
-    x, y = s.grid.mesh()
-    phase = mdl.angular_shift(x, y) * t_s
-    return s.with_values(s.values * np.exp(1j * phase))
+    if t_s == 0.0:
+        return s
+    rot = np.empty_like(s.values)
+    np.multiply(_larmor_map(mdl, s.grid), t_s, out=rot.imag)
+    np.cos(rot.imag, out=rot.real)
+    np.sin(rot.imag, out=rot.imag)
+    np.multiply(s.values, rot, out=rot)
+    return s.with_values(rot)
 
 
 def longitudinal_drift_factor(delta_k: float, p: DiffusionParams, t_s: float) -> float:

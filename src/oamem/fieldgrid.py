@@ -44,6 +44,8 @@ class GridSpec:
             raise ValueError(f"grid size must be a power of two, got {self.n}")
         if not self.extent > 0:
             raise ValueError(f"extent must be positive, got {self.extent}")
+        # hashable, so that per-grid maps can be cached
+        object.__setattr__(self, "center", tuple(self.center))
 
     @property
     def pitch(self) -> float:

@@ -28,7 +28,8 @@ from .holography import (export_pgm_hologram, focal_basis_phases, fraunhofer,
                          qubit_hologram, qutrit_hologram)
 from .measurement import (CountRecord, fit_visibility, polar_retrieve, simulate_counts,
                           subtract_background, write_count_records)
-from .modes import LGModeSpec, QuditState, basis_charges, decompose, lg_field, synthesize
+from .modes import (LGModeSpec, QuditState, basis_charges, decompose, lg_field,
+                    qubit_state, synthesize)
 from .polariton import SpinWave, read, write
 from .tomography import (DensityMatrix, ProjectionSet, export_density_csv,
                          fidelity, probabilities, reconstruct, tomography_report)
@@ -159,12 +160,19 @@ def _amplitudes(cfg: ExperimentConfig, field: TransverseField) -> np.ndarray:
 def _measure(cfg: ExperimentConfig, wave: SpinWave, point: int, t_s: float, kets):
     """Retrieve the written ``wave`` after t_s, then count.
 
-    ``kets`` are (label, psi) projectors; each gets one record, a Poisson
-    draw keyed (point, ket index) or the noiseless probability.  Returns
-    (eta at t_s, records).
+    Returns (eta at t_s, records); see :func:`_count`.
     """
     a = _amplitudes(cfg, _retrieve(cfg, wave, t_s))
     eta = cfg.efficiency.to_model()(t_s)
+    return eta, _count(cfg, a, eta, point, kets)
+
+
+def _count(cfg: ExperimentConfig, a: np.ndarray, eta: float, point: int, kets):
+    """One record per (label, psi) projector of the retrieved amplitudes ``a``.
+
+    Each record is a Poisson draw keyed (point, ket index), or the
+    noiseless probability |psi^H a|^2.
+    """
     counting = cfg.counting
     records = []
     for k, (label, psi) in enumerate(kets):
@@ -178,7 +186,7 @@ def _measure(cfg: ExperimentConfig, wave: SpinWave, point: int, t_s: float, kets
                                        acquisition=counting.acquisition))
     if counting.poisson and counting.bg_rate > 0:
         records = subtract_background(records)
-    return eta, records
+    return records
 
 
 def storage_point(cfg: ExperimentConfig, stored: tuple[np.ndarray, SpinWave],
@@ -285,21 +293,32 @@ def run_interference_scan(cfg: ExperimentConfig, out=None, parallel: int = 1) ->
 
 
 def run_meridian_sweep(cfg: ExperimentConfig, out=None, parallel: int = 1) -> CampaignResult:
-    """Polar-angle retrieval gamma_r versus prepared gamma_w at beta = 0."""
+    """Polar-angle retrieval gamma_r versus prepared gamma_w at beta = 0.
+
+    Storage and readout are linear, so |L> and |R> are stored and retrieved
+    once each, and the prepared state c_L|L> + c_R|R> of every point
+    retrieves as c_L a_L + c_R a_R.
+    """
     out_dir = _out_dir(cfg, out)
     if cfg.qudit.dim != 2:
         raise ConfigError("meridian sweep requires a qubit")
     if cfg.source.kind != "ideal":
         raise ConfigError("meridian sweep needs an ideal source: a binary mask "
                           "cannot prepare an arbitrary Bloch state")
+    t_s = _first_time(cfg)
+    eta = cfg.efficiency.to_model()(t_s)
+    retrieved = []
+    for coeffs in (((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 0.0))):
+        pole = replace(cfg, qudit=replace(cfg.qudit, coeffs=coeffs))
+        retrieved.append(_amplitudes(pole, _retrieve(pole, _store(pole)[1], t_s)))
+    a_l, a_r = retrieved
     points = cfg.meridian.gamma_points
     poles = ProjectionSet.qubit().projectors[:2]
     rows = []
     for i in range(points):
         gamma_w = np.pi * i / (points - 1)
-        prepared = replace(cfg, qudit=replace(cfg.qudit, coeffs=None, gamma=gamma_w, beta=0.0))
-        _, (rec_l, rec_r) = _measure(prepared, _store(prepared)[1], i, _first_time(cfg),
-                                     poles)
+        c_l, c_r = qubit_state(gamma_w, 0.0, cfg.qudit.l).coeffs
+        rec_l, rec_r = _count(cfg, c_l * a_l + c_r * a_r, eta, i, poles)
         rows.append([gamma_w, rec_l.counts, rec_r.counts,
                      polar_retrieve(rec_r.counts, rec_l.counts)])
     _write_csv(out_dir / "meridian.csv", ["gamma_w", "n_l", "n_r", "gamma_r"], rows)

@@ -18,6 +18,10 @@ import numpy as np
 
 from .errors import DomainError, FitDegenerate, NoCounts
 
+# a fitted fringe amplitude up to this fraction of the mean count is rounding
+# noise, so the fringe's delta and phase would carry no information
+FLAT_FRINGE_RATIO = 1e-12
+
 
 @dataclass(frozen=True)
 class CountRecord:
@@ -77,7 +81,8 @@ def fit_visibility(records) -> VisibilityFit:
     N0 = hypot(c, s), phase = atan2(s, c) and delta = a / N0 - 1: a fringe
     shifted by dephasing keeps its contrast.  The visibility of the fitted
     curve is (max - min) / (max + min) = 1 / (1 + delta), clamped to
-    [0, 1] as a physical contrast.
+    [0, 1] as a physical contrast.  A modulation amplitude of at most
+    FLAT_FRINGE_RATIO |a| raises FitDegenerate.
     """
     records = list(records)
     if any(r.beta is None for r in records):
@@ -92,8 +97,9 @@ def fit_visibility(records) -> VisibilityFit:
     coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
     a, c, s = coef
     n0 = math.hypot(c, s)
-    if not n0 > 0:
-        raise FitDegenerate("fitted modulation amplitude is not positive")
+    if not n0 > FLAT_FRINGE_RATIO * abs(a):
+        raise FitDegenerate(f"no fringe: fitted modulation amplitude {n0:.3g} is at most "
+                            f"{FLAT_FRINGE_RATIO:g} of the mean {a:.3g}")
     delta = a / n0 - 1.0
     visibility = min(max(1.0 / (1.0 + delta), 0.0), 1.0)
     residual = counts - design @ coef

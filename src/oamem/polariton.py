@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +93,18 @@ class SpinWave:
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.pixel_area))
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Read-only unnormalized 2-D DFT of ``values``, computed once per wave.
+
+        Two 1-D passes (x, then y, the order of ``np.fft.fft2``), the
+        second in place.
+        """
+        spectrum = np.fft.fft(self.values, axis=1)
+        np.fft.fft(spectrum, axis=0, out=spectrum)
+        spectrum.flags.writeable = False
+        return spectrum
 
     def with_values(self, values: np.ndarray) -> "SpinWave":
         return SpinWave(self.grid, values, self.delta_k, self.wavelength)

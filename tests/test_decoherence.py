@@ -3,8 +3,8 @@ import pytest
 from oracles import direct_gaussian_convolution, overlap
 
 from oamem.decoherence import (BOLTZMANN, DiffusionParams, EfficiencyModel, MagneticModel,
-                               diffuse, longitudinal_drift_factor, magnetic_dephase,
-                               qutrit_nodal_shift)
+                               _larmor_map, diffuse, longitudinal_drift_factor,
+                               magnetic_dephase, qutrit_nodal_shift)
 from oamem.errors import NodalLineNotFound
 from oamem.fieldgrid import GridSpec
 from oamem.modes import LGModeSpec, lg_field, qubit_state, qutrit_state, synthesize
@@ -88,6 +88,40 @@ class TestDiffuse:
         with pytest.raises(ValueError):
             diffuse(s, diffusion, -1e-6)
 
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_lg_amplitude_closed_form(self, diffusion, l):
+        # the blur multiplies |F(q)|^2 ~ q^2|l| exp(-q^2 w0^2 / 2) by
+        # exp(-q^2 sigma^2 / 2), so <LG_l|blurred LG_l> = (1 + sigma^2/w0^2)^-(|l|+1)
+        g = GridSpec(512, 3.2e-3)
+        f = lg_field(LGModeSpec(l, W0), g)
+        s = SpinWave(g, f.values)
+        for t_s in (0.3e-3, 1e-3, 2e-3):
+            amp = np.vdot(f.values, diffuse(s, diffusion, t_s).values) * g.pixel_area
+            expected = (1.0 + diffusion.sigma(t_s) ** 2 / W0 ** 2) ** -(abs(l) + 1)
+            assert abs(amp - expected) <= 1e-12 * expected
+
+    def test_matches_full_kernel(self, grid, diffusion):
+        # the separable kernel on the cached spectrum is the n x n kernel
+        s = stored(synthesize(qutrit_state(1.0, 0.5j, 1.0, l=1), W0, grid))
+        sigma = diffusion.sigma(3e-4)
+        q = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.pitch)
+        qx, qy = np.meshgrid(q, q)
+        expected = np.fft.ifft2(np.fft.fft2(s.values) * np.exp(-0.5 * (qx ** 2 + qy ** 2)
+                                                              * sigma ** 2))
+        got = diffuse(s, diffusion, 3e-4).values
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_spectrum_cached_and_read_only(self, grid, diffusion):
+        s = stored(synthesize(qubit_state(np.pi / 3, 1.0, l=2), W0, grid))
+        spectrum = s.spectrum
+        assert s.spectrum is spectrum
+        assert not spectrum.flags.writeable
+        assert np.array_equal(spectrum, np.fft.fft2(s.values))
+        before = spectrum.copy()
+        diffuse(s, diffusion, 1e-4)
+        diffuse(s, diffusion, 5e-4)
+        assert np.array_equal(s.spectrum, before)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DiffusionParams(temperature=0.0)
@@ -160,6 +194,58 @@ class TestMagneticDephase:
         p = MemoryParams()
         ov = abs(overlap(read(s2, p), f))
         assert ov == pytest.approx(np.exp(-(kappa * W0) ** 2 / 8.0), rel=1e-6)
+
+    @staticmethod
+    def reference(s, mdl, t_s):
+        x, y = s.grid.mesh()
+        return s.values * np.exp(1j * mdl.angular_shift(x, y) * t_s)
+
+    def test_matches_mesh_phase(self, grid):
+        s = stored(synthesize(qutrit_state(1, 0.5, 1j, l=1), W0, grid))
+        mdl = MagneticModel(guiding_b=2e-5, sensitivity=5e9, second_order=3e12,
+                            center=(3e-4, -2e-4))
+        for t_s in (1e-5, 2e-4):
+            expected = self.reference(s, mdl, t_s)
+            got = magnetic_dephase(s, mdl, t_s).values
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_field_at_subclass_matches_mesh_phase(self, grid):
+        # a map that ignores y comes back as one row and is broadcast
+        class Ramp(MagneticModel):
+            def field_at(self, x, y):
+                return 3.0e4 * x
+
+        s = stored(synthesize(qubit_state(np.pi / 2, 0.3, l=2), W0, grid))
+        mdl = Ramp(sensitivity=1.0)
+        assert _larmor_map(mdl, grid).shape == (1, grid.n)
+        expected = self.reference(s, mdl, 0.7)
+        got = magnetic_dephase(s, mdl, 0.7).values
+        assert got.shape == (grid.n, grid.n)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_alternating_models_and_grids(self):
+        # the one-entry cache must never hand one model's or grid's map to another
+        near = MagneticModel(guiding_b=0.0, sensitivity=4.4e10, center=(1e-4, 0.0))
+        far = MagneticModel(guiding_b=0.0, sensitivity=4.4e10, center=(-4e-4, 3e-4))
+        grids = [GridSpec(64, 3.2e-3), GridSpec(64, 3.2e-3, center=[2e-4, -1e-4])]
+        waves = [stored(synthesize(qubit_state(np.pi / 2, 0.0, l=1), W0, g)) for g in grids]
+        for _ in range(2):
+            for s in waves:
+                for mdl in (near, far):
+                    expected = self.reference(s, mdl, 3e-5)
+                    got = magnetic_dephase(s, mdl, 3e-5).values
+                    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_larmor_map_read_only(self, grid):
+        mdl = MagneticModel(sensitivity=5e9, center=[3e-4, 0.0])
+        assert mdl.center == (3e-4, 0.0)
+        omega = _larmor_map(mdl, grid)
+        assert not omega.flags.writeable
+        assert _larmor_map(mdl, grid) is omega
+
+    def test_zero_time_returns_wave(self, grid):
+        s = stored(lg_field(LGModeSpec(1, W0), grid))
+        assert magnetic_dephase(s, MagneticModel(sensitivity=5e9), 0.0) is s
 
     def test_magnitudes_preserved(self, grid, rng):
         s = stored(synthesize(qutrit_state(1, 0.5, 1, l=1), W0, grid))

@@ -237,6 +237,17 @@ class TestCampaigns:
         assert np.exp(1j * phase) == pytest.approx(z / abs(z), abs=1e-9)
         assert vis > 0.99
 
+    def test_flat_scan_exits_3(self, tmp_path, capsys):
+        # a noiseless pole state at t = 0 scans flat: the fitted amplitude is
+        # rounding noise (about 1e-16), so there is no delta or phase to report
+        cfg = small_cfg(qudit=dict(QUBIT, gamma=0.0), counting={"poisson": False},
+                        storage_times=[0.0])
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(serialize_config(cfg)))
+        assert cli_main(["scan", "--config", str(path), "--out", str(tmp_path / "s")]) == 3
+        assert "no fringe" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "fit.csv").exists()
+
     def test_meridian_identity(self, tmp_path):
         cfg = small_cfg(qudit=dict(QUBIT), counting={"poisson": False})
         res = run_meridian_sweep(cfg, out=tmp_path / "m")

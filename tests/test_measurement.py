@@ -5,7 +5,7 @@ import pytest
 
 from oamem.config import parse_config
 from oamem.errors import ConfigError, DomainError, FitDegenerate, NoCounts
-from oamem.harness import run_interference_scan
+from oamem.harness import _amplitudes, _retrieve, _store, run_interference_scan
 from oamem.measurement import (CountRecord, fit_visibility, polar_retrieve, simulate_counts,
                                subtract_background, write_count_records)
 from oamem.modes import qubit_state
@@ -14,12 +14,16 @@ BETAS = [2 * np.pi * i / 12 for i in range(12)]
 BALANCED = {"dim": 2, "l": 2, "waist": 250e-6, "gamma": np.pi / 2, "beta": 0.0}
 
 
+def scan_config(qudit=BALANCED, counting=None):
+    """A 64-pixel equator scan at t = 0 without decoherence."""
+    return parse_config({"seed": 5, "grid": {"n": 64, "extent": 3.2e-3}, "qudit": qudit,
+                         "counting": counting or {"poisson": False},
+                         "storage_times": [0.0], "decoherence": {"diffusion": False}})
+
+
 def scan_records(tmp_path, qudit=BALANCED, counting=None):
-    """scan.csv rows of a 64-pixel equator scan at t = 0 without decoherence."""
-    cfg = parse_config({"seed": 5, "grid": {"n": 64, "extent": 3.2e-3}, "qudit": qudit,
-                        "counting": counting or {"poisson": False},
-                        "storage_times": [0.0], "decoherence": {"diffusion": False}})
-    run_interference_scan(cfg, out=tmp_path)
+    """scan.csv rows of :func:`scan_config`."""
+    run_interference_scan(scan_config(qudit, counting), out=tmp_path)
     with open(tmp_path / "scan.csv", newline="") as fh:
         return list(csv.DictReader(fh))
 
@@ -70,9 +74,16 @@ class TestInterferenceScan:
         assert np.allclose(np.diff(betas), np.pi / 6)
 
     def test_pole_state_flat(self, tmp_path):
+        # a pole state has no fringe: every equator projector couples 1/2,
+        # and the visibility fit refuses the flat curve
         pole = dict(BALANCED, gamma=0.0)
-        rows = scan_records(tmp_path, qudit=pole)
-        assert all(float(r["counts"]) == pytest.approx(0.5, abs=1e-12) for r in rows)
+        with pytest.raises(FitDegenerate, match="no fringe"):
+            scan_records(tmp_path, qudit=pole)
+        cfg = scan_config(pole)
+        a = _amplitudes(cfg, _retrieve(cfg, _store(cfg)[1], 0.0))
+        for beta in BETAS:
+            psi = np.array([1.0, np.exp(1j * beta)]) / np.sqrt(2.0)
+            assert abs(np.vdot(psi, a)) ** 2 == pytest.approx(0.5, abs=1e-12)
 
     def test_qutrit_rejected(self, tmp_path):
         qutrit = {"dim": 3, "l": 1, "waist": 250e-6, "coeffs": [[1, 0], [1, 0], [1, 0]]}
@@ -137,6 +148,19 @@ class TestFitVisibility:
         records = [CountRecord(f"b{i}", 0.0, beta=b) for i, b in enumerate(BETAS)]
         with pytest.raises(FitDegenerate):
             fit_visibility(records)
+
+    def test_rounding_level_modulation_degenerate(self):
+        # a fringe amplitude at the rounding level of the mean is no fringe
+        records = [CountRecord(f"b{i}", 0.5 + 1e-17 * np.cos(b), beta=b)
+                   for i, b in enumerate(BETAS)]
+        with pytest.raises(FitDegenerate, match="no fringe"):
+            fit_visibility(records)
+
+    def test_small_real_modulation_fits(self):
+        # well above the rounding level, a faint fringe is still a fringe
+        records = [CountRecord(f"b{i}", 0.5 + 1e-9 * np.cos(b), beta=b)
+                   for i, b in enumerate(BETAS)]
+        assert fit_visibility(records).n0 == pytest.approx(1e-9, rel=1e-6)
 
     def test_too_few_betas(self):
         records = [CountRecord("a", 1.0, beta=0.0),

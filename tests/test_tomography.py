@@ -12,6 +12,15 @@ def random_pure(rng, dim):
     return DensityMatrix.pure(rng.normal(size=dim) + 1j * rng.normal(size=dim))
 
 
+def haar_unitary(rng, dim):
+    """Haar-random unitary: QR of a complex Gaussian matrix, with the phases
+    of R's diagonal moved into Q so the draw is uniform (Mezzadri 2007)."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def records_from_probs(pset, probs, scale=1.0):
     return [CountRecord(lab, counts=scale * p) for lab, p in zip(pset.labels, probs)]
 
@@ -193,9 +202,9 @@ class TestFidelity:
         assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-12)
 
     def test_unitary_invariance(self, rng):
-        from scipy.stats import unitary_group
         a, b = random_pure(rng, 3), random_pure(rng, 3)
-        u = unitary_group.rvs(3, random_state=7)
+        u = haar_unitary(np.random.default_rng(7), 3)
+        assert np.allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
         ua = DensityMatrix(u @ a.matrix @ u.conj().T)
         ub = DensityMatrix(u @ b.matrix @ u.conj().T)
         assert fidelity(ua, ub) == pytest.approx(fidelity(a, b), abs=1e-10)
