@@ -16,7 +16,7 @@ Core layers, in the order a campaign runs them:
 
 __version__ = "0.1.0"
 
-from .fieldgrid import GridSpec, SpectrumField, TransverseField, inner_product, transform_to_spectrum
+from .fieldgrid import GridSpec, TransverseField, inner_product, transform_to_spectrum
 from .modes import LGModeSpec, QuditState, lg_field, qubit_state, qutrit_state, synthesize
 from .holography import PhaseHologram, fraunhofer, project_and_couple, qubit_hologram, qutrit_hologram
 from .polariton import MemoryParams, SpinWave, group_velocity, mixing_angle, read, write
@@ -29,7 +29,7 @@ from .config import ExperimentConfig, load_config, parse_config
 
 __all__ = [
     "__version__",
-    "GridSpec", "TransverseField", "SpectrumField", "inner_product", "transform_to_spectrum",
+    "GridSpec", "TransverseField", "inner_product", "transform_to_spectrum",
     "LGModeSpec", "QuditState", "lg_field", "qubit_state", "qutrit_state", "synthesize",
     "PhaseHologram", "qubit_hologram", "qutrit_hologram", "fraunhofer", "project_and_couple",
     "MemoryParams", "SpinWave", "mixing_angle", "group_velocity", "write", "read",

@@ -9,8 +9,9 @@ Two physical mechanisms act on the transverse coherence pattern:
   field, a pure per-pixel phase exp(i dOmega(rho) t_s).
 
 Neither channel rebuilds work that does not depend on t_s.  The forward
-spectrum of a written wave is computed once (``SpinWave.spectrum``) and
-each storage time applies the separable kernel as two 1-D factors and
+spectrum of a written wave is computed once (``SpinWave.spectrum``), for
+the diffraction check of :func:`oamem.polariton.write`, and each storage
+time reuses it: it applies the separable kernel as two 1-D factors and
 inverts it in place; the Larmor map dOmega(x, y) is built once per
 (model, grid) pair and each storage time only takes cos and sin of
 dOmega t_s.

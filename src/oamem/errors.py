@@ -33,6 +33,10 @@ class DomainError(OamemError, ValueError):
     """Argument outside the mathematically valid domain."""
 
 
+class NonFiniteField(OamemError, ValueError):
+    """A field sample is NaN or infinite, e.g. after an overflowing phase."""
+
+
 class DimMismatch(OamemError, ValueError):
     """Operands have incompatible Hilbert-space dimensions."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import GridMismatch, NonFiniteField
 
 MAX_GRID_N = 4096
 
@@ -75,10 +75,6 @@ class GridSpec:
         x, y = np.meshgrid(self.axis(), self.axis())
         return np.hypot(x, y), np.arctan2(y, x)
 
-    def q_axis(self) -> np.ndarray:
-        """Centered spatial angular frequencies in rad/m."""
-        return 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(self.n, d=self.pitch))
-
     @property
     def q_pitch(self) -> float:
         return 2.0 * np.pi / self.extent
@@ -107,7 +103,7 @@ class TransverseField:
         if v.shape != (self.grid.n, self.grid.n):
             raise ValueError(f"values shape {v.shape} does not match grid n={self.grid.n}")
         if not np.all(np.isfinite(v.view(np.float64))):
-            raise ValueError("field values must be finite")
+            raise NonFiniteField("field values must be finite")
         if not self.wavelength > 0:
             raise ValueError("wavelength must be positive")
 
@@ -122,28 +118,6 @@ class TransverseField:
         return TransverseField(self.grid, values, self.wavelength)
 
 
-@dataclass(frozen=True)
-class SpectrumField:
-    """Angular spectrum of a transverse field, axes in rad/m."""
-
-    source_grid: GridSpec
-    values: np.ndarray = field(repr=False)
-    wavelength: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-
-    def q_axis(self) -> np.ndarray:
-        return self.source_grid.q_axis()
-
-    def q_mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        q = self.q_axis()
-        return np.meshgrid(q, q)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.source_grid.q_pitch ** 2))
-
-
 def _centered_fft2(v: np.ndarray) -> np.ndarray:
     # exact centered DFT for even n: index j -> coordinate (j - n/2)
     return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(v), norm="ortho"))
@@ -153,19 +127,18 @@ def _center_phase(grid: GridSpec) -> np.ndarray | float:
     cx, cy = grid.center
     if cx == 0.0 and cy == 0.0:
         return 1.0
-    qx, qy = np.meshgrid(grid.q_axis(), grid.q_axis())
-    return np.exp(-1j * (qx * cx + qy * cy))
+    q = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(grid.n, d=grid.pitch))
+    return np.exp(-1j * (q * cx + q[:, None] * cy))
 
 
-def transform_to_spectrum(f: TransverseField) -> SpectrumField:
-    """Unitary 2-D Fourier transform of the envelope.
+def transform_to_spectrum(f: TransverseField) -> np.ndarray:
+    """Unitary 2-D Fourier transform S of the envelope, on the centered q grid.
 
-    Norm-preserving: ``spectrum.norm() == f.norm()`` to machine precision.
+    Norm-preserving: sum |S|^2 q_pitch^2 equals ``f.norm() ** 2`` to machine precision.
     """
     g = f.grid
     scale = g.n * g.pixel_area / (2.0 * np.pi)
-    values = _centered_fft2(f.values) * scale * _center_phase(g)
-    return SpectrumField(g, values, f.wavelength)
+    return _centered_fft2(f.values) * scale * _center_phase(g)
 
 
 def inner_product(a: TransverseField, b: TransverseField) -> complex:
@@ -176,20 +149,6 @@ def inner_product(a: TransverseField, b: TransverseField) -> complex:
     if a.grid != b.grid:
         raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
     return complex(np.vdot(a.values, b.values) * a.grid.pixel_area)
-
-
-def spectral_energy_radius(s: SpectrumField, fraction: float = 0.99) -> float:
-    """Smallest |q| enclosing the given fraction of spectral energy."""
-    qx, qy = s.q_mesh()
-    qr = np.hypot(qx, qy).ravel()
-    e = (np.abs(s.values) ** 2).ravel()
-    order = np.argsort(qr)
-    cum = np.cumsum(e[order])
-    total = cum[-1]
-    if total == 0:
-        return 0.0
-    idx = int(np.searchsorted(cum, fraction * total))
-    return float(qr[order[min(idx, qr.size - 1)]])
 
 
 def export_pgm(f: TransverseField, path) -> None:

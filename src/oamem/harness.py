@@ -130,30 +130,30 @@ def _store(cfg: ExperimentConfig) -> tuple[np.ndarray, SpinWave]:
 
 
 def _retrieve(cfg: ExperimentConfig, wave: SpinWave, t_s: float) -> TransverseField:
-    """Let the written spin wave decohere for t_s, and read it out."""
-    dp = DiffusionParams(cfg.memory.temperature, cfg.memory.mass)
+    """Let the written spin wave decohere for t_s, and read it out (drift: :func:`_amplitudes`)."""
     if cfg.decoherence.diffusion:
-        wave = diffuse(wave, dp, t_s)
+        wave = diffuse(wave, DiffusionParams(cfg.memory.temperature, cfg.memory.mass), t_s)
     if cfg.decoherence.magnetic:
         wave = magnetic_dephase(wave, cfg.magnetic, t_s)
-    out = read(wave, cfg.memory)
-    if cfg.decoherence.longitudinal_drift:
-        out = out.with_values(out.values * longitudinal_drift_factor(cfg.memory.delta_k, dp, t_s))
-    return out
+    return read(wave, cfg.memory)
 
 
-def _amplitudes(cfg: ExperimentConfig, field: TransverseField) -> np.ndarray:
-    """Qudit-basis mode amplitudes a of ``field``.
+def _amplitudes(cfg: ExperimentConfig, field: TransverseField, t_s: float = 0.0) -> np.ndarray:
+    """Qudit-basis mode amplitudes a of ``field``, read out after t_s.
 
     Projection is linear, so a ket psi couples |psi^H a|^2 of the field
-    into the fiber.  A hologram field lives in the focal plane, where the
-    lens gave each mode the phase (-i)^|l|; dividing it out expresses a
+    into the fiber, and the longitudinal drift factor, one number for the
+    whole field, scales a.  A hologram field lives in the focal plane, where
+    the lens gave each mode the phase (-i)^|l|; dividing it out expresses a
     in the mask-plane convention of the configured state.
     """
     q = cfg.qudit
     a = decompose(field, q.l, q.dim, q.waist)
     if cfg.source.kind == "hologram":
         a = a / focal_basis_phases(basis_charges(q.dim, q.l))
+    if cfg.decoherence.longitudinal_drift:
+        dp = DiffusionParams(cfg.memory.temperature, cfg.memory.mass)
+        a = a * longitudinal_drift_factor(cfg.memory.delta_k, dp, t_s)
     return a
 
 
@@ -162,7 +162,7 @@ def _measure(cfg: ExperimentConfig, wave: SpinWave, point: int, t_s: float, kets
 
     Returns (eta at t_s, records); see :func:`_count`.
     """
-    a = _amplitudes(cfg, _retrieve(cfg, wave, t_s))
+    a = _amplitudes(cfg, _retrieve(cfg, wave, t_s), t_s)
     eta = cfg.efficiency.to_model()(t_s)
     return eta, _count(cfg, a, eta, point, kets)
 
@@ -214,8 +214,16 @@ def storage_point(cfg: ExperimentConfig, stored: tuple[np.ndarray, SpinWave],
     }
 
 
-def _storage_point_star(args):
-    return storage_point(*args)
+_WORKER_STORED = None
+
+
+def _init_worker(cfg: ExperimentConfig, stored) -> None:
+    global _WORKER_STORED
+    _WORKER_STORED = (cfg, stored)
+
+
+def _worker_point(job):
+    return storage_point(*_WORKER_STORED, *job)
 
 
 def _map_points(cfg: ExperimentConfig, parallel: int):
@@ -223,14 +231,17 @@ def _map_points(cfg: ExperimentConfig, parallel: int):
 
     The pool forks all its workers at once, so it never gets more than
     there are points or CPUs; one worker runs the points in this process.
+    Each worker receives the config and the stored wave (with its cached
+    spectrum) once, and each job only its (index, storage time).
     """
     stored = _store(cfg)
-    jobs = [(cfg, stored, i, t) for i, t in enumerate(cfg.storage_times)]
+    jobs = list(enumerate(cfg.storage_times))
     workers = min(parallel, len(jobs), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_storage_point_star, jobs))
-    return [storage_point(*job) for job in jobs]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(cfg, stored)) as pool:
+            return list(pool.map(_worker_point, jobs))
+    return [storage_point(cfg, stored, *job) for job in jobs]
 
 
 RNG_SCHEME = "SeedSequence(seed, spawn_key=(point_index, basis_index))"
@@ -310,7 +321,7 @@ def run_meridian_sweep(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Ca
     retrieved = []
     for coeffs in (((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 0.0))):
         pole = replace(cfg, qudit=replace(cfg.qudit, coeffs=coeffs))
-        retrieved.append(_amplitudes(pole, _retrieve(pole, _store(pole)[1], t_s)))
+        retrieved.append(_amplitudes(pole, _retrieve(pole, _store(pole)[1], t_s), t_s))
     a_l, a_r = retrieved
     points = cfg.meridian.gamma_points
     poles = ProjectionSet.qubit().projectors[:2]

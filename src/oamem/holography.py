@@ -87,11 +87,10 @@ def fraunhofer(f: TransverseField, focal: float) -> TransverseField:
     """
     if not focal > 0:
         raise ValueError("focal length must be positive")
-    spec = transform_to_spectrum(f)
     coord_scale = focal * f.wavelength / (2.0 * np.pi)
     out_grid = _focal_grid(f.grid, focal, f.wavelength)
     # amplitude rescaled so sum |out|^2 dx'^2 == sum |S|^2 dq^2
-    values = spec.values / coord_scale
+    values = transform_to_spectrum(f) / coord_scale
     return TransverseField(out_grid, values, f.wavelength)
 
 

@@ -103,44 +103,56 @@ def _support_check(l: int, w0: float, grid: GridSpec) -> None:
         )
 
 
-def _mode_factors(l: int, w0: float, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """LG_{l,0} on the grid as a sum of |l| + 1 separable terms.
+def _basis(charges, w0: float, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The LG_{l,0} modes of ``charges`` on the grid, as separable terms.
 
-    With s = sgn(l), the mode is proportional to (x + i s y)^|l| g(x) g(y),
+    With s = sgn(l), mode l is proportional to (x + i s y)^|l| g(x) g(y),
     g(u) = exp(-u^2 / w0^2), which the binomial theorem splits into
 
-        sum_k coef[k] * outer(powers[|l| - k], powers[k])
+        sum_k C(|l|, k) (i s)^(|l| - k) outer(powers[|l| - k], powers[k])
 
-    where powers[k] = (u / w0)^k g(u) on the grid axis (rows are y) and
-    coef[k] = C(|l|, k) (i s)^(|l| - k) / norm.  The discrete norm
-    sum |mode|^2 dx^2 expands the same way through |x + i y|^(2|l|), so it
-    needs only the 1-D moments sum powers[k]^2 and no n x n array.
+    where powers[k] = (u / w0)^k g(u) on the grid axis (rows are y).  Mode i
+    is powers^T mats[i] powers: mats[i] is K x K, K = max |l| + 1, with these
+    coefficients / norm on the antidiagonal of its top-left block.  The
+    discrete norm expands the same way through |x + i y|^(2|l|), so it needs
+    only the 1-D moments sum powers[k]^2.
     """
-    _support_check(l, w0, grid)
-    order = abs(l)
+    for l in charges:
+        _support_check(l, w0, grid)
+    top = max(abs(l) for l in charges)
     u = grid.axis() / w0
     g = np.exp(-u * u)
-    powers = np.array([u ** k * g for k in range(order + 1)])
+    powers = np.array([u ** k * g for k in range(top + 1)])
     moments = np.sum(powers * powers, axis=1)
-    binom = np.array([math.comb(order, k) for k in range(order + 1)], dtype=np.float64)
-    norm = math.sqrt(grid.pixel_area * float(np.sum(binom * moments * moments[::-1])))
-    phases = (1j * math.copysign(1.0, l)) ** np.arange(order, -1, -1)
-    return binom * phases / norm, powers
+    mats = np.zeros((len(charges), top + 1, top + 1), dtype=np.complex128)
+    for mat, l in zip(mats, charges):
+        k = np.arange(abs(l) + 1)
+        binom = np.array([math.comb(abs(l), j) for j in k], dtype=np.float64)
+        norm = math.sqrt(grid.pixel_area * float(np.sum(binom * moments[k] * moments[k[::-1]])))
+        mat[k[::-1], k] = binom * (1j * math.copysign(1.0, l)) ** k[::-1] / norm
+    return mats, powers
+
+
+def _sample(charges, weights, w0: float, grid: GridSpec, wavelength: float) -> TransverseField:
+    """sum_i weights[i] LG_{charges[i],0} on the grid, as one n x n array.
+
+    The weights fold the modes of :func:`_basis` into one K x K matrix C;
+    the field is powers^T C powers.
+    """
+    mats, powers = _basis(charges, w0, grid)
+    mix = np.einsum("i,ijk->jk", weights, mats)
+    # einsum keeps BLAS threads idle
+    values = np.einsum("jy,jx->yx", powers, np.einsum("jk,kx->jx", mix, powers))
+    return TransverseField(grid, values, wavelength)
 
 
 def lg_field(spec: LGModeSpec, grid: GridSpec, wavelength: float = 795e-9) -> TransverseField:
     """Sample a normalized LG_{l,0} mode on the grid.
 
-    Amplitude ~ (sqrt(2) r / w0)^|l| exp(-r^2/w0^2) e^{i l phi}, built from
-    the separable factors of :func:`_mode_factors` and normalized so its
-    discrete norm is 1.
+    Amplitude ~ (sqrt(2) r / w0)^|l| exp(-r^2/w0^2) e^{i l phi}, normalized
+    so its discrete norm is 1.
     """
-    coefs, powers = _mode_factors(spec.l, spec.w0, grid)
-    order = len(coefs) - 1
-    values = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    for k, coef in enumerate(coefs):
-        values += coef * np.outer(powers[order - k], powers[k])
-    return TransverseField(grid, values, wavelength)
+    return _sample((spec.l,), (1.0,), spec.w0, grid, wavelength)
 
 
 def synthesize(state: QuditState, w0: float, grid: GridSpec,
@@ -150,32 +162,21 @@ def synthesize(state: QuditState, w0: float, grid: GridSpec,
     Linear by construction (no output renormalization); the result has
     unit norm up to the residual grid non-orthogonality of the basis.
     """
-    total = np.zeros((grid.n, grid.n), dtype=np.complex128)
-    for coeff, charge in zip(state.coeffs, state.charges()):
-        mode = lg_field(LGModeSpec(charge, w0), grid, wavelength)
-        total = total + coeff * mode.values
-    return TransverseField(grid, total, wavelength)
+    return _sample(state.charges(), state.coeffs, w0, grid, wavelength)
 
 
 def decompose(f: TransverseField, l: int, dim: int, w0: float) -> np.ndarray:
     """Project a field onto the qudit basis; returns raw mode amplitudes <m|f>.
 
-    Each mode is separable (see :func:`_mode_factors`), so <m|f> is
-    sum_k conj(coef[k]) (powers[|l| - k])^T F powers[k] dx^2.  One pass over
+    With the separable modes of :func:`_basis`, <m_i|f> is
+    sum_jk conj(mats[i, j, k]) powers[j]^T F powers[k] dx^2.  One pass over
     the n x n field contracts it with every 1-D factor at once; no mode is
     sampled on the grid.
     """
-    charges = basis_charges(dim, l)
-    factors = [_mode_factors(charge, w0, f.grid) for charge in charges]
-    powers = max((p for _, p in factors), key=len)
+    mats, powers = _basis(basis_charges(dim, l), w0, f.grid)
     # overlaps[j, k] = powers[j]^T F powers[k]; einsum keeps BLAS threads idle
     overlaps = np.einsum("jy,yk->jk", powers, np.einsum("yx,kx->yk", f.values, powers))
-    out = np.empty(dim, dtype=np.complex128)
-    for i, (coefs, _) in enumerate(factors):
-        order = len(coefs) - 1
-        terms = np.array([overlaps[order - k, k] for k in range(order + 1)])
-        out[i] = np.sum(np.conj(coefs) * terms) * f.grid.pixel_area
-    return out
+    return np.einsum("ijk,jk->i", mats.conj(), overlaps) * f.grid.pixel_area
 
 
 def state_from_field(f: TransverseField, l: int, dim: int, w0: float) -> QuditState:

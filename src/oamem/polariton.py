@@ -9,7 +9,9 @@ The write/read pair below implements that limit: it is exactly unitary,
 and the conserved-norm split across field and matter parts is what the
 reduced propagation equation guarantees.  All efficiency loss is modeled
 downstream (empirical decay in :mod:`oamem.decoherence`), and the
-neglected free-space diffraction phase q^2 D / k_s is checked explicitly.
+neglected free-space diffraction phase q^2 D / k_s is checked explicitly,
+on the one forward spectrum per written wave (``SpinWave.spectrum``) that
+every storage time of :func:`oamem.decoherence.diffuse` reuses.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fieldgrid import GridSpec, TransverseField, spectral_energy_radius, transform_to_spectrum
+from .fieldgrid import GridSpec, TransverseField
 
 SPEED_OF_LIGHT = 299792458.0
 DIFFRACTION_PHASE_LIMIT = 0.1
@@ -91,6 +93,12 @@ class SpinWave:
         if v.shape != (self.grid.n, self.grid.n):
             raise ValueError("spin-wave shape does not match grid")
 
+    def __setstate__(self, state):
+        # unpickling skips __post_init__, so freeze its arrays here
+        for name in {"values", "spectrum"} & state.keys():
+            state[name].flags.writeable = False
+        self.__dict__.update(state)
+
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.pixel_area))
 
@@ -128,14 +136,15 @@ def write(f: TransverseField, params: MemoryParams) -> SpinWave:
     Warns when the neglected diffraction phase q^2 D / k_s exceeds 0.1
     over the occupied spectrum.
     """
-    phase = diffraction_check(params, f)
+    wave = SpinWave(f.grid, -f.values, params.delta_k, f.wavelength)
+    phase = diffraction_check(params, wave)
     if phase >= DIFFRACTION_PHASE_LIMIT:
         warnings.warn(
             f"diffraction phase q^2 D / k_s = {phase:.3g} >= {DIFFRACTION_PHASE_LIMIT}; "
             "the stored profile will not read out faithfully",
             stacklevel=2,
         )
-    return SpinWave(f.grid, -f.values, params.delta_k, f.wavelength)
+    return wave
 
 
 def read(s: SpinWave, params: MemoryParams) -> TransverseField:
@@ -143,7 +152,17 @@ def read(s: SpinWave, params: MemoryParams) -> TransverseField:
     return TransverseField(s.grid, -s.values, s.wavelength)
 
 
-def diffraction_check(params: MemoryParams, f: TransverseField) -> float:
-    """Max diffraction phase q^2 D / k_s over the 99%-energy spectrum."""
-    q99 = spectral_energy_radius(transform_to_spectrum(f), fraction=0.99)
-    return float(q99 ** 2 * params.diameter / params.k_s)
+def diffraction_check(params: MemoryParams, s: SpinWave) -> float:
+    """Max diffraction phase q^2 D / k_s over the 99%-energy spectrum.
+
+    ``s.spectrum`` is binned by the integer shell i^2 + j^2 of its frequency
+    indices; q99^2 is q_pitch^2 times the first shell to reach 99 %.
+    """
+    index = np.fft.fftfreq(s.grid.n, d=1.0 / s.grid.n).astype(np.int64)
+    shells = (index[:, None] ** 2 + index ** 2).ravel()
+    energy = np.bincount(shells, weights=(np.abs(s.spectrum) ** 2).ravel())
+    cum = np.cumsum(energy)
+    if cum[-1] == 0:
+        return 0.0
+    shell = int(np.searchsorted(cum, 0.99 * cum[-1]))
+    return float(s.grid.q_pitch ** 2 * shell * params.diameter / params.k_s)

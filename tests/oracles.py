@@ -4,8 +4,9 @@ These deliberately avoid the code paths they check: the convolution
 oracle is a dense separable matrix product in real space (no FFT), the
 longitudinal-drift oracle moves discrete atomic slices at random instead
 of using the analytic Gaussian average, the photon-statistics oracles
-are plain finite sums, and the field overlap and PGM reader work on the
-raw arrays and bytes.
+are plain finite sums, the diffraction-phase oracle sorts every pixel of
+a centered spectrum by |q|, and the field overlap and PGM reader work on
+the raw arrays and bytes.
 """
 
 import math
@@ -24,6 +25,27 @@ def direct_gaussian_convolution(values: np.ndarray, pitch: float, sigma: float) 
     kernel = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * sigma ** 2))
     kernel *= pitch / math.sqrt(2.0 * math.pi * sigma ** 2)
     return kernel @ values @ kernel.T
+
+
+def sorted_diffraction_phase(values: np.ndarray, pitch: float, diameter: float,
+                             k_s: float) -> float:
+    """q99^2 D / k_s, with q99 the smallest |q| enclosing 99 % of the spectral energy.
+
+    Centered 2-D FFT of the samples, every pixel's |q| ordered with argsort,
+    and the cumulative energy searched in that order.
+    """
+    n = values.shape[0]
+    spectrum = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(values), norm="ortho"))
+    q = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n, d=pitch))
+    qx, qy = np.meshgrid(q, q)
+    qr = np.hypot(qx, qy).ravel()
+    order = np.argsort(qr)
+    cum = np.cumsum((np.abs(spectrum) ** 2).ravel()[order])
+    if cum[-1] == 0:
+        return 0.0
+    idx = int(np.searchsorted(cum, 0.99 * cum[-1]))
+    q99 = qr[order[min(idx, qr.size - 1)]]
+    return float(q99 ** 2 * diameter / k_s)
 
 
 def overlap(a, b) -> complex:

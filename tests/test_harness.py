@@ -1,10 +1,13 @@
+import pickle
+
 import numpy as np
 import pytest
 import yaml
 
 from oamem.cli import main as cli_main
 from oamem.config import parse_config, serialize_config
-from oamem.decoherence import DiffusionParams, diffuse, magnetic_dephase
+from oamem.decoherence import (DiffusionParams, diffuse, longitudinal_drift_factor,
+                               magnetic_dephase)
 from oamem.harness import (_amplitudes, _input_field, _retrieve, _store, run_bounds_table,
                            run_field_render, run_interference_scan, run_meridian_sweep,
                            run_storage_decay, run_tomography, storage_point)
@@ -81,8 +84,9 @@ class TestWorkerCap:
         class RecordingPool:
             """Records max_workers and maps in this process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 created.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -94,10 +98,54 @@ class TestWorkerCap:
                 return map(fn, jobs)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "_WORKER_STORED", None)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         cfg = small_cfg()
         pooled = run_storage_decay(cfg, out=tmp_path / "p", parallel=10 ** 6)
         assert created == workers
+        assert pooled.summary == run_storage_decay(cfg, out=tmp_path / "s").summary
+
+
+class TestWorkerInput:
+    def test_workers_get_the_wave_once_and_run_no_forward_fft(self, monkeypatch, tmp_path):
+        # a spawning pool pickles the initializer's arguments once per worker
+        # and every job on its own: jobs carry only (index, t), and the
+        # stored wave arrives with its spectrum, so no worker transforms it
+        import oamem.harness as harness
+
+        jobs_seen, forward = [], []
+
+        class PicklingPool:
+            """Runs one worker in this process, pickling what a spawned one receives."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                self.initializer, self.initargs = initializer, pickle.dumps(initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                fft = np.fft.fft
+
+                def counted(*args, **kwargs):
+                    forward.append(args)
+                    return fft(*args, **kwargs)
+
+                monkeypatch.setattr(np.fft, "fft", counted)
+                self.initializer(*pickle.loads(self.initargs))
+                jobs_seen.extend(pickle.loads(pickle.dumps(job)) for job in jobs)
+                return [fn(job) for job in jobs_seen]
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", PicklingPool)
+        monkeypatch.setattr(harness, "_WORKER_STORED", None)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        cfg = small_cfg(storage_times=[0.0, 1e-5, 2e-5], **SENSITIVE)
+        pooled = run_storage_decay(cfg, out=tmp_path / "p", parallel=2)
+        assert jobs_seen == list(enumerate(cfg.storage_times))
+        assert forward == []
         assert pooled.summary == run_storage_decay(cfg, out=tmp_path / "s").summary
 
 
@@ -145,8 +193,8 @@ class TestPipelineComposition:
 
 class TestCallCounts:
     def test_decay_stores_once_and_projects_without_modes(self, monkeypatch, tmp_path):
-        # the t-invariant work runs once per campaign, and projection needs
-        # no sampled mode: lg_field runs only to synthesize the input field
+        # the t-invariant work runs once per campaign, and neither the input
+        # field nor the projection samples a single mode
         import oamem.harness as harness
         import oamem.modes as modes
         import oamem.polariton as polariton
@@ -163,13 +211,56 @@ class TestCallCounts:
         count(polariton.write, polariton, harness)
         count(polariton.diffraction_check, polariton)
         count(modes.lg_field, modes, harness)
+        count(modes.synthesize, modes, harness)
         cfg = small_cfg(storage_times=[0.0, 1e-5, 2e-5, 3e-5], counting={"poisson": False},
                         **SENSITIVE)
         run_storage_decay(cfg, out=tmp_path / "d")
         names = [name for name, _ in calls]
         assert names.count("write") == 1
         assert names.count("diffraction_check") == 1
-        assert sorted(args[0].l for name, args in calls if name == "lg_field") == [-1, 0, 1]
+        assert names.count("lg_field") == 0
+        assert names.count("synthesize") == 1
+
+    def test_decay_runs_one_forward_spectrum(self, monkeypatch, tmp_path):
+        # two forward 1-D passes per campaign (the written wave's spectrum,
+        # shared by the diffraction check and diffuse), two inverse 1-D
+        # passes per point with t > 0, and no 2-D transform
+        calls = {}
+
+        def count(name):
+            func = getattr(np.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return func(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, wrapper)
+
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+            count(name)
+        cfg = small_cfg(storage_times=[0.0, 1e-5, 2e-5, 3e-5], counting={"poisson": False},
+                        **SENSITIVE)
+        run_storage_decay(cfg, out=tmp_path / "d")
+        assert calls == {"fft": 2, "ifft": 2 * 3}
+
+
+class TestDriftOnAmplitudes:
+    @pytest.mark.parametrize("qudit", [QUBIT, QUTRIT], ids=["qubit", "qutrit"])
+    def test_equals_drift_on_field(self, qudit):
+        # drift is one scalar, so scaling the d amplitudes equals scaling
+        # the n x n field before projection
+        cfg = small_cfg(qudit=dict(qudit), memory={"alpha": 0.1},
+                        decoherence={"diffusion": True, "magnetic": True,
+                                     "longitudinal_drift": True},
+                        magnetic=SENSITIVE["magnetic"])
+        wave = _store(cfg)[1]
+        t_s = 2e-4
+        factor = longitudinal_drift_factor(
+            cfg.memory.delta_k, DiffusionParams(cfg.memory.temperature, cfg.memory.mass), t_s)
+        assert 0.05 < factor < 0.95
+        field = _retrieve(cfg, wave, t_s)
+        expected = _amplitudes(cfg, field.with_values(field.values * factor))
+        got = _amplitudes(cfg, field, t_s)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestCampaigns:
@@ -247,6 +338,21 @@ class TestCampaigns:
         assert cli_main(["scan", "--config", str(path), "--out", str(tmp_path / "s")]) == 3
         assert "no fringe" in capsys.readouterr().err
         assert not (tmp_path / "s" / "fit.csv").exists()
+
+    def test_overflowing_larmor_phase_exits_3(self, tmp_path, capsys):
+        # sensitivity x |B| x t overflows to inf, the phase factor to nan,
+        # and the read-out field is rejected as non-finite
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({
+            "seed": 1, "grid": {"n": 64, "extent": 3.2e-3}, "qudit": dict(QUBIT, l=1),
+            "decoherence": {"diffusion": True, "magnetic": True},
+            "magnetic": {"sensitivity": 1.0e+307, "guiding_b": 1.0},
+            "efficiency": {"eta0": 0.1, "tau": 1.0e+9},
+            "storage_times": [0.0, 1.0e+5]}))
+        with np.errstate(all="ignore"):
+            code = cli_main(["decay", "--config", str(path), "--out", str(tmp_path / "d")])
+        assert code == 3
+        assert "numerical failure: field values must be finite" in capsys.readouterr().err
 
     def test_meridian_identity(self, tmp_path):
         cfg = small_cfg(qudit=dict(QUBIT), counting={"poisson": False})

@@ -149,6 +149,16 @@ class TestSynthesize:
         with pytest.raises(GridTooSmall):
             synthesize(qubit_state(0.1, 0.0, l=3), W0, GridSpec(64, 2e-3))
 
+    @pytest.mark.parametrize("dim, l", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1)],
+                             ids=["qubit-l1", "qubit-l2", "qubit-l3", "qubit-l4", "qutrit"])
+    def test_equals_sum_of_sampled_modes(self, wide_grid, rng, dim, l):
+        # one folded K x K synthesis against the coefficient-weighted modes
+        state = QuditState(rng.normal(size=dim) + 1j * rng.normal(size=dim), l=l)
+        expected = sum(c * lg_field(LGModeSpec(charge, W0), wide_grid).values
+                       for c, charge in zip(state.coeffs, state.charges()))
+        got = synthesize(state, W0, wide_grid).values
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
 
 def test_state_from_field_round_trip(grid, rng):
     v = rng.normal(size=3) + 1j * rng.normal(size=3)

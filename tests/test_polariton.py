@@ -1,12 +1,15 @@
+import pickle
+
 import numpy as np
 import pytest
-from oracles import longitudinal_slices, monte_carlo_drift_factor, overlap, slice_readout
+from oracles import (longitudinal_slices, monte_carlo_drift_factor, overlap, slice_readout,
+                     sorted_diffraction_phase)
 
 from oamem.decoherence import DiffusionParams, diffuse, longitudinal_drift_factor
 from oamem.fieldgrid import GridSpec
 from oamem.modes import LGModeSpec, QuditState, lg_field, synthesize
-from oamem.polariton import (SPEED_OF_LIGHT, MemoryParams, diffraction_check, group_velocity,
-                             mixing_angle, read, write)
+from oamem.polariton import (SPEED_OF_LIGHT, MemoryParams, SpinWave, diffraction_check,
+                             group_velocity, mixing_angle, read, write)
 
 W0 = 250e-6
 
@@ -164,26 +167,72 @@ class TestLongitudinalDrift:
 
 class TestDiffractionCheck:
     def test_plane_wave_negligible(self, grid):
-        from oamem.fieldgrid import TransverseField
-        f = TransverseField(grid, np.ones((grid.n, grid.n)), 795e-9)
-        assert diffraction_check(MemoryParams(), f) < 1e-3
+        s = SpinWave(grid, np.ones((grid.n, grid.n)))
+        assert diffraction_check(MemoryParams(), s) < 1e-3
 
     def test_stored_mode_within_budget(self, grid):
-        f = lg_field(LGModeSpec(1, 200e-6), grid)
-        value = diffraction_check(MemoryParams(), f)
+        s = write(lg_field(LGModeSpec(1, 200e-6), grid), MemoryParams())
+        value = diffraction_check(MemoryParams(), s)
         assert value == pytest.approx(0.0829, abs=0.01)
         assert value < 0.1
 
     def test_small_waist_flagged(self):
         g = GridSpec(256, 1.6e-4)
-        f = lg_field(LGModeSpec(1, 1e-5), g)
-        assert diffraction_check(MemoryParams(), f) > 0.1
+        s = SpinWave(g, lg_field(LGModeSpec(1, 1e-5), g).values)
+        assert diffraction_check(MemoryParams(), s) > 0.1
 
     def test_write_warns_on_tight_focus(self):
         g = GridSpec(256, 1.6e-4)
         f = lg_field(LGModeSpec(1, 1e-5), g)
         with pytest.warns(UserWarning, match="diffraction phase"):
             write(f, MemoryParams())
+
+    @pytest.mark.parametrize("case", ["l0", "l1", "l-2", "l3", "tight-focus",
+                                      "off-centre", "zero"])
+    def test_matches_sorted_spectrum_oracle(self, wide_grid, rng, case):
+        # shell binning of the cached spectrum against the centered FFT
+        # with every pixel sorted by |q|
+        p = MemoryParams()
+        if case.startswith("l"):
+            values = lg_field(LGModeSpec(int(case[1:]), 200e-6), wide_grid).values
+            g = wide_grid
+        elif case == "tight-focus":
+            g = GridSpec(256, 1.6e-4)
+            values = lg_field(LGModeSpec(1, 1e-5), g).values
+        elif case == "off-centre":
+            g = GridSpec(64, 2e-3, center=(3e-4, -1e-4))
+            values = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+        else:
+            g = wide_grid
+            values = np.zeros((g.n, g.n))
+        got = diffraction_check(p, SpinWave(g, values))
+        expected = sorted_diffraction_phase(values, g.pitch, p.diameter, p.k_s)
+        assert abs(got - expected) <= 1e-12 * expected
+
+    def test_reuses_the_cached_spectrum(self, grid, monkeypatch):
+        s = write(lg_field(LGModeSpec(1, 200e-6), grid), MemoryParams())
+        spectrum = s.spectrum
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("diffraction_check ran a transform")
+
+        monkeypatch.setattr(np.fft, "fft", no_fft)
+        monkeypatch.setattr(np.fft, "fft2", no_fft)
+        diffraction_check(MemoryParams(), s)
+        assert s.spectrum is spectrum
+
+
+class TestSpinWavePickle:
+    @pytest.mark.parametrize("cached", [False, True], ids=["values", "values+spectrum"])
+    def test_unpickled_arrays_are_read_only(self, grid, cached):
+        wave = SpinWave(grid, lg_field(LGModeSpec(1, W0), grid).values)
+        if cached:
+            wave.spectrum
+        copy = pickle.loads(pickle.dumps(wave))
+        assert not copy.values.flags.writeable
+        assert np.array_equal(copy.values, wave.values)
+        assert ("spectrum" in vars(copy)) == cached
+        assert not copy.spectrum.flags.writeable
 
 
 def test_read_after_diffusion_is_field_convolution(grid):

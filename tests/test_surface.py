@@ -35,9 +35,11 @@ KEEP = {
     "modes.qutrit_state": "test-fixture constructor",
     "modes.QuditState.labels": "test-fixture basis labels",
     "fieldgrid.TransverseField.norm": "test-fixture norm",
-    "fieldgrid.SpectrumField.norm": "test-fixture norm",
     "polariton.SpinWave.norm": "test-fixture norm",
-    "harness._storage_point_star": "runs only in the worker processes of --parallel",
+    "polariton.SpinWave.__setstate__": "runs only when a wave is unpickled; a fork pool "
+                                       "hands its workers the stored wave without pickling",
+    "harness._init_worker": "runs only in the worker processes of --parallel",
+    "harness._worker_point": "runs only in the worker processes of --parallel",
     "tomography._ket": "runs at import, building the projector tables",
 }
 
