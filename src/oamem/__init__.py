@@ -20,7 +20,7 @@ from .fieldgrid import GridSpec, TransverseField, inner_product, transform_to_sp
 from .modes import LGModeSpec, QuditState, lg_field, qubit_state, qutrit_state, synthesize
 from .holography import PhaseHologram, fraunhofer, project_and_couple, qubit_hologram, qutrit_hologram
 from .polariton import MemoryParams, SpinWave, group_velocity, mixing_angle, read, write
-from .decoherence import (DiffusionParams, EfficiencyModel, MagneticModel, diffuse,
+from .decoherence import (DiffusionParams, EfficiencyModel, MagneticModel, decohere, diffuse,
                           magnetic_dephase, qutrit_nodal_shift)
 from .measurement import CountRecord, VisibilityFit, fit_visibility, polar_retrieve, simulate_counts
 from .tomography import DensityMatrix, ProjectionSet, fidelity, probabilities, reconstruct
@@ -33,7 +33,8 @@ __all__ = [
     "LGModeSpec", "QuditState", "lg_field", "qubit_state", "qutrit_state", "synthesize",
     "PhaseHologram", "qubit_hologram", "qutrit_hologram", "fraunhofer", "project_and_couple",
     "MemoryParams", "SpinWave", "mixing_angle", "group_velocity", "write", "read",
-    "DiffusionParams", "MagneticModel", "EfficiencyModel", "diffuse", "magnetic_dephase",
+    "DiffusionParams", "MagneticModel", "EfficiencyModel", "decohere", "diffuse",
+    "magnetic_dephase",
     "qutrit_nodal_shift",
     "CountRecord", "VisibilityFit", "simulate_counts", "fit_visibility", "polar_retrieve",
     "ProjectionSet", "DensityMatrix", "probabilities", "reconstruct", "fidelity",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError
 
@@ -48,17 +49,23 @@ class BoundResult:
     n_min: int
 
 
-def _poisson_pmf(n_bar: float):
-    """Yield (N, P(N)) until the remaining tail mass is below TAIL_EPS."""
+@lru_cache(maxsize=64)
+def _poisson_table(n_bar: float) -> tuple[tuple[int, float], ...]:
+    """(N, P(N)) from N = 0 until the remaining tail mass is below TAIL_EPS.
+
+    Built once per n_bar: a campaign asks for the same few values (n_bar
+    and the points of :func:`threshold_band`) at every storage time.
+    """
     p = math.exp(-n_bar)
     cumulative = p
     n = 0
-    yield n, p
+    table = [(n, p)]
     while 1.0 - cumulative > TAIL_EPS and n < _MAX_TERMS:
         n += 1
         p *= n_bar / n
         cumulative += p
-        yield n, p
+        table.append((n, p))
+    return tuple(table)
 
 
 def poisson_weighted_limit(n_bar: float) -> float:
@@ -67,9 +74,7 @@ def poisson_weighted_limit(n_bar: float) -> float:
         raise DomainError("mean photon number must be positive")
     p0 = math.exp(-n_bar)
     total = 0.0
-    for n, p in _poisson_pmf(n_bar):
-        if n == 0:
-            continue
+    for n, p in _poisson_table(n_bar)[1:]:
         total += (n + 1) / (n + 2) * p
     return total / (1.0 - p0)
 
@@ -85,7 +90,7 @@ def nmin(n_bar: float, eta_m: float) -> int:
         raise DomainError("mean photon number must be positive")
     if not 0 < eta_m <= 1:
         raise DomainError("retrieval efficiency must lie in (0, 1]")
-    terms = list(_poisson_pmf(n_bar))
+    terms = _poisson_table(n_bar)
     p0 = terms[0][1]
     budget = (1.0 - p0) * eta_m
     tail = sum(p for n, p in terms) - p0  # mass at N >= 1
@@ -106,7 +111,7 @@ def classical_limit(n_bar: float, eta_m: float) -> BoundResult:
     :func:`threshold_band` for the edges over n_bar +- uncertainty.
     """
     n_min = nmin(n_bar, eta_m)
-    terms = list(_poisson_pmf(n_bar))
+    terms = _poisson_table(n_bar)
     p0 = terms[0][1]
     tail = sum(p for n, p in terms[n_min + 1:])
     weighted_tail = sum((n + 1) / (n + 2) * p for n, p in terms[n_min + 1:])

@@ -8,13 +8,19 @@ Two physical mechanisms act on the transverse coherence pattern:
 * spatially inhomogeneous Larmor precession in the residual magnetic
   field, a pure per-pixel phase exp(i dOmega(rho) t_s).
 
-Neither channel rebuilds work that does not depend on t_s.  The forward
-spectrum of a written wave is computed once (``SpinWave.spectrum``), for
-the diffraction check of :func:`oamem.polariton.write`, and each storage
-time reuses it: it applies the separable kernel as two 1-D factors and
-inverts it in place; the Larmor map dOmega(x, y) is built once per
-(model, grid) pair and each storage time only takes cos and sin of
-dOmega t_s.
+:func:`decohere` applies both to one new n x n array per storage time,
+and neither rebuilds work that does not depend on t_s.  The blur kernel
+factors as k1(q_x) k1(q_y).  A wave synthesized from LG modes carries
+its K <= |l| + 1 separable factors (``SpinWave.factors``): the blur
+transforms the K real 1-D rows, K n log n work, and one pass rebuilds
+the n x n wave.  A wave without factors, such as a binary hologram's far
+field, whose mask is not separable, takes the spectral path: its forward
+spectrum is computed once (``SpinWave.spectrum``, which the diffraction
+check of :func:`oamem.polariton.write` also reads), and each storage time
+scales it by both kernel factors and inverts it in place.  The Larmor
+map dOmega(x, y) is built once per (model, grid) pair, and each storage
+time multiplies the wave in place by cos and sin of dOmega t_s, after
+checking that the phase is finite.
 
 End-to-end retrieval efficiency is a separate, empirical exponential
 decay fitted to two measured anchor points.
@@ -28,8 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NodalLineNotFound
-from .fieldgrid import GridSpec
+from .errors import NodalLineNotFound, NonFiniteField
+from .fieldgrid import GridSpec, Separable
 from .polariton import SpinWave
 
 BOLTZMANN = 1.380649e-23
@@ -122,57 +128,101 @@ class EfficiencyModel:
         return self.eta0 * math.exp(-t_s / self.tau)
 
 
+def decohere(s: SpinWave, t_s: float, diffusion: DiffusionParams | None = None,
+             magnetic: MagneticModel | None = None) -> SpinWave:
+    """``s`` after t_s of free expansion, then Larmor dephasing; a channel left None is off.
+
+    Builds one new n x n array: the blur writes it (or it starts as a copy
+    of ``s.values``) and the Larmor phase is applied to it in place.
+    Returns ``s`` itself when no channel changes it (t_s = 0).
+    """
+    if t_s < 0:
+        raise ValueError("storage time must be >= 0")
+    blur = diffusion is not None and t_s > 0.0
+    phase = magnetic is not None and t_s > 0.0
+    if not (blur or phase):
+        return s
+    values = _blurred(s, diffusion.sigma(t_s)) if blur else np.array(s.values)
+    if phase:
+        _dephase(values, s.grid, magnetic, t_s)
+    return s.with_values(values)
+
+
 def diffuse(s: SpinWave, p: DiffusionParams, t_s: float) -> SpinWave:
     """Free expansion of the stored coherence over t_s seconds.
 
     The spectral kernel exp(-q^2 sigma^2 / 2) is a contraction, so the
-    coherence norm never grows; t_s = 0 is the identity.  It factors as
-    k1(q_x) k1(q_y), so each call takes n exponentials, scales the cached
-    forward spectrum of ``s`` and inverts it in place.
+    coherence norm never grows; t_s = 0 is the identity.
     """
-    if t_s < 0:
-        raise ValueError("storage time must be >= 0")
-    if t_s == 0.0:
-        return s
-    sigma = p.sigma(t_s)
-    q = 2.0 * np.pi * np.fft.fftfreq(s.grid.n, d=s.grid.pitch)
+    return decohere(s, t_s, diffusion=p)
+
+
+def _blurred(s: SpinWave, sigma: float) -> np.ndarray:
+    """The values of ``s`` blurred by exp(-q^2 sigma^2 / 2), as a new array.
+
+    The kernel factors as k1(q_x) k1(q_y).  A wave with ``factors`` is
+    blurred on its K real 1-D rows (k1 is even, so they stay real) and
+    rebuilt in one pass; any other wave scales its cached forward spectrum
+    by both factors and inverts it in place.
+    """
+    n = s.grid.n
+    q = 2.0 * np.pi * np.fft.fftfreq(n, d=s.grid.pitch)
     k1 = np.exp(-0.5 * q ** 2 * sigma ** 2)
+    if s.factors is not None:
+        rows = np.fft.rfft(s.factors.rows, axis=1)
+        rows *= k1[:n // 2 + 1]
+        return Separable(np.fft.irfft(rows, n, axis=1), s.factors.mix).array()
     blurred = s.spectrum * k1
     blurred *= k1[:, None]
     np.fft.ifft(blurred, axis=1, out=blurred)
     np.fft.ifft(blurred, axis=0, out=blurred)
-    return s.with_values(blurred)
+    return blurred
 
 
 @lru_cache(maxsize=1)
-def _larmor_map(mdl: MagneticModel, grid: GridSpec) -> np.ndarray:
-    """Read-only angular shift dOmega(x, y) of ``mdl`` on ``grid``, rad/s.
+def _larmor_map(mdl: MagneticModel, grid: GridSpec) -> tuple[np.ndarray, float]:
+    """Read-only angular shift dOmega(x, y) of ``mdl`` on ``grid`` in rad/s, and max |dOmega|.
 
     Rows are y, as in ``GridSpec.mesh``; the axes broadcast, so no mesh is
-    built.  A ``field_at`` that ignores an axis may return fewer rows.
+    built.  A ``field_at`` that ignores an axis may return fewer rows.  A
+    map that overflows has a non-finite maximum, which :func:`_dephase`
+    rejects.
     """
-    omega = np.asarray(mdl.angular_shift(grid.xs()[None, :], grid.ys()[:, None]),
-                       dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = np.asarray(mdl.angular_shift(grid.xs()[None, :], grid.ys()[:, None]),
+                           dtype=np.float64)
     omega.flags.writeable = False
-    return omega
+    return omega, float(np.max(np.abs(omega)))
+
+
+# rows per block of the in-place Larmor phase: exp(i dOmega t_s) is built
+# one 64 x n block at a time, so no second n x n complex array is needed
+_PHASE_BLOCK_ROWS = 64
+
+
+def _dephase(values: np.ndarray, grid: GridSpec, mdl: MagneticModel, t_s: float) -> None:
+    """Multiply ``values`` by exp(i dOmega t_s) in place, one block of rows at a time.
+
+    Raises NonFiniteField when dOmega t_s is not finite somewhere, before
+    any cos or sin is taken.
+    """
+    omega, peak = _larmor_map(mdl, grid)
+    if not math.isfinite(peak * t_s):
+        raise NonFiniteField(f"field values must be finite: the Larmor phase dOmega t_s "
+                             f"reaches {peak * t_s:g} rad at t_s = {t_s:g} s")
+    omega = np.broadcast_to(omega, values.shape)
+    rows = min(_PHASE_BLOCK_ROWS, grid.n)
+    rot = np.empty((rows, grid.n), dtype=np.complex128)
+    for start in range(0, grid.n, rows):
+        np.multiply(omega[start:start + rows], t_s, out=rot.imag)
+        np.cos(rot.imag, out=rot.real)
+        np.sin(rot.imag, out=rot.imag)
+        values[start:start + rows] *= rot
 
 
 def magnetic_dephase(s: SpinWave, mdl: MagneticModel, t_s: float) -> SpinWave:
-    """Pixel-wise Larmor phase accumulated over t_s; magnitudes untouched.
-
-    exp(i dOmega t_s) is built in one complex array: the phase goes into
-    its imaginary part, then cos and sin overwrite both parts.
-    """
-    if t_s < 0:
-        raise ValueError("storage time must be >= 0")
-    if t_s == 0.0:
-        return s
-    rot = np.empty_like(s.values)
-    np.multiply(_larmor_map(mdl, s.grid), t_s, out=rot.imag)
-    np.cos(rot.imag, out=rot.real)
-    np.sin(rot.imag, out=rot.imag)
-    np.multiply(s.values, rot, out=rot)
-    return s.with_values(rot)
+    """Pixel-wise Larmor phase exp(i dOmega t_s) accumulated over t_s; magnitudes untouched."""
+    return decohere(s, t_s, magnetic=mdl)
 
 
 def longitudinal_drift_factor(delta_k: float, p: DiffusionParams, t_s: float) -> float:

@@ -80,10 +80,38 @@ class GridSpec:
         return 2.0 * np.pi / self.extent
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.complex128)
+def _freeze(a: np.ndarray, dtype=np.complex128) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.flags.writeable = False
     return a
+
+
+@dataclass(frozen=True)
+class Separable:
+    """An n x n array held as K 1-D rows and a K x K matrix.
+
+    ``array()`` is sum_jk rows[j, y] mix[j, k] rows[k, x] (rows are y, as
+    in ``GridSpec.mesh``), so an operator that factors over x and y acts
+    on the K rows instead of the n x n samples.  Both arrays are read-only.
+    """
+
+    rows: np.ndarray = field(repr=False)
+    mix: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", _freeze(self.rows, np.float64))
+        object.__setattr__(self, "mix", _freeze(self.mix))
+
+    def __setstate__(self, state):
+        # unpickling skips __post_init__, so freeze its arrays here
+        for a in state.values():
+            a.flags.writeable = False
+        self.__dict__.update(state)
+
+    def array(self) -> np.ndarray:
+        """The n x n array, as a new writable array."""
+        # einsum keeps BLAS threads idle
+        return np.einsum("jy,jx->yx", self.rows, np.einsum("jk,kx->jx", self.mix, self.rows))
 
 
 @dataclass(frozen=True)
@@ -91,11 +119,14 @@ class TransverseField:
     """Complex envelope sampled on a grid, with the carrier wavelength.
 
     Values are immutable after construction; operations return new fields.
+    ``factors``, when set, is ``values`` as a :class:`Separable`; any new
+    values drop it.
     """
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
     wavelength: float
+    factors: Separable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         v = _freeze(self.values)

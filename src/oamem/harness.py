@@ -20,8 +20,7 @@ import numpy as np
 from . import __version__
 from .bounds import classical_limit, threshold_band
 from .config import ExperimentConfig, config_hash
-from .decoherence import (DiffusionParams, diffuse, longitudinal_drift_factor,
-                          magnetic_dephase)
+from .decoherence import DiffusionParams, decohere, longitudinal_drift_factor
 from .errors import ConfigError
 from .fieldgrid import TransverseField, export_csv, export_pgm
 from .holography import (export_pgm_hologram, focal_basis_phases, fraunhofer,
@@ -123,19 +122,37 @@ def _store(cfg: ExperimentConfig) -> tuple[np.ndarray, SpinWave]:
 
     Prepares the configured input field and writes it once.  Returns its
     qudit-basis amplitudes (the stored state) and the written spin wave,
-    which :func:`_retrieve` decoheres and reads at each storage time.
+    which :func:`_retrieved_amplitudes` decoheres and reads at each storage
+    time.
     """
     field_in, _ = _input_field(cfg)
     return _amplitudes(cfg, field_in), write(field_in, cfg.memory)
 
 
+def _decohere(cfg: ExperimentConfig, wave: SpinWave, t_s: float) -> SpinWave:
+    """The written spin wave after t_s of the configured channels (drift: :func:`_amplitudes`)."""
+    dc = cfg.decoherence
+    return decohere(wave, t_s,
+                    DiffusionParams(cfg.memory.temperature, cfg.memory.mass)
+                    if dc.diffusion else None,
+                    cfg.magnetic if dc.magnetic else None)
+
+
 def _retrieve(cfg: ExperimentConfig, wave: SpinWave, t_s: float) -> TransverseField:
-    """Let the written spin wave decohere for t_s, and read it out (drift: :func:`_amplitudes`)."""
-    if cfg.decoherence.diffusion:
-        wave = diffuse(wave, DiffusionParams(cfg.memory.temperature, cfg.memory.mass), t_s)
-    if cfg.decoherence.magnetic:
-        wave = magnetic_dephase(wave, cfg.magnetic, t_s)
-    return read(wave, cfg.memory)
+    """Let the written spin wave decohere for t_s, and read it out."""
+    return read(_decohere(cfg, wave, t_s), cfg.memory)
+
+
+def _retrieved_amplitudes(cfg: ExperimentConfig, wave: SpinWave, t_s: float) -> np.ndarray:
+    """:func:`_amplitudes` of the field read out of ``wave`` after t_s.
+
+    Readout negates the spin wave, and projection is linear, so the sign
+    goes on the d amplitudes, exactly: the decohered n x n array is
+    projected as it is, with no negated copy.  Wrapping it in a field
+    still checks that it is finite.
+    """
+    s = _decohere(cfg, wave, t_s)
+    return -_amplitudes(cfg, TransverseField(s.grid, s.values, s.wavelength), t_s)
 
 
 def _amplitudes(cfg: ExperimentConfig, field: TransverseField, t_s: float = 0.0) -> np.ndarray:
@@ -162,7 +179,7 @@ def _measure(cfg: ExperimentConfig, wave: SpinWave, point: int, t_s: float, kets
 
     Returns (eta at t_s, records); see :func:`_count`.
     """
-    a = _amplitudes(cfg, _retrieve(cfg, wave, t_s), t_s)
+    a = _retrieved_amplitudes(cfg, wave, t_s)
     eta = cfg.efficiency.to_model()(t_s)
     return eta, _count(cfg, a, eta, point, kets)
 
@@ -321,7 +338,7 @@ def run_meridian_sweep(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Ca
     retrieved = []
     for coeffs in (((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 0.0))):
         pole = replace(cfg, qudit=replace(cfg.qudit, coeffs=coeffs))
-        retrieved.append(_amplitudes(pole, _retrieve(pole, _store(pole)[1], t_s), t_s))
+        retrieved.append(_retrieved_amplitudes(pole, _store(pole)[1], t_s))
     a_l, a_r = retrieved
     points = cfg.meridian.gamma_points
     poles = ProjectionSet.qubit().projectors[:2]

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimMismatch, GridTooSmall
-from .fieldgrid import GridSpec, TransverseField
+from .fieldgrid import GridSpec, Separable, TransverseField
 
 QUBIT_LABELS = ("L", "R")
 QUTRIT_LABELS = ("L", "G", "R")
@@ -103,7 +104,8 @@ def _support_check(l: int, w0: float, grid: GridSpec) -> None:
         )
 
 
-def _basis(charges, w0: float, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=4)
+def _basis(charges: tuple, w0: float, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The LG_{l,0} modes of ``charges`` on the grid, as separable terms.
 
     With s = sgn(l), mode l is proportional to (x + i s y)^|l| g(x) g(y),
@@ -116,6 +118,9 @@ def _basis(charges, w0: float, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     coefficients / norm on the antidiagonal of its top-left block.  The
     discrete norm expands the same way through |x + i y|^(2|l|), so it needs
     only the 1-D moments sum powers[k]^2.
+
+    Built once per (charges, w0, grid) and read-only: the input field and
+    every projection of a campaign share it.
     """
     for l in charges:
         _support_check(l, w0, grid)
@@ -130,20 +135,20 @@ def _basis(charges, w0: float, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
         binom = np.array([math.comb(abs(l), j) for j in k], dtype=np.float64)
         norm = math.sqrt(grid.pixel_area * float(np.sum(binom * moments[k] * moments[k[::-1]])))
         mat[k[::-1], k] = binom * (1j * math.copysign(1.0, l)) ** k[::-1] / norm
+    mats.flags.writeable = powers.flags.writeable = False
     return mats, powers
 
 
-def _sample(charges, weights, w0: float, grid: GridSpec, wavelength: float) -> TransverseField:
+def _sample(charges: tuple, weights, w0: float, grid: GridSpec,
+            wavelength: float) -> TransverseField:
     """sum_i weights[i] LG_{charges[i],0} on the grid, as one n x n array.
 
     The weights fold the modes of :func:`_basis` into one K x K matrix C;
-    the field is powers^T C powers.
+    the field is powers^T C powers, and keeps these factors.
     """
     mats, powers = _basis(charges, w0, grid)
-    mix = np.einsum("i,ijk->jk", weights, mats)
-    # einsum keeps BLAS threads idle
-    values = np.einsum("jy,jx->yx", powers, np.einsum("jk,kx->jx", mix, powers))
-    return TransverseField(grid, values, wavelength)
+    factors = Separable(powers, np.einsum("i,ijk->jk", weights, mats))
+    return TransverseField(grid, factors.array(), wavelength, factors)
 
 
 def lg_field(spec: LGModeSpec, grid: GridSpec, wavelength: float = 795e-9) -> TransverseField:
@@ -171,7 +176,7 @@ def decompose(f: TransverseField, l: int, dim: int, w0: float) -> np.ndarray:
     With the separable modes of :func:`_basis`, <m_i|f> is
     sum_jk conj(mats[i, j, k]) powers[j]^T F powers[k] dx^2.  One pass over
     the n x n field contracts it with every 1-D factor at once; no mode is
-    sampled on the grid.
+    sampled on the grid, and the factors are the cached ones of the basis.
     """
     mats, powers = _basis(basis_charges(dim, l), w0, f.grid)
     # overlaps[j, k] = powers[j]^T F powers[k]; einsum keeps BLAS threads idle

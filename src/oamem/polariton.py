@@ -10,8 +10,12 @@ and the conserved-norm split across field and matter parts is what the
 reduced propagation equation guarantees.  All efficiency loss is modeled
 downstream (empirical decay in :mod:`oamem.decoherence`), and the
 neglected free-space diffraction phase q^2 D / k_s is checked explicitly,
-on the one forward spectrum per written wave (``SpinWave.spectrum``) that
-every storage time of :func:`oamem.decoherence.diffuse` reuses.
+on the one forward spectrum per written wave (``SpinWave.spectrum``).  A
+field synthesized from LG modes is separable (:class:`~oamem.fieldgrid.Separable`);
+``write`` keeps its factors on the spin wave, so that the thermal blur of
+:func:`oamem.decoherence.diffuse` runs on K 1-D rows.  A wave without
+factors, such as the far field of a binary hologram, is blurred on the
+cached spectrum instead.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fieldgrid import GridSpec, TransverseField
+from .fieldgrid import GridSpec, Separable, TransverseField
 
 SPEED_OF_LIGHT = 299792458.0
 DIFFRACTION_PHASE_LIMIT = 0.1
@@ -78,13 +82,17 @@ class SpinWave:
     ``values`` is the transverse profile.  Along z the coherence carries
     exp(-i dk z), which forward readout undoes exactly; the loss when
     atoms drift along z during storage is the analytic
-    :func:`oamem.decoherence.longitudinal_drift_factor`.
+    :func:`oamem.decoherence.longitudinal_drift_factor`.  ``factors``,
+    when set, is ``values`` as a :class:`~oamem.fieldgrid.Separable`, and
+    :func:`oamem.decoherence.diffuse` blurs its 1-D rows; new values
+    (``with_values``) drop it.
     """
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
     delta_k: float = 0.0
     wavelength: float = 795e-9
+    factors: Separable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.complex128)
@@ -134,9 +142,10 @@ def write(f: TransverseField, params: MemoryParams) -> SpinWave:
     """Map an optical envelope onto the spin wave (unit write efficiency).
 
     Warns when the neglected diffraction phase q^2 D / k_s exceeds 0.1
-    over the occupied spectrum.
+    over the occupied spectrum.  The spin wave is -f, factors included.
     """
-    wave = SpinWave(f.grid, -f.values, params.delta_k, f.wavelength)
+    factors = None if f.factors is None else Separable(f.factors.rows, -f.factors.mix)
+    wave = SpinWave(f.grid, -f.values, params.delta_k, f.wavelength, factors)
     phase = diffraction_check(params, wave)
     if phase >= DIFFRACTION_PHASE_LIMIT:
         warnings.warn(
@@ -148,7 +157,11 @@ def write(f: TransverseField, params: MemoryParams) -> SpinWave:
 
 
 def read(s: SpinWave, params: MemoryParams) -> TransverseField:
-    """Forward readout of a (possibly decohered) spin wave."""
+    """Forward readout of a (possibly decohered) spin wave: the field -s.
+
+    The readout is linear, so a caller that only projects the field can
+    project ``s.values`` and negate the amplitudes instead of the samples.
+    """
     return TransverseField(s.grid, -s.values, s.wavelength)
 
 

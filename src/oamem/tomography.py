@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,18 +54,23 @@ QUTRIT_PROJECTORS = (
 
 @dataclass(frozen=True)
 class ProjectionSet:
-    """Labeled pure-state projectors used for tomography."""
+    """Labeled pure-state projectors used for tomography.
+
+    ``qubit()`` and ``qutrit()`` return one shared instance each, so the
+    least-squares design of :func:`reconstruct`, cached per instance, is
+    built once per process.
+    """
 
     dim: int
     projectors: tuple
 
     @classmethod
     def qubit(cls) -> "ProjectionSet":
-        return cls(2, QUBIT_PROJECTORS)
+        return _QUBIT_SET
 
     @classmethod
     def qutrit(cls) -> "ProjectionSet":
-        return cls(3, QUTRIT_PROJECTORS)
+        return _QUTRIT_SET
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -73,6 +79,42 @@ class ProjectionSet:
     @property
     def pole_labels(self) -> tuple[str, ...]:
         return ("L", "R") if self.dim == 2 else ("L", "G", "R")
+
+    @cached_property
+    def design(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, bool]:
+        """Read-only traceless orthonormal Hermitian basis (generalized
+        Pauli/Gell-Mann), the rows tr(op |psi_i><psi_i|) over it, and whether
+        they determine the state (full rank)."""
+        dim = self.dim
+        basis = []
+        for k in range(dim):
+            for m in range(k + 1, dim):
+                sym = np.zeros((dim, dim), dtype=np.complex128)
+                sym[k, m] = sym[m, k] = 1.0 / math.sqrt(2.0)
+                basis.append(sym)
+                asym = np.zeros((dim, dim), dtype=np.complex128)
+                asym[k, m] = -1j / math.sqrt(2.0)
+                asym[m, k] = 1j / math.sqrt(2.0)
+                basis.append(asym)
+        for k in range(1, dim):
+            diag = np.zeros((dim, dim), dtype=np.complex128)
+            diag[:k, :k] = np.eye(k)
+            diag[k, k] = -k
+            diag /= math.sqrt(k * (k + 1))
+            basis.append(diag)
+        basis = tuple(basis)
+        rows = []
+        for _, psi in self.projectors:
+            proj = np.outer(psi, psi.conj())
+            rows.append([float(np.real(np.trace(op @ proj))) for op in basis])
+        rows = np.array(rows)
+        for a in basis + (rows,):
+            a.flags.writeable = False
+        return basis, rows, bool(np.linalg.matrix_rank(rows) == dim * dim - 1)
+
+
+_QUBIT_SET = ProjectionSet(2, QUBIT_PROJECTORS)
+_QUTRIT_SET = ProjectionSet(3, QUTRIT_PROJECTORS)
 
 
 @dataclass(frozen=True)
@@ -119,37 +161,6 @@ def probabilities(rho: DensityMatrix, pset: ProjectionSet) -> list[float]:
     return out
 
 
-def _hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Traceless orthonormal Hermitian basis (generalized Pauli/Gell-Mann)."""
-    basis = []
-    for k in range(dim):
-        for m in range(k + 1, dim):
-            sym = np.zeros((dim, dim), dtype=np.complex128)
-            sym[k, m] = sym[m, k] = 1.0 / math.sqrt(2.0)
-            basis.append(sym)
-            asym = np.zeros((dim, dim), dtype=np.complex128)
-            asym[k, m] = -1j / math.sqrt(2.0)
-            asym[m, k] = 1j / math.sqrt(2.0)
-            basis.append(asym)
-    for k in range(1, dim):
-        diag = np.zeros((dim, dim), dtype=np.complex128)
-        diag[:k, :k] = np.eye(k)
-        diag[k, k] = -k
-        diag /= math.sqrt(k * (k + 1))
-        basis.append(diag)
-    return basis
-
-
-def _traceless_design(pset: ProjectionSet) -> tuple[list[np.ndarray], np.ndarray]:
-    """Traceless Hermitian basis and rows tr(op |psi_i><psi_i|) over it."""
-    basis = _hermitian_basis(pset.dim)
-    rows = []
-    for _, psi in pset.projectors:
-        proj = np.outer(psi, psi.conj())
-        rows.append([float(np.real(np.trace(op @ proj))) for op in basis])
-    return basis, np.array(rows)
-
-
 def _project_to_physical(m: np.ndarray) -> np.ndarray:
     """Clip negative eigenvalues and renormalize the trace to 1."""
     m = (m + m.conj().T) / 2.0
@@ -175,8 +186,8 @@ def _least_squares(records, pset: ProjectionSet) -> tuple[np.ndarray, np.ndarray
     probs = np.array([by_label[lab].counts / reference for lab in pset.labels])
 
     dim = pset.dim
-    basis, design = _traceless_design(pset)
-    if np.linalg.matrix_rank(design) < dim * dim - 1:
+    basis, design, determined = pset.design
+    if not determined:
         raise InsufficientData("projector set does not determine the state")
     coeffs, *_ = np.linalg.lstsq(design, probs - 1.0 / dim, rcond=None)
     raw = np.eye(dim, dtype=np.complex128) / dim
@@ -266,6 +277,16 @@ def export_density_csv(rho: DensityMatrix, path) -> None:
                 w.writerow([i, j, repr(float(v.real)), repr(float(v.imag))])
 
 
+def _signed(x: float) -> str:
+    """``x`` as +0.000000, with no sign on a value that prints as zero.
+
+    Rounding noise of either sign (rho's diagonal keeps imaginary parts
+    near 1e-17) then prints the same.
+    """
+    text = f"{x:+.6f}"
+    return "+" + text[1:] if float(text) == 0.0 else text
+
+
 def tomography_report(pset: ProjectionSet, records, probs, rho: DensityMatrix,
                       fid: float) -> str:
     """Human-readable reconstruction summary."""
@@ -275,6 +296,7 @@ def tomography_report(pset: ProjectionSet, records, probs, rho: DensityMatrix,
         lines.append(f"{label:<8} {by_label[label].counts:<13g} {p:.6f}")
     lines.append("rho =")
     for i in range(rho.dim):
-        lines.append("  " + "  ".join(f"{rho.matrix[i, j]:+.6f}" for j in range(rho.dim)))
+        lines.append("  " + "  ".join(f"{_signed(z.real)}{_signed(z.imag)}j"
+                                      for z in rho.matrix[i]))
     lines.append(f"fidelity = {fid:.6f}")
     return "\n".join(lines)

@@ -3,7 +3,7 @@ import pytest
 from oracles import (brute_classical_limit, brute_nmin, brute_weighted_limit,
                      poisson_terms)
 
-from oamem.bounds import (PhotonStatistics, classical_limit, nmin,
+from oamem.bounds import (PhotonStatistics, _poisson_table, classical_limit, nmin,
                           poisson_weighted_limit, threshold_band)
 from oamem.decoherence import EfficiencyModel
 from oamem.errors import DomainError
@@ -31,6 +31,14 @@ class TestPoissonWeightedLimit:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             poisson_weighted_limit(0.0)
+
+
+def test_poisson_table_built_once_per_mean():
+    table = _poisson_table(1.6)
+    assert _poisson_table(1.6) is table
+    assert [n for n, _ in table] == list(range(len(table)))
+    assert [p for _, p in table] == pytest.approx(poisson_terms(1.6, len(table) - 1),
+                                                  rel=1e-12)
 
 
 class TestNmin:

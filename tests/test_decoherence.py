@@ -3,9 +3,9 @@ import pytest
 from oracles import direct_gaussian_convolution, overlap
 
 from oamem.decoherence import (BOLTZMANN, DiffusionParams, EfficiencyModel, MagneticModel,
-                               _larmor_map, diffuse, longitudinal_drift_factor,
+                               _larmor_map, decohere, diffuse, longitudinal_drift_factor,
                                magnetic_dephase, qutrit_nodal_shift)
-from oamem.errors import NodalLineNotFound
+from oamem.errors import NodalLineNotFound, NonFiniteField
 from oamem.fieldgrid import GridSpec
 from oamem.modes import LGModeSpec, lg_field, qubit_state, qutrit_state, synthesize
 from oamem.polariton import MemoryParams, SpinWave, read, write
@@ -88,13 +88,16 @@ class TestDiffuse:
         with pytest.raises(ValueError):
             diffuse(s, diffusion, -1e-6)
 
-    @pytest.mark.parametrize("l", [0, 1, 2])
-    def test_lg_amplitude_closed_form(self, diffusion, l):
+    @pytest.mark.parametrize("l, factored", [
+        pytest.param(l, factored, id=f"factored-{l}" if factored else str(l))
+        for factored in (False, True) for l in (0, 1, 2)])
+    def test_lg_amplitude_closed_form(self, diffusion, l, factored):
         # the blur multiplies |F(q)|^2 ~ q^2|l| exp(-q^2 w0^2 / 2) by
-        # exp(-q^2 sigma^2 / 2), so <LG_l|blurred LG_l> = (1 + sigma^2/w0^2)^-(|l|+1)
+        # exp(-q^2 sigma^2 / 2), so <LG_l|blurred LG_l> = (1 + sigma^2/w0^2)^-(|l|+1),
+        # on the spectral path (a plain wave) and on the mode factors
         g = GridSpec(512, 3.2e-3)
         f = lg_field(LGModeSpec(l, W0), g)
-        s = SpinWave(g, f.values)
+        s = SpinWave(g, f.values, factors=f.factors if factored else None)
         for t_s in (0.3e-3, 1e-3, 2e-3):
             amp = np.vdot(f.values, diffuse(s, diffusion, t_s).values) * g.pixel_area
             expected = (1.0 + diffusion.sigma(t_s) ** 2 / W0 ** 2) ** -(abs(l) + 1)
@@ -110,6 +113,22 @@ class TestDiffuse:
                                                               * sigma ** 2))
         got = diffuse(s, diffusion, 3e-4).values
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("state", [
+        *(pytest.param(qubit_state(1.1, 0.4, l=l), id=f"qubit-l{l}") for l in (1, 2, 3, 4)),
+        pytest.param(qutrit_state(0.8, 0.5j, -0.3 + 0.2j, l=2), id="qutrit")])
+    def test_factored_equals_spectral(self, wide_grid, diffusion, state):
+        # the blur of the K mode factors against the 2-D spectral path on the
+        # same samples
+        f = synthesize(state, 200e-6, wide_grid)
+        s = SpinWave(wide_grid, f.values, factors=f.factors)
+        assert s.factors.rows.shape == (max(abs(c) for c in state.charges()) + 1, wide_grid.n)
+        plain = SpinWave(wide_grid, s.values)
+        for t_s in (1e-4, 5e-4, 1e-3, 2e-3):
+            spectral = diffuse(plain, diffusion, t_s).values
+            got = diffuse(s, diffusion, t_s)
+            assert got.factors is None
+            assert np.max(np.abs(got.values - spectral)) <= 1e-13 * np.max(np.abs(spectral))
 
     def test_spectrum_cached_and_read_only(self, grid, diffusion):
         s = stored(synthesize(qubit_state(np.pi / 3, 1.0, l=2), W0, grid))
@@ -165,6 +184,25 @@ class TestDarkLines:
             qutrit_nodal_shift(s, s)
 
 
+class TestDecohere:
+    def test_equals_the_channels_in_turn(self, grid, diffusion):
+        # one array for both channels, the same numbers as blur, then phase
+        s = stored(synthesize(qutrit_state(1, 0.5, 1j, l=1), W0, grid))
+        mdl = MagneticModel(guiding_b=2e-5, sensitivity=5e9, center=(3e-4, -2e-4))
+        for t_s in (0.0, 1e-5, 2e-4):
+            both = decohere(s, t_s, diffusion, mdl)
+            assert np.array_equal(both.values,
+                                  magnetic_dephase(diffuse(s, diffusion, t_s), mdl, t_s).values)
+        assert decohere(s, 0.0, diffusion, mdl) is s
+        assert decohere(s, 1e-4) is s
+
+    def test_overflowing_phase_raises_before_cos(self, grid):
+        s = stored(lg_field(LGModeSpec(1, W0), grid))
+        mdl = MagneticModel(sensitivity=1e307, guiding_b=1.0)
+        with pytest.raises(NonFiniteField, match="field values must be finite: the Larmor"):
+            decohere(s, 1e5, magnetic=mdl)
+
+
 class TestMagneticDephase:
     def test_clock_states_identity(self, grid):
         s = stored(synthesize(qubit_state(np.pi / 2, 0.0, l=2), W0, grid))
@@ -217,7 +255,7 @@ class TestMagneticDephase:
 
         s = stored(synthesize(qubit_state(np.pi / 2, 0.3, l=2), W0, grid))
         mdl = Ramp(sensitivity=1.0)
-        assert _larmor_map(mdl, grid).shape == (1, grid.n)
+        assert _larmor_map(mdl, grid)[0].shape == (1, grid.n)
         expected = self.reference(s, mdl, 0.7)
         got = magnetic_dephase(s, mdl, 0.7).values
         assert got.shape == (grid.n, grid.n)
@@ -239,9 +277,9 @@ class TestMagneticDephase:
     def test_larmor_map_read_only(self, grid):
         mdl = MagneticModel(sensitivity=5e9, center=[3e-4, 0.0])
         assert mdl.center == (3e-4, 0.0)
-        omega = _larmor_map(mdl, grid)
+        omega, _ = _larmor_map(mdl, grid)
         assert not omega.flags.writeable
-        assert _larmor_map(mdl, grid) is omega
+        assert _larmor_map(mdl, grid)[0] is omega
 
     def test_zero_time_returns_wave(self, grid):
         s = stored(lg_field(LGModeSpec(1, W0), grid))

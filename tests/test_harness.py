@@ -1,21 +1,28 @@
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import oamem
 from oamem.cli import main as cli_main
 from oamem.config import parse_config, serialize_config
 from oamem.decoherence import (DiffusionParams, diffuse, longitudinal_drift_factor,
                                magnetic_dephase)
-from oamem.harness import (_amplitudes, _input_field, _retrieve, _store, run_bounds_table,
-                           run_field_render, run_interference_scan, run_meridian_sweep,
-                           run_storage_decay, run_tomography, storage_point)
+from oamem.harness import (_amplitudes, _input_field, _retrieve, _retrieved_amplitudes, _store,
+                           run_bounds_table, run_field_render, run_interference_scan,
+                           run_meridian_sweep, run_storage_decay, run_tomography, storage_point)
 from oamem.holography import focal_basis_phases, project_and_couple
 from oamem.measurement import simulate_counts
 from oamem.modes import QuditState, decompose, synthesize
 from oamem.polariton import read, write
 from oamem.tomography import DensityMatrix, ProjectionSet, fidelity, reconstruct
+
+SRC = str(Path(oamem.__file__).resolve().parents[1])
 
 QUTRIT = {"dim": 3, "l": 1, "waist": 250e-6,
           "coeffs": [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]}
@@ -177,6 +184,17 @@ class TestPipelineComposition:
         assert got["f_abs"] == f_abs
         assert got["eta"] == eta
 
+    @pytest.mark.parametrize("kind", ["ideal", "hologram"])
+    def test_readout_sign_on_amplitudes_is_exact(self, kind):
+        # projecting the decohered spin wave and negating the d amplitudes
+        # gives the amplitudes of the read-out (negated) field, bit for bit
+        cfg = small_cfg(grid=README_GRID, counting={"poisson": False},
+                        source={"kind": kind, "input_waist": 5.0e-4, "focal": 0.5}, **SENSITIVE)
+        wave = _store(cfg)[1]
+        for t_s in (0.0, 2e-5):
+            assert np.array_equal(_retrieved_amplitudes(cfg, wave, t_s),
+                                  _amplitudes(cfg, _retrieve(cfg, wave, t_s), t_s))
+
     @pytest.mark.parametrize("qudit", [QUBIT, QUTRIT], ids=["qubit", "qutrit"])
     def test_linear_projection_matches_project_and_couple(self, qudit):
         # psi^H decompose(f) against the synthesized-projector overlap, on a
@@ -221,26 +239,47 @@ class TestCallCounts:
         assert names.count("lg_field") == 0
         assert names.count("synthesize") == 1
 
-    def test_decay_runs_one_forward_spectrum(self, monkeypatch, tmp_path):
-        # two forward 1-D passes per campaign (the written wave's spectrum,
-        # shared by the diffraction check and diffuse), two inverse 1-D
-        # passes per point with t > 0, and no 2-D transform
-        calls = {}
+    @staticmethod
+    def fft_calls(monkeypatch, cfg, tmp_path):
+        """(name, input shape) of every np.fft call a decay campaign makes."""
+        calls = []
 
         def count(name):
             func = getattr(np.fft, name)
 
-            def wrapper(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return func(*args, **kwargs)
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return func(a, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, wrapper)
 
-        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "fftn", "ifftn",
+                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
             count(name)
+        run_storage_decay(cfg, out=tmp_path / "d")
+        return calls
+
+    def test_decay_runs_one_forward_spectrum(self, monkeypatch, tmp_path):
+        # an ideal source: two forward n x n passes per campaign (the written
+        # wave's spectrum, for the diffraction check), then per point with
+        # t > 0 one rfft and one irfft of the K x n mode factors; no point
+        # transforms an n x n array
         cfg = small_cfg(storage_times=[0.0, 1e-5, 2e-5, 3e-5], counting={"poisson": False},
                         **SENSITIVE)
-        run_storage_decay(cfg, out=tmp_path / "d")
-        assert calls == {"fft": 2, "ifft": 2 * 3}
+        n, k = cfg.grid.n, cfg.qudit.l + 1
+        calls = self.fft_calls(monkeypatch, cfg, tmp_path)
+        assert calls == [("fft", (n, n))] * 2 + [("rfft", (k, n)), ("irfft", (k, n // 2 + 1))] * 3
+
+    def test_hologram_decay_inverts_the_spectrum(self, monkeypatch, tmp_path):
+        # a hologram's far field has no factors: one centered transform for
+        # the lens, the two forward passes of the spectrum, and two n x n
+        # inverse passes per point with t > 0
+        cfg = small_cfg(grid=README_GRID, storage_times=[0.0, 1e-5, 2e-5, 3e-5],
+                        counting={"poisson": False},
+                        source={"kind": "hologram", "input_waist": 5.0e-4, "focal": 0.5},
+                        **SENSITIVE)
+        n = cfg.grid.n
+        calls = self.fft_calls(monkeypatch, cfg, tmp_path)
+        assert calls == [("fft2", (n, n))] + [("fft", (n, n))] * 2 + [("ifft", (n, n))] * 6
 
 
 class TestDriftOnAmplitudes:
@@ -339,9 +378,9 @@ class TestCampaigns:
         assert "no fringe" in capsys.readouterr().err
         assert not (tmp_path / "s" / "fit.csv").exists()
 
-    def test_overflowing_larmor_phase_exits_3(self, tmp_path, capsys):
-        # sensitivity x |B| x t overflows to inf, the phase factor to nan,
-        # and the read-out field is rejected as non-finite
+    def test_overflowing_larmor_phase_exits_3(self, tmp_path):
+        # sensitivity x |B| x t overflows to inf: the phase is checked before
+        # cos and sin, so the CLI prints no numpy warning, only the failure
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump({
             "seed": 1, "grid": {"n": 64, "extent": 3.2e-3}, "qudit": dict(QUBIT, l=1),
@@ -349,10 +388,13 @@ class TestCampaigns:
             "magnetic": {"sensitivity": 1.0e+307, "guiding_b": 1.0},
             "efficiency": {"eta0": 0.1, "tau": 1.0e+9},
             "storage_times": [0.0, 1.0e+5]}))
-        with np.errstate(all="ignore"):
-            code = cli_main(["decay", "--config", str(path), "--out", str(tmp_path / "d")])
-        assert code == 3
-        assert "numerical failure: field values must be finite" in capsys.readouterr().err
+        proc = subprocess.run([sys.executable, "-m", "oamem.cli", "decay", "--config", str(path),
+                               "--out", str(tmp_path / "d")], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+        assert proc.returncode == 3
+        assert "numerical failure: field values must be finite" in proc.stderr
+        assert "Larmor phase" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_meridian_identity(self, tmp_path):
         cfg = small_cfg(qudit=dict(QUBIT), counting={"poisson": False})

@@ -234,6 +234,28 @@ class TestSpinWavePickle:
         assert ("spectrum" in vars(copy)) == cached
         assert not copy.spectrum.flags.writeable
 
+    def test_unpickled_factors_are_read_only(self, grid):
+        wave = write(lg_field(LGModeSpec(2, W0), grid), MemoryParams())
+        copy = pickle.loads(pickle.dumps(wave))
+        for name in ("rows", "mix"):
+            assert not getattr(copy.factors, name).flags.writeable
+            assert np.array_equal(getattr(copy.factors, name), getattr(wave.factors, name))
+        assert not copy.values.flags.writeable
+
+
+class TestFactors:
+    def test_write_keeps_the_negated_factors(self, grid):
+        f = synthesize(QuditState(np.array([1.0, 0.5j]), l=2), W0, grid)
+        wave = write(f, MemoryParams())
+        assert np.array_equal(wave.factors.array(), wave.values)
+        assert np.array_equal(wave.values, -f.values)
+
+    def test_new_values_drop_the_factors(self, grid):
+        f = lg_field(LGModeSpec(1, W0), grid)
+        assert f.factors is not None
+        assert f.with_values(f.values).factors is None
+        assert write(f, MemoryParams()).with_values(f.values).factors is None
+
 
 def test_read_after_diffusion_is_field_convolution(grid):
     # storing, expanding, and reading equals blurring the input directly,

@@ -24,6 +24,10 @@ KEEP = {
     "fieldgrid.inner_product": "rebound by name in perfbench/tracer.py",
     "holography.project_and_couple": "rebound by name in perfbench/tracer.py",
     "modes.state_from_field": "rebound by name in perfbench/tracer.py",
+    "decoherence.diffuse": "rebound by name in perfbench/tracer.py; campaigns run both "
+                           "channels through decoherence.decohere",
+    "decoherence.magnetic_dephase": "rebound by name in perfbench/tracer.py; campaigns run "
+                                    "both channels through decoherence.decohere",
     "decoherence.qutrit_nodal_shift": "backs the dark-line invariance acceptance criterion",
     "decoherence._nodal_position": "backs the dark-line invariance acceptance criterion",
     "tomography.resample_records": "Poisson bootstrap for fidelity error bars (ROADMAP item 3)",
@@ -38,6 +42,8 @@ KEEP = {
     "polariton.SpinWave.norm": "test-fixture norm",
     "polariton.SpinWave.__setstate__": "runs only when a wave is unpickled; a fork pool "
                                        "hands its workers the stored wave without pickling",
+    "fieldgrid.Separable.__setstate__": "runs only when a wave's factors are unpickled, as "
+                                        "polariton.SpinWave.__setstate__",
     "harness._init_worker": "runs only in the worker processes of --parallel",
     "harness._worker_point": "runs only in the worker processes of --parallel",
     "tomography._ket": "runs at import, building the projector tables",

@@ -247,3 +247,26 @@ def test_exports(tmp_path, rng):
     report = tomography_report(pset, records, probs, rho, 0.998)
     assert "fidelity = 0.998" in report
     assert "L+iR" in report
+
+
+def test_report_prints_no_sign_of_rounding_noise():
+    # reconstructed rho keeps imaginary parts of about 1e-17 on its diagonal;
+    # their sign must not reach the report
+    pset = ProjectionSet.qubit()
+    base = np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]], dtype=complex)
+    reports = []
+    for noise in (1e-17, -1e-17):
+        rho = DensityMatrix(base + np.diag([1j * noise, -1j * noise]))
+        probs = probabilities(rho, pset)
+        reports.append(tomography_report(pset, records_from_probs(pset, probs, 1000),
+                                         probs, rho, 0.99))
+    assert reports[0] == reports[1]
+    assert "+0.700000+0.000000j  +0.100000-0.200000j" in reports[0]
+
+
+def test_design_built_once_per_projection_set():
+    assert ProjectionSet.qubit() is ProjectionSet.qubit()
+    basis, rows, determined = ProjectionSet.qutrit().design
+    assert ProjectionSet.qutrit().design[1] is rows
+    assert determined and rows.shape == (9, 8) and not rows.flags.writeable
+    assert not ProjectionSet(2, QUBIT_PROJECTORS[:3]).design[2]
