@@ -36,7 +36,7 @@ class QuditConfig:
     """State under test: dimension, charge, waist, and coefficients.
 
     Qubits may be given as Bloch angles (gamma, beta) instead of explicit
-    coefficients; coefficients are [re, im] pairs in basis order.
+    coefficients, not as both; coefficients are [re, im] pairs in basis order.
     """
 
     dim: int = 2
@@ -53,6 +53,8 @@ class QuditConfig:
             raise ConfigError("qudit needs coeffs, or Bloch angles for a qubit")
         if self.coeffs is not None and len(self.coeffs) != self.dim:
             raise ConfigError("qudit coeffs length must equal dim")
+        if self.coeffs is not None and (self.gamma, self.beta) != (None, None):
+            raise ConfigError("qudit takes coeffs or Bloch angles, not both")
         if not self.waist > 0:
             raise ConfigError("qudit waist must be positive")
 
@@ -72,14 +74,24 @@ class DecoherenceConfig:
 
 @dataclass(frozen=True)
 class EfficiencyConfig:
-    """Either explicit (eta0, tau) or two (t_s, eta) anchor points."""
+    """Either explicit (eta0, tau) or two (t_s, eta) anchor points.
+
+    With (eta0, tau), ``anchors`` must keep its default, which serializing
+    the section writes out.
+    """
 
     eta0: float | None = None
     tau: float | None = None
     anchors: tuple[tuple[float, float], ...] = DEFAULT_EFFICIENCY_ANCHORS
 
+    def __post_init__(self):
+        if (self.eta0 is None) != (self.tau is None):
+            raise ConfigError("efficiency needs both eta0 and tau, or neither")
+        if self.eta0 is not None and self.anchors != DEFAULT_EFFICIENCY_ANCHORS:
+            raise ConfigError("efficiency takes (eta0, tau) or anchors, not both")
+
     def to_model(self) -> EfficiencyModel:
-        if self.eta0 is not None and self.tau is not None:
+        if self.eta0 is not None:
             return EfficiencyModel(eta0=self.eta0, tau=self.tau)
         early, late = self.anchors
         return EfficiencyModel.from_anchors(tuple(early), tuple(late))
@@ -99,6 +111,10 @@ class CountingSection:
             raise ConfigError("counting pulses must be >= 1")
         if not self.bg_rate >= 0:
             raise ConfigError("counting bg_rate must be >= 0")
+        if not self.acquisition > 0:
+            raise ConfigError("counting acquisition must be positive")
+        if self.bg_rate > 0 and not self.poisson:
+            raise ConfigError("counting bg_rate needs poisson counting")
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,21 @@ Two physical mechanisms act on the transverse coherence pattern:
   field, a pure per-pixel phase exp(i dOmega(rho) t_s).
 
 :func:`decohere` applies both to one new n x n array per storage time,
-and neither rebuilds work that does not depend on t_s.  The blur kernel
-factors as k1(q_x) k1(q_y).  A wave synthesized from LG modes carries
-its K <= |l| + 1 separable factors (``SpinWave.factors``): the blur
-transforms the K real 1-D rows, K n log n work, and one pass rebuilds
-the n x n wave.  A wave without factors, such as a binary hologram's far
-field, whose mask is not separable, takes the spectral path: its forward
-spectrum is computed once (``SpinWave.spectrum``, which the diffraction
-check of :func:`oamem.polariton.write` also reads), and each storage time
-scales it by both kernel factors and inverts it in place.  The Larmor
-map dOmega(x, y) is built once per (model, grid) pair, and each storage
-time multiplies the wave in place by cos and sin of dOmega t_s, after
+and neither rebuilds work that does not depend on t_s.  The spin wave is
+a :class:`~oamem.fieldgrid.TransverseField`, and the blur reads the
+ensemble's temperature and mass from the memory's
+:class:`~oamem.polariton.MemoryParams` (``MemoryParams.sigma``).  The
+blur kernel factors as k1(q_x) k1(q_y).  A wave synthesized from LG
+modes carries its K <= |l| + 1 separable factors
+(``TransverseField.factors``): the blur transforms the K real 1-D rows,
+K n log n work, and one pass rebuilds the n x n wave.  A wave without
+factors, such as a binary hologram's far field, whose mask is not
+separable, takes the spectral path: its forward spectrum is computed
+once (``TransverseField.spectrum``, which the diffraction check of
+:func:`oamem.polariton.write` also reads), and each storage time scales
+it by both kernel factors and inverts it in place.  The Larmor map
+dOmega(x, y) is built once per (model, grid) pair, and each storage time
+multiplies the wave in place by cos and sin of dOmega t_s, after
 checking that the phase is finite.
 
 End-to-end retrieval efficiency is a separate, empirical exponential
@@ -35,29 +39,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NodalLineNotFound, NonFiniteField
-from .fieldgrid import GridSpec, Separable
-from .polariton import SpinWave
-
-BOLTZMANN = 1.380649e-23
+from .fieldgrid import GridSpec, Separable, TransverseField
+from .polariton import MemoryParams
 
 # reference end-to-end efficiencies used as default decay anchors
 DEFAULT_EFFICIENCY_ANCHORS = ((10e-6, 0.1074), (400e-6, 0.0473))
-
-
-@dataclass(frozen=True)
-class DiffusionParams:
-    """Thermal expansion inputs: temperature (K) and atomic mass (kg)."""
-
-    temperature: float = 100e-6
-    mass: float = 1.4099932e-25
-
-    def __post_init__(self):
-        if not (self.temperature > 0 and self.mass > 0):
-            raise ValueError("diffusion parameters must be positive")
-
-    def sigma(self, t_s: float) -> float:
-        """Per-axis ballistic spread t_s * sqrt(k_B T / m), meters."""
-        return t_s * math.sqrt(BOLTZMANN * self.temperature / self.mass)
 
 
 @dataclass(frozen=True)
@@ -128,13 +114,15 @@ class EfficiencyModel:
         return self.eta0 * math.exp(-t_s / self.tau)
 
 
-def decohere(s: SpinWave, t_s: float, diffusion: DiffusionParams | None = None,
-             magnetic: MagneticModel | None = None) -> SpinWave:
+def decohere(s: TransverseField, t_s: float, diffusion: MemoryParams | None = None,
+             magnetic: MagneticModel | None = None) -> TransverseField:
     """``s`` after t_s of free expansion, then Larmor dephasing; a channel left None is off.
 
+    ``diffusion`` is the memory whose temperature and mass set the blur.
     Builds one new n x n array: the blur writes it (or it starts as a copy
-    of ``s.values``) and the Larmor phase is applied to it in place.
-    Returns ``s`` itself when no channel changes it (t_s = 0).
+    of ``s.values``) and the Larmor phase is applied to it in place; the
+    returned field checks that it is finite.  Returns ``s`` itself when no
+    channel changes it (t_s = 0).
     """
     if t_s < 0:
         raise ValueError("storage time must be >= 0")
@@ -148,7 +136,7 @@ def decohere(s: SpinWave, t_s: float, diffusion: DiffusionParams | None = None,
     return s.with_values(values)
 
 
-def diffuse(s: SpinWave, p: DiffusionParams, t_s: float) -> SpinWave:
+def diffuse(s: TransverseField, p: MemoryParams, t_s: float) -> TransverseField:
     """Free expansion of the stored coherence over t_s seconds.
 
     The spectral kernel exp(-q^2 sigma^2 / 2) is a contraction, so the
@@ -157,7 +145,7 @@ def diffuse(s: SpinWave, p: DiffusionParams, t_s: float) -> SpinWave:
     return decohere(s, t_s, diffusion=p)
 
 
-def _blurred(s: SpinWave, sigma: float) -> np.ndarray:
+def _blurred(s: TransverseField, sigma: float) -> np.ndarray:
     """The values of ``s`` blurred by exp(-q^2 sigma^2 / 2), as a new array.
 
     The kernel factors as k1(q_x) k1(q_y).  A wave with ``factors`` is
@@ -220,23 +208,22 @@ def _dephase(values: np.ndarray, grid: GridSpec, mdl: MagneticModel, t_s: float)
         values[start:start + rows] *= rot
 
 
-def magnetic_dephase(s: SpinWave, mdl: MagneticModel, t_s: float) -> SpinWave:
+def magnetic_dephase(s: TransverseField, mdl: MagneticModel, t_s: float) -> TransverseField:
     """Pixel-wise Larmor phase exp(i dOmega t_s) accumulated over t_s; magnitudes untouched."""
     return decohere(s, t_s, magnetic=mdl)
 
 
-def longitudinal_drift_factor(delta_k: float, p: DiffusionParams, t_s: float) -> float:
+def longitudinal_drift_factor(p: MemoryParams, t_s: float) -> float:
     """Amplitude retained against ballistic drift along z.
 
     One-dimensional analogue of the transverse blur applied to the
-    exp(i dk z) spin-wave phase: exp(-dk^2 sigma_z^2 / 2) with
-    sigma_z^2 = k_B T t_s^2 / m.  Equals 1 for collinear beams (dk = 0).
+    exp(i dk z) spin-wave phase, dk = ``p.delta_k``: exp(-dk^2 sigma_z^2 / 2)
+    with sigma_z^2 = k_B T t_s^2 / m.  Equals 1 for collinear beams (dk = 0).
     """
-    sigma_z = p.sigma(t_s)
-    return math.exp(-0.5 * (delta_k * sigma_z) ** 2)
+    return math.exp(-0.5 * (p.delta_k * p.sigma(t_s)) ** 2)
 
 
-def _nodal_position(s: SpinWave) -> float:
+def _nodal_position(s: TransverseField) -> float:
     """x of the deepest interior intensity minimum along the center row.
 
     Refined with a parabolic fit through the three samples around the
@@ -266,6 +253,6 @@ def _nodal_position(s: SpinWave) -> float:
     return float(xs[i] + offset * s.grid.pitch)
 
 
-def qutrit_nodal_shift(before: SpinWave, after: SpinWave) -> float:
+def qutrit_nodal_shift(before: TransverseField, after: TransverseField) -> float:
     """Signed displacement of the dark line along x, after minus before."""
     return _nodal_position(after) - _nodal_position(before)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -118,9 +119,10 @@ class Separable:
 class TransverseField:
     """Complex envelope sampled on a grid, with the carrier wavelength.
 
-    Values are immutable after construction; operations return new fields.
-    ``factors``, when set, is ``values`` as a :class:`Separable`; any new
-    values drop it.
+    The same type holds an optical field and the spin wave that stores
+    it.  Values are immutable after construction; operations return new
+    fields.  ``factors``, when set, is ``values`` as a :class:`Separable`;
+    any new values drop it.
     """
 
     grid: GridSpec
@@ -138,12 +140,30 @@ class TransverseField:
         if not self.wavelength > 0:
             raise ValueError("wavelength must be positive")
 
+    def __setstate__(self, state):
+        # unpickling skips __post_init__, so freeze its arrays here
+        for name in {"values", "spectrum"} & state.keys():
+            state[name].flags.writeable = False
+        self.__dict__.update(state)
+
     def norm(self) -> float:
         """Physical L2 norm sqrt(sum |f|^2 * pixel_area)."""
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.pixel_area))
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.values) ** 2
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Read-only unnormalized 2-D DFT of ``values``, computed once per field.
+
+        Two 1-D passes (x, then y, the order of ``np.fft.fft2``), the
+        second in place.
+        """
+        spectrum = np.fft.fft(self.values, axis=1)
+        np.fft.fft(spectrum, axis=0, out=spectrum)
+        spectrum.flags.writeable = False
+        return spectrum
 
     def with_values(self, values: np.ndarray) -> "TransverseField":
         return TransverseField(self.grid, values, self.wavelength)

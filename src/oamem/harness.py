@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .bounds import classical_limit, threshold_band
 from .config import ExperimentConfig, config_hash
-from .decoherence import DiffusionParams, decohere, longitudinal_drift_factor
+from .decoherence import decohere, longitudinal_drift_factor
 from .errors import ConfigError
 from .fieldgrid import TransverseField, export_csv, export_pgm
 from .holography import (export_pgm_hologram, focal_basis_phases, fraunhofer,
@@ -29,7 +29,7 @@ from .measurement import (CountRecord, fit_visibility, polar_retrieve, simulate_
                           subtract_background, write_count_records)
 from .modes import (LGModeSpec, QuditState, basis_charges, decompose, lg_field,
                     qubit_state, synthesize)
-from .polariton import SpinWave, read, write
+from .polariton import read, write
 from .tomography import (DensityMatrix, ProjectionSet, export_density_csv,
                          fidelity, probabilities, reconstruct, tomography_report)
 
@@ -117,7 +117,7 @@ def _input_field(cfg: ExperimentConfig):
     return fraunhofer(holo.imprint(gauss), cfg.source.focal), holo
 
 
-def _store(cfg: ExperimentConfig) -> tuple[np.ndarray, SpinWave]:
+def _store(cfg: ExperimentConfig) -> tuple[np.ndarray, TransverseField]:
     """The part of a storage point that does not depend on t.
 
     Prepares the configured input field and writes it once.  Returns its
@@ -129,30 +129,21 @@ def _store(cfg: ExperimentConfig) -> tuple[np.ndarray, SpinWave]:
     return _amplitudes(cfg, field_in), write(field_in, cfg.memory)
 
 
-def _decohere(cfg: ExperimentConfig, wave: SpinWave, t_s: float) -> SpinWave:
+def _decohere(cfg: ExperimentConfig, wave: TransverseField, t_s: float) -> TransverseField:
     """The written spin wave after t_s of the configured channels (drift: :func:`_amplitudes`)."""
     dc = cfg.decoherence
-    return decohere(wave, t_s,
-                    DiffusionParams(cfg.memory.temperature, cfg.memory.mass)
-                    if dc.diffusion else None,
+    return decohere(wave, t_s, cfg.memory if dc.diffusion else None,
                     cfg.magnetic if dc.magnetic else None)
 
 
-def _retrieve(cfg: ExperimentConfig, wave: SpinWave, t_s: float) -> TransverseField:
-    """Let the written spin wave decohere for t_s, and read it out."""
-    return read(_decohere(cfg, wave, t_s), cfg.memory)
-
-
-def _retrieved_amplitudes(cfg: ExperimentConfig, wave: SpinWave, t_s: float) -> np.ndarray:
+def _retrieved_amplitudes(cfg: ExperimentConfig, wave: TransverseField, t_s: float) -> np.ndarray:
     """:func:`_amplitudes` of the field read out of ``wave`` after t_s.
 
     Readout negates the spin wave, and projection is linear, so the sign
     goes on the d amplitudes, exactly: the decohered n x n array is
-    projected as it is, with no negated copy.  Wrapping it in a field
-    still checks that it is finite.
+    projected as it is, with no negated copy.
     """
-    s = _decohere(cfg, wave, t_s)
-    return -_amplitudes(cfg, TransverseField(s.grid, s.values, s.wavelength), t_s)
+    return -_amplitudes(cfg, _decohere(cfg, wave, t_s), t_s)
 
 
 def _amplitudes(cfg: ExperimentConfig, field: TransverseField, t_s: float = 0.0) -> np.ndarray:
@@ -169,12 +160,11 @@ def _amplitudes(cfg: ExperimentConfig, field: TransverseField, t_s: float = 0.0)
     if cfg.source.kind == "hologram":
         a = a / focal_basis_phases(basis_charges(q.dim, q.l))
     if cfg.decoherence.longitudinal_drift:
-        dp = DiffusionParams(cfg.memory.temperature, cfg.memory.mass)
-        a = a * longitudinal_drift_factor(cfg.memory.delta_k, dp, t_s)
+        a = a * longitudinal_drift_factor(cfg.memory, t_s)
     return a
 
 
-def _measure(cfg: ExperimentConfig, wave: SpinWave, point: int, t_s: float, kets):
+def _measure(cfg: ExperimentConfig, wave: TransverseField, point: int, t_s: float, kets):
     """Retrieve the written ``wave`` after t_s, then count.
 
     Returns (eta at t_s, records); see :func:`_count`.
@@ -206,7 +196,7 @@ def _count(cfg: ExperimentConfig, a: np.ndarray, eta: float, point: int, kets):
     return records
 
 
-def storage_point(cfg: ExperimentConfig, stored: tuple[np.ndarray, SpinWave],
+def storage_point(cfg: ExperimentConfig, stored: tuple[np.ndarray, TransverseField],
                   t_index: int, t_s: float) -> dict:
     """One storage-and-tomography pass at a single storage time.
 
@@ -337,7 +327,7 @@ def run_meridian_sweep(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Ca
     eta = cfg.efficiency.to_model()(t_s)
     retrieved = []
     for coeffs in (((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 0.0))):
-        pole = replace(cfg, qudit=replace(cfg.qudit, coeffs=coeffs))
+        pole = replace(cfg, qudit=replace(cfg.qudit, coeffs=coeffs, gamma=None, beta=None))
         retrieved.append(_retrieved_amplitudes(pole, _store(pole)[1], t_s))
     a_l, a_r = retrieved
     points = cfg.meridian.gamma_points
@@ -382,7 +372,7 @@ def run_field_render(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Camp
     wave = write(field_in, cfg.memory)
     for i, t_s in enumerate(cfg.storage_times):
         name = f"retrieved_{i:02d}.pgm"
-        export_pgm(_retrieve(cfg, wave, t_s), out_dir / name)
+        export_pgm(read(_decohere(cfg, wave, t_s)), out_dir / name)
         files.append(name)
     return _finalize(cfg, "field_render", out_dir, files, [], "none")
 

@@ -23,7 +23,7 @@ BINARY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PhaseHologram:
-    """Per-pixel phase in radians, wrapped to [0, 2 pi)."""
+    """Binary per-pixel phase in radians: every pixel is 0 or pi within 1e-9."""
 
     grid: GridSpec
     phase: np.ndarray = field(repr=False)
@@ -34,12 +34,8 @@ class PhaseHologram:
         object.__setattr__(self, "phase", p)
         if p.shape != (self.grid.n, self.grid.n):
             raise ValueError("phase shape does not match grid")
-
-    @property
-    def is_binary(self) -> bool:
-        """True iff every pixel is 0 or pi within 1e-9."""
-        p = self.phase
-        return bool(np.all((np.abs(p) < BINARY_TOL) | (np.abs(p - np.pi) < BINARY_TOL)))
+        if not np.all((p < BINARY_TOL) | (np.abs(p - np.pi) < BINARY_TOL)):
+            raise ValueError("hologram phase must be 0 or pi at every pixel")
 
     def imprint(self, f: TransverseField) -> TransverseField:
         """Apply the mask as a transmission phase screen."""
@@ -109,21 +105,11 @@ def project_and_couple(f: TransverseField, target: QuditState, w0: float) -> com
 
 
 def export_pgm_hologram(h: PhaseHologram, path) -> None:
-    """Write the phase map as a binary PGM, gray = phase * 255 / pi.
-
-    Binary masks map exactly to {0, 255}; general masks up to 2 pi use
-    maxval 510 so the same linear rule applies.
-    """
-    gray = np.round(h.phase * 255.0 / np.pi).astype(np.int64)
-    maxval = 255 if h.is_binary else 510
-    gray = np.clip(gray, 0, maxval)
-    if maxval > 255:
-        data = gray.astype(">u2").tobytes()
-    else:
-        data = gray.astype("u1").tobytes()
+    """Write the binary mask as an 8-bit PGM, gray = phase * 255 / pi: 0 or 255."""
+    gray = np.round(h.phase * 255.0 / np.pi).astype("u1")
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{h.grid.n} {h.grid.n}\n{maxval}\n".encode("ascii"))
-        fh.write(data)
+        fh.write(f"P5\n{h.grid.n} {h.grid.n}\n255\n".encode("ascii"))
+        fh.write(gray.tobytes())
 
 
 def focal_basis_phases(charges) -> np.ndarray:

@@ -27,11 +27,8 @@ class LGModeSpec:
 
     l: int
     w0: float
-    p: int = 0
 
     def __post_init__(self):
-        if self.p != 0:
-            raise ValueError("only p = 0 radial modes are supported")
         if not self.w0 > 0:
             raise ValueError("waist must be positive")
 

@@ -7,12 +7,19 @@ switching the coupling off rotates theta to pi/2 and deposits the whole
 envelope, transverse profile intact, in the ground-state coherence.
 The write/read pair below implements that limit: it is exactly unitary,
 and the conserved-norm split across field and matter parts is what the
-reduced propagation equation guarantees.  All efficiency loss is modeled
-downstream (empirical decay in :mod:`oamem.decoherence`), and the
-neglected free-space diffraction phase q^2 D / k_s is checked explicitly,
-on the one forward spectrum per written wave (``SpinWave.spectrum``).  A
-field synthesized from LG modes is separable (:class:`~oamem.fieldgrid.Separable`);
-``write`` keeps its factors on the spin wave, so that the thermal blur of
+reduced propagation equation guarantees.  The spin wave is the stored
+transverse profile on the same grid, so it is a
+:class:`~oamem.fieldgrid.TransverseField` too: ``write`` returns -f and
+``read`` returns -s.  Along z the coherence carries exp(-i dk z)
+(``MemoryParams.delta_k``), which forward readout undoes exactly; the
+loss when atoms drift along z during storage is the analytic
+:func:`oamem.decoherence.longitudinal_drift_factor`.  All efficiency
+loss is modeled downstream (empirical decay in
+:mod:`oamem.decoherence`), and the neglected free-space diffraction
+phase q^2 D / k_s is checked explicitly, on the one forward spectrum per
+written wave (``TransverseField.spectrum``).  A field synthesized from
+LG modes is separable (:class:`~oamem.fieldgrid.Separable`); ``write``
+keeps its factors, so that the thermal blur of
 :func:`oamem.decoherence.diffuse` runs on K 1-D rows.  A wave without
 factors, such as the far field of a binary hologram, is blurred on the
 cached spectrum instead.
@@ -22,13 +29,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldgrid import GridSpec, Separable, TransverseField
+from .fieldgrid import Separable, TransverseField
 
+BOLTZMANN = 1.380649e-23
 SPEED_OF_LIGHT = 299792458.0
 DIFFRACTION_PHASE_LIMIT = 0.1
 
@@ -40,7 +47,8 @@ class MemoryParams:
     ``omega_c`` is the constant coupling Rabi frequency in rad/s; ``g2n``
     is the collective coupling g^2 N in rad^2/s^2.  ``alpha`` is the
     signal/coupling angle, which sets the spin-wave longitudinal wave
-    vector dk = k_c (cos(alpha) - 1) <= 0.
+    vector dk = k_c (cos(alpha) - 1) <= 0.  ``temperature`` (K) and
+    ``mass`` (kg) set the ballistic spread of the ensemble.
     """
 
     lambda_s: float = 795e-9
@@ -74,56 +82,9 @@ class MemoryParams:
         """Longitudinal spin-wave vector k_c (cos(alpha) - 1), in rad/m."""
         return self.k_c * (math.cos(self.alpha) - 1.0)
 
-
-@dataclass(frozen=True)
-class SpinWave:
-    """Collective ground-state coherence holding a stored envelope.
-
-    ``values`` is the transverse profile.  Along z the coherence carries
-    exp(-i dk z), which forward readout undoes exactly; the loss when
-    atoms drift along z during storage is the analytic
-    :func:`oamem.decoherence.longitudinal_drift_factor`.  ``factors``,
-    when set, is ``values`` as a :class:`~oamem.fieldgrid.Separable`, and
-    :func:`oamem.decoherence.diffuse` blurs its 1-D rows; new values
-    (``with_values``) drop it.
-    """
-
-    grid: GridSpec
-    values: np.ndarray = field(repr=False)
-    delta_k: float = 0.0
-    wavelength: float = 795e-9
-    factors: Separable | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.complex128)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        if v.shape != (self.grid.n, self.grid.n):
-            raise ValueError("spin-wave shape does not match grid")
-
-    def __setstate__(self, state):
-        # unpickling skips __post_init__, so freeze its arrays here
-        for name in {"values", "spectrum"} & state.keys():
-            state[name].flags.writeable = False
-        self.__dict__.update(state)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.pixel_area))
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """Read-only unnormalized 2-D DFT of ``values``, computed once per wave.
-
-        Two 1-D passes (x, then y, the order of ``np.fft.fft2``), the
-        second in place.
-        """
-        spectrum = np.fft.fft(self.values, axis=1)
-        np.fft.fft(spectrum, axis=0, out=spectrum)
-        spectrum.flags.writeable = False
-        return spectrum
-
-    def with_values(self, values: np.ndarray) -> "SpinWave":
-        return SpinWave(self.grid, values, self.delta_k, self.wavelength)
+    def sigma(self, t_s: float) -> float:
+        """Per-axis ballistic spread t_s * sqrt(k_B T / m), meters."""
+        return t_s * math.sqrt(BOLTZMANN * self.temperature / self.mass)
 
 
 def mixing_angle(params: MemoryParams) -> float:
@@ -138,14 +99,14 @@ def group_velocity(params: MemoryParams) -> float:
     return SPEED_OF_LIGHT / (1.0 + params.g2n / params.omega_c ** 2)
 
 
-def write(f: TransverseField, params: MemoryParams) -> SpinWave:
+def write(f: TransverseField, params: MemoryParams) -> TransverseField:
     """Map an optical envelope onto the spin wave (unit write efficiency).
 
     Warns when the neglected diffraction phase q^2 D / k_s exceeds 0.1
     over the occupied spectrum.  The spin wave is -f, factors included.
     """
     factors = None if f.factors is None else Separable(f.factors.rows, -f.factors.mix)
-    wave = SpinWave(f.grid, -f.values, params.delta_k, f.wavelength, factors)
+    wave = TransverseField(f.grid, -f.values, f.wavelength, factors)
     phase = diffraction_check(params, wave)
     if phase >= DIFFRACTION_PHASE_LIMIT:
         warnings.warn(
@@ -156,7 +117,7 @@ def write(f: TransverseField, params: MemoryParams) -> SpinWave:
     return wave
 
 
-def read(s: SpinWave, params: MemoryParams) -> TransverseField:
+def read(s: TransverseField) -> TransverseField:
     """Forward readout of a (possibly decohered) spin wave: the field -s.
 
     The readout is linear, so a caller that only projects the field can
@@ -165,7 +126,7 @@ def read(s: SpinWave, params: MemoryParams) -> TransverseField:
     return TransverseField(s.grid, -s.values, s.wavelength)
 
 
-def diffraction_check(params: MemoryParams, s: SpinWave) -> float:
+def diffraction_check(params: MemoryParams, s: TransverseField) -> float:
     """Max diffraction phase q^2 D / k_s over the 99%-energy spectrum.
 
     ``s.spectrum`` is binned by the integer shell i^2 + j^2 of its frequency

@@ -8,13 +8,13 @@ from oracles import direct_gaussian_convolution, overlap
 
 from oamem.bounds import PhotonStatistics, classical_limit, poisson_weighted_limit, threshold_band
 from oamem.config import parse_config
-from oamem.decoherence import DiffusionParams, EfficiencyModel, diffuse, qutrit_nodal_shift
-from oamem.fieldgrid import GridSpec
+from oamem.decoherence import EfficiencyModel, diffuse, qutrit_nodal_shift
+from oamem.fieldgrid import GridSpec, TransverseField
 from oamem.harness import (run_interference_scan, run_meridian_sweep,
                            run_storage_decay)
 from oamem.measurement import CountRecord, simulate_counts
 from oamem.modes import QuditState, qubit_state, qutrit_state, synthesize
-from oamem.polariton import MemoryParams, SpinWave, read, write
+from oamem.polariton import MemoryParams, read, write
 from oamem.tomography import DensityMatrix, ProjectionSet, fidelity, probabilities, reconstruct
 
 RB85 = 85 * 1.66053906892e-27
@@ -84,9 +84,9 @@ def test_criterion_3_quantum_beating():
 def test_criterion_4_diffusion_oracle():
     def compute():
         grid = GridSpec(128, 0.9e-3)
-        dp = DiffusionParams(temperature=100e-6, mass=RB85)
+        dp = MemoryParams(temperature=100e-6, mass=RB85)
         f = synthesize(qutrit_state(1, 1, 1, l=1), 80e-6, grid)
-        s = SpinWave(grid, f.values)
+        s = TransverseField(grid, f.values, f.wavelength)
         errs = []
         for t_s in (100e-6, 500e-6):
             spectral = diffuse(s, dp, t_s).values
@@ -103,7 +103,7 @@ def test_criterion_4_diffusion_oracle():
 def test_criterion_5_dark_lines():
     def compute():
         grid = GridSpec(512, 3.2e-3)
-        dp = DiffusionParams(temperature=100e-6, mass=RB85)
+        dp = MemoryParams(temperature=100e-6, mass=RB85)
         params = MemoryParams()
         w0 = 250e-6
         qubit = write(synthesize(qubit_state(np.pi / 2, 0.0, l=2), w0, grid), params)
@@ -128,7 +128,7 @@ def test_criterion_6_storage_reversibility(rng):
             dim = int(rng.choice([2, 3]))
             state = QuditState(rng.normal(size=dim) + 1j * rng.normal(size=dim), l=1)
             f = synthesize(state, 250e-6, grid)
-            worst = min(worst, abs(overlap(f, read(write(f, params), params))))
+            worst = min(worst, abs(overlap(f, read(write(f, params)))))
         return worst
 
     worst, elapsed = timed(compute)

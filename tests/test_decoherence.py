@@ -1,14 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from oracles import direct_gaussian_convolution, overlap
 
-from oamem.decoherence import (BOLTZMANN, DiffusionParams, EfficiencyModel, MagneticModel,
-                               _larmor_map, decohere, diffuse, longitudinal_drift_factor,
-                               magnetic_dephase, qutrit_nodal_shift)
+from oamem.decoherence import (EfficiencyModel, MagneticModel, _larmor_map, decohere, diffuse,
+                               longitudinal_drift_factor, magnetic_dephase, qutrit_nodal_shift)
 from oamem.errors import NodalLineNotFound, NonFiniteField
-from oamem.fieldgrid import GridSpec
+from oamem.fieldgrid import GridSpec, TransverseField
 from oamem.modes import LGModeSpec, lg_field, qubit_state, qutrit_state, synthesize
-from oamem.polariton import MemoryParams, SpinWave, read, write
+from oamem.polariton import BOLTZMANN, MemoryParams, read, write
 
 RB85 = 85 * 1.66053906892e-27
 W0 = 250e-6
@@ -16,7 +17,7 @@ W0 = 250e-6
 
 @pytest.fixture
 def diffusion():
-    return DiffusionParams(temperature=100e-6, mass=RB85)
+    return MemoryParams(temperature=100e-6, mass=RB85)
 
 
 def stored(field):
@@ -52,7 +53,7 @@ class TestDiffuse:
         # acceptance-grade oracle: dense separable convolution, no FFT
         g = GridSpec(128, 0.9e-3)
         f = synthesize(qutrit_state(1.0, 1.0, 1.0, l=1), 80e-6, g)
-        s = SpinWave(g, f.values)
+        s = TransverseField(g, f.values, f.wavelength)
         blurred = diffuse(s, diffusion, t_s)
         expected = direct_gaussian_convolution(f.values, g.pitch, diffusion.sigma(t_s))
         err = np.sqrt(np.sum(np.abs(blurred.values - expected) ** 2)
@@ -97,7 +98,7 @@ class TestDiffuse:
         # on the spectral path (a plain wave) and on the mode factors
         g = GridSpec(512, 3.2e-3)
         f = lg_field(LGModeSpec(l, W0), g)
-        s = SpinWave(g, f.values, factors=f.factors if factored else None)
+        s = TransverseField(g, f.values, f.wavelength, f.factors if factored else None)
         for t_s in (0.3e-3, 1e-3, 2e-3):
             amp = np.vdot(f.values, diffuse(s, diffusion, t_s).values) * g.pixel_area
             expected = (1.0 + diffusion.sigma(t_s) ** 2 / W0 ** 2) ** -(abs(l) + 1)
@@ -121,9 +122,9 @@ class TestDiffuse:
         # the blur of the K mode factors against the 2-D spectral path on the
         # same samples
         f = synthesize(state, 200e-6, wide_grid)
-        s = SpinWave(wide_grid, f.values, factors=f.factors)
+        s = TransverseField(wide_grid, f.values, f.wavelength, f.factors)
         assert s.factors.rows.shape == (max(abs(c) for c in state.charges()) + 1, wide_grid.n)
-        plain = SpinWave(wide_grid, s.values)
+        plain = TransverseField(wide_grid, s.values, s.wavelength)
         for t_s in (1e-4, 5e-4, 1e-3, 2e-3):
             spectral = diffuse(plain, diffusion, t_s).values
             got = diffuse(s, diffusion, t_s)
@@ -143,7 +144,7 @@ class TestDiffuse:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DiffusionParams(temperature=0.0)
+            MemoryParams(temperature=0.0)
 
 
 class TestDarkLines:
@@ -229,8 +230,7 @@ class TestMagneticDephase:
         mdl = Ramp(sensitivity=1.0)
         f = lg_field(LGModeSpec(0, W0), grid)
         s2 = magnetic_dephase(stored(f), mdl, 1.0)
-        p = MemoryParams()
-        ov = abs(overlap(read(s2, p), f))
+        ov = abs(overlap(read(s2), f))
         assert ov == pytest.approx(np.exp(-(kappa * W0) ** 2 / 8.0), rel=1e-6)
 
     @staticmethod
@@ -298,12 +298,11 @@ class TestMagneticDephase:
         # the pattern distorts long before diffusion matters
         f = synthesize(qubit_state(np.pi / 2, 0.0, l=2), W0, grid)
         s = stored(f)
-        p = MemoryParams()
         t_s = 40e-6
         sensitive = MagneticModel(trap_gradient=0.1, ambient_fraction=0.05,
                                   guiding_b=0.0, sensitivity=2 * np.pi * 0.7e6 / 1e-4)
-        dephased = abs(overlap(read(magnetic_dephase(s, sensitive, t_s), p), f)) ** 2
-        blurred = abs(overlap(read(diffuse(s, diffusion, t_s), p), f)) ** 2
+        dephased = abs(overlap(read(magnetic_dephase(s, sensitive, t_s)), f)) ** 2
+        blurred = abs(overlap(read(diffuse(s, diffusion, t_s)), f)) ** 2
         assert dephased < 0.9
         assert blurred > 0.99
 
@@ -340,11 +339,13 @@ class TestEfficiencyModel:
 
 class TestLongitudinalDrift:
     def test_collinear_unity(self, diffusion):
-        assert longitudinal_drift_factor(0.0, diffusion, 1e-3) == 1.0
+        assert longitudinal_drift_factor(diffusion, 1e-3) == 1.0
 
     def test_formula(self, diffusion):
-        dk = -4814.5
+        p = replace(diffusion, alpha=np.radians(2.0))
+        dk = p.delta_k
+        assert dk == pytest.approx(-4814.5, rel=1e-4)
         t_s = 5e-4
-        sigma = diffusion.sigma(t_s)
+        sigma = p.sigma(t_s)
         expected = np.exp(-0.5 * (dk * sigma) ** 2)
-        assert longitudinal_drift_factor(dk, diffusion, t_s) == pytest.approx(expected)
+        assert longitudinal_drift_factor(p, t_s) == pytest.approx(expected)

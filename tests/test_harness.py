@@ -11,9 +11,8 @@ import yaml
 import oamem
 from oamem.cli import main as cli_main
 from oamem.config import parse_config, serialize_config
-from oamem.decoherence import (DiffusionParams, diffuse, longitudinal_drift_factor,
-                               magnetic_dephase)
-from oamem.harness import (_amplitudes, _input_field, _retrieve, _retrieved_amplitudes, _store,
+from oamem.decoherence import diffuse, longitudinal_drift_factor, magnetic_dephase
+from oamem.harness import (_amplitudes, _decohere, _input_field, _retrieved_amplitudes, _store,
                            run_bounds_table, run_field_render, run_interference_scan,
                            run_meridian_sweep, run_storage_decay, run_tomography, storage_point)
 from oamem.holography import focal_basis_phases, project_and_couple
@@ -164,9 +163,8 @@ class TestPipelineComposition:
 
         state = cfg.qudit.to_state()
         field = synthesize(state, cfg.qudit.waist, cfg.grid, cfg.memory.lambda_s)
-        wave = diffuse(write(field, cfg.memory),
-                       DiffusionParams(cfg.memory.temperature, cfg.memory.mass), t_s)
-        out = read(wave, cfg.memory)
+        wave = diffuse(write(field, cfg.memory), cfg.memory, t_s)
+        out = read(wave)
         a = decompose(out, state.l, state.dim, cfg.qudit.waist)
         eta = cfg.efficiency.to_model()(t_s)
         pset = ProjectionSet.qutrit()
@@ -193,14 +191,14 @@ class TestPipelineComposition:
         wave = _store(cfg)[1]
         for t_s in (0.0, 2e-5):
             assert np.array_equal(_retrieved_amplitudes(cfg, wave, t_s),
-                                  _amplitudes(cfg, _retrieve(cfg, wave, t_s), t_s))
+                                  _amplitudes(cfg, read(_decohere(cfg, wave, t_s)), t_s))
 
     @pytest.mark.parametrize("qudit", [QUBIT, QUTRIT], ids=["qubit", "qutrit"])
     def test_linear_projection_matches_project_and_couple(self, qudit):
         # psi^H decompose(f) against the synthesized-projector overlap, on a
         # field decohered by diffusion and magnetic dephasing
         cfg = small_cfg(qudit=dict(qudit), grid={"n": 128, "extent": 3.2e-3}, **SENSITIVE)
-        field = _retrieve(cfg, _store(cfg)[1], 2e-5)
+        field = read(_decohere(cfg, _store(cfg)[1], 2e-5))
         a = _amplitudes(cfg, field)
         state = cfg.qudit.to_state()
         pset = ProjectionSet.qubit() if state.dim == 2 else ProjectionSet.qutrit()
@@ -293,10 +291,9 @@ class TestDriftOnAmplitudes:
                         magnetic=SENSITIVE["magnetic"])
         wave = _store(cfg)[1]
         t_s = 2e-4
-        factor = longitudinal_drift_factor(
-            cfg.memory.delta_k, DiffusionParams(cfg.memory.temperature, cfg.memory.mass), t_s)
+        factor = longitudinal_drift_factor(cfg.memory, t_s)
         assert 0.05 < factor < 0.95
-        field = _retrieve(cfg, wave, t_s)
+        field = read(_decohere(cfg, wave, t_s))
         expected = _amplitudes(cfg, field.with_values(field.values * factor))
         got = _amplitudes(cfg, field, t_s)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -360,7 +357,7 @@ class TestCampaigns:
         assert header == "n0,delta,visibility,residual_rms,phase"
         n0, delta, vis, rms, phase = map(float, row.split(","))
 
-        a_l, a_r = _amplitudes(cfg, _retrieve(cfg, _store(cfg)[1], 4e-5))
+        a_l, a_r = _amplitudes(cfg, read(_decohere(cfg, _store(cfg)[1], 4e-5)))
         z = np.conj(a_l) * a_r
         assert n0 == pytest.approx(abs(z), rel=1e-9)
         assert vis == pytest.approx(2 * abs(z) / (abs(a_l) ** 2 + abs(a_r) ** 2), rel=1e-9)
@@ -451,10 +448,9 @@ class TestCampaigns:
         res = run_interference_scan(cfg, out=tmp_path / "s")
         assert res.summary[0][2] < 0.9999
 
-        wave = diffuse(write(_input_field(cfg)[0], cfg.memory),
-                       DiffusionParams(cfg.memory.temperature, cfg.memory.mass), 2e-5)
+        wave = diffuse(write(_input_field(cfg)[0], cfg.memory), cfg.memory, 2e-5)
         wave = magnetic_dephase(wave, cfg.magnetic, 2e-5)
-        a = decompose(read(wave, cfg.memory), 2, 2, cfg.qudit.waist)
+        a = decompose(read(wave), 2, 2, cfg.qudit.waist)
         rows = (tmp_path / "s" / "scan.csv").read_text().splitlines()[1:]
         assert len(rows) == cfg.scan.beta_points
         for row in rows:
@@ -578,13 +574,21 @@ NAN, INF = float("nan"), float("inf")
     ("decay", {"storage_times": [True]}),
     ("decay", {"qudit": dict(README_QUDIT, coeffs=[[True, 0], [1, 0], [1, 0]])}),
     ("decay", {"efficiency": {"anchors": [[0.0, True], [4.0e-4, 0.05]]}}),
+    ("decay", {"efficiency": {"eta0": 0.5}}),
+    ("decay", {"efficiency": {"eta0": 0.1, "tau": 1.0e-3,
+                              "anchors": [[1.0e-5, 0.1], [4.0e-4, 0.05]]}}),
+    ("decay", {"qudit": dict(README_QUBIT, coeffs=[[1.0, 0.0], [0.0, 1.0]])}),
+    ("scan", {"qudit": README_QUBIT, "counting": {"acquisition": -5.0}}),
+    ("tomo", {"counting": {"poisson": False, "bg_rate": 0.01}}),
 ], ids=["eta0", "zero-l", "zero-coeffs", "nan-n_bar", "zero-pulses",
         "hologram-input-waist", "qudit-waist", "meridian-hologram", "counting-n_bar",
         "str-seed", "float-seed", "negative-seed", "float-beta_points",
         "float-gamma_points", "float-l", "grid-center-3", "nan-storage-time",
         "inf-storage-time", "nan-gamma", "inf-focal", "magnetic-center-3", "huge-l",
         "anchor-overflow", "qutrit-bloch-angles", "mapping-storage-times", "huge-grid-n",
-        "bool-storage-time", "bool-coeff", "bool-anchor"])
+        "bool-storage-time", "bool-coeff", "bool-anchor", "eta0-without-tau",
+        "eta0-tau-and-anchors", "coeffs-and-bloch-angles", "negative-acquisition",
+        "noiseless-bg_rate"])
 def test_config_faults_exit_2(tmp_path, capsys, subcommand, changes):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({**README_CONFIG, **changes}))

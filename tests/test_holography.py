@@ -4,8 +4,8 @@ from oracles import read_pgm
 
 from oamem.errors import InvalidCharge
 from oamem.fieldgrid import GridSpec, TransverseField
-from oamem.holography import (export_pgm_hologram, focal_basis_phases, fraunhofer,
-                              project_and_couple, qubit_hologram, qutrit_hologram)
+from oamem.holography import (PhaseHologram, export_pgm_hologram, focal_basis_phases,
+                              fraunhofer, project_and_couple, qubit_hologram, qutrit_hologram)
 from oamem.modes import (LGModeSpec, QuditState, decompose, lg_field, qubit_state,
                          qutrit_state, synthesize)
 
@@ -30,7 +30,7 @@ class TestQubitHologram:
         _, phi = grid.polar()
         expected = np.where(np.cos(2 * phi) >= 0, 0.0, np.pi)
         assert np.array_equal(h.phase, expected)
-        assert h.is_binary
+        assert set(np.unique(h.phase)) <= {0.0, np.pi}
 
     def test_l1_half_planes(self, grid):
         h = qubit_hologram(1, grid)
@@ -44,6 +44,20 @@ class TestQubitHologram:
             qubit_hologram(0, grid)
 
 
+class TestPhaseHologram:
+    @pytest.mark.parametrize("value", [np.pi / 2, 1e-6, np.pi + 1e-6])
+    def test_rejects_non_binary_phase(self, grid, value):
+        phase = np.zeros((grid.n, grid.n))
+        phase[3, 5] = value
+        with pytest.raises(ValueError, match="0 or pi"):
+            PhaseHologram(grid, phase)
+
+    def test_wraps_a_binary_phase(self, grid):
+        phase = np.where(grid.mesh()[0] > 0, 2.0 * np.pi, -np.pi)
+        h = PhaseHologram(grid, phase)
+        assert set(np.unique(h.phase)) == {0.0, np.pi}
+
+
 class TestQutritHologram:
     def test_sign_rule(self, grid):
         w0 = 300e-6
@@ -52,7 +66,7 @@ class TestQutritHologram:
         arg = 1.0 + 2.0 * np.sqrt(2.0) * x / w0
         assert np.all(h.phase[arg > 0] == 0.0)
         assert np.all(h.phase[arg < 0] == np.pi)
-        assert h.is_binary
+        assert set(np.unique(h.phase)) <= {0.0, np.pi}
 
     def test_boundary_is_vertical_line(self, grid):
         w0 = 300e-6

@@ -5,10 +5,11 @@ import pytest
 
 from oamem.config import parse_config
 from oamem.errors import ConfigError, DomainError, FitDegenerate, NoCounts
-from oamem.harness import _amplitudes, _retrieve, _store, run_interference_scan
+from oamem.harness import _amplitudes, _decohere, _store, run_interference_scan
 from oamem.measurement import (CountRecord, fit_visibility, polar_retrieve, simulate_counts,
                                subtract_background, write_count_records)
 from oamem.modes import qubit_state
+from oamem.polariton import read
 
 BETAS = [2 * np.pi * i / 12 for i in range(12)]
 BALANCED = {"dim": 2, "l": 2, "waist": 250e-6, "gamma": np.pi / 2, "beta": 0.0}
@@ -80,7 +81,7 @@ class TestInterferenceScan:
         with pytest.raises(FitDegenerate, match="no fringe"):
             scan_records(tmp_path, qudit=pole)
         cfg = scan_config(pole)
-        a = _amplitudes(cfg, _retrieve(cfg, _store(cfg)[1], 0.0))
+        a = _amplitudes(cfg, read(_decohere(cfg, _store(cfg)[1], 0.0)))
         for beta in BETAS:
             psi = np.array([1.0, np.exp(1j * beta)]) / np.sqrt(2.0)
             assert abs(np.vdot(psi, a)) ** 2 == pytest.approx(0.5, abs=1e-12)

@@ -12,10 +12,6 @@ W0 = 200e-6
 
 
 class TestLGModeSpec:
-    def test_rejects_radial_index(self):
-        with pytest.raises(ValueError):
-            LGModeSpec(1, W0, p=1)
-
     def test_rejects_bad_waist(self):
         with pytest.raises(ValueError):
             LGModeSpec(1, -1e-4)

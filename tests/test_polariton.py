@@ -5,11 +5,11 @@ import pytest
 from oracles import (longitudinal_slices, monte_carlo_drift_factor, overlap, slice_readout,
                      sorted_diffraction_phase)
 
-from oamem.decoherence import DiffusionParams, diffuse, longitudinal_drift_factor
-from oamem.fieldgrid import GridSpec
+from oamem.decoherence import diffuse, longitudinal_drift_factor
+from oamem.fieldgrid import GridSpec, TransverseField
 from oamem.modes import LGModeSpec, QuditState, lg_field, synthesize
-from oamem.polariton import (SPEED_OF_LIGHT, MemoryParams, SpinWave, diffraction_check,
-                             group_velocity, mixing_angle, read, write)
+from oamem.polariton import (SPEED_OF_LIGHT, MemoryParams, diffraction_check, group_velocity,
+                             mixing_angle, read, write)
 
 W0 = 250e-6
 
@@ -80,7 +80,7 @@ class TestWriteRead:
             dim = rng.choice([2, 3])
             state = QuditState(rng.normal(size=dim) + 1j * rng.normal(size=dim), l=1)
             f = synthesize(state, W0, grid)
-            f2 = read(write(f, p), p)
+            f2 = read(write(f, p))
             assert abs(overlap(f, f2)) >= 1 - 1e-10
             assert abs(f2.norm() - f.norm()) < 1e-12
 
@@ -106,16 +106,16 @@ class TestWriteRead:
         f = lg_field(LGModeSpec(1, W0), grid)
         s = write(f, p)
         s2 = s.with_values(s.values * np.exp(1j * 0.7))
-        assert np.allclose(np.abs(read(s2, p).values) ** 2,
-                           np.abs(read(s, p).values) ** 2)
+        assert np.allclose(np.abs(read(s2).values) ** 2,
+                           np.abs(read(s).values) ** 2)
 
     def test_linearity(self, grid, rng):
         p = MemoryParams()
         a = synthesize(QuditState(rng.normal(size=2) + 0j, l=2), W0, grid)
         b = synthesize(QuditState(rng.normal(size=2) + 0j, l=2), W0, grid)
         combo = a.with_values(0.6 * a.values + 0.8j * b.values)
-        lhs = read(write(combo, p), p).values
-        rhs = 0.6 * read(write(a, p), p).values + 0.8j * read(write(b, p), p).values
+        lhs = read(write(combo, p)).values
+        rhs = 0.6 * read(write(a, p)).values + 0.8j * read(write(b, p)).values
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
 
 
@@ -150,24 +150,22 @@ class TestLongitudinalDrift:
     def test_analytic_factor_matches_slice_oracle(self, t_s):
         # sigma = 49, 198 and 396 um: factors 0.97, 0.63 and 0.16 at 2 degrees
         p = MemoryParams(alpha=np.radians(2.0))
-        dp = DiffusionParams(p.temperature, p.mass)
         rng = np.random.default_rng(int(t_s * 1e6))
-        mean, stderr = monte_carlo_drift_factor(p.delta_k, p.diameter, dp.sigma(t_s),
+        mean, stderr = monte_carlo_drift_factor(p.delta_k, p.diameter, p.sigma(t_s),
                                                 4000, rng)
-        assert abs(mean - longitudinal_drift_factor(p.delta_k, dp, t_s)) <= 3.0 * stderr
+        assert abs(mean - longitudinal_drift_factor(p, t_s)) <= 3.0 * stderr
 
     def test_collinear_factor_exactly_one(self, rng):
         p = MemoryParams(alpha=0.0)
-        dp = DiffusionParams(p.temperature, p.mass)
-        mean, stderr = monte_carlo_drift_factor(p.delta_k, p.diameter, dp.sigma(4e-3),
+        mean, stderr = monte_carlo_drift_factor(p.delta_k, p.diameter, p.sigma(4e-3),
                                                 100, rng)
         assert mean == 1.0 and stderr == 0.0
-        assert longitudinal_drift_factor(p.delta_k, dp, 4e-3) == 1.0
+        assert longitudinal_drift_factor(p, 4e-3) == 1.0
 
 
 class TestDiffractionCheck:
     def test_plane_wave_negligible(self, grid):
-        s = SpinWave(grid, np.ones((grid.n, grid.n)))
+        s = TransverseField(grid, np.ones((grid.n, grid.n)), 795e-9)
         assert diffraction_check(MemoryParams(), s) < 1e-3
 
     def test_stored_mode_within_budget(self, grid):
@@ -178,7 +176,7 @@ class TestDiffractionCheck:
 
     def test_small_waist_flagged(self):
         g = GridSpec(256, 1.6e-4)
-        s = SpinWave(g, lg_field(LGModeSpec(1, 1e-5), g).values)
+        s = TransverseField(g, lg_field(LGModeSpec(1, 1e-5), g).values, 795e-9)
         assert diffraction_check(MemoryParams(), s) > 0.1
 
     def test_write_warns_on_tight_focus(self):
@@ -205,7 +203,7 @@ class TestDiffractionCheck:
         else:
             g = wide_grid
             values = np.zeros((g.n, g.n))
-        got = diffraction_check(p, SpinWave(g, values))
+        got = diffraction_check(p, TransverseField(g, values, 795e-9))
         expected = sorted_diffraction_phase(values, g.pitch, p.diameter, p.k_s)
         assert abs(got - expected) <= 1e-12 * expected
 
@@ -223,9 +221,11 @@ class TestDiffractionCheck:
 
 
 class TestSpinWavePickle:
+    """A spin wave is a TransverseField; unpickling keeps its arrays read-only."""
+
     @pytest.mark.parametrize("cached", [False, True], ids=["values", "values+spectrum"])
     def test_unpickled_arrays_are_read_only(self, grid, cached):
-        wave = SpinWave(grid, lg_field(LGModeSpec(1, W0), grid).values)
+        wave = TransverseField(grid, lg_field(LGModeSpec(1, W0), grid).values, 795e-9)
         if cached:
             wave.spectrum
         copy = pickle.loads(pickle.dumps(wave))
@@ -261,12 +261,11 @@ def test_read_after_diffusion_is_field_convolution(grid):
     # storing, expanding, and reading equals blurring the input directly,
     # checked against the dense real-space convolution oracle
     from oracles import direct_gaussian_convolution
-    p = MemoryParams()
-    dp = DiffusionParams(temperature=100e-6, mass=85 * 1.66053906892e-27)
+    p = MemoryParams(temperature=100e-6, mass=85 * 1.66053906892e-27)
     f = synthesize(QuditState(np.array([1.0, 1.0]), l=2), W0, grid)
     t_s = 3e-4
-    retrieved = read(diffuse(write(f, p), dp, t_s), p)
-    expected = direct_gaussian_convolution(f.values, grid.pitch, dp.sigma(t_s))
+    retrieved = read(diffuse(write(f, p), p, t_s))
+    expected = direct_gaussian_convolution(f.values, grid.pitch, p.sigma(t_s))
     err = np.sqrt(np.sum(np.abs(retrieved.values - expected) ** 2)
                   / np.sum(np.abs(expected) ** 2))
     assert err < 1e-6

@@ -39,11 +39,11 @@ KEEP = {
     "modes.qutrit_state": "test-fixture constructor",
     "modes.QuditState.labels": "test-fixture basis labels",
     "fieldgrid.TransverseField.norm": "test-fixture norm",
-    "polariton.SpinWave.norm": "test-fixture norm",
-    "polariton.SpinWave.__setstate__": "runs only when a wave is unpickled; a fork pool "
-                                       "hands its workers the stored wave without pickling",
-    "fieldgrid.Separable.__setstate__": "runs only when a wave's factors are unpickled, as "
-                                        "polariton.SpinWave.__setstate__",
+    "fieldgrid.TransverseField.__setstate__": "runs only when a field is unpickled; a fork "
+                                              "pool hands its workers the stored wave "
+                                              "without pickling",
+    "fieldgrid.Separable.__setstate__": "runs only when a field's factors are unpickled, as "
+                                        "fieldgrid.TransverseField.__setstate__",
     "harness._init_worker": "runs only in the worker processes of --parallel",
     "harness._worker_point": "runs only in the worker processes of --parallel",
     "tomography._ket": "runs at import, building the projector tables",
