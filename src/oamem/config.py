@@ -317,6 +317,12 @@ def serialize_config(cfg: ExperimentConfig) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
+    """The config in the YAML file ``path``, with the checks of :func:`parse_config`.
+
+    A config file must also leave at their defaults the values its
+    campaign would ignore: ``counting.pulses`` without Poisson counting,
+    and ``source.input_waist`` and ``source.focal`` with an ideal source.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -325,7 +331,16 @@ def load_config(path) -> ExperimentConfig:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
-    return parse_config(data)
+    cfg = parse_config(data)
+    # serializing writes every default out, so a default value must still load
+    counting, source = cfg.counting, cfg.source
+    if not counting.poisson and counting.pulses != CountingSection.pulses:
+        raise ConfigError("counting.pulses is ignored without poisson counting; remove it")
+    if source.kind == "ideal" and (source.input_waist, source.focal) != (
+            SourceConfig.input_waist, SourceConfig.focal):
+        raise ConfigError("source.input_waist and source.focal are ignored by an ideal "
+                          "source; remove them")
+    return cfg
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -8,23 +8,26 @@ Two physical mechanisms act on the transverse coherence pattern:
 * spatially inhomogeneous Larmor precession in the residual magnetic
   field, a pure per-pixel phase exp(i dOmega(rho) t_s).
 
-:func:`decohere` applies both to one new n x n array per storage time,
-and neither rebuilds work that does not depend on t_s.  The spin wave is
-a :class:`~oamem.fieldgrid.TransverseField`, and the blur reads the
+:func:`decohered_rows` yields the decohered wave of one storage time in
+blocks of ``BLOCK_ROWS`` rows, which a campaign projects as they come,
+so no storage point of an ideal source builds an n x n array;
+:func:`decohere` stacks the same blocks into one field, for rendering.
+Nothing that does not depend on t_s is rebuilt.  The spin wave is a
+:class:`~oamem.fieldgrid.TransverseField`, and the blur reads the
 ensemble's temperature and mass from the memory's
 :class:`~oamem.polariton.MemoryParams` (``MemoryParams.sigma``).  The
 blur kernel factors as k1(q_x) k1(q_y).  A wave synthesized from LG
 modes carries its K <= |l| + 1 separable factors
 (``TransverseField.factors``): the blur transforms the K real 1-D rows,
-K n log n work, and one pass rebuilds the n x n wave.  A wave without
+K n log n work, and each block is contracted from them.  A wave without
 factors, such as a binary hologram's far field, whose mask is not
 separable, takes the spectral path: its forward spectrum is computed
 once (``TransverseField.spectrum``, which the diffraction check of
 :func:`oamem.polariton.write` also reads), and each storage time scales
-it by both kernel factors and inverts it in place.  The Larmor map
-dOmega(x, y) is built once per (model, grid) pair, and each storage time
-multiplies the wave in place by cos and sin of dOmega t_s, after
-checking that the phase is finite.
+it by both kernel factors, inverts it in place and slices it.  The
+Larmor map dOmega(x, y) is built once per (model, grid) pair; each
+storage time checks that dOmega t_s is finite and multiplies each block
+in place by its cos and sin.
 
 End-to-end retrieval efficiency is a separate, empirical exponential
 decay fitted to two measured anchor points.
@@ -33,13 +36,14 @@ decay fitted to two measured anchor points.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NodalLineNotFound, NonFiniteField
-from .fieldgrid import GridSpec, Separable, TransverseField
+from .fieldgrid import BLOCK_ROWS, GridSpec, Separable, TransverseField, row_blocks
 from .polariton import MemoryParams
 
 # reference end-to-end efficiencies used as default decay anchors
@@ -114,25 +118,48 @@ class EfficiencyModel:
         return self.eta0 * math.exp(-t_s / self.tau)
 
 
+def _active_channels(t_s: float, diffusion: MemoryParams | None,
+                     magnetic: MagneticModel | None) -> tuple[bool, bool]:
+    """Whether the blur and the Larmor phase change a wave stored for t_s."""
+    if t_s < 0:
+        raise ValueError("storage time must be >= 0")
+    return diffusion is not None and t_s > 0.0, magnetic is not None and t_s > 0.0
+
+
+def decohered_rows(s: TransverseField, t_s: float, diffusion: MemoryParams | None = None,
+                   magnetic: MagneticModel | None = None) -> Iterator[np.ndarray]:
+    """The values of ``s`` after t_s of free expansion, then Larmor dephasing, in row blocks.
+
+    Yields consecutive blocks of BLOCK_ROWS rows; a channel left None is
+    off, and ``diffusion`` is the memory whose temperature and mass set
+    the blur.  The Larmor phase multiplies each block in place.  With no
+    channel on, the blocks are read-only views of ``s.values``.
+    """
+    blur, phase = _active_channels(t_s, diffusion, magnetic)
+    if blur:
+        blocks = _blurred(s, diffusion.sigma(t_s))
+    elif phase:
+        blocks = (np.array(block) for block in row_blocks(s.values))
+    else:
+        return row_blocks(s.values)
+    return _dephased(blocks, s.grid, magnetic, t_s) if phase else blocks
+
+
 def decohere(s: TransverseField, t_s: float, diffusion: MemoryParams | None = None,
              magnetic: MagneticModel | None = None) -> TransverseField:
     """``s`` after t_s of free expansion, then Larmor dephasing; a channel left None is off.
 
-    ``diffusion`` is the memory whose temperature and mass set the blur.
-    Builds one new n x n array: the blur writes it (or it starts as a copy
-    of ``s.values``) and the Larmor phase is applied to it in place; the
-    returned field checks that it is finite.  Returns ``s`` itself when no
-    channel changes it (t_s = 0).
+    Stacks the blocks of :func:`decohered_rows` into one new n x n array,
+    which the returned field checks to be finite.  Returns ``s`` itself
+    when no channel changes it (t_s = 0).  A campaign that only projects
+    the wave consumes the blocks directly and builds no n x n array.
     """
-    if t_s < 0:
-        raise ValueError("storage time must be >= 0")
-    blur = diffusion is not None and t_s > 0.0
-    phase = magnetic is not None and t_s > 0.0
-    if not (blur or phase):
+    if not any(_active_channels(t_s, diffusion, magnetic)):
         return s
-    values = _blurred(s, diffusion.sigma(t_s)) if blur else np.array(s.values)
-    if phase:
-        _dephase(values, s.grid, magnetic, t_s)
+    values = np.empty_like(s.values)
+    blocks = decohered_rows(s, t_s, diffusion, magnetic)
+    for start, block in zip(range(0, s.grid.n, BLOCK_ROWS), blocks):
+        values[start:start + BLOCK_ROWS] = block
     return s.with_values(values)
 
 
@@ -145,13 +172,13 @@ def diffuse(s: TransverseField, p: MemoryParams, t_s: float) -> TransverseField:
     return decohere(s, t_s, diffusion=p)
 
 
-def _blurred(s: TransverseField, sigma: float) -> np.ndarray:
-    """The values of ``s`` blurred by exp(-q^2 sigma^2 / 2), as a new array.
+def _blurred(s: TransverseField, sigma: float) -> Iterator[np.ndarray]:
+    """The values of ``s`` blurred by exp(-q^2 sigma^2 / 2), in new blocks of rows.
 
     The kernel factors as k1(q_x) k1(q_y).  A wave with ``factors`` is
-    blurred on its K real 1-D rows (k1 is even, so they stay real) and
-    rebuilt in one pass; any other wave scales its cached forward spectrum
-    by both factors and inverts it in place.
+    blurred on its K real 1-D rows (k1 is even, so they stay real), and
+    each block is contracted from them; any other wave scales its cached
+    forward spectrum by both factors, inverts it in place and is sliced.
     """
     n = s.grid.n
     q = 2.0 * np.pi * np.fft.fftfreq(n, d=s.grid.pitch)
@@ -159,12 +186,12 @@ def _blurred(s: TransverseField, sigma: float) -> np.ndarray:
     if s.factors is not None:
         rows = np.fft.rfft(s.factors.rows, axis=1)
         rows *= k1[:n // 2 + 1]
-        return Separable(np.fft.irfft(rows, n, axis=1), s.factors.mix).array()
+        return Separable(np.fft.irfft(rows, n, axis=1), s.factors.mix).row_blocks()
     blurred = s.spectrum * k1
     blurred *= k1[:, None]
     np.fft.ifft(blurred, axis=1, out=blurred)
     np.fft.ifft(blurred, axis=0, out=blurred)
-    return blurred
+    return row_blocks(blurred)
 
 
 @lru_cache(maxsize=1)
@@ -173,7 +200,7 @@ def _larmor_map(mdl: MagneticModel, grid: GridSpec) -> tuple[np.ndarray, float]:
 
     Rows are y, as in ``GridSpec.mesh``; the axes broadcast, so no mesh is
     built.  A ``field_at`` that ignores an axis may return fewer rows.  A
-    map that overflows has a non-finite maximum, which :func:`_dephase`
+    map that overflows has a non-finite maximum, which :func:`_dephased`
     rejects.
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -183,13 +210,9 @@ def _larmor_map(mdl: MagneticModel, grid: GridSpec) -> tuple[np.ndarray, float]:
     return omega, float(np.max(np.abs(omega)))
 
 
-# rows per block of the in-place Larmor phase: exp(i dOmega t_s) is built
-# one 64 x n block at a time, so no second n x n complex array is needed
-_PHASE_BLOCK_ROWS = 64
-
-
-def _dephase(values: np.ndarray, grid: GridSpec, mdl: MagneticModel, t_s: float) -> None:
-    """Multiply ``values`` by exp(i dOmega t_s) in place, one block of rows at a time.
+def _dephased(blocks: Iterator[np.ndarray], grid: GridSpec, mdl: MagneticModel,
+              t_s: float) -> Iterator[np.ndarray]:
+    """Each block of rows multiplied in place by exp(i dOmega t_s), built one block at a time.
 
     Raises NonFiniteField when dOmega t_s is not finite somewhere, before
     any cos or sin is taken.
@@ -198,14 +221,14 @@ def _dephase(values: np.ndarray, grid: GridSpec, mdl: MagneticModel, t_s: float)
     if not math.isfinite(peak * t_s):
         raise NonFiniteField(f"field values must be finite: the Larmor phase dOmega t_s "
                              f"reaches {peak * t_s:g} rad at t_s = {t_s:g} s")
-    omega = np.broadcast_to(omega, values.shape)
-    rows = min(_PHASE_BLOCK_ROWS, grid.n)
-    rot = np.empty((rows, grid.n), dtype=np.complex128)
-    for start in range(0, grid.n, rows):
-        np.multiply(omega[start:start + rows], t_s, out=rot.imag)
+    omega = np.broadcast_to(omega, (grid.n, grid.n))
+    rot = np.empty((min(BLOCK_ROWS, grid.n), grid.n), dtype=np.complex128)
+    for start, block in zip(range(0, grid.n, BLOCK_ROWS), blocks):
+        np.multiply(omega[start:start + BLOCK_ROWS], t_s, out=rot.imag)
         np.cos(rot.imag, out=rot.real)
         np.sin(rot.imag, out=rot.imag)
-        values[start:start + rows] *= rot
+        block *= rot
+        yield block
 
 
 def magnetic_dephase(s: TransverseField, mdl: MagneticModel, t_s: float) -> TransverseField:

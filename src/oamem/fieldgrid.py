@@ -9,11 +9,17 @@ is conserved exactly:
 
     S(q) = (1 / 2 pi) * sum f(rho) exp(-i q . rho) dx^2
     sum |S|^2 dq^2 == sum |f|^2 dx^2
+
+Work that needs one row of an n x n array at a time streams it in
+blocks of ``BLOCK_ROWS`` rows (:func:`row_blocks`,
+:meth:`Separable.row_blocks`), so that it holds about 64 n samples
+instead of n^2.
 """
 
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,6 +28,8 @@ import numpy as np
 from .errors import GridMismatch, NonFiniteField
 
 MAX_GRID_N = 4096
+# rows per block of a streamed n x n array: 64 rows of complex128 take n KiB
+BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -87,11 +95,16 @@ def _freeze(a: np.ndarray, dtype=np.complex128) -> np.ndarray:
     return a
 
 
+def row_blocks(values: np.ndarray) -> Iterator[np.ndarray]:
+    """``values`` as consecutive views of BLOCK_ROWS rows."""
+    return (values[start:start + BLOCK_ROWS] for start in range(0, len(values), BLOCK_ROWS))
+
+
 @dataclass(frozen=True)
 class Separable:
     """An n x n array held as K 1-D rows and a K x K matrix.
 
-    ``array()`` is sum_jk rows[j, y] mix[j, k] rows[k, x] (rows are y, as
+    The array is sum_jk rows[j, y] mix[j, k] rows[k, x] (rows are y, as
     in ``GridSpec.mesh``), so an operator that factors over x and y acts
     on the K rows instead of the n x n samples.  Both arrays are read-only.
     """
@@ -109,10 +122,23 @@ class Separable:
             a.flags.writeable = False
         self.__dict__.update(state)
 
+    def row_blocks(self, size: int = BLOCK_ROWS) -> Iterator[np.ndarray]:
+        """The array, ``size`` rows at a time, each a new writable array.
+
+        The real rows contract with the complex K x n matrix mix @ rows
+        viewed as float64 pairs, so nothing is upcast to complex; einsum
+        keeps BLAS threads idle.
+        """
+        k, n = self.rows.shape
+        inner = np.einsum("jk,kx->jx", self.mix, self.rows).view(np.float64).reshape(k, n, 2)
+        for start in range(0, n, size):
+            block = np.einsum("jy,jxc->yxc", self.rows[:, start:start + size], inner)
+            yield block.view(np.complex128).reshape(-1, n)
+
     def array(self) -> np.ndarray:
         """The n x n array, as a new writable array."""
-        # einsum keeps BLAS threads idle
-        return np.einsum("jy,jx->yx", self.rows, np.einsum("jk,kx->jx", self.mix, self.rows))
+        (values,) = self.row_blocks(len(self.rows[0]))
+        return values
 
 
 @dataclass(frozen=True)
@@ -158,7 +184,9 @@ class TransverseField:
         """Read-only unnormalized 2-D DFT of ``values``, computed once per field.
 
         Two 1-D passes (x, then y, the order of ``np.fft.fft2``), the
-        second in place.
+        second in place.  Only a field without ``factors`` needs it: the
+        blur and the diffraction check of a field with factors run on
+        their K 1-D rows.
         """
         spectrum = np.fft.fft(self.values, axis=1)
         np.fft.fft(spectrum, axis=0, out=spectrum)

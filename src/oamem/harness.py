@@ -20,15 +20,15 @@ import numpy as np
 from . import __version__
 from .bounds import classical_limit, threshold_band
 from .config import ExperimentConfig, config_hash
-from .decoherence import decohere, longitudinal_drift_factor
-from .errors import ConfigError
+from .decoherence import decohere, decohered_rows, longitudinal_drift_factor
+from .errors import ConfigError, NonFiniteField
 from .fieldgrid import TransverseField, export_csv, export_pgm
 from .holography import (export_pgm_hologram, focal_basis_phases, fraunhofer,
                          qubit_hologram, qutrit_hologram)
 from .measurement import (CountRecord, fit_visibility, polar_retrieve, simulate_counts,
                           subtract_background, write_count_records)
-from .modes import (LGModeSpec, QuditState, basis_charges, decompose, lg_field,
-                    qubit_state, synthesize)
+from .modes import (LGModeSpec, QuditState, basis_charges, decompose, decompose_rows,
+                    lg_field, qubit_state, synthesize)
 from .polariton import read, write
 from .tomography import (DensityMatrix, ProjectionSet, export_density_csv,
                          fidelity, probabilities, reconstruct, tomography_report)
@@ -129,25 +129,43 @@ def _store(cfg: ExperimentConfig) -> tuple[np.ndarray, TransverseField]:
     return _amplitudes(cfg, field_in), write(field_in, cfg.memory)
 
 
-def _decohere(cfg: ExperimentConfig, wave: TransverseField, t_s: float) -> TransverseField:
-    """The written spin wave after t_s of the configured channels (drift: :func:`_amplitudes`)."""
+def _channels(cfg: ExperimentConfig) -> tuple:
+    """The (diffusion, magnetic) arguments of the decoherence calls; drift: :func:`_corrected`."""
     dc = cfg.decoherence
-    return decohere(wave, t_s, cfg.memory if dc.diffusion else None,
-                    cfg.magnetic if dc.magnetic else None)
+    return cfg.memory if dc.diffusion else None, cfg.magnetic if dc.magnetic else None
+
+
+def _decohere(cfg: ExperimentConfig, wave: TransverseField, t_s: float) -> TransverseField:
+    """The written spin wave after t_s of the configured channels, as one field."""
+    return decohere(wave, t_s, *_channels(cfg))
 
 
 def _retrieved_amplitudes(cfg: ExperimentConfig, wave: TransverseField, t_s: float) -> np.ndarray:
     """:func:`_amplitudes` of the field read out of ``wave`` after t_s.
 
+    The decohered wave streams into the projection one block of rows at
+    a time, so an ideal source's wave never becomes an n x n array.
     Readout negates the spin wave, and projection is linear, so the sign
-    goes on the d amplitudes, exactly: the decohered n x n array is
-    projected as it is, with no negated copy.
+    goes on the d amplitudes, exactly.  Raises NonFiniteField when an
+    amplitude is not finite.
     """
-    return -_amplitudes(cfg, _decohere(cfg, wave, t_s), t_s)
+    q = cfg.qudit
+    blocks = decohered_rows(wave, t_s, *_channels(cfg))
+    a = -_corrected(cfg, decompose_rows(blocks, wave.grid, q.l, q.dim, q.waist), t_s)
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteField(f"field values must be finite: the retrieved mode "
+                             f"amplitudes at t_s = {t_s:g} s are {a}")
+    return a
 
 
 def _amplitudes(cfg: ExperimentConfig, field: TransverseField, t_s: float = 0.0) -> np.ndarray:
-    """Qudit-basis mode amplitudes a of ``field``, read out after t_s.
+    """Qudit-basis mode amplitudes a of ``field``, read out after t_s."""
+    q = cfg.qudit
+    return _corrected(cfg, decompose(field, q.l, q.dim, q.waist), t_s)
+
+
+def _corrected(cfg: ExperimentConfig, a: np.ndarray, t_s: float) -> np.ndarray:
+    """The raw mode amplitudes ``a`` of a field read out after t_s, as qudit amplitudes.
 
     Projection is linear, so a ket psi couples |psi^H a|^2 of the field
     into the fiber, and the longitudinal drift factor, one number for the
@@ -156,7 +174,6 @@ def _amplitudes(cfg: ExperimentConfig, field: TransverseField, t_s: float = 0.0)
     in the mask-plane convention of the configured state.
     """
     q = cfg.qudit
-    a = decompose(field, q.l, q.dim, q.waist)
     if cfg.source.kind == "hologram":
         a = a / focal_basis_phases(basis_charges(q.dim, q.l))
     if cfg.decoherence.longitudinal_drift:
@@ -202,7 +219,8 @@ def storage_point(cfg: ExperimentConfig, stored: tuple[np.ndarray, TransverseFie
 
     ``stored`` is :func:`_store` of ``cfg``.  Chain: decohere -> read ->
     project -> count -> reconstruct -> fidelity, exactly composing the
-    module operations.
+    module operations; decoherence streams into the projection in row
+    blocks (:func:`_retrieved_amplitudes`).
     """
     amplitudes, wave = stored
     state = cfg.qudit.to_state()
@@ -238,8 +256,9 @@ def _map_points(cfg: ExperimentConfig, parallel: int):
 
     The pool forks all its workers at once, so it never gets more than
     there are points or CPUs; one worker runs the points in this process.
-    Each worker receives the config and the stored wave (with its cached
-    spectrum) once, and each job only its (index, storage time).
+    Each worker receives the config and the stored wave once (an ideal
+    source's wave carries its factors and no spectrum), and each job only
+    its (index, storage time).
     """
     stored = _store(cfg)
     jobs = list(enumerate(cfg.storage_times))

@@ -9,13 +9,14 @@ for qutrits so density-matrix indexing is unambiguous everywhere.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimMismatch, GridTooSmall
-from .fieldgrid import GridSpec, Separable, TransverseField
+from .fieldgrid import GridSpec, Separable, TransverseField, row_blocks
 
 QUBIT_LABELS = ("L", "R")
 QUTRIT_LABELS = ("L", "G", "R")
@@ -168,17 +169,34 @@ def synthesize(state: QuditState, w0: float, grid: GridSpec,
 
 
 def decompose(f: TransverseField, l: int, dim: int, w0: float) -> np.ndarray:
-    """Project a field onto the qudit basis; returns raw mode amplitudes <m|f>.
+    """Project a field onto the qudit basis; returns raw mode amplitudes <m|f>."""
+    return decompose_rows(row_blocks(f.values), f.grid, l, dim, w0)
+
+
+def decompose_rows(blocks: Iterable[np.ndarray], grid: GridSpec, l: int, dim: int,
+                   w0: float) -> np.ndarray:
+    """:func:`decompose` of the field on ``grid`` whose consecutive rows ``blocks`` yields.
 
     With the separable modes of :func:`_basis`, <m_i|f> is
-    sum_jk conj(mats[i, j, k]) powers[j]^T F powers[k] dx^2.  One pass over
-    the n x n field contracts it with every 1-D factor at once; no mode is
-    sampled on the grid, and the factors are the cached ones of the basis.
+    sum_jk conj(mats[i, j, k]) powers[j]^T F powers[k] dx^2.  Each block of
+    rows is contracted with every 1-D factor at once as it arrives, so the
+    n x n field F never needs to exist; no mode is sampled on the grid, and
+    the factors are the cached ones of the basis.
     """
-    mats, powers = _basis(basis_charges(dim, l), w0, f.grid)
-    # overlaps[j, k] = powers[j]^T F powers[k]; einsum keeps BLAS threads idle
-    overlaps = np.einsum("jy,yk->jk", powers, np.einsum("yx,kx->yk", f.values, powers))
-    return np.einsum("ijk,jk->i", mats.conj(), overlaps) * f.grid.pixel_area
+    mats, powers = _basis(basis_charges(dim, l), w0, grid)
+    # einsum keeps BLAS threads idle; it would cast the real factors to
+    # complex for every block, so they are cast once, to the same numbers
+    factors = powers.astype(np.complex128)
+    rows_by_factor = np.empty((grid.n, len(powers)), dtype=np.complex128)
+    start = 0
+    for block in blocks:
+        np.einsum("yx,kx->yk", block, factors, out=rows_by_factor[start:start + len(block)])
+        start += len(block)
+    if start != grid.n:
+        raise ValueError(f"blocks hold {start} rows, the grid has {grid.n}")
+    # overlaps[j, k] = powers[j]^T F powers[k]
+    overlaps = np.einsum("jy,yk->jk", powers, rows_by_factor)
+    return np.einsum("ijk,jk->i", mats.conj(), overlaps) * grid.pixel_area
 
 
 def state_from_field(f: TransverseField, l: int, dim: int, w0: float) -> QuditState:

@@ -16,24 +16,28 @@ loss when atoms drift along z during storage is the analytic
 :func:`oamem.decoherence.longitudinal_drift_factor`.  All efficiency
 loss is modeled downstream (empirical decay in
 :mod:`oamem.decoherence`), and the neglected free-space diffraction
-phase q^2 D / k_s is checked explicitly, on the one forward spectrum per
-written wave (``TransverseField.spectrum``).  A field synthesized from
-LG modes is separable (:class:`~oamem.fieldgrid.Separable`); ``write``
-keeps its factors, so that the thermal blur of
-:func:`oamem.decoherence.diffuse` runs on K 1-D rows.  A wave without
-factors, such as the far field of a binary hologram, is blurred on the
-cached spectrum instead.
+phase q^2 D / k_s is checked explicitly, on the forward spectrum of
+the written wave, binned one block of rows at a time.  A field
+synthesized from LG modes is separable
+(:class:`~oamem.fieldgrid.Separable`); ``write`` keeps its factors, so
+that the diffraction check builds each block of the spectrum from the
+K 1-D row transforms, with no n x n spectrum, and the thermal blur of
+:func:`oamem.decoherence.diffuse` runs on the K rows too.  A wave
+without factors, such as the far field of a binary hologram, computes
+and caches its spectrum (``TransverseField.spectrum``) once, for the
+check and the blur.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldgrid import Separable, TransverseField
+from .fieldgrid import BLOCK_ROWS, Separable, TransverseField, row_blocks
 
 BOLTZMANN = 1.380649e-23
 SPEED_OF_LIGHT = 299792458.0
@@ -129,14 +133,37 @@ def read(s: TransverseField) -> TransverseField:
 def diffraction_check(params: MemoryParams, s: TransverseField) -> float:
     """Max diffraction phase q^2 D / k_s over the 99%-energy spectrum.
 
-    ``s.spectrum`` is binned by the integer shell i^2 + j^2 of its frequency
-    indices; q99^2 is q_pitch^2 times the first shell to reach 99 %.
+    |S|^2 of the unnormalized 2-D DFT S is binned by the integer shell
+    i^2 + j^2 of its frequency indices, one block of rows at a time;
+    q99^2 is q_pitch^2 times the first shell to reach 99 %.
     """
-    index = np.fft.fftfreq(s.grid.n, d=1.0 / s.grid.n).astype(np.int64)
-    shells = (index[:, None] ** 2 + index ** 2).ravel()
-    energy = np.bincount(shells, weights=(np.abs(s.spectrum) ** 2).ravel())
+    n = s.grid.n
+    squares = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64) ** 2
+    energy = np.zeros(n * n // 2 + 1)
+    for start, block in zip(range(0, n, BLOCK_ROWS), _spectrum_rows(s)):
+        shells = squares[start:start + len(block), None] + squares
+        part = np.bincount(shells.ravel(), weights=(np.abs(block) ** 2).ravel())
+        energy[:len(part)] += part
     cum = np.cumsum(energy)
     if cum[-1] == 0:
         return 0.0
     shell = int(np.searchsorted(cum, 0.99 * cum[-1]))
     return float(s.grid.q_pitch ** 2 * shell * params.diameter / params.k_s)
+
+
+def _spectrum_rows(s: TransverseField) -> Iterator[np.ndarray]:
+    """The unnormalized 2-D DFT of ``s.values``, BLOCK_ROWS rows at a time.
+
+    A wave with factors, V = R^T C R, has the spectrum S = F^T C F with F
+    the 1-D DFTs of its K rows, so each block of S is built from F and no
+    n x n spectrum is formed or cached.  Any other wave is sliced from its
+    cached ``s.spectrum``.
+    """
+    if s.factors is None:
+        yield from row_blocks(s.spectrum)
+        return
+    f = np.fft.fft(s.factors.rows, axis=1)
+    # einsum keeps BLAS threads idle
+    inner = np.einsum("jk,kx->jx", s.factors.mix, f)
+    for start in range(0, s.grid.n, BLOCK_ROWS):
+        yield np.einsum("jy,jx->yx", f[:, start:start + BLOCK_ROWS], inner)

@@ -58,7 +58,7 @@ def test_criterion_2_table_limit():
            1.0, elapsed, 0.865 <= upper <= 0.875)
 
 
-def test_criterion_3_quantum_beating():
+def test_criterion_3_quantum_beating(tmp_path):
     def compute():
         t_s = 400e-6
         eta = ETA_MODEL(t_s)
@@ -72,7 +72,7 @@ def test_criterion_3_quantum_beating():
             "counting": {"pulses": pulses, "poisson": True},
             "photon": {"n_bar": 1.6, "uncertainty": 0.4},
         })
-        row = run_storage_decay(cfg, out="/tmp/oamem_acceptance_c3").summary[0]
+        row = run_storage_decay(cfg, out=tmp_path / "c3").summary[0]
         return row[3], row[6]  # f_abs, band_high
 
     (f_abs, band_high), elapsed = timed(compute)

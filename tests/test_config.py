@@ -36,6 +36,17 @@ def test_round_trip_through_file(tmp_path):
     assert load_config(path) == cfg
 
 
+def test_serialized_noiseless_ideal_config_loads(tmp_path):
+    # serializing writes out the defaults of the values a campaign ignores
+    # (counting.pulses without Poisson counting, source.input_waist and
+    # source.focal with an ideal source), and the file loads again
+    cfg = parse_config({**BASE, "counting": {"poisson": False}})
+    assert cfg.source.kind == "ideal"
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(serialize_config(cfg), sort_keys=True))
+    assert load_config(path) == cfg
+
+
 def test_hash_stable_and_sensitive():
     cfg = parse_config(BASE)
     assert config_hash(cfg) == config_hash(parse_config(BASE))

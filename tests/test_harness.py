@@ -2,6 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import oamem
 from oamem.cli import main as cli_main
 from oamem.config import parse_config, serialize_config
 from oamem.decoherence import diffuse, longitudinal_drift_factor, magnetic_dephase
+from oamem.errors import NonFiniteField
 from oamem.harness import (_amplitudes, _decohere, _input_field, _retrieved_amplitudes, _store,
                            run_bounds_table, run_field_render, run_interference_scan,
                            run_meridian_sweep, run_storage_decay, run_tomography, storage_point)
@@ -116,7 +118,8 @@ class TestWorkerInput:
     def test_workers_get_the_wave_once_and_run_no_forward_fft(self, monkeypatch, tmp_path):
         # a spawning pool pickles the initializer's arguments once per worker
         # and every job on its own: jobs carry only (index, t), and the
-        # stored wave arrives with its spectrum, so no worker transforms it
+        # stored wave arrives with its mode factors, whose K x n rows are all
+        # a worker transforms
         import oamem.harness as harness
 
         jobs_seen, forward = [], []
@@ -153,6 +156,64 @@ class TestWorkerInput:
         assert jobs_seen == list(enumerate(cfg.storage_times))
         assert forward == []
         assert pooled.summary == run_storage_decay(cfg, out=tmp_path / "s").summary
+
+
+    def test_ideal_wave_ships_without_a_spectrum(self):
+        # the pickled config and stored wave are the wave's n x n values and
+        # little else: no cached spectrum rides along
+        cfg = small_cfg(grid=README_GRID, **SENSITIVE)
+        stored = _store(cfg)
+        wave = stored[1]
+        assert "spectrum" not in vars(wave)
+        assert len(pickle.dumps((cfg, stored))) < 1.2 * wave.values.nbytes
+
+
+class TestStream:
+    """A storage point streams the decohered wave into the projection in row blocks."""
+
+    CHANNELS = {
+        "none": {"decoherence": {"diffusion": False}},
+        "diffusion": {"decoherence": {"diffusion": True}},
+        "magnetic": {"decoherence": {"diffusion": False, "magnetic": True},
+                     "magnetic": SENSITIVE["magnetic"]},
+        "both": SENSITIVE,
+        "both+drift": {"decoherence": {"diffusion": True, "magnetic": True,
+                                       "longitudinal_drift": True},
+                       "magnetic": SENSITIVE["magnetic"], "memory": {"alpha": 0.1}},
+    }
+
+    @pytest.mark.parametrize("channels", list(CHANNELS))
+    @pytest.mark.parametrize("n", [32, 256], ids=["one-short-block", "four-blocks"])
+    @pytest.mark.parametrize("kind", ["ideal", "hologram"])
+    def test_equals_projecting_the_decohered_field(self, kind, n, channels):
+        source = dict(HOLOGRAM) if kind == "hologram" else {"kind": kind}
+        cfg = small_cfg(grid=dict(README_GRID, n=n), counting={"poisson": False},
+                        source=source, **self.CHANNELS[channels])
+        wave = _store(cfg)[1]
+        for t_s in (0.0, 2e-5, 2e-4):
+            assert np.array_equal(_retrieved_amplitudes(cfg, wave, t_s),
+                                  _amplitudes(cfg, read(_decohere(cfg, wave, t_s)), t_s))
+
+    def test_non_finite_amplitudes_raise(self):
+        cfg = small_cfg(grid=README_GRID, decoherence={"diffusion": False})
+        wave = _store(cfg)[1]
+        huge = wave.with_values(np.full(wave.values.shape, np.finfo(np.float64).max))
+        with pytest.raises(NonFiniteField, match="retrieved mode amplitudes"):
+            _retrieved_amplitudes(cfg, huge, 0.0)
+
+    def test_storage_point_peaks_below_one_field_array(self):
+        # with both channels on, a point holds a block of rows at a time; the
+        # first point builds the per-campaign Larmor map
+        cfg = small_cfg(grid=README_GRID, storage_times=[1e-5, 2e-5], **SENSITIVE)
+        stored = _store(cfg)
+        storage_point(cfg, stored, 0, 1e-5)
+        tracemalloc.start()
+        try:
+            storage_point(cfg, stored, 1, 2e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.grid.n ** 2 * np.dtype(np.complex128).itemsize
 
 
 class TestPipelineComposition:
@@ -257,15 +318,15 @@ class TestCallCounts:
         return calls
 
     def test_decay_runs_one_forward_spectrum(self, monkeypatch, tmp_path):
-        # an ideal source: two forward n x n passes per campaign (the written
-        # wave's spectrum, for the diffraction check), then per point with
-        # t > 0 one rfft and one irfft of the K x n mode factors; no point
-        # transforms an n x n array
+        # an ideal source: one forward pass of the K x n mode factors per
+        # campaign (the written wave's spectrum, for the diffraction check),
+        # then per point with t > 0 one rfft and one irfft of the factors; no
+        # transform touches an n x n array
         cfg = small_cfg(storage_times=[0.0, 1e-5, 2e-5, 3e-5], counting={"poisson": False},
                         **SENSITIVE)
         n, k = cfg.grid.n, cfg.qudit.l + 1
         calls = self.fft_calls(monkeypatch, cfg, tmp_path)
-        assert calls == [("fft", (n, n))] * 2 + [("rfft", (k, n)), ("irfft", (k, n // 2 + 1))] * 3
+        assert calls == [("fft", (k, n))] + [("rfft", (k, n)), ("irfft", (k, n // 2 + 1))] * 3
 
     def test_hologram_decay_inverts_the_spectrum(self, monkeypatch, tmp_path):
         # a hologram's far field has no factors: one centered transform for
@@ -580,6 +641,9 @@ NAN, INF = float("nan"), float("inf")
     ("decay", {"qudit": dict(README_QUBIT, coeffs=[[1.0, 0.0], [0.0, 1.0]])}),
     ("scan", {"qudit": README_QUBIT, "counting": {"acquisition": -5.0}}),
     ("tomo", {"counting": {"poisson": False, "bg_rate": 0.01}}),
+    ("decay", {"counting": {"poisson": False, "pulses": 5000}}),
+    ("decay", {"source": {"kind": "ideal", "input_waist": 5.0e-4}}),
+    ("decay", {"source": {"focal": 0.3}}),
 ], ids=["eta0", "zero-l", "zero-coeffs", "nan-n_bar", "zero-pulses",
         "hologram-input-waist", "qudit-waist", "meridian-hologram", "counting-n_bar",
         "str-seed", "float-seed", "negative-seed", "float-beta_points",
@@ -588,7 +652,7 @@ NAN, INF = float("nan"), float("inf")
         "anchor-overflow", "qutrit-bloch-angles", "mapping-storage-times", "huge-grid-n",
         "bool-storage-time", "bool-coeff", "bool-anchor", "eta0-without-tau",
         "eta0-tau-and-anchors", "coeffs-and-bloch-angles", "negative-acquisition",
-        "noiseless-bg_rate"])
+        "noiseless-bg_rate", "noiseless-pulses", "ideal-input-waist", "ideal-focal"])
 def test_config_faults_exit_2(tmp_path, capsys, subcommand, changes):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({**README_CONFIG, **changes}))

@@ -7,7 +7,7 @@ from oracles import (longitudinal_slices, monte_carlo_drift_factor, overlap, sli
 
 from oamem.decoherence import diffuse, longitudinal_drift_factor
 from oamem.fieldgrid import GridSpec, TransverseField
-from oamem.modes import LGModeSpec, QuditState, lg_field, synthesize
+from oamem.modes import LGModeSpec, QuditState, lg_field, qubit_state, qutrit_state, synthesize
 from oamem.polariton import (SPEED_OF_LIGHT, MemoryParams, diffraction_check, group_velocity,
                              mixing_angle, read, write)
 
@@ -207,17 +207,51 @@ class TestDiffractionCheck:
         expected = sorted_diffraction_phase(values, g.pitch, p.diameter, p.k_s)
         assert abs(got - expected) <= 1e-12 * expected
 
+    @staticmethod
+    def no_fft(*args, **kwargs):
+        raise AssertionError("diffraction_check ran a transform")
+
     def test_reuses_the_cached_spectrum(self, grid, monkeypatch):
-        s = write(lg_field(LGModeSpec(1, 200e-6), grid), MemoryParams())
+        # a wave without factors, the only kind that caches its spectrum
+        f = lg_field(LGModeSpec(1, 200e-6), grid)
+        s = write(TransverseField(grid, f.values, f.wavelength), MemoryParams())
         spectrum = s.spectrum
-
-        def no_fft(*args, **kwargs):
-            raise AssertionError("diffraction_check ran a transform")
-
-        monkeypatch.setattr(np.fft, "fft", no_fft)
-        monkeypatch.setattr(np.fft, "fft2", no_fft)
+        monkeypatch.setattr(np.fft, "fft", self.no_fft)
+        monkeypatch.setattr(np.fft, "fft2", self.no_fft)
         diffraction_check(MemoryParams(), s)
         assert s.spectrum is spectrum
+
+    def test_factors_need_no_spectrum(self, grid, monkeypatch):
+        # a wave with factors transforms its K x n rows only, and neither
+        # write nor the check caches an n x n spectrum
+        s = write(lg_field(LGModeSpec(2, W0), grid), MemoryParams())
+        assert "spectrum" not in vars(s)
+        shapes, fft = [], np.fft.fft
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        monkeypatch.setattr(np.fft, "fft2", self.no_fft)
+        diffraction_check(MemoryParams(), s)
+        assert shapes == [(3, grid.n)]
+        assert "spectrum" not in vars(s)
+
+    @pytest.mark.parametrize("state, w0, extent", [
+        *(pytest.param(qubit_state(1.1, 0.4, l=l), 200e-6, 6.4e-3, id=f"qubit-l{l}")
+          for l in (1, 2, 3, 4)),
+        pytest.param(qutrit_state(0.8, 0.5j, -0.3 + 0.2j, l=1), 200e-6, 6.4e-3, id="qutrit"),
+        pytest.param(qubit_state(1.1, 0.4, l=1), 1e-5, 1.6e-4, id="tight-focus")])
+    def test_factored_equals_spectral(self, state, w0, extent):
+        # the spectrum built block by block from the K row transforms lands
+        # on the same 99 % shell as the cached n x n spectrum of the samples
+        g = GridSpec(256, extent)
+        f = synthesize(state, w0, g)
+        plain = TransverseField(g, f.values, f.wavelength)
+        assert f.factors is not None and plain.factors is None
+        p = MemoryParams()
+        assert diffraction_check(p, f) == diffraction_check(p, plain)
 
 
 class TestSpinWavePickle:
