@@ -44,7 +44,6 @@ class PhotonStatistics:
 class BoundResult:
     """Classical limit with its ingredients."""
 
-    f_co: float
     f_classical: float
     n_min: int
 
@@ -122,8 +121,7 @@ def classical_limit(n_bar: float, eta_m: float) -> BoundResult:
     numerator = (n_min + 1) / (n_min + 2) * gamma + weighted_tail
     denominator = gamma + tail
     f_classical = numerator / denominator
-    f_co = poisson_weighted_limit(n_bar)
-    return BoundResult(f_co=f_co, f_classical=f_classical, n_min=n_min)
+    return BoundResult(f_classical=f_classical, n_min=n_min)
 
 
 def threshold_band(stats: PhotonStatistics, eta_m: float) -> tuple[float, float]:

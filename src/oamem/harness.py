@@ -27,8 +27,8 @@ from .holography import (export_pgm_hologram, focal_basis_phases, fraunhofer,
                          qubit_hologram, qutrit_hologram)
 from .measurement import (CountRecord, fit_visibility, polar_retrieve, simulate_counts,
                           subtract_background, write_count_records)
-from .modes import (LGModeSpec, QuditState, basis_charges, decompose, decompose_rows,
-                    lg_field, qubit_state, synthesize)
+from .modes import (LGModeSpec, QuditState, basis_charges, decompose_rows, lg_field,
+                    qubit_state, synthesize)
 from .polariton import read, write
 from .tomography import (DensityMatrix, ProjectionSet, export_density_csv,
                          fidelity, probabilities, reconstruct, tomography_report)
@@ -120,75 +120,58 @@ def _input_field(cfg: ExperimentConfig):
 def _store(cfg: ExperimentConfig) -> tuple[np.ndarray, TransverseField]:
     """The part of a storage point that does not depend on t.
 
-    Prepares the configured input field and writes it once.  Returns its
-    qudit-basis amplitudes (the stored state) and the written spin wave,
-    which :func:`_retrieved_amplitudes` decoheres and reads at each storage
-    time.
+    Prepares the configured input field and writes it once.  Returns the
+    stored state, :func:`_retrieve` at t = 0, where no channel acts and
+    readout undoes the write's sign exactly, and the written spin wave,
+    which :func:`_retrieve` reads at each storage time.
     """
-    field_in, _ = _input_field(cfg)
-    return _amplitudes(cfg, field_in), write(field_in, cfg.memory)
+    wave = write(_input_field(cfg)[0], cfg.memory)
+    return _retrieve(cfg, wave, 0.0), wave
 
 
 def _channels(cfg: ExperimentConfig) -> tuple:
-    """The (diffusion, magnetic) arguments of the decoherence calls; drift: :func:`_corrected`."""
+    """The (diffusion, magnetic) arguments of the decoherence calls; drift: :func:`_retrieve`."""
     dc = cfg.decoherence
     return cfg.memory if dc.diffusion else None, cfg.magnetic if dc.magnetic else None
 
 
-def _decohere(cfg: ExperimentConfig, wave: TransverseField, t_s: float) -> TransverseField:
-    """The written spin wave after t_s of the configured channels, as one field."""
-    return decohere(wave, t_s, *_channels(cfg))
+def _retrieve(cfg: ExperimentConfig, wave: TransverseField, t_s: float) -> np.ndarray:
+    """Qudit amplitudes a of the field read out of the written ``wave`` after t_s.
 
-
-def _retrieved_amplitudes(cfg: ExperimentConfig, wave: TransverseField, t_s: float) -> np.ndarray:
-    """:func:`_amplitudes` of the field read out of ``wave`` after t_s.
-
-    The decohered wave streams into the projection one block of rows at
-    a time, so an ideal source's wave never becomes an n x n array.
-    Readout negates the spin wave, and projection is linear, so the sign
-    goes on the d amplitudes, exactly.  Raises NonFiniteField when an
-    amplitude is not finite.
+    A ket psi couples |psi^H a|^2 of the field into the fiber.  The
+    decohered wave streams into the projection in row blocks.  Projection
+    is linear, so the readout sign and the drift factor, one number for
+    the whole field, go on the d amplitudes, exactly.  A hologram's lens
+    gave each focal-plane mode the phase (-i)^|l|; dividing it out puts a
+    in the mask-plane convention of the configured state.  Raises
+    NonFiniteField when an amplitude is not finite.
     """
     q = cfg.qudit
     blocks = decohered_rows(wave, t_s, *_channels(cfg))
-    a = -_corrected(cfg, decompose_rows(blocks, wave.grid, q.l, q.dim, q.waist), t_s)
+    a = -decompose_rows(blocks, wave.grid, q.l, q.dim, q.waist)
+    if cfg.source.kind == "hologram":
+        a = a / focal_basis_phases(basis_charges(q.dim, q.l))
+    if cfg.decoherence.longitudinal_drift:
+        a = a * longitudinal_drift_factor(cfg.memory, t_s)
     if not np.all(np.isfinite(a)):
         raise NonFiniteField(f"field values must be finite: the retrieved mode "
                              f"amplitudes at t_s = {t_s:g} s are {a}")
     return a
 
 
-def _amplitudes(cfg: ExperimentConfig, field: TransverseField, t_s: float = 0.0) -> np.ndarray:
-    """Qudit-basis mode amplitudes a of ``field``, read out after t_s."""
-    q = cfg.qudit
-    return _corrected(cfg, decompose(field, q.l, q.dim, q.waist), t_s)
+def _transfer(cfg: ExperimentConfig, t_s: float) -> np.ndarray:
+    """The memory's d x d transfer matrix T(t_s), for an ideal source.
 
-
-def _corrected(cfg: ExperimentConfig, a: np.ndarray, t_s: float) -> np.ndarray:
-    """The raw mode amplitudes ``a`` of a field read out after t_s, as qudit amplitudes.
-
-    Projection is linear, so a ket psi couples |psi^H a|^2 of the field
-    into the fiber, and the longitudinal drift factor, one number for the
-    whole field, scales a.  A hologram field lives in the focal plane, where
-    the lens gave each mode the phase (-i)^|l|; dividing it out expresses a
-    in the mask-plane convention of the configured state.
+    Write, decoherence, readout and projection are linear, so a prepared
+    state c retrieves as T c.  Column j is :func:`_retrieve` of basis
+    mode j, synthesized and written.
     """
     q = cfg.qudit
-    if cfg.source.kind == "hologram":
-        a = a / focal_basis_phases(basis_charges(q.dim, q.l))
-    if cfg.decoherence.longitudinal_drift:
-        a = a * longitudinal_drift_factor(cfg.memory, t_s)
-    return a
-
-
-def _measure(cfg: ExperimentConfig, wave: TransverseField, point: int, t_s: float, kets):
-    """Retrieve the written ``wave`` after t_s, then count.
-
-    Returns (eta at t_s, records); see :func:`_count`.
-    """
-    a = _retrieved_amplitudes(cfg, wave, t_s)
-    eta = cfg.efficiency.to_model()(t_s)
-    return eta, _count(cfg, a, eta, point, kets)
+    columns = []
+    for e in np.eye(q.dim):
+        mode = synthesize(QuditState(e, l=q.l), q.waist, cfg.grid, cfg.memory.lambda_s)
+        columns.append(_retrieve(cfg, write(mode, cfg.memory), t_s))
+    return np.stack(columns, axis=1)
 
 
 def _count(cfg: ExperimentConfig, a: np.ndarray, eta: float, point: int, kets):
@@ -218,17 +201,18 @@ def storage_point(cfg: ExperimentConfig, stored: tuple[np.ndarray, TransverseFie
     """One storage-and-tomography pass at a single storage time.
 
     ``stored`` is :func:`_store` of ``cfg``.  Chain: decohere -> read ->
-    project -> count -> reconstruct -> fidelity, exactly composing the
-    module operations; decoherence streams into the projection in row
-    blocks (:func:`_retrieved_amplitudes`).
+    project (:func:`_retrieve`) -> count -> reconstruct -> fidelity, where
+    f_abs compares with the configured state and f_rel with the stored one.
     """
-    amplitudes, wave = stored
+    reference, wave = stored
     state = cfg.qudit.to_state()
     pset = ProjectionSet.qubit() if state.dim == 2 else ProjectionSet.qutrit()
-    eta, records = _measure(cfg, wave, t_index, t_s, pset.projectors)
+    a = _retrieve(cfg, wave, t_s)
+    eta = cfg.efficiency.to_model()(t_s)
+    records = _count(cfg, a, eta, t_index, pset.projectors)
     rho = reconstruct(records, pset)
     f_abs = fidelity(rho, DensityMatrix(state.density_matrix()))
-    f_rel = fidelity(rho, DensityMatrix(QuditState(amplitudes, l=state.l).density_matrix()))
+    f_rel = fidelity(rho, DensityMatrix(QuditState(reference, l=state.l).density_matrix()))
     bound = classical_limit(cfg.photon.n_bar, eta)
     band = threshold_band(cfg.photon, eta)
     return {
@@ -318,7 +302,9 @@ def run_interference_scan(cfg: ExperimentConfig, out=None, parallel: int = 1) ->
     betas = [2.0 * np.pi * i / points for i in range(points)]
     kets = [(f"beta_{i:02d}", np.array([1.0, np.exp(1j * beta)]) / np.sqrt(2.0))
             for i, beta in enumerate(betas)]
-    _, records = _measure(cfg, _store(cfg)[1], 0, _first_time(cfg), kets)
+    t_s = _first_time(cfg)
+    a = _retrieve(cfg, write(_input_field(cfg)[0], cfg.memory), t_s)
+    records = _count(cfg, a, cfg.efficiency.to_model()(t_s), 0, kets)
     records = [replace(r, beta=beta) for r, beta in zip(records, betas)]
     fit = fit_visibility(records)
     write_count_records(out_dir / "scan.csv", records)
@@ -332,9 +318,9 @@ def run_interference_scan(cfg: ExperimentConfig, out=None, parallel: int = 1) ->
 def run_meridian_sweep(cfg: ExperimentConfig, out=None, parallel: int = 1) -> CampaignResult:
     """Polar-angle retrieval gamma_r versus prepared gamma_w at beta = 0.
 
-    Storage and readout are linear, so |L> and |R> are stored and retrieved
-    once each, and the prepared state c_L|L> + c_R|R> of every point
-    retrieves as c_L a_L + c_R a_R.
+    Storage and readout are linear, so the prepared state c_L|L> + c_R|R>
+    of every point retrieves as c_L a_L + c_R a_R, with a_L and a_R the
+    columns of the transfer matrix (:func:`_transfer`).
     """
     out_dir = _out_dir(cfg, out)
     if cfg.qudit.dim != 2:
@@ -344,11 +330,7 @@ def run_meridian_sweep(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Ca
                           "cannot prepare an arbitrary Bloch state")
     t_s = _first_time(cfg)
     eta = cfg.efficiency.to_model()(t_s)
-    retrieved = []
-    for coeffs in (((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 0.0))):
-        pole = replace(cfg, qudit=replace(cfg.qudit, coeffs=coeffs, gamma=None, beta=None))
-        retrieved.append(_retrieved_amplitudes(pole, _store(pole)[1], t_s))
-    a_l, a_r = retrieved
+    a_l, a_r = _transfer(cfg, t_s).T
     points = cfg.meridian.gamma_points
     poles = ProjectionSet.qubit().projectors[:2]
     rows = []
@@ -391,7 +373,7 @@ def run_field_render(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Camp
     wave = write(field_in, cfg.memory)
     for i, t_s in enumerate(cfg.storage_times):
         name = f"retrieved_{i:02d}.pgm"
-        export_pgm(read(_decohere(cfg, wave, t_s)), out_dir / name)
+        export_pgm(read(decohere(wave, t_s, *_channels(cfg))), out_dir / name)
         files.append(name)
     return _finalize(cfg, "field_render", out_dir, files, [], "none")
 

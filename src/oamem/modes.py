@@ -168,16 +168,12 @@ def synthesize(state: QuditState, w0: float, grid: GridSpec,
     return _sample(state.charges(), state.coeffs, w0, grid, wavelength)
 
 
-def decompose(f: TransverseField, l: int, dim: int, w0: float) -> np.ndarray:
-    """Project a field onto the qudit basis; returns raw mode amplitudes <m|f>."""
-    return decompose_rows(row_blocks(f.values), f.grid, l, dim, w0)
-
-
 def decompose_rows(blocks: Iterable[np.ndarray], grid: GridSpec, l: int, dim: int,
                    w0: float) -> np.ndarray:
-    """:func:`decompose` of the field on ``grid`` whose consecutive rows ``blocks`` yields.
+    """Raw qudit-basis amplitudes <m|f> of the field on ``grid`` whose rows ``blocks`` yields.
 
-    With the separable modes of :func:`_basis`, <m_i|f> is
+    ``blocks`` holds consecutive blocks of rows, such as ``row_blocks(f.values)``
+    of a whole field.  With the separable modes of :func:`_basis`, <m_i|f> is
     sum_jk conj(mats[i, j, k]) powers[j]^T F powers[k] dx^2.  Each block of
     rows is contracted with every 1-D factor at once as it arrives, so the
     n x n field F never needs to exist; no mode is sampled on the grid, and
@@ -201,4 +197,4 @@ def decompose_rows(blocks: Iterable[np.ndarray], grid: GridSpec, l: int, dim: in
 
 def state_from_field(f: TransverseField, l: int, dim: int, w0: float) -> QuditState:
     """Normalized qudit state carried by a field within the mode subspace."""
-    return QuditState(decompose(f, l, dim, w0), l=l)
+    return QuditState(decompose_rows(row_blocks(f.values), f.grid, l, dim, w0), l=l)

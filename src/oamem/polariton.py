@@ -17,15 +17,15 @@ loss when atoms drift along z during storage is the analytic
 loss is modeled downstream (empirical decay in
 :mod:`oamem.decoherence`), and the neglected free-space diffraction
 phase q^2 D / k_s is checked explicitly, on the forward spectrum of
-the written wave, binned one block of rows at a time.  A field
-synthesized from LG modes is separable
-(:class:`~oamem.fieldgrid.Separable`); ``write`` keeps its factors, so
-that the diffraction check builds each block of the spectrum from the
-K 1-D row transforms, with no n x n spectrum, and the thermal blur of
-:func:`oamem.decoherence.diffuse` runs on the K rows too.  A wave
-without factors, such as the far field of a binary hologram, computes
-and caches its spectrum (``TransverseField.spectrum``) once, for the
-check and the blur.
+the written wave: one block of rows at a time, |S|^2 is folded into a
+quarter plane, which is binned by shell once.  A field synthesized from
+LG modes is separable (:class:`~oamem.fieldgrid.Separable`); ``write``
+keeps its factors, so that the diffraction check builds each block of
+the spectrum from the K 1-D row transforms, with no n x n spectrum, and
+the thermal blur of :func:`oamem.decoherence.diffuse` runs on the K
+rows too.  A wave without factors, such as the far field of a binary
+hologram, computes and caches its spectrum (``TransverseField.spectrum``)
+once, for the check and the blur.
 """
 
 from __future__ import annotations
@@ -133,18 +133,23 @@ def read(s: TransverseField) -> TransverseField:
 def diffraction_check(params: MemoryParams, s: TransverseField) -> float:
     """Max diffraction phase q^2 D / k_s over the 99%-energy spectrum.
 
-    |S|^2 of the unnormalized 2-D DFT S is binned by the integer shell
-    i^2 + j^2 of its frequency indices, one block of rows at a time;
-    q99^2 is q_pitch^2 times the first shell to reach 99 %.
+    |S|^2 of the unnormalized 2-D DFT S is folded by the magnitudes
+    (|i|, |j|) of its frequency indices into one quarter plane, one block
+    of rows at a time, and that plane is binned once by the integer shell
+    i^2 + j^2; q99^2 is q_pitch^2 times the first shell to reach 99 %.
     """
     n = s.grid.n
-    squares = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64) ** 2
-    energy = np.zeros(n * n // 2 + 1)
+    half = n // 2
+    magnitudes = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(np.intp)
+    quarter = np.zeros((half + 1, half + 1))
     for start, block in zip(range(0, n, BLOCK_ROWS), _spectrum_rows(s)):
-        shells = squares[start:start + len(block), None] + squares
-        part = np.bincount(shells.ravel(), weights=(np.abs(block) ** 2).ravel())
-        energy[:len(part)] += part
-    cum = np.cumsum(energy)
+        power = np.abs(block) ** 2
+        # column n - j has the magnitude of column j
+        power[:, 1:half] += power[:, :half:-1]
+        np.add.at(quarter, magnitudes[start:start + len(block)], power[:, :half + 1])
+    k = np.arange(half + 1)
+    shells = k[:, None] ** 2 + k ** 2
+    cum = np.cumsum(np.bincount(shells.ravel(), weights=quarter.ravel()))
     if cum[-1] == 0:
         return 0.0
     shell = int(np.searchsorted(cum, 0.99 * cum[-1]))

@@ -6,12 +6,18 @@ longitudinal-drift oracle moves discrete atomic slices at random instead
 of using the analytic Gaussian average, the photon-statistics oracles
 are plain finite sums, the diffraction-phase oracle sorts every pixel of
 a centered spectrum by |q|, and the field overlap and PGM reader work on
-the raw arrays and bytes.
+the raw arrays and bytes.  The dense amplitude reference projects a whole
+read-out n x n field, where a campaign streams the decohered wave.
 """
 
 import math
 
 import numpy as np
+
+from oamem.decoherence import longitudinal_drift_factor
+from oamem.fieldgrid import row_blocks
+from oamem.holography import focal_basis_phases
+from oamem.modes import basis_charges, decompose_rows
 
 
 def direct_gaussian_convolution(values: np.ndarray, pitch: float, sigma: float) -> np.ndarray:
@@ -52,6 +58,22 @@ def overlap(a, b) -> complex:
     """Normalized projection <a|b> / (|a| |b|) of two fields' sample arrays."""
     return complex(np.vdot(a.values, b.values)
                    / (np.linalg.norm(a.values) * np.linalg.norm(b.values)))
+
+
+def dense_amplitudes(cfg, field, t_s: float = 0.0) -> np.ndarray:
+    """Qudit amplitudes of a whole read-out ``field``, stored for t_s under ``cfg``.
+
+    Projects every row of the field, then divides out a hologram's
+    focal-plane phases (-i)^|l| and scales by the longitudinal drift
+    factor at t_s, in the order of the campaign path.
+    """
+    q = cfg.qudit
+    a = decompose_rows(row_blocks(field.values), field.grid, q.l, q.dim, q.waist)
+    if cfg.source.kind == "hologram":
+        a = a / focal_basis_phases(basis_charges(q.dim, q.l))
+    if cfg.decoherence.longitudinal_drift:
+        a = a * longitudinal_drift_factor(cfg.memory, t_s)
+    return a
 
 
 def read_pgm(path) -> np.ndarray:

@@ -73,7 +73,7 @@ class TestNmin:
 class TestClassicalLimit:
     def test_reduces_to_weighted_limit(self):
         r = classical_limit(1.6, 1.0)
-        assert r.f_classical == pytest.approx(r.f_co, abs=1e-12)
+        assert r.f_classical == pytest.approx(poisson_weighted_limit(1.6), abs=1e-12)
 
     def test_matches_brute_force(self):
         for n_bar, eta in [(1.6, ETA_500), (2.0, ETA_500), (1.2, 0.0473),
@@ -88,7 +88,7 @@ class TestClassicalLimit:
     def test_above_weighted_limit(self):
         for eta in (1.0, 0.3, 0.05, 0.01):
             r = classical_limit(1.6, eta)
-            assert r.f_classical >= r.f_co - 1e-12
+            assert r.f_classical >= poisson_weighted_limit(1.6) - 1e-12
 
     def test_monotone_as_efficiency_drops(self):
         etas = np.logspace(-3, 0, 40)

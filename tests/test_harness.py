@@ -8,18 +8,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from oracles import dense_amplitudes
 
 import oamem
+from oamem.cli import SUBCOMMANDS
 from oamem.cli import main as cli_main
-from oamem.config import parse_config, serialize_config
-from oamem.decoherence import diffuse, longitudinal_drift_factor, magnetic_dephase
+from oamem.config import EXPERIMENT_KINDS, parse_config, serialize_config
+from oamem.decoherence import decohere, diffuse, longitudinal_drift_factor, magnetic_dephase
 from oamem.errors import NonFiniteField
-from oamem.harness import (_amplitudes, _decohere, _input_field, _retrieved_amplitudes, _store,
+from oamem.fieldgrid import row_blocks
+from oamem.harness import (RUNNERS, _channels, _input_field, _retrieve, _store, _transfer,
                            run_bounds_table, run_field_render, run_interference_scan,
                            run_meridian_sweep, run_storage_decay, run_tomography, storage_point)
 from oamem.holography import focal_basis_phases, project_and_couple
 from oamem.measurement import simulate_counts
-from oamem.modes import QuditState, decompose, synthesize
+from oamem.modes import QuditState, decompose_rows, synthesize
 from oamem.polariton import read, write
 from oamem.tomography import DensityMatrix, ProjectionSet, fidelity, reconstruct
 
@@ -46,6 +49,11 @@ def small_cfg(**overrides):
     }
     data.update(overrides)
     return parse_config(data)
+
+
+def readout(cfg, wave, t_s):
+    """The field read out of ``wave`` after t_s of the configured channels, as one array."""
+    return read(decohere(wave, t_s, *_channels(cfg)))
 
 
 def read_all_bytes(path):
@@ -191,15 +199,15 @@ class TestStream:
                         source=source, **self.CHANNELS[channels])
         wave = _store(cfg)[1]
         for t_s in (0.0, 2e-5, 2e-4):
-            assert np.array_equal(_retrieved_amplitudes(cfg, wave, t_s),
-                                  _amplitudes(cfg, read(_decohere(cfg, wave, t_s)), t_s))
+            assert np.array_equal(_retrieve(cfg, wave, t_s),
+                                  dense_amplitudes(cfg, readout(cfg, wave, t_s), t_s))
 
     def test_non_finite_amplitudes_raise(self):
         cfg = small_cfg(grid=README_GRID, decoherence={"diffusion": False})
         wave = _store(cfg)[1]
         huge = wave.with_values(np.full(wave.values.shape, np.finfo(np.float64).max))
         with pytest.raises(NonFiniteField, match="retrieved mode amplitudes"):
-            _retrieved_amplitudes(cfg, huge, 0.0)
+            _retrieve(cfg, huge, 0.0)
 
     def test_storage_point_peaks_below_one_field_array(self):
         # with both channels on, a point holds a block of rows at a time; the
@@ -226,7 +234,7 @@ class TestPipelineComposition:
         field = synthesize(state, cfg.qudit.waist, cfg.grid, cfg.memory.lambda_s)
         wave = diffuse(write(field, cfg.memory), cfg.memory, t_s)
         out = read(wave)
-        a = decompose(out, state.l, state.dim, cfg.qudit.waist)
+        a = decompose_rows(row_blocks(out.values), out.grid, state.l, state.dim, cfg.qudit.waist)
         eta = cfg.efficiency.to_model()(t_s)
         pset = ProjectionSet.qutrit()
         records = []
@@ -251,16 +259,16 @@ class TestPipelineComposition:
                         source={"kind": kind, "input_waist": 5.0e-4, "focal": 0.5}, **SENSITIVE)
         wave = _store(cfg)[1]
         for t_s in (0.0, 2e-5):
-            assert np.array_equal(_retrieved_amplitudes(cfg, wave, t_s),
-                                  _amplitudes(cfg, read(_decohere(cfg, wave, t_s)), t_s))
+            assert np.array_equal(_retrieve(cfg, wave, t_s),
+                                  dense_amplitudes(cfg, readout(cfg, wave, t_s), t_s))
 
     @pytest.mark.parametrize("qudit", [QUBIT, QUTRIT], ids=["qubit", "qutrit"])
     def test_linear_projection_matches_project_and_couple(self, qudit):
-        # psi^H decompose(f) against the synthesized-projector overlap, on a
+        # psi^H a of the projected field against the synthesized-projector overlap, on a
         # field decohered by diffusion and magnetic dephasing
         cfg = small_cfg(qudit=dict(qudit), grid={"n": 128, "extent": 3.2e-3}, **SENSITIVE)
-        field = read(_decohere(cfg, _store(cfg)[1], 2e-5))
-        a = _amplitudes(cfg, field)
+        field = readout(cfg, _store(cfg)[1], 2e-5)
+        a = dense_amplitudes(cfg, field)
         state = cfg.qudit.to_state()
         pset = ProjectionSet.qubit() if state.dim == 2 else ProjectionSet.qutrit()
         for _, psi in pset.projectors:
@@ -354,10 +362,59 @@ class TestDriftOnAmplitudes:
         t_s = 2e-4
         factor = longitudinal_drift_factor(cfg.memory, t_s)
         assert 0.05 < factor < 0.95
-        field = read(_decohere(cfg, wave, t_s))
-        expected = _amplitudes(cfg, field.with_values(field.values * factor))
-        got = _amplitudes(cfg, field, t_s)
+        field = readout(cfg, wave, t_s)
+        expected = dense_amplitudes(cfg, field.with_values(field.values * factor))
+        got = _retrieve(cfg, wave, t_s)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+class TestTransfer:
+    """Every campaign amplitude comes from _retrieve; meridian reads the transfer matrix."""
+
+    ALL_CHANNELS = {"decoherence": {"diffusion": True, "magnetic": True,
+                                    "longitudinal_drift": True},
+                    "magnetic": SENSITIVE["magnetic"], "memory": {"alpha": 0.1}}
+
+    @pytest.mark.parametrize("t_s", [0.0, 2e-5])
+    @pytest.mark.parametrize("qudit", [QUBIT, QUTRIT], ids=["qubit", "qutrit"])
+    def test_transfer_times_state_equals_retrieving_it(self, qudit, t_s):
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            coeffs = rng.normal(size=(qudit["dim"], 2)).tolist()
+            cfg = small_cfg(qudit={"dim": qudit["dim"], "l": qudit["l"],
+                                   "waist": qudit["waist"], "coeffs": coeffs},
+                            counting={"poisson": False}, **self.ALL_CHANNELS)
+            expected = _retrieve(cfg, _store(cfg)[1], t_s)
+            got = _transfer(cfg, t_s) @ cfg.qudit.to_state().coeffs
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("kind", ["ideal", "hologram"])
+    def test_stored_reference_is_the_dense_input_projection(self, kind):
+        # f_rel's reference is _retrieve at t = 0: no channel acts, and the
+        # write and read negations are exact
+        source = dict(HOLOGRAM) if kind == "hologram" else {"kind": kind}
+        cfg = small_cfg(grid=README_GRID, source=source, counting={"poisson": False},
+                        **self.ALL_CHANNELS)
+        reference = _store(cfg)[0]
+        assert np.array_equal(reference, dense_amplitudes(cfg, _input_field(cfg)[0]))
+
+    @pytest.mark.parametrize("runner, qudit, projections", [
+        (run_storage_decay, QUTRIT, 3), (run_interference_scan, QUBIT, 1),
+        (run_meridian_sweep, QUBIT, 2)], ids=["decay", "scan", "meridian"])
+    def test_projections_per_campaign(self, monkeypatch, tmp_path, runner, qudit, projections):
+        # decay: the stored state and one per storage time; scan: its one
+        # storage time; meridian: one per basis mode
+        import oamem.harness as harness
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return decompose_rows(*args)
+
+        monkeypatch.setattr(harness, "decompose_rows", counted)
+        runner(small_cfg(qudit=dict(qudit), counting={"poisson": False}), out=tmp_path)
+        assert len(calls) == projections
 
 
 class TestCampaigns:
@@ -418,7 +475,7 @@ class TestCampaigns:
         assert header == "n0,delta,visibility,residual_rms,phase"
         n0, delta, vis, rms, phase = map(float, row.split(","))
 
-        a_l, a_r = _amplitudes(cfg, read(_decohere(cfg, _store(cfg)[1], 4e-5)))
+        a_l, a_r = _retrieve(cfg, _store(cfg)[1], 4e-5)
         z = np.conj(a_l) * a_r
         assert n0 == pytest.approx(abs(z), rel=1e-9)
         assert vis == pytest.approx(2 * abs(z) / (abs(a_l) ** 2 + abs(a_r) ** 2), rel=1e-9)
@@ -497,7 +554,8 @@ class TestCampaigns:
             "storage_times": [0.0], "counting": {"poisson": False}})
         f_abs = run_storage_decay(cfg, out=tmp_path / "h").summary[0][3]
         field = _input_field(cfg)[0]
-        a = decompose(field, 1, 3, cfg.qudit.waist) / focal_basis_phases((1, 0, -1))
+        a = (decompose_rows(row_blocks(field.values), field.grid, 1, 3, cfg.qudit.waist)
+             / focal_basis_phases((1, 0, -1)))
         a_hat = a / np.linalg.norm(a)
         c = cfg.qudit.to_state().coeffs
         assert f_abs >= 0.99
@@ -511,7 +569,8 @@ class TestCampaigns:
 
         wave = diffuse(write(_input_field(cfg)[0], cfg.memory), cfg.memory, 2e-5)
         wave = magnetic_dephase(wave, cfg.magnetic, 2e-5)
-        a = decompose(read(wave), 2, 2, cfg.qudit.waist)
+        out = read(wave)
+        a = decompose_rows(row_blocks(out.values), out.grid, 2, 2, cfg.qudit.waist)
         rows = (tmp_path / "s" / "scan.csv").read_text().splitlines()[1:]
         assert len(rows) == cfg.scan.beta_points
         for row in rows:
@@ -551,6 +610,12 @@ class TestCli:
         path = tmp_path / "cfg.yaml"
         path.write_text(text)
         return path
+
+    def test_campaign_kinds_agree(self):
+        # the six campaigns are listed in config, harness and cli
+        kinds = [kind for kind, _ in SUBCOMMANDS.values()]
+        assert sorted(EXPERIMENT_KINDS) == sorted(RUNNERS) == sorted(kinds)
+        assert len(set(kinds)) == 6
 
     def test_decay_runs(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path)
