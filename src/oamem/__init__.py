@@ -25,7 +25,7 @@ from .decoherence import (EfficiencyModel, MagneticModel, decohere, diffuse, mag
                           qutrit_nodal_shift)
 from .measurement import CountRecord, VisibilityFit, fit_visibility, polar_retrieve, simulate_counts
 from .tomography import DensityMatrix, ProjectionSet, fidelity, probabilities, reconstruct
-from .bounds import BoundResult, PhotonStatistics, classical_limit, nmin, poisson_weighted_limit, threshold_band
+from .bounds import BoundResult, PhotonStatistics, classical_limit, nmin, threshold_band
 from .config import ExperimentConfig, load_config, parse_config
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "qutrit_nodal_shift",
     "CountRecord", "VisibilityFit", "simulate_counts", "fit_visibility", "polar_retrieve",
     "ProjectionSet", "DensityMatrix", "probabilities", "reconstruct", "fidelity",
-    "PhotonStatistics", "BoundResult", "poisson_weighted_limit", "nmin",
+    "PhotonStatistics", "BoundResult", "nmin",
     "classical_limit", "threshold_band",
     "ExperimentConfig", "load_config", "parse_config",
 ]

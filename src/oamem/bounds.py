@@ -67,17 +67,6 @@ def _poisson_table(n_bar: float) -> tuple[tuple[int, float], ...]:
     return tuple(table)
 
 
-def poisson_weighted_limit(n_bar: float) -> float:
-    """Average of (N+1)/(N+2) over the zero-truncated Poisson distribution."""
-    if n_bar <= 0:
-        raise DomainError("mean photon number must be positive")
-    p0 = math.exp(-n_bar)
-    total = 0.0
-    for n, p in _poisson_table(n_bar)[1:]:
-        total += (n + 1) / (n + 2) * p
-    return total / (1.0 - p0)
-
-
 def nmin(n_bar: float, eta_m: float) -> int:
     """Smallest N_min with tail(N_min + 1) <= (1 - P(0)) * eta_m.
 

@@ -17,17 +17,20 @@ Nothing that does not depend on t_s is rebuilt.  The spin wave is a
 ensemble's temperature and mass from the memory's
 :class:`~oamem.polariton.MemoryParams` (``MemoryParams.sigma``).  The
 blur kernel factors as k1(q_x) k1(q_y).  A wave synthesized from LG
-modes carries its K <= |l| + 1 separable factors
+modes is held only as its K <= |l| + 1 separable factors
 (``TransverseField.factors``): the blur transforms the K real 1-D rows,
-K n log n work, and each block is contracted from them.  A wave without
+K n log n work, each block is contracted from them, and with no blur
+the blocks are contracted from the factors as they are.  A wave without
 factors, such as a binary hologram's far field, whose mask is not
 separable, takes the spectral path: its forward spectrum is computed
 once (``TransverseField.spectrum``, which the diffraction check of
 :func:`oamem.polariton.write` also reads), and each storage time scales
 it by both kernel factors, inverts it in place and slices it.  The
-Larmor map dOmega(x, y) is built once per (model, grid) pair; each
-storage time checks that dOmega t_s is finite and multiplies each block
-in place by its cos and sin.
+Larmor map dOmega(x, y) is built once per (model, grid) pair, one
+block of rows at a time, and is the only n x n array that a ``decay``
+or ``tomo`` campaign of an ideal source keeps; each storage time checks
+that dOmega t_s is finite and multiplies each block in place by its cos
+and sin.
 
 End-to-end retrieval efficiency is a separate, empirical exponential
 decay fitted to two measured anchor points.
@@ -133,15 +136,16 @@ def decohered_rows(s: TransverseField, t_s: float, diffusion: MemoryParams | Non
     Yields consecutive blocks of BLOCK_ROWS rows; a channel left None is
     off, and ``diffusion`` is the memory whose temperature and mass set
     the blur.  The Larmor phase multiplies each block in place.  With no
-    channel on, the blocks are read-only views of ``s.values``.
+    channel on, the blocks are ``s.row_blocks()``.
     """
     blur, phase = _active_channels(t_s, diffusion, magnetic)
     if blur:
         blocks = _blurred(s, diffusion.sigma(t_s))
-    elif phase:
-        blocks = (np.array(block) for block in row_blocks(s.values))
+    elif phase and s.factors is None:
+        # the phase works in place: copy the read-only views of the samples
+        blocks = (np.array(block) for block in s.row_blocks())
     else:
-        return row_blocks(s.values)
+        blocks = s.row_blocks()
     return _dephased(blocks, s.grid, magnetic, t_s) if phase else blocks
 
 
@@ -156,7 +160,7 @@ def decohere(s: TransverseField, t_s: float, diffusion: MemoryParams | None = No
     """
     if not any(_active_channels(t_s, diffusion, magnetic)):
         return s
-    values = np.empty_like(s.values)
+    values = np.empty((s.grid.n, s.grid.n), dtype=np.complex128)
     blocks = decohered_rows(s, t_s, diffusion, magnetic)
     for start, block in zip(range(0, s.grid.n, BLOCK_ROWS), blocks):
         values[start:start + BLOCK_ROWS] = block
@@ -199,15 +203,26 @@ def _larmor_map(mdl: MagneticModel, grid: GridSpec) -> tuple[np.ndarray, float]:
     """Read-only angular shift dOmega(x, y) of ``mdl`` on ``grid`` in rad/s, and max |dOmega|.
 
     Rows are y, as in ``GridSpec.mesh``; the axes broadcast, so no mesh is
-    built.  A ``field_at`` that ignores an axis may return fewer rows.  A
-    map that overflows has a non-finite maximum, which :func:`_dephased`
-    rejects.
+    built, and the map is filled BLOCK_ROWS rows at a time, so that the
+    model's temporaries stay one block in size.  A ``field_at`` that
+    ignores an axis may return fewer rows or columns.  A map that
+    overflows has a non-finite maximum, which :func:`_dephased` rejects.
     """
+    xs, ys = grid.xs()[None, :], grid.ys()[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        omega = np.asarray(mdl.angular_shift(grid.xs()[None, :], grid.ys()[:, None]),
-                           dtype=np.float64)
+        first = np.asarray(mdl.angular_shift(xs, ys[:BLOCK_ROWS]), dtype=np.float64)
+        if first.ndim < 2 or first.shape[0] == 1:
+            # a map that does not depend on y
+            omega = first
+        else:
+            omega = np.empty((grid.n, first.shape[1]))
+            omega[:BLOCK_ROWS] = first
+            for start in range(BLOCK_ROWS, grid.n, BLOCK_ROWS):
+                omega[start:start + BLOCK_ROWS] = mdl.angular_shift(
+                    xs, ys[start:start + BLOCK_ROWS])
     omega.flags.writeable = False
-    return omega, float(np.max(np.abs(omega)))
+    # no n x n |dOmega|; a NaN reaches both ends
+    return omega, float(max(omega.max(), -omega.min()))
 
 
 def _dephased(blocks: Iterator[np.ndarray], grid: GridSpec, mdl: MagneticModel,

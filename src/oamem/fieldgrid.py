@@ -10,15 +10,18 @@ is conserved exactly:
     S(q) = (1 / 2 pi) * sum f(rho) exp(-i q . rho) dx^2
     sum |S|^2 dq^2 == sum |f|^2 dx^2
 
+A field is held either as its n x n samples or, when it is separable,
+only as its 1-D factors (:class:`Separable`): an ideal source's field
+and spin wave are K <= |l| + 1 rows of n samples and a K x K matrix.
 Work that needs one row of an n x n array at a time streams it in
 blocks of ``BLOCK_ROWS`` rows (:func:`row_blocks`,
-:meth:`Separable.row_blocks`), so that it holds about 64 n samples
-instead of n^2.
+:meth:`TransverseField.row_blocks`), so that it holds about 64 n samples
+instead of n^2; a factored field builds its n x n ``values`` only when
+something reads them, such as the exporters of ``render``.
 """
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -95,6 +98,12 @@ def _freeze(a: np.ndarray, dtype=np.complex128) -> np.ndarray:
     return a
 
 
+def _check_finite(a: np.ndarray, what: str) -> None:
+    # a contiguous complex128 or float64 array, viewed as float64
+    if not np.all(np.isfinite(a.view(np.float64))):
+        raise NonFiniteField(f"{what} must be finite")
+
+
 def row_blocks(values: np.ndarray) -> Iterator[np.ndarray]:
     """``values`` as consecutive views of BLOCK_ROWS rows."""
     return (values[start:start + BLOCK_ROWS] for start in range(0, len(values), BLOCK_ROWS))
@@ -115,6 +124,8 @@ class Separable:
     def __post_init__(self):
         object.__setattr__(self, "rows", _freeze(self.rows, np.float64))
         object.__setattr__(self, "mix", _freeze(self.mix))
+        _check_finite(self.rows, "field factors")
+        _check_finite(self.mix, "field factors")
 
     def __setstate__(self, state):
         # unpickling skips __post_init__, so freeze its arrays here
@@ -146,31 +157,69 @@ class TransverseField:
     """Complex envelope sampled on a grid, with the carrier wavelength.
 
     The same type holds an optical field and the spin wave that stores
-    it.  Values are immutable after construction; operations return new
-    fields.  ``factors``, when set, is ``values`` as a :class:`Separable`;
-    any new values drop it.
+    it.  A field holds exactly one of ``samples``, its n x n values, and
+    ``factors``, the same values as a :class:`Separable`; ``values``
+    reads either.  Given factors are the field: samples passed with them
+    are dropped.  Fields are immutable after construction; operations
+    return new fields, and any new samples drop the factors.
     """
 
     grid: GridSpec
-    values: np.ndarray = field(repr=False)
+    samples: np.ndarray | None = field(repr=False)
     wavelength: float
     factors: Separable | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        v = _freeze(self.values)
-        object.__setattr__(self, "values", v)
-        if v.shape != (self.grid.n, self.grid.n):
-            raise ValueError(f"values shape {v.shape} does not match grid n={self.grid.n}")
-        if not np.all(np.isfinite(v.view(np.float64))):
-            raise NonFiniteField("field values must be finite")
+        n = self.grid.n
+        if self.factors is not None:
+            object.__setattr__(self, "samples", None)
+            if self.factors.rows.shape[1] != n:
+                raise ValueError(f"factor rows of length {self.factors.rows.shape[1]} "
+                                 f"do not match grid n={n}")
+        elif self.samples is None:
+            raise ValueError("a field needs samples or factors")
+        else:
+            v = _freeze(self.samples)
+            object.__setattr__(self, "samples", v)
+            if v.shape != (n, n):
+                raise ValueError(f"values shape {v.shape} does not match grid n={n}")
+            _check_finite(v, "field values")
         if not self.wavelength > 0:
             raise ValueError("wavelength must be positive")
 
     def __setstate__(self, state):
         # unpickling skips __post_init__, so freeze its arrays here
-        for name in {"values", "spectrum"} & state.keys():
-            state[name].flags.writeable = False
+        for name in {"samples", "values", "spectrum"} & state.keys():
+            if state[name] is not None:
+                state[name].flags.writeable = False
         self.__dict__.update(state)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The read-only n x n samples; a factored field builds them on first read."""
+        if self.factors is None:
+            return self.samples
+        values = self.factors.array()
+        _check_finite(values, "field values")
+        values.flags.writeable = False
+        return values
+
+    def row_blocks(self) -> Iterator[np.ndarray]:
+        """``values``, BLOCK_ROWS rows at a time, without building them.
+
+        A factored field yields new writable blocks contracted from its
+        factors; a sampled one yields read-only views of its samples.
+        """
+        if self.factors is None:
+            return row_blocks(self.samples)
+        return self.factors.row_blocks()
+
+    def __neg__(self) -> "TransverseField":
+        """-values, as factors when the field has them (negation is exact)."""
+        if self.factors is None:
+            return self.with_values(-self.samples)
+        return TransverseField(self.grid, None, self.wavelength,
+                               Separable(self.factors.rows, -self.factors.mix))
 
     def norm(self) -> float:
         """Physical L2 norm sqrt(sum |f|^2 * pixel_area)."""
@@ -243,11 +292,17 @@ def export_pgm(f: TransverseField, path) -> None:
 
 
 def export_csv(f: TransverseField, path) -> None:
-    """Write per-pixel (x, y, Re, Im) rows."""
-    x, y = f.grid.mesh()
+    """Write per-pixel (x, y, Re, Im) rows, row by row of the grid (y outer).
+
+    The bytes are those of ``csv.writer``: repr of each float, comma
+    separated, each line ended by \\r\\n.  Each block of BLOCK_ROWS grid
+    rows is formatted and written at once.
+    """
+    xs = [repr(x) for x in f.grid.xs().tolist()]
+    ys = [repr(y) for y in f.grid.ys().tolist()]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "re", "im"])
-        for xi, yi, vi in zip(x.ravel(), y.ravel(), f.values.ravel()):
-            w.writerow([repr(float(xi)), repr(float(yi)),
-                        repr(float(vi.real)), repr(float(vi.imag))])
+        fh.write("x,y,re,im\r\n")
+        for start, block in zip(range(0, f.grid.n, BLOCK_ROWS), f.row_blocks()):
+            rows = zip(ys[start:start + BLOCK_ROWS], block.real.tolist(), block.imag.tolist())
+            fh.write("".join(f"{x},{y},{a!r},{b!r}\r\n"
+                             for y, re, im in rows for x, a, b in zip(xs, re, im)))

@@ -164,8 +164,13 @@ def _transfer(cfg: ExperimentConfig, t_s: float) -> np.ndarray:
 
     Write, decoherence, readout and projection are linear, so a prepared
     state c retrieves as T c.  Column j is :func:`_retrieve` of basis
-    mode j, synthesized and written.
+    mode j, synthesized and written.  Raises ConfigError for a hologram
+    source, whose stored field is not a synthesized mode and whose
+    retrieval divides out the lens's focal phases.
     """
+    if cfg.source.kind != "ideal":
+        raise ConfigError(f"the transfer matrix needs an ideal source, "
+                          f"not a {cfg.source.kind} source")
     q = cfg.qudit
     columns = []
     for e in np.eye(q.dim):
@@ -241,8 +246,8 @@ def _map_points(cfg: ExperimentConfig, parallel: int):
     The pool forks all its workers at once, so it never gets more than
     there are points or CPUs; one worker runs the points in this process.
     Each worker receives the config and the stored wave once (an ideal
-    source's wave carries its factors and no spectrum), and each job only
-    its (index, storage time).
+    source's wave is only its factors, with no samples and no spectrum),
+    and each job only its (index, storage time).
     """
     stored = _store(cfg)
     jobs = list(enumerate(cfg.storage_times))

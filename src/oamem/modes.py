@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimMismatch, GridTooSmall
-from .fieldgrid import GridSpec, Separable, TransverseField, row_blocks
+from .fieldgrid import GridSpec, Separable, TransverseField
 
 QUBIT_LABELS = ("L", "R")
 QUTRIT_LABELS = ("L", "G", "R")
@@ -139,14 +139,15 @@ def _basis(charges: tuple, w0: float, grid: GridSpec) -> tuple[np.ndarray, np.nd
 
 def _sample(charges: tuple, weights, w0: float, grid: GridSpec,
             wavelength: float) -> TransverseField:
-    """sum_i weights[i] LG_{charges[i],0} on the grid, as one n x n array.
+    """sum_i weights[i] LG_{charges[i],0} on the grid, held as its factors.
 
     The weights fold the modes of :func:`_basis` into one K x K matrix C;
-    the field is powers^T C powers, and keeps these factors.
+    the field is powers^T C powers, and no n x n array is built until
+    something reads its ``values``.
     """
     mats, powers = _basis(charges, w0, grid)
     factors = Separable(powers, np.einsum("i,ijk->jk", weights, mats))
-    return TransverseField(grid, factors.array(), wavelength, factors)
+    return TransverseField(grid, None, wavelength, factors)
 
 
 def lg_field(spec: LGModeSpec, grid: GridSpec, wavelength: float = 795e-9) -> TransverseField:
@@ -172,7 +173,7 @@ def decompose_rows(blocks: Iterable[np.ndarray], grid: GridSpec, l: int, dim: in
                    w0: float) -> np.ndarray:
     """Raw qudit-basis amplitudes <m|f> of the field on ``grid`` whose rows ``blocks`` yields.
 
-    ``blocks`` holds consecutive blocks of rows, such as ``row_blocks(f.values)``
+    ``blocks`` holds consecutive blocks of rows, such as ``f.row_blocks()``
     of a whole field.  With the separable modes of :func:`_basis`, <m_i|f> is
     sum_jk conj(mats[i, j, k]) powers[j]^T F powers[k] dx^2.  Each block of
     rows is contracted with every 1-D factor at once as it arrives, so the
@@ -197,4 +198,4 @@ def decompose_rows(blocks: Iterable[np.ndarray], grid: GridSpec, l: int, dim: in
 
 def state_from_field(f: TransverseField, l: int, dim: int, w0: float) -> QuditState:
     """Normalized qudit state carried by a field within the mode subspace."""
-    return QuditState(decompose_rows(row_blocks(f.values), f.grid, l, dim, w0), l=l)
+    return QuditState(decompose_rows(f.row_blocks(), f.grid, l, dim, w0), l=l)

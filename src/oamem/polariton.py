@@ -19,13 +19,15 @@ loss is modeled downstream (empirical decay in
 phase q^2 D / k_s is checked explicitly, on the forward spectrum of
 the written wave: one block of rows at a time, |S|^2 is folded into a
 quarter plane, which is binned by shell once.  A field synthesized from
-LG modes is separable (:class:`~oamem.fieldgrid.Separable`); ``write``
-keeps its factors, so that the diffraction check builds each block of
-the spectrum from the K 1-D row transforms, with no n x n spectrum, and
-the thermal blur of :func:`oamem.decoherence.diffuse` runs on the K
-rows too.  A wave without factors, such as the far field of a binary
-hologram, computes and caches its spectrum (``TransverseField.spectrum``)
-once, for the check and the blur.
+LG modes is separable (:class:`~oamem.fieldgrid.Separable`) and held
+only as its factors; ``write`` negates the K x K matrix of the factors
+and copies no samples, so that the spin wave of an ideal source is no
+n x n array either.  The diffraction check builds each block of its
+spectrum from the K 1-D row transforms, with no n x n spectrum, and the
+thermal blur of :func:`oamem.decoherence.diffuse` runs on the K rows
+too.  A wave without factors, such as the far field of a binary
+hologram, holds its samples and computes and caches its spectrum
+(``TransverseField.spectrum``) once, for the check and the blur.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldgrid import BLOCK_ROWS, Separable, TransverseField, row_blocks
+from .fieldgrid import BLOCK_ROWS, TransverseField, row_blocks
 
 BOLTZMANN = 1.380649e-23
 SPEED_OF_LIGHT = 299792458.0
@@ -107,10 +109,10 @@ def write(f: TransverseField, params: MemoryParams) -> TransverseField:
     """Map an optical envelope onto the spin wave (unit write efficiency).
 
     Warns when the neglected diffraction phase q^2 D / k_s exceeds 0.1
-    over the occupied spectrum.  The spin wave is -f, factors included.
+    over the occupied spectrum.  The spin wave is -f, as factors when f
+    has them.
     """
-    factors = None if f.factors is None else Separable(f.factors.rows, -f.factors.mix)
-    wave = TransverseField(f.grid, -f.values, f.wavelength, factors)
+    wave = -f
     phase = diffraction_check(params, wave)
     if phase >= DIFFRACTION_PHASE_LIMIT:
         warnings.warn(
@@ -127,7 +129,7 @@ def read(s: TransverseField) -> TransverseField:
     The readout is linear, so a caller that only projects the field can
     project ``s.values`` and negate the amplitudes instead of the samples.
     """
-    return TransverseField(s.grid, -s.values, s.wavelength)
+    return -s
 
 
 def diffraction_check(params: MemoryParams, s: TransverseField) -> float:
@@ -138,6 +140,22 @@ def diffraction_check(params: MemoryParams, s: TransverseField) -> float:
     of rows at a time, and that plane is binned once by the integer shell
     i^2 + j^2; q99^2 is q_pitch^2 times the first shell to reach 99 %.
     """
+    quarter = _quarter_power(s)
+    k = np.arange(len(quarter))
+    shells = k[:, None] ** 2 + k ** 2
+    cum = np.bincount(shells.ravel(), weights=quarter.ravel())
+    np.cumsum(cum, out=cum)
+    if cum[-1] == 0:
+        return 0.0
+    shell = int(np.searchsorted(cum, 0.99 * cum[-1]))
+    return float(s.grid.q_pitch ** 2 * shell * params.diameter / params.k_s)
+
+
+def _quarter_power(s: TransverseField) -> np.ndarray:
+    """|S|^2 of :func:`_spectrum_rows` summed by frequency magnitudes (|i|, |j|).
+
+    Each block of the spectrum is folded as it arrives and then dropped.
+    """
     n = s.grid.n
     half = n // 2
     magnitudes = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(np.intp)
@@ -147,13 +165,7 @@ def diffraction_check(params: MemoryParams, s: TransverseField) -> float:
         # column n - j has the magnitude of column j
         power[:, 1:half] += power[:, :half:-1]
         np.add.at(quarter, magnitudes[start:start + len(block)], power[:, :half + 1])
-    k = np.arange(half + 1)
-    shells = k[:, None] ** 2 + k ** 2
-    cum = np.cumsum(np.bincount(shells.ravel(), weights=quarter.ravel()))
-    if cum[-1] == 0:
-        return 0.0
-    shell = int(np.searchsorted(cum, 0.99 * cum[-1]))
-    return float(s.grid.q_pitch ** 2 * shell * params.diameter / params.k_s)
+    return quarter
 
 
 def _spectrum_rows(s: TransverseField) -> Iterator[np.ndarray]:

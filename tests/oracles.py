@@ -6,15 +6,19 @@ longitudinal-drift oracle moves discrete atomic slices at random instead
 of using the analytic Gaussian average, the photon-statistics oracles
 are plain finite sums, the diffraction-phase oracle sorts every pixel of
 a centered spectrum by |q|, and the field overlap and PGM reader work on
-the raw arrays and bytes.  The dense amplitude reference projects a whole
+the raw arrays and bytes, and the CSV exporter writes through
+``csv.writer`` one pixel at a time.  The dense amplitude reference projects a whole
 read-out n x n field, where a campaign streams the decohered wave.
 """
 
+import csv
 import math
 
 import numpy as np
 
+from oamem.bounds import TAIL_EPS
 from oamem.decoherence import longitudinal_drift_factor
+from oamem.errors import DomainError
 from oamem.fieldgrid import row_blocks
 from oamem.holography import focal_basis_phases
 from oamem.modes import basis_charges, decompose_rows
@@ -74,6 +78,20 @@ def dense_amplitudes(cfg, field, t_s: float = 0.0) -> np.ndarray:
     if cfg.decoherence.longitudinal_drift:
         a = a * longitudinal_drift_factor(cfg.memory, t_s)
     return a
+
+
+def csv_writer_export(f, path) -> None:
+    """Per-pixel (x, y, Re, Im) rows through ``csv.writer``, one pixel at a time.
+
+    Rows follow ``GridSpec.mesh`` raveled: y outer, x inner.
+    """
+    x, y = f.grid.mesh()
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "y", "re", "im"])
+        for xi, yi, vi in zip(x.ravel(), y.ravel(), f.values.ravel()):
+            w.writerow([repr(float(xi)), repr(float(yi)),
+                        repr(float(vi.real)), repr(float(vi.imag))])
 
 
 def read_pgm(path) -> np.ndarray:
@@ -147,6 +165,24 @@ def brute_weighted_limit(n_bar: float, terms: int = 200) -> float:
     probs = poisson_terms(n_bar, terms)
     total = sum((n + 1) / (n + 2) * p for n, p in enumerate(probs) if n >= 1)
     return total / (1.0 - probs[0])
+
+
+def poisson_weighted_limit(n_bar: float) -> float:
+    """Average of (N+1)/(N+2) over the zero-truncated Poisson distribution.
+
+    The memory's classical limit at unit efficiency.  The series runs
+    until the remaining Poisson tail mass is below ``TAIL_EPS``.
+    """
+    if n_bar <= 0:
+        raise DomainError("mean photon number must be positive")
+    p0 = p = cumulative = math.exp(-n_bar)
+    total, n = 0.0, 0
+    while 1.0 - cumulative > TAIL_EPS:
+        n += 1
+        p *= n_bar / n
+        cumulative += p
+        total += (n + 1) / (n + 2) * p
+    return total / (1.0 - p0)
 
 
 def brute_nmin(n_bar: float, eta: float, terms: int = 200) -> int:

@@ -4,9 +4,9 @@ PASS/FAIL line with its measured value and runtime budget."""
 import time
 
 import numpy as np
-from oracles import direct_gaussian_convolution, overlap
+from oracles import direct_gaussian_convolution, overlap, poisson_weighted_limit
 
-from oamem.bounds import PhotonStatistics, classical_limit, poisson_weighted_limit, threshold_band
+from oamem.bounds import PhotonStatistics, classical_limit, threshold_band
 from oamem.config import parse_config
 from oamem.decoherence import EfficiencyModel, diffuse, qutrit_nodal_shift
 from oamem.fieldgrid import GridSpec, TransverseField

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 from oracles import (brute_classical_limit, brute_nmin, brute_weighted_limit,
-                     poisson_terms)
+                     poisson_terms, poisson_weighted_limit)
 
-from oamem.bounds import (PhotonStatistics, _poisson_table, classical_limit, nmin,
-                          poisson_weighted_limit, threshold_band)
+from oamem.bounds import PhotonStatistics, _poisson_table, classical_limit, nmin, threshold_band
 from oamem.decoherence import EfficiencyModel
 from oamem.errors import DomainError
 

@@ -274,6 +274,39 @@ class TestMagneticDephase:
                     got = magnetic_dephase(s, mdl, 3e-5).values
                     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
+    def test_larmor_map_filled_in_blocks_equals_the_mesh_map(self, grid):
+        # filled 64 rows at a time, the map holds the numbers of one
+        # evaluation on the whole mesh, and its peak is max |dOmega|
+        mdl = MagneticModel(guiding_b=2e-5, sensitivity=5e9, second_order=3e12,
+                            center=(3e-4, -2e-4))
+        omega, peak = _larmor_map(mdl, grid)
+        expected = mdl.angular_shift(*grid.mesh())
+        assert np.array_equal(omega, expected)
+        assert peak == np.max(np.abs(expected))
+
+    def test_larmor_map_of_y_alone_keeps_one_column(self, grid):
+        class Column(MagneticModel):
+            def field_at(self, x, y):
+                return -3.0e4 * y
+
+        s = stored(synthesize(qubit_state(np.pi / 2, 0.3, l=2), W0, grid))
+        mdl = Column(sensitivity=1.0)
+        omega, peak = _larmor_map(mdl, grid)
+        assert omega.shape == (grid.n, 1)
+        assert peak == np.max(np.abs(3.0e4 * grid.ys()))
+        expected = self.reference(s, mdl, 0.7)
+        got = magnetic_dephase(s, mdl, 0.7).values
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_nan_in_the_larmor_map_raises(self, grid):
+        class Hole(MagneticModel):
+            def field_at(self, x, y):
+                return np.where((x > 0) & (y > 0), np.nan, 1.0e-4 + 0.0 * x * y)
+
+        s = stored(lg_field(LGModeSpec(1, W0), grid))
+        with pytest.raises(NonFiniteField, match="the Larmor phase"):
+            decohere(s, 1e-5, magnetic=Hole(sensitivity=5e9))
+
     def test_larmor_map_read_only(self, grid):
         mdl = MagneticModel(sensitivity=5e9, center=[3e-4, 0.0])
         assert mdl.center == (3e-4, 0.0)

@@ -1,11 +1,13 @@
+import pickle
+
 import numpy as np
 import pytest
-from oracles import lg_amplitude, read_pgm
+from oracles import csv_writer_export, lg_amplitude, read_pgm
 
-from oamem.errors import GridMismatch
-from oamem.fieldgrid import (GridSpec, TransverseField, export_csv, export_pgm,
-                             inner_product, transform_to_spectrum)
-from oamem.modes import LGModeSpec, lg_field
+from oamem.errors import GridMismatch, NonFiniteField
+from oamem.fieldgrid import (BLOCK_ROWS, GridSpec, Separable, TransverseField, export_csv,
+                             export_pgm, inner_product, transform_to_spectrum)
+from oamem.modes import LGModeSpec, lg_field, qutrit_state, synthesize
 
 LAMBDA = 795e-9
 
@@ -173,3 +175,81 @@ class TestExport:
         assert len(lines) == 1 + 16 * 16
         x, y, re, im = (float(tok) for tok in lines[1].split(","))
         assert (re, im) == (1.0, 2.0)
+
+    @pytest.mark.parametrize("source", ["samples", "factors"])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, rng, source):
+        # an off-centre grid of 80 rows, so that a block is short, with
+        # coordinates and values of every sign and magnitude
+        g = GridSpec(128, 2e-3, center=(3.7e-4, -1.1e-4))
+        if source == "factors":
+            f = synthesize(qutrit_state(0.8, 0.5j, -0.3 + 0.2j, l=1), 150e-6, g, LAMBDA)
+        else:
+            f = random_field(g, rng)
+            f = f.with_values(f.values * np.logspace(-300, 300, g.n))
+        export_csv(f, tmp_path / "got.csv")
+        csv_writer_export(f, tmp_path / "expected.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+class TestFactoredField:
+    """A separable field holds only its factors and builds its values when read."""
+
+    @pytest.fixture
+    def field(self, grid):
+        return synthesize(qutrit_state(0.8, 0.5j, -0.3 + 0.2j, l=1), 200e-6, grid, LAMBDA)
+
+    def test_holds_no_samples(self, field):
+        assert field.samples is None and "values" not in vars(field)
+
+    def test_values_are_the_factors_array_read_only_and_cached(self, field):
+        values = field.values
+        assert np.array_equal(values, field.factors.array())
+        assert not values.flags.writeable
+        assert field.values is values
+
+    def test_row_blocks_equal_values(self, field):
+        blocks = list(field.row_blocks())
+        assert all(len(b) == BLOCK_ROWS for b in blocks[:-1])
+        assert np.array_equal(np.concatenate(blocks), field.values)
+
+    def test_negation_is_exact(self, field):
+        neg = -field
+        assert neg.samples is None
+        assert np.array_equal(neg.values, -field.values)
+
+    def test_samples_passed_with_factors_are_dropped(self, field, grid):
+        f = TransverseField(grid, np.zeros((grid.n, grid.n)), LAMBDA, field.factors)
+        assert f.samples is None
+        assert np.array_equal(f.values, field.values)
+
+    def test_needs_samples_or_factors(self, grid):
+        with pytest.raises(ValueError, match="samples or factors"):
+            TransverseField(grid, None, LAMBDA)
+
+    def test_factor_rows_must_match_grid(self, field):
+        with pytest.raises(ValueError, match="do not match grid"):
+            TransverseField(GridSpec(2 * field.grid.n, field.grid.extent), None, LAMBDA,
+                            field.factors)
+
+    @pytest.mark.parametrize("part", ["rows", "mix"])
+    def test_non_finite_factors_raise(self, field, part):
+        rows, mix = np.array(field.factors.rows), np.array(field.factors.mix)
+        {"rows": rows, "mix": mix}[part][0, 0] = np.nan
+        with pytest.raises(NonFiniteField):
+            Separable(rows, mix)
+
+    def test_overflowing_values_raise_when_built(self, field, grid):
+        # finite factors whose product overflows: the values are checked
+        # when they are built
+        huge = TransverseField(grid, None, LAMBDA,
+                               Separable(field.factors.rows * 1e200, field.factors.mix * 1e200))
+        with pytest.raises(NonFiniteField):
+            huge.values
+
+    def test_pickle_round_trip(self, field):
+        copy = pickle.loads(pickle.dumps(field))
+        assert copy.samples is None and "values" not in vars(copy)
+        for name in ("rows", "mix"):
+            assert not getattr(copy.factors, name).flags.writeable
+        assert np.array_equal(copy.values, field.values)
+        assert not copy.values.flags.writeable

@@ -15,8 +15,8 @@ from oamem.cli import SUBCOMMANDS
 from oamem.cli import main as cli_main
 from oamem.config import EXPERIMENT_KINDS, parse_config, serialize_config
 from oamem.decoherence import decohere, diffuse, longitudinal_drift_factor, magnetic_dephase
-from oamem.errors import NonFiniteField
-from oamem.fieldgrid import row_blocks
+from oamem.errors import ConfigError, NonFiniteField
+from oamem.fieldgrid import Separable, row_blocks
 from oamem.harness import (RUNNERS, _channels, _input_field, _retrieve, _store, _transfer,
                            run_bounds_table, run_field_render, run_interference_scan,
                            run_meridian_sweep, run_storage_decay, run_tomography, storage_point)
@@ -167,13 +167,13 @@ class TestWorkerInput:
 
 
     def test_ideal_wave_ships_without_a_spectrum(self):
-        # the pickled config and stored wave are the wave's n x n values and
-        # little else: no cached spectrum rides along
+        # the pickled config and stored wave carry no n x n array: the wave
+        # is its K x n factors, with no samples and no cached spectrum
         cfg = small_cfg(grid=README_GRID, **SENSITIVE)
         stored = _store(cfg)
         wave = stored[1]
-        assert "spectrum" not in vars(wave)
-        assert len(pickle.dumps((cfg, stored))) < 1.2 * wave.values.nbytes
+        assert "spectrum" not in vars(wave) and "values" not in vars(wave)
+        assert len(pickle.dumps((cfg, stored))) < cfg.grid.n ** 2
 
 
 class TestStream:
@@ -222,6 +222,35 @@ class TestStream:
         finally:
             tracemalloc.stop()
         assert peak < cfg.grid.n ** 2 * np.dtype(np.complex128).itemsize
+
+    def test_ideal_campaign_peaks_below_one_field_array(self):
+        # the field and the spin wave are their factors, and the diffraction
+        # check and every point stream blocks of rows; a warm-up builds the
+        # per-campaign Larmor map, the one n x n array a campaign keeps
+        cfg = small_cfg(grid=README_GRID, storage_times=[0.0, 1e-5, 2e-5], **SENSITIVE)
+        storage_point(cfg, _store(cfg), 1, 1e-5)
+        tracemalloc.start()
+        try:
+            stored = _store(cfg)
+            for point in enumerate(cfg.storage_times):
+                storage_point(cfg, stored, *point)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.grid.n ** 2 * np.dtype(np.complex128).itemsize
+
+    @pytest.mark.parametrize("runner", [run_storage_decay, run_tomography],
+                             ids=["decay", "tomo"])
+    def test_ideal_campaign_builds_no_field_array(self, monkeypatch, tmp_path, runner):
+        def refuse(self):
+            raise AssertionError("a campaign built an n x n array from the factors")
+
+        monkeypatch.setattr(Separable, "array", refuse)
+        cfg = small_cfg(storage_times=[0.0, 1e-5, 2e-5],
+                        decoherence={"diffusion": True, "magnetic": True,
+                                     "longitudinal_drift": True},
+                        magnetic=SENSITIVE["magnetic"], memory={"alpha": 0.1})
+        runner(cfg, out=tmp_path / "out")
 
 
 class TestPipelineComposition:
@@ -387,6 +416,18 @@ class TestTransfer:
             expected = _retrieve(cfg, _store(cfg)[1], t_s)
             got = _transfer(cfg, t_s) @ cfg.qudit.to_state().coeffs
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_rejects_a_hologram_source_before_synthesis(self, monkeypatch):
+        # a hologram's focal-plane field is not a synthesized basis mode
+        import oamem.harness as harness
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesized a mode for a hologram source")
+
+        monkeypatch.setattr(harness, "synthesize", refuse)
+        cfg = small_cfg(qudit=QUBIT, source=dict(HOLOGRAM))
+        with pytest.raises(ConfigError, match="needs an ideal source"):
+            _transfer(cfg, 0.0)
 
     @pytest.mark.parametrize("kind", ["ideal", "hologram"])
     def test_stored_reference_is_the_dense_input_projection(self, kind):
