@@ -47,8 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--parallel", type=int, default=1,
                        help="worker processes for the storage points of decay and tomo, "
                        "at most one per point and per CPU; a six-point qutrit decay on 2 "
-                       "CPUs took 0.47 s with 2 against 0.52 s with 1 at n = 1024, tied "
-                       "at n = 512 and lost at n = 256")
+                       "CPUs took 0.91 s with 2 against 1.20 s with 1 at n = 2048, and "
+                       "lost at n = 1024 and 512")
     return parser
 
 
@@ -64,15 +64,11 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.parallel < 1:
             raise ConfigError("--parallel must be >= 1")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         result = RUNNERS[kind](cfg, out=args.out, parallel=args.parallel)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OamemError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (OamemError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     print(f"{kind}: wrote {len(result.files)} files to {result.out_dir}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -193,19 +193,9 @@ class ExperimentConfig:
             raise ConfigError(f"invalid config: {exc}") from exc
 
 
-_SECTION_TYPES = {
-    "grid": GridSpec,
-    "qudit": QuditConfig,
-    "memory": MemoryParams,
-    "decoherence": DecoherenceConfig,
-    "magnetic": MagneticModel,
-    "efficiency": EfficiencyConfig,
-    "photon": PhotonStatistics,
-    "counting": CountingSection,
-    "source": SourceConfig,
-    "scan": ScanConfig,
-    "meridian": MeridianConfig,
-}
+# the sections: every field of the config whose default is a dataclass
+_SECTION_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)
+                  if is_dataclass(f.default)}
 
 
 def _listify(value):
@@ -278,18 +268,25 @@ def _check_fields(cls, data: dict, where: str) -> None:
             _check_finite(value, name)
 
 
-def _unknown_keys(cls, data: dict) -> list:
-    return sorted(set(data) - {f.name for f in fields(cls)}, key=str)
-
-
-def _parse_section(cls, data: dict, where: str):
+def _parse(cls, data, where: str):
+    """A ``cls`` from the mapping ``data`` found at ``where``: the whole config,
+    whose sections are parsed in turn, or one of its sections."""
+    top = cls is ExperimentConfig
     if not isinstance(data, dict):
-        raise ConfigError(f"section {where!r} must be a mapping")
-    unknown = _unknown_keys(cls, data)
+        raise ConfigError("top-level config must be a mapping" if top
+                          else f"section {where!r} must be a mapping")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)}, key=str)
     if unknown:
-        raise ConfigError(f"unknown keys in {where!r}: {unknown}")
-    kwargs = {k: _tuplify(v) for k, v in data.items()}
+        raise ConfigError(f"unknown top-level keys: {unknown}" if top
+                          else f"unknown keys in {where!r}: {unknown}")
+    if top and "seed" not in data:
+        raise ConfigError("seed is mandatory")
+    sections = _SECTION_TYPES if top else {}
+    kwargs = {k: _tuplify(v) for k, v in data.items() if k not in sections}
     _check_fields(cls, kwargs, where)
+    for key, value in data.items():
+        if key in sections:
+            kwargs[key] = _parse(sections[key], value, key)
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -297,19 +294,7 @@ def _parse_section(cls, data: dict, where: str):
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("top-level config must be a mapping")
-    unknown = _unknown_keys(ExperimentConfig, data)
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {unknown}")
-    if "seed" not in data:
-        raise ConfigError("seed is mandatory")
-    kwargs = {k: _tuplify(v) for k, v in data.items() if k not in _SECTION_TYPES}
-    _check_fields(ExperimentConfig, kwargs, "config")
-    for key, value in data.items():
-        if key in _SECTION_TYPES:
-            kwargs[key] = _parse_section(_SECTION_TYPES[key], value, key)
-    return ExperimentConfig(**kwargs)
+    return _parse(ExperimentConfig, data, "config")
 
 
 def serialize_config(cfg: ExperimentConfig) -> dict:
@@ -325,7 +310,7 @@ def load_config(path) -> ExperimentConfig:
     """
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = yaml.safe_load(text)

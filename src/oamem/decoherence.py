@@ -205,21 +205,14 @@ def _larmor_map(mdl: MagneticModel, grid: GridSpec) -> tuple[np.ndarray, float]:
     Rows are y, as in ``GridSpec.mesh``; the axes broadcast, so no mesh is
     built, and the map is filled BLOCK_ROWS rows at a time, so that the
     model's temporaries stay one block in size.  A ``field_at`` that
-    ignores an axis may return fewer rows or columns.  A map that
-    overflows has a non-finite maximum, which :func:`_dephased` rejects.
+    ignores an axis is broadcast over it.  A map that overflows has a
+    non-finite maximum, which :func:`_dephased` rejects.
     """
     xs, ys = grid.xs()[None, :], grid.ys()[:, None]
+    omega = np.empty((grid.n, grid.n))
     with np.errstate(over="ignore", invalid="ignore"):
-        first = np.asarray(mdl.angular_shift(xs, ys[:BLOCK_ROWS]), dtype=np.float64)
-        if first.ndim < 2 or first.shape[0] == 1:
-            # a map that does not depend on y
-            omega = first
-        else:
-            omega = np.empty((grid.n, first.shape[1]))
-            omega[:BLOCK_ROWS] = first
-            for start in range(BLOCK_ROWS, grid.n, BLOCK_ROWS):
-                omega[start:start + BLOCK_ROWS] = mdl.angular_shift(
-                    xs, ys[start:start + BLOCK_ROWS])
+        for start in range(0, grid.n, BLOCK_ROWS):
+            omega[start:start + BLOCK_ROWS] = mdl.angular_shift(xs, ys[start:start + BLOCK_ROWS])
     omega.flags.writeable = False
     # no n x n |dOmega|; a NaN reaches both ends
     return omega, float(max(omega.max(), -omega.min()))
@@ -236,7 +229,6 @@ def _dephased(blocks: Iterator[np.ndarray], grid: GridSpec, mdl: MagneticModel,
     if not math.isfinite(peak * t_s):
         raise NonFiniteField(f"field values must be finite: the Larmor phase dOmega t_s "
                              f"reaches {peak * t_s:g} rad at t_s = {t_s:g} s")
-    omega = np.broadcast_to(omega, (grid.n, grid.n))
     rot = np.empty((min(BLOCK_ROWS, grid.n), grid.n), dtype=np.complex128)
     for start, block in zip(range(0, grid.n, BLOCK_ROWS), blocks):
         np.multiply(omega[start:start + BLOCK_ROWS], t_s, out=rot.imag)

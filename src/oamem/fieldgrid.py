@@ -214,13 +214,6 @@ class TransverseField:
             return row_blocks(self.samples)
         return self.factors.row_blocks()
 
-    def __neg__(self) -> "TransverseField":
-        """-values, as factors when the field has them (negation is exact)."""
-        if self.factors is None:
-            return self.with_values(-self.samples)
-        return TransverseField(self.grid, None, self.wavelength,
-                               Separable(self.factors.rows, -self.factors.mix))
-
     def norm(self) -> float:
         """Physical L2 norm sqrt(sum |f|^2 * pixel_area)."""
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.pixel_area))

@@ -8,7 +8,6 @@ repr so reruns are byte-identical.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +25,7 @@ from .fieldgrid import TransverseField, export_csv, export_pgm
 from .holography import (export_pgm_hologram, focal_basis_phases, fraunhofer,
                          qubit_hologram, qutrit_hologram)
 from .measurement import (CountRecord, fit_visibility, polar_retrieve, simulate_counts,
-                          subtract_background, write_count_records)
+                          subtract_background, write_count_records, write_csv)
 from .modes import (LGModeSpec, QuditState, basis_charges, decompose_rows, lg_field,
                     qubit_state, synthesize)
 from .polariton import read, write
@@ -40,24 +39,6 @@ class CampaignResult:
     files: tuple[str, ...]
     summary: tuple
     provenance: dict
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return repr(float(value))
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
 
 
 def _sha256(path: Path) -> str:
@@ -82,10 +63,10 @@ def _finalize(cfg: ExperimentConfig, experiment: str, out_dir: Path,
         "rng_scheme": rng_scheme,
     }
     prov_path = out_dir / "provenance.csv"
-    _write_csv(prov_path, ["key", "value"], sorted(provenance.items()))
+    write_csv(prov_path, ["key", "value"], sorted(provenance.items()))
     files = files + ["provenance.csv"]
     manifest_rows = [(name, _sha256(out_dir / name)) for name in sorted(files)]
-    _write_csv(out_dir / "manifest.csv", ["path", "sha256"], manifest_rows)
+    write_csv(out_dir / "manifest.csv", ["path", "sha256"], manifest_rows)
     return CampaignResult(out_dir=out_dir, files=tuple(sorted(files) + ["manifest.csv"]),
                           summary=tuple(summary), provenance=provenance)
 
@@ -95,7 +76,10 @@ def _out_dir(cfg: ExperimentConfig, override=None) -> Path:
     if target is None:
         raise ConfigError("no output directory configured")
     path = Path(target)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
     return path
 
 
@@ -121,9 +105,9 @@ def _store(cfg: ExperimentConfig) -> tuple[np.ndarray, TransverseField]:
     """The part of a storage point that does not depend on t.
 
     Prepares the configured input field and writes it once.  Returns the
-    stored state, :func:`_retrieve` at t = 0, where no channel acts and
-    readout undoes the write's sign exactly, and the written spin wave,
-    which :func:`_retrieve` reads at each storage time.
+    stored state, :func:`_retrieve` at t = 0, where no channel acts, and
+    the written spin wave, which :func:`_retrieve` reads at each storage
+    time.
     """
     wave = write(_input_field(cfg)[0], cfg.memory)
     return _retrieve(cfg, wave, 0.0), wave
@@ -138,17 +122,17 @@ def _channels(cfg: ExperimentConfig) -> tuple:
 def _retrieve(cfg: ExperimentConfig, wave: TransverseField, t_s: float) -> np.ndarray:
     """Qudit amplitudes a of the field read out of the written ``wave`` after t_s.
 
-    A ket psi couples |psi^H a|^2 of the field into the fiber.  The
-    decohered wave streams into the projection in row blocks.  Projection
-    is linear, so the readout sign and the drift factor, one number for
-    the whole field, go on the d amplitudes, exactly.  A hologram's lens
-    gave each focal-plane mode the phase (-i)^|l|; dividing it out puts a
-    in the mask-plane convention of the configured state.  Raises
-    NonFiniteField when an amplitude is not finite.
+    A ket psi couples |psi^H a|^2 of the field into the fiber.  Readout
+    returns the wave as the field, so the decohered wave streams into the
+    projection in row blocks.  Projection is linear, so the drift factor,
+    one number for the whole field, goes on the d amplitudes, exactly.  A
+    hologram's lens gave each focal-plane mode the phase (-i)^|l|;
+    dividing it out puts a in the mask-plane convention of the configured
+    state.  Raises NonFiniteField when an amplitude is not finite.
     """
     q = cfg.qudit
     blocks = decohered_rows(wave, t_s, *_channels(cfg))
-    a = -decompose_rows(blocks, wave.grid, q.l, q.dim, q.waist)
+    a = decompose_rows(blocks, wave.grid, q.l, q.dim, q.waist)
     if cfg.source.kind == "hologram":
         a = a / focal_basis_phases(basis_charges(q.dim, q.l))
     if cfg.decoherence.longitudinal_drift:
@@ -218,14 +202,14 @@ def storage_point(cfg: ExperimentConfig, stored: tuple[np.ndarray, TransverseFie
     rho = reconstruct(records, pset)
     f_abs = fidelity(rho, DensityMatrix(state.density_matrix()))
     f_rel = fidelity(rho, DensityMatrix(QuditState(reference, l=state.l).density_matrix()))
-    bound = classical_limit(cfg.photon.n_bar, eta)
-    band = threshold_band(cfg.photon, eta)
-    return {
-        "t_s": t_s, "eta": eta, "f_rel": f_rel, "f_abs": f_abs,
-        "f_classical": bound.f_classical, "band_low": band[0], "band_high": band[1],
-        "records": records, "rho": rho,
-        "probs": probabilities(rho, pset), "pset": pset,
-    }
+    return {"t_s": t_s, "eta": eta, "f_rel": f_rel, "f_abs": f_abs,
+            "records": records, "rho": rho, "pset": pset}
+
+
+def _bound_columns(cfg: ExperimentConfig, eta: float) -> list[float]:
+    """f_classical, band_low and band_high at efficiency ``eta``."""
+    return [classical_limit(cfg.photon.n_bar, eta).f_classical,
+            *threshold_band(cfg.photon, eta)]
 
 
 _WORKER_STORED = None
@@ -267,8 +251,9 @@ def run_storage_decay(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Cam
     out_dir = _out_dir(cfg, out)
     results = _map_points(cfg, parallel)
     header = ["t_s", "eta", "f_rel", "f_abs", "f_classical", "band_low", "band_high"]
-    rows = [[r[k] for k in header] for r in results]
-    _write_csv(out_dir / "decay.csv", header, rows)
+    rows = [[r["t_s"], r["eta"], r["f_rel"], r["f_abs"], *_bound_columns(cfg, r["eta"])]
+            for r in results]
+    write_csv(out_dir / "decay.csv", header, rows)
     return _finalize(cfg, "storage_decay", out_dir, ["decay.csv"], rows, RNG_SCHEME)
 
 
@@ -285,11 +270,12 @@ def run_tomography(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Campai
         write_count_records(out_dir / counts_name, r["records"])
         export_density_csv(r["rho"], out_dir / rho_name)
         (out_dir / report_name).write_text(
-            tomography_report(r["pset"], r["records"], r["probs"], r["rho"], r["f_abs"])
+            tomography_report(r["pset"], r["records"], probabilities(r["rho"], r["pset"]),
+                              r["rho"], r["f_abs"])
             + "\n")
         files += [counts_name, rho_name, report_name]
         summary.append([r["t_s"], r["eta"], r["f_rel"], r["f_abs"]])
-    _write_csv(out_dir / "summary.csv", ["t_s", "eta", "f_rel", "f_abs"], summary)
+    write_csv(out_dir / "summary.csv", ["t_s", "eta", "f_rel", "f_abs"], summary)
     return _finalize(cfg, "tomography", out_dir, files + ["summary.csv"], summary,
                      RNG_SCHEME)
 
@@ -314,8 +300,8 @@ def run_interference_scan(cfg: ExperimentConfig, out=None, parallel: int = 1) ->
     fit = fit_visibility(records)
     write_count_records(out_dir / "scan.csv", records)
     summary = [[fit.n0, fit.delta, fit.visibility, fit.residual_rms]]
-    _write_csv(out_dir / "fit.csv", ["n0", "delta", "visibility", "residual_rms", "phase"],
-               [summary[0] + [fit.phase]])
+    write_csv(out_dir / "fit.csv", ["n0", "delta", "visibility", "residual_rms", "phase"],
+              [summary[0] + [fit.phase]])
     return _finalize(cfg, "interference_scan", out_dir, ["scan.csv", "fit.csv"],
                      summary, RNG_SCHEME)
 
@@ -345,7 +331,7 @@ def run_meridian_sweep(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Ca
         rec_l, rec_r = _count(cfg, c_l * a_l + c_r * a_r, eta, i, poles)
         rows.append([gamma_w, rec_l.counts, rec_r.counts,
                      polar_retrieve(rec_r.counts, rec_l.counts)])
-    _write_csv(out_dir / "meridian.csv", ["gamma_w", "n_l", "n_r", "gamma_r"], rows)
+    write_csv(out_dir / "meridian.csv", ["gamma_w", "n_l", "n_r", "gamma_r"], rows)
     return _finalize(cfg, "meridian_sweep", out_dir, ["meridian.csv"], rows, RNG_SCHEME)
 
 
@@ -356,11 +342,9 @@ def run_bounds_table(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Camp
     rows = []
     for t_s in cfg.storage_times:
         eta = model(t_s)
-        bound = classical_limit(cfg.photon.n_bar, eta)
-        band = threshold_band(cfg.photon, eta)
-        rows.append([t_s, eta, bound.f_classical, band[0], band[1]])
-    _write_csv(out_dir / "bounds.csv",
-               ["t_s", "eta", "f_classical", "band_low", "band_high"], rows)
+        rows.append([t_s, eta, *_bound_columns(cfg, eta)])
+    write_csv(out_dir / "bounds.csv", ["t_s", "eta", "f_classical", "band_low", "band_high"],
+              rows)
     return _finalize(cfg, "bounds_table", out_dir, ["bounds.csv"], rows, "none")
 
 

@@ -127,13 +127,33 @@ def subtract_background(records) -> list[CountRecord]:
     return out
 
 
-def write_count_records(path, records) -> None:
-    """CSV columns: basis_id, beta_or_label, counts, background, acquisition_s."""
+def _fmt(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return value
+    return repr(float(value))
+
+
+def write_csv(path, header, rows) -> None:
+    """CSV of ``header`` and ``rows``, the one number format of every output file.
+
+    A string is written as itself, a bool as 1 or 0, an int as its digits
+    and any other number as the repr of its float, so reruns are
+    byte-identical.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["basis_id", "beta_or_label", "counts", "background", "acquisition_s"])
-        for r in records:
-            label = repr(float(r.beta)) if r.beta is not None else r.basis_id
-            w.writerow([r.basis_id, label, repr(float(r.counts)),
-                        repr(float(r.background)), repr(float(r.acquisition))])
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_fmt(v) for v in row])
+
+
+def write_count_records(path, records) -> None:
+    """CSV columns: basis_id, beta_or_label, counts, background, acquisition_s."""
+    write_csv(path, ["basis_id", "beta_or_label", "counts", "background", "acquisition_s"],
+              ([r.basis_id, r.basis_id if r.beta is None else float(r.beta), float(r.counts),
+                float(r.background), float(r.acquisition)] for r in records))
 

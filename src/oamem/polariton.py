@@ -9,10 +9,13 @@ The write/read pair below implements that limit: it is exactly unitary,
 and the conserved-norm split across field and matter parts is what the
 reduced propagation equation guarantees.  The spin wave is the stored
 transverse profile on the same grid, so it is a
-:class:`~oamem.fieldgrid.TransverseField` too: ``write`` returns -f and
-``read`` returns -s.  Along z the coherence carries exp(-i dk z)
-(``MemoryParams.delta_k``), which forward readout undoes exactly; the
-loss when atoms drift along z during storage is the analytic
+:class:`~oamem.fieldgrid.TransverseField` too.  At theta = pi/2 the
+field maps onto the spin wave as -S and back as -(-S), a sign that
+readout cancels exactly and no output can see, so ``write`` returns the
+checked field itself and ``read`` returns the wave.  Along z the
+coherence carries exp(-i dk z) (``MemoryParams.delta_k``), which
+forward readout undoes exactly; the loss when atoms drift along z
+during storage is the analytic
 :func:`oamem.decoherence.longitudinal_drift_factor`.  All efficiency
 loss is modeled downstream (empirical decay in
 :mod:`oamem.decoherence`), and the neglected free-space diffraction
@@ -20,9 +23,8 @@ phase q^2 D / k_s is checked explicitly, on the forward spectrum of
 the written wave: one block of rows at a time, |S|^2 is folded into a
 quarter plane, which is binned by shell once.  A field synthesized from
 LG modes is separable (:class:`~oamem.fieldgrid.Separable`) and held
-only as its factors; ``write`` negates the K x K matrix of the factors
-and copies no samples, so that the spin wave of an ideal source is no
-n x n array either.  The diffraction check builds each block of its
+only as its factors, so the spin wave of an ideal source is no n x n
+array either.  The diffraction check builds each block of its
 spectrum from the K 1-D row transforms, with no n x n spectrum, and the
 thermal blur of :func:`oamem.decoherence.diffuse` runs on the K rows
 too.  A wave without factors, such as the far field of a binary
@@ -109,27 +111,21 @@ def write(f: TransverseField, params: MemoryParams) -> TransverseField:
     """Map an optical envelope onto the spin wave (unit write efficiency).
 
     Warns when the neglected diffraction phase q^2 D / k_s exceeds 0.1
-    over the occupied spectrum.  The spin wave is -f, as factors when f
-    has them.
+    over the occupied spectrum.  Returns ``f`` itself as the spin wave.
     """
-    wave = -f
-    phase = diffraction_check(params, wave)
+    phase = diffraction_check(params, f)
     if phase >= DIFFRACTION_PHASE_LIMIT:
         warnings.warn(
             f"diffraction phase q^2 D / k_s = {phase:.3g} >= {DIFFRACTION_PHASE_LIMIT}; "
             "the stored profile will not read out faithfully",
             stacklevel=2,
         )
-    return wave
+    return f
 
 
 def read(s: TransverseField) -> TransverseField:
-    """Forward readout of a (possibly decohered) spin wave: the field -s.
-
-    The readout is linear, so a caller that only projects the field can
-    project ``s.values`` and negate the amplitudes instead of the samples.
-    """
-    return -s
+    """Forward readout of a (possibly decohered) spin wave: ``s`` itself, as the field."""
+    return s
 
 
 def diffraction_check(params: MemoryParams, s: TransverseField) -> float:

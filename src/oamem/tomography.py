@@ -11,7 +11,6 @@ set, with an optional fixed-point maximum-likelihood refinement.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -19,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimMismatch, InsufficientData, NoCounts, NotPSD
-from .measurement import CountRecord
+from .measurement import CountRecord, write_csv
 
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -268,13 +267,8 @@ def resample_records(records, seed: int) -> list[CountRecord]:
 
 def export_density_csv(rho: DensityMatrix, path) -> None:
     """CSV of (row, col, re, im) entries."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["row", "col", "re", "im"])
-        for i in range(rho.dim):
-            for j in range(rho.dim):
-                v = rho.matrix[i, j]
-                w.writerow([i, j, repr(float(v.real)), repr(float(v.imag))])
+    write_csv(path, ["row", "col", "re", "im"],
+              ([i, j, v.real, v.imag] for (i, j), v in np.ndenumerate(rho.matrix)))
 
 
 def _signed(x: float) -> str:

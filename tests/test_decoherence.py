@@ -248,14 +248,14 @@ class TestMagneticDephase:
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_field_at_subclass_matches_mesh_phase(self, grid):
-        # a map that ignores y comes back as one row and is broadcast
+        # a map that ignores y is broadcast over the rows of the whole mesh
         class Ramp(MagneticModel):
             def field_at(self, x, y):
                 return 3.0e4 * x
 
         s = stored(synthesize(qubit_state(np.pi / 2, 0.3, l=2), W0, grid))
         mdl = Ramp(sensitivity=1.0)
-        assert _larmor_map(mdl, grid)[0].shape == (1, grid.n)
+        assert np.array_equal(_larmor_map(mdl, grid)[0], mdl.angular_shift(*grid.mesh()))
         expected = self.reference(s, mdl, 0.7)
         got = magnetic_dephase(s, mdl, 0.7).values
         assert got.shape == (grid.n, grid.n)
@@ -284,7 +284,7 @@ class TestMagneticDephase:
         assert np.array_equal(omega, expected)
         assert peak == np.max(np.abs(expected))
 
-    def test_larmor_map_of_y_alone_keeps_one_column(self, grid):
+    def test_larmor_map_of_y_alone_fills_the_mesh(self, grid):
         class Column(MagneticModel):
             def field_at(self, x, y):
                 return -3.0e4 * y
@@ -292,7 +292,7 @@ class TestMagneticDephase:
         s = stored(synthesize(qubit_state(np.pi / 2, 0.3, l=2), W0, grid))
         mdl = Column(sensitivity=1.0)
         omega, peak = _larmor_map(mdl, grid)
-        assert omega.shape == (grid.n, 1)
+        assert np.array_equal(omega, mdl.angular_shift(*grid.mesh()))
         assert peak == np.max(np.abs(3.0e4 * grid.ys()))
         expected = self.reference(s, mdl, 0.7)
         got = magnetic_dephase(s, mdl, 0.7).values

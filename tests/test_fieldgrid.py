@@ -212,11 +212,6 @@ class TestFactoredField:
         assert all(len(b) == BLOCK_ROWS for b in blocks[:-1])
         assert np.array_equal(np.concatenate(blocks), field.values)
 
-    def test_negation_is_exact(self, field):
-        neg = -field
-        assert neg.samples is None
-        assert np.array_equal(neg.values, -field.values)
-
     def test_samples_passed_with_factors_are_dropped(self, field, grid):
         f = TransverseField(grid, np.zeros((grid.n, grid.n)), LAMBDA, field.factors)
         assert f.samples is None

@@ -282,8 +282,8 @@ class TestPipelineComposition:
 
     @pytest.mark.parametrize("kind", ["ideal", "hologram"])
     def test_readout_sign_on_amplitudes_is_exact(self, kind):
-        # projecting the decohered spin wave and negating the d amplitudes
-        # gives the amplitudes of the read-out (negated) field, bit for bit
+        # streaming the decohered spin wave into the projection gives the
+        # amplitudes of the whole read-out field, bit for bit
         cfg = small_cfg(grid=README_GRID, counting={"poisson": False},
                         source={"kind": kind, "input_waist": 5.0e-4, "focal": 0.5}, **SENSITIVE)
         wave = _store(cfg)[1]
@@ -431,8 +431,8 @@ class TestTransfer:
 
     @pytest.mark.parametrize("kind", ["ideal", "hologram"])
     def test_stored_reference_is_the_dense_input_projection(self, kind):
-        # f_rel's reference is _retrieve at t = 0: no channel acts, and the
-        # write and read negations are exact
+        # f_rel's reference is _retrieve at t = 0: no channel acts, and
+        # write and read return the field they are given
         source = dict(HOLOGRAM) if kind == "hologram" else {"kind": kind}
         cfg = small_cfg(grid=README_GRID, source=source, counting={"poisson": False},
                         **self.ALL_CHANNELS)
@@ -683,6 +683,14 @@ class TestCli:
     def test_missing_file_exit_code(self, tmp_path):
         assert cli_main(["decay", "--config", str(tmp_path / "nope.yaml")]) == 2
 
+    def test_non_utf8_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(b"seed: 1\n\xff\xfe")
+        assert cli_main(["decay", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {path}: ")
+        assert err.count("\n") == 1
+
     def test_experiment_mismatch_exit_code(self, tmp_path):
         path = self.write_cfg(tmp_path, extra="experiment: storage_decay\n")
         assert cli_main(["scan", "--config", str(path)]) == 2
@@ -764,3 +772,45 @@ def test_config_faults_exit_2(tmp_path, capsys, subcommand, changes):
     path.write_text(yaml.safe_dump({**README_CONFIG, **changes}))
     assert cli_main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+SMALL_GRID = {"n": 64, "extent": 3.2e-3}
+
+
+@pytest.mark.parametrize("given", ["--out", "output_dir"])
+@pytest.mark.parametrize("target", ["file", "file/sub"], ids=["existing-file", "below-a-file"])
+def test_output_path_that_cannot_be_a_directory_exits_2(tmp_path, capsys, given, target):
+    (tmp_path / "file").write_text("not a directory\n")
+    out = str(tmp_path / target)
+    data = {**README_CONFIG, "grid": SMALL_GRID}
+    args = []
+    if given == "--out":
+        args = ["--out", out]
+    else:
+        data["output_dir"] = out
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert cli_main(["bounds", "--config", str(path), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory {out}: ")
+    assert err.count("\n") == 1
+
+
+HUGE_TIME = {"storage_times": [0.0, 1.0e300]}
+# only drift along z acts: exp(-(dk sigma)^2 / 2) overflows at a smaller time
+DRIFT_ONLY = {"memory": {"alpha": 0.05}, "storage_times": [0.0, 1.0e160],
+              "decoherence": {"diffusion": False, "magnetic": False,
+                              "longitudinal_drift": True}}
+
+
+@pytest.mark.parametrize("subcommand, changes", [
+    ("decay", HUGE_TIME), ("tomo", HUGE_TIME), ("render", HUGE_TIME),
+    ("decay", DRIFT_ONLY), ("tomo", DRIFT_ONLY),
+], ids=["decay", "tomo", "render", "decay-drift", "tomo-drift"])
+def test_overflowing_storage_time_exits_3(tmp_path, capsys, subcommand, changes):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({**README_CONFIG, "grid": SMALL_GRID, **changes}))
+    assert cli_main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert err.count("\n") == 1

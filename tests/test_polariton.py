@@ -278,11 +278,20 @@ class TestSpinWavePickle:
 
 
 class TestFactors:
-    def test_write_keeps_the_negated_factors(self, grid):
+    def test_write_keeps_the_factors(self, grid):
         f = synthesize(QuditState(np.array([1.0, 0.5j]), l=2), W0, grid)
+        factors = f.factors
         wave = write(f, MemoryParams())
+        assert wave is f and wave.factors is factors and wave.samples is None
         assert np.array_equal(wave.factors.array(), wave.values)
-        assert np.array_equal(wave.values, -f.values)
+
+    def test_write_keeps_the_samples(self, grid):
+        # a sampled field, such as a hologram's far field, is written uncopied
+        f = TransverseField(grid, lg_field(LGModeSpec(1, W0), grid).values, 795e-9)
+        samples = f.samples
+        wave = write(f, MemoryParams())
+        assert wave is f and wave.samples is samples and wave.factors is None
+        assert read(wave) is wave
 
     def test_new_values_drop_the_factors(self, grid):
         f = lg_field(LGModeSpec(1, W0), grid)

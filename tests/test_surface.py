@@ -39,11 +39,12 @@ KEEP = {
     "modes.qutrit_state": "test-fixture constructor",
     "modes.QuditState.labels": "test-fixture basis labels",
     "fieldgrid.TransverseField.norm": "test-fixture norm",
-    "fieldgrid.TransverseField.__setstate__": "runs only when a field is unpickled; a fork "
-                                              "pool hands its workers the stored wave "
-                                              "without pickling",
+    "fieldgrid.TransverseField.__setstate__": "runs only when a field is unpickled: a "
+                                              "forkserver or spawn pool pickles the stored "
+                                              "wave into its workers (CI checks forkserver), "
+                                              "a fork pool does not",
     "fieldgrid.Separable.__setstate__": "runs only when a field's factors are unpickled, as "
-                                        "fieldgrid.TransverseField.__setstate__",
+                                        "fieldgrid.TransverseField.__setstate__ does",
     "harness._init_worker": "runs only in the worker processes of --parallel",
     "harness._worker_point": "runs only in the worker processes of --parallel",
     "tomography._ket": "runs at import, building the projector tables",
