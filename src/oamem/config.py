@@ -24,6 +24,7 @@ from .decoherence import DEFAULT_EFFICIENCY_ANCHORS, EfficiencyModel, MagneticMo
 from .errors import ConfigError
 from .fieldgrid import GridSpec
 from .holography import _focal_grid
+from .measurement import POISSON_MEAN_MAX
 from .modes import QuditState, _support_check, qubit_state
 from .polariton import MemoryParams
 
@@ -181,7 +182,14 @@ class ExperimentConfig:
             if self.source.kind == "hologram" and self.qudit.dim == 3 and self.qudit.l != 1:
                 raise ConfigError("the qutrit mask requires qudit l = 1")
             self.qudit.to_state()
-            self.efficiency.to_model()
+            # a Poisson draw's mean is largest at t = 0, where eta is eta0
+            counting = self.counting
+            mean = counting.pulses * (self.photon.n_bar * self.efficiency.to_model().eta0
+                                      + counting.bg_rate)
+            if counting.poisson and not mean <= POISSON_MEAN_MAX:
+                raise ConfigError(f"the Poisson mean counting.pulses x (photon.n_bar x eta0 + "
+                                  f"counting.bg_rate) = {mean:g} exceeds numpy's limit "
+                                  f"{POISSON_MEAN_MAX:g}")
             # the qudit modes are sampled where the field is: for a hologram
             # source, on the focal-plane grid behind the mask's lens
             mode_grid = self.grid

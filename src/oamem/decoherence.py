@@ -13,24 +13,15 @@ blocks of ``BLOCK_ROWS`` rows, which a campaign projects as they come,
 so no storage point of an ideal source builds an n x n array;
 :func:`decohere` stacks the same blocks into one field, for rendering.
 Nothing that does not depend on t_s is rebuilt.  The spin wave is a
-:class:`~oamem.fieldgrid.TransverseField`, and the blur reads the
-ensemble's temperature and mass from the memory's
-:class:`~oamem.polariton.MemoryParams` (``MemoryParams.sigma``).  The
-blur kernel factors as k1(q_x) k1(q_y).  A wave synthesized from LG
-modes is held only as its K <= |l| + 1 separable factors
-(``TransverseField.factors``): the blur transforms the K real 1-D rows,
-K n log n work, each block is contracted from them, and with no blur
-the blocks are contracted from the factors as they are.  A wave without
-factors, such as a binary hologram's far field, whose mask is not
-separable, takes the spectral path: its forward spectrum is computed
-once (``TransverseField.spectrum``, which the diffraction check of
-:func:`oamem.polariton.write` also reads), and each storage time scales
-it by both kernel factors, inverts it in place and slices it.  The
-Larmor map dOmega(x, y) is built once per (model, grid) pair, one
-block of rows at a time, and is the only n x n array that a ``decay``
-or ``tomo`` campaign of an ideal source keeps; each storage time checks
-that dOmega t_s is finite and multiplies each block in place by its cos
-and sin.
+:class:`~oamem.fieldgrid.TransverseField`, which carries out the blur
+itself (``TransverseField.filtered``; a hologram's far field caches one
+spectrum for it), and the blur width reads the ensemble's temperature
+and mass from the memory's :class:`~oamem.polariton.MemoryParams`
+(``MemoryParams.sigma``).  The Larmor map dOmega(x, y) is built once
+per (model, grid) pair, one block of rows at a time, and is the only
+n x n array that a ``decay`` or ``tomo`` campaign of an ideal source
+keeps; each storage time checks that dOmega t_s is finite and
+multiplies each block by its cos and sin.
 
 End-to-end retrieval efficiency is a separate, empirical exponential
 decay fitted to two measured anchor points.
@@ -46,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NodalLineNotFound, NonFiniteField
-from .fieldgrid import BLOCK_ROWS, GridSpec, Separable, TransverseField, row_blocks
+from .fieldgrid import BLOCK_ROWS, GridSpec, TransverseField
 from .polariton import MemoryParams
 
 # reference end-to-end efficiencies used as default decay anchors
@@ -133,19 +124,15 @@ def decohered_rows(s: TransverseField, t_s: float, diffusion: MemoryParams | Non
                    magnetic: MagneticModel | None = None) -> Iterator[np.ndarray]:
     """The values of ``s`` after t_s of free expansion, then Larmor dephasing, in row blocks.
 
-    Yields consecutive blocks of BLOCK_ROWS rows; a channel left None is
-    off, and ``diffusion`` is the memory whose temperature and mass set
-    the blur.  The Larmor phase multiplies each block in place.  With no
-    channel on, the blocks are ``s.row_blocks()``.
+    Yields consecutive blocks of BLOCK_ROWS rows, each valid until the
+    next is requested; a channel left None is off, and ``diffusion`` is
+    the memory whose temperature and mass set the blur.  With no channel
+    on, the blocks are ``s.row_blocks()``.
     """
     blur, phase = _active_channels(t_s, diffusion, magnetic)
     if blur:
-        blocks = _blurred(s, diffusion.sigma(t_s))
-    elif phase and s.factors is None:
-        # the phase works in place: copy the read-only views of the samples
-        blocks = (np.array(block) for block in s.row_blocks())
-    else:
-        blocks = s.row_blocks()
+        s = s.filtered(_blur_kernel(s.grid, diffusion.sigma(t_s), t_s))
+    blocks = s.row_blocks()
     return _dephased(blocks, s.grid, magnetic, t_s) if phase else blocks
 
 
@@ -176,26 +163,17 @@ def diffuse(s: TransverseField, p: MemoryParams, t_s: float) -> TransverseField:
     return decohere(s, t_s, diffusion=p)
 
 
-def _blurred(s: TransverseField, sigma: float) -> Iterator[np.ndarray]:
-    """The values of ``s`` blurred by exp(-q^2 sigma^2 / 2), in new blocks of rows.
+def _blur_kernel(grid: GridSpec, sigma: float, t_s: float) -> np.ndarray:
+    """exp(-q^2 sigma^2 / 2) on the ``np.fft.fftfreq`` axis of ``grid``.
 
-    The kernel factors as k1(q_x) k1(q_y).  A wave with ``factors`` is
-    blurred on its K real 1-D rows (k1 is even, so they stay real), and
-    each block is contracted from them; any other wave scales its cached
-    forward spectrum by both factors, inverts it in place and is sliced.
+    Raises NonFiniteField, naming sigma and t_s, when sigma^2 overflows.
     """
-    n = s.grid.n
-    q = 2.0 * np.pi * np.fft.fftfreq(n, d=s.grid.pitch)
-    k1 = np.exp(-0.5 * q ** 2 * sigma ** 2)
-    if s.factors is not None:
-        rows = np.fft.rfft(s.factors.rows, axis=1)
-        rows *= k1[:n // 2 + 1]
-        return Separable(np.fft.irfft(rows, n, axis=1), s.factors.mix).row_blocks()
-    blurred = s.spectrum * k1
-    blurred *= k1[:, None]
-    np.fft.ifft(blurred, axis=1, out=blurred)
-    np.fft.ifft(blurred, axis=0, out=blurred)
-    return row_blocks(blurred)
+    q = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.pitch)
+    try:
+        return np.exp(-0.5 * q ** 2 * sigma ** 2)
+    except OverflowError:
+        raise NonFiniteField(f"field values must be finite: the blur width sigma = "
+                             f"{sigma:g} m at t_s = {t_s:g} s has no finite square") from None
 
 
 @lru_cache(maxsize=1)
@@ -220,10 +198,12 @@ def _larmor_map(mdl: MagneticModel, grid: GridSpec) -> tuple[np.ndarray, float]:
 
 def _dephased(blocks: Iterator[np.ndarray], grid: GridSpec, mdl: MagneticModel,
               t_s: float) -> Iterator[np.ndarray]:
-    """Each block of rows multiplied in place by exp(i dOmega t_s), built one block at a time.
+    """Each block of rows times exp(i dOmega t_s), built one block at a time.
 
-    Raises NonFiniteField when dOmega t_s is not finite somewhere, before
-    any cos or sin is taken.
+    Every product is written into one phase buffer, which is yielded, so
+    a yielded block is valid until the next one is requested; the input
+    blocks are not written.  Raises NonFiniteField when dOmega t_s is not
+    finite somewhere, before any cos or sin is taken.
     """
     omega, peak = _larmor_map(mdl, grid)
     if not math.isfinite(peak * t_s):
@@ -234,8 +214,9 @@ def _dephased(blocks: Iterator[np.ndarray], grid: GridSpec, mdl: MagneticModel,
         np.multiply(omega[start:start + BLOCK_ROWS], t_s, out=rot.imag)
         np.cos(rot.imag, out=rot.real)
         np.sin(rot.imag, out=rot.imag)
-        block *= rot
-        yield block
+        # block first: numpy's complex product is not bitwise commutative
+        np.multiply(block, rot, out=rot)
+        yield rot
 
 
 def magnetic_dephase(s: TransverseField, mdl: MagneticModel, t_s: float) -> TransverseField:
@@ -249,8 +230,14 @@ def longitudinal_drift_factor(p: MemoryParams, t_s: float) -> float:
     One-dimensional analogue of the transverse blur applied to the
     exp(i dk z) spin-wave phase, dk = ``p.delta_k``: exp(-dk^2 sigma_z^2 / 2)
     with sigma_z^2 = k_B T t_s^2 / m.  Equals 1 for collinear beams (dk = 0).
+    Raises NonFiniteField, naming sigma_z and t_s, when (dk sigma_z)^2 overflows.
     """
-    return math.exp(-0.5 * (p.delta_k * p.sigma(t_s)) ** 2)
+    try:
+        return math.exp(-0.5 * (p.delta_k * p.sigma(t_s)) ** 2)
+    except OverflowError:
+        raise NonFiniteField(f"the drift factor must be finite: (dk sigma_z)^2 / 2 "
+                             f"overflows at sigma_z = {p.sigma(t_s):g} m, t_s = {t_s:g} s"
+                             ) from None
 
 
 def _nodal_position(s: TransverseField) -> float:

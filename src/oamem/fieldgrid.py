@@ -10,14 +10,29 @@ is conserved exactly:
     S(q) = (1 / 2 pi) * sum f(rho) exp(-i q . rho) dx^2
     sum |S|^2 dq^2 == sum |f|^2 dx^2
 
-A field is held either as its n x n samples or, when it is separable,
-only as its 1-D factors (:class:`Separable`): an ideal source's field
-and spin wave are K <= |l| + 1 rows of n samples and a K x K matrix.
-Work that needs one row of an n x n array at a time streams it in
-blocks of ``BLOCK_ROWS`` rows (:func:`row_blocks`,
-:meth:`TransverseField.row_blocks`), so that it holds about 64 n samples
-instead of n^2; a factored field builds its n x n ``values`` only when
-something reads them, such as the exporters of ``render``.
+A field is held in one of two representations, and only
+:class:`TransverseField` decides between them:
+
+* sampled: its n x n ``samples``, such as a hologram's far field.  It
+  computes and caches one forward spectrum (``spectrum``); filtering
+  scales a copy of that spectrum by the kernel along both axes and
+  inverts it, giving a new sampled field; its spectrum is streamed as
+  row slices of the cached one, and its values as row slices of the
+  samples.
+* factored: when it is separable, only its 1-D factors
+  (:class:`Separable`): an ideal source's field and spin wave are
+  K <= |l| + 1 rows of n samples and a K x K matrix.  Filtering
+  transforms the K real rows (K n log n work) and stays factored; its
+  spectrum and its values are streamed as blocks contracted from the
+  1-D row transforms and from the rows, so no n x n spectrum exists,
+  and its n x n ``values`` are built only when something reads them,
+  such as the exporters of ``render``.
+
+Both stream in blocks of ``BLOCK_ROWS`` rows
+(:meth:`TransverseField.row_blocks`,
+:meth:`TransverseField.spectrum_blocks`), so that work that needs one
+row of an n x n array at a time holds about 64 n samples instead of
+n^2.
 """
 
 from __future__ import annotations
@@ -134,7 +149,7 @@ class Separable:
         self.__dict__.update(state)
 
     def row_blocks(self, size: int = BLOCK_ROWS) -> Iterator[np.ndarray]:
-        """The array, ``size`` rows at a time, each a new writable array.
+        """The array, ``size`` rows at a time.
 
         The real rows contract with the complex K x n matrix mix @ rows
         viewed as float64 pairs, so nothing is upcast to complex; einsum
@@ -205,11 +220,7 @@ class TransverseField:
         return values
 
     def row_blocks(self) -> Iterator[np.ndarray]:
-        """``values``, BLOCK_ROWS rows at a time, without building them.
-
-        A factored field yields new writable blocks contracted from its
-        factors; a sampled one yields read-only views of its samples.
-        """
+        """``values``, BLOCK_ROWS rows at a time, without building them."""
         if self.factors is None:
             return row_blocks(self.samples)
         return self.factors.row_blocks()
@@ -226,14 +237,50 @@ class TransverseField:
         """Read-only unnormalized 2-D DFT of ``values``, computed once per field.
 
         Two 1-D passes (x, then y, the order of ``np.fft.fft2``), the
-        second in place.  Only a field without ``factors`` needs it: the
-        blur and the diffraction check of a field with factors run on
-        their K 1-D rows.
+        second in place.  Only a field without ``factors`` needs it:
+        :meth:`filtered` and :meth:`spectrum_blocks` of a field with
+        factors run on their K 1-D rows.
         """
         spectrum = np.fft.fft(self.values, axis=1)
         np.fft.fft(spectrum, axis=0, out=spectrum)
         spectrum.flags.writeable = False
         return spectrum
+
+    def spectrum_blocks(self) -> Iterator[np.ndarray]:
+        """The unnormalized 2-D DFT of ``values``, BLOCK_ROWS rows at a time.
+
+        Factored values V = R^T C R have the spectrum S = F^T C F with F
+        the 1-D DFTs of the K rows, so each block of S is built from F
+        and no n x n spectrum is formed or cached.  Sampled values are
+        sliced from their cached :attr:`spectrum`.
+        """
+        if self.factors is None:
+            yield from row_blocks(self.spectrum)
+            return
+        f = np.fft.fft(self.factors.rows, axis=1)
+        # einsum keeps BLAS threads idle
+        inner = np.einsum("jk,kx->jx", self.factors.mix, f)
+        for start in range(0, self.grid.n, BLOCK_ROWS):
+            yield np.einsum("jy,jx->yx", f[:, start:start + BLOCK_ROWS], inner)
+
+    def filtered(self, k1: np.ndarray) -> "TransverseField":
+        """This field with its spectrum multiplied by k1(q_x) k1(q_y).
+
+        ``k1`` is real and even, in ``np.fft.fftfreq`` order.  Factored
+        values filter their K real rows, which stay real, and the field
+        stays factored; sampled values scale a copy of their cached
+        :attr:`spectrum` along both axes and invert it in place.
+        """
+        if self.factors is not None:
+            rows = np.fft.rfft(self.factors.rows, axis=1)
+            rows *= k1[:rows.shape[1]]
+            factors = Separable(np.fft.irfft(rows, self.grid.n, axis=1), self.factors.mix)
+            return TransverseField(self.grid, None, self.wavelength, factors)
+        filtered = self.spectrum * k1
+        filtered *= k1[:, None]
+        np.fft.ifft(filtered, axis=1, out=filtered)
+        np.fft.ifft(filtered, axis=0, out=filtered)
+        return self.with_values(filtered)
 
     def with_values(self, values: np.ndarray) -> "TransverseField":
         return TransverseField(self.grid, values, self.wavelength)

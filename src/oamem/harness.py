@@ -20,7 +20,7 @@ from . import __version__
 from .bounds import classical_limit, threshold_band
 from .config import ExperimentConfig, config_hash
 from .decoherence import decohere, decohered_rows, longitudinal_drift_factor
-from .errors import ConfigError, NonFiniteField
+from .errors import ConfigError, DomainError, NonFiniteField
 from .fieldgrid import TransverseField, export_csv, export_pgm
 from .holography import (export_pgm_hologram, focal_basis_phases, fraunhofer,
                          qubit_hologram, qutrit_hologram)
@@ -197,13 +197,26 @@ def storage_point(cfg: ExperimentConfig, stored: tuple[np.ndarray, TransverseFie
     state = cfg.qudit.to_state()
     pset = ProjectionSet.qubit() if state.dim == 2 else ProjectionSet.qutrit()
     a = _retrieve(cfg, wave, t_s)
-    eta = cfg.efficiency.to_model()(t_s)
+    eta = _efficiency(cfg, t_s)
     records = _count(cfg, a, eta, t_index, pset.projectors)
     rho = reconstruct(records, pset)
     f_abs = fidelity(rho, DensityMatrix(state.density_matrix()))
     f_rel = fidelity(rho, DensityMatrix(QuditState(reference, l=state.l).density_matrix()))
     return {"t_s": t_s, "eta": eta, "f_rel": f_rel, "f_abs": f_abs,
             "records": records, "rho": rho, "pset": pset}
+
+
+def _efficiency(cfg: ExperimentConfig, t_s: float) -> float:
+    """eta(t_s), the efficiency that counting and the classical bounds read.
+
+    Raises DomainError, naming t_s and tau, when eta underflows to 0.
+    """
+    model = cfg.efficiency.to_model()
+    eta = model(t_s)
+    if eta == 0.0:
+        raise DomainError(f"retrieval efficiency eta0 exp(-t_s / tau) underflows to 0 "
+                          f"at t_s = {t_s:g} s, tau = {model.tau:g} s")
+    return eta
 
 
 def _bound_columns(cfg: ExperimentConfig, eta: float) -> list[float]:
@@ -338,10 +351,9 @@ def run_meridian_sweep(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Ca
 def run_bounds_table(cfg: ExperimentConfig, out=None, parallel: int = 1) -> CampaignResult:
     """Classical limit and threshold band over the storage-time grid."""
     out_dir = _out_dir(cfg, out)
-    model = cfg.efficiency.to_model()
     rows = []
     for t_s in cfg.storage_times:
-        eta = model(t_s)
+        eta = _efficiency(cfg, t_s)
         rows.append([t_s, eta, *_bound_columns(cfg, eta)])
     write_csv(out_dir / "bounds.csv", ["t_s", "eta", "f_classical", "band_low", "band_high"],
               rows)

@@ -21,6 +21,8 @@ from .errors import DomainError, FitDegenerate, NoCounts
 # a fitted fringe amplitude up to this fraction of the mean count is rounding
 # noise, so the fringe's delta and phase would carry no information
 FLAT_FRINGE_RATIO = 1e-12
+# numpy's Poisson sampler rejects a larger mean ("lam value too large")
+POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)

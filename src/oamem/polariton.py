@@ -20,28 +20,23 @@ during storage is the analytic
 loss is modeled downstream (empirical decay in
 :mod:`oamem.decoherence`), and the neglected free-space diffraction
 phase q^2 D / k_s is checked explicitly, on the forward spectrum of
-the written wave: one block of rows at a time, |S|^2 is folded into a
-quarter plane, which is binned by shell once.  A field synthesized from
-LG modes is separable (:class:`~oamem.fieldgrid.Separable`) and held
-only as its factors, so the spin wave of an ideal source is no n x n
-array either.  The diffraction check builds each block of its
-spectrum from the K 1-D row transforms, with no n x n spectrum, and the
-thermal blur of :func:`oamem.decoherence.diffuse` runs on the K rows
-too.  A wave without factors, such as the far field of a binary
-hologram, holds its samples and computes and caches its spectrum
-(``TransverseField.spectrum``) once, for the check and the blur.
+the written wave: one block of rows at a time
+(``TransverseField.spectrum_blocks``), |S|^2 is folded into a quarter
+plane, which is binned by shell once.  The spin wave of an ideal source
+is no n x n array, and its spectrum is built block by block; a
+hologram's far field computes and caches its spectrum once, for the
+check and the blur.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldgrid import BLOCK_ROWS, TransverseField, row_blocks
+from .fieldgrid import BLOCK_ROWS, TransverseField
 
 BOLTZMANN = 1.380649e-23
 SPEED_OF_LIGHT = 299792458.0
@@ -148,7 +143,7 @@ def diffraction_check(params: MemoryParams, s: TransverseField) -> float:
 
 
 def _quarter_power(s: TransverseField) -> np.ndarray:
-    """|S|^2 of :func:`_spectrum_rows` summed by frequency magnitudes (|i|, |j|).
+    """|S|^2 of ``s.spectrum_blocks()`` summed by frequency magnitudes (|i|, |j|).
 
     Each block of the spectrum is folded as it arrives and then dropped.
     """
@@ -156,27 +151,9 @@ def _quarter_power(s: TransverseField) -> np.ndarray:
     half = n // 2
     magnitudes = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(np.intp)
     quarter = np.zeros((half + 1, half + 1))
-    for start, block in zip(range(0, n, BLOCK_ROWS), _spectrum_rows(s)):
+    for start, block in zip(range(0, n, BLOCK_ROWS), s.spectrum_blocks()):
         power = np.abs(block) ** 2
         # column n - j has the magnitude of column j
         power[:, 1:half] += power[:, :half:-1]
         np.add.at(quarter, magnitudes[start:start + len(block)], power[:, :half + 1])
     return quarter
-
-
-def _spectrum_rows(s: TransverseField) -> Iterator[np.ndarray]:
-    """The unnormalized 2-D DFT of ``s.values``, BLOCK_ROWS rows at a time.
-
-    A wave with factors, V = R^T C R, has the spectrum S = F^T C F with F
-    the 1-D DFTs of its K rows, so each block of S is built from F and no
-    n x n spectrum is formed or cached.  Any other wave is sliced from its
-    cached ``s.spectrum``.
-    """
-    if s.factors is None:
-        yield from row_blocks(s.spectrum)
-        return
-    f = np.fft.fft(s.factors.rows, axis=1)
-    # einsum keeps BLAS threads idle
-    inner = np.einsum("jk,kx->jx", s.factors.mix, f)
-    for start in range(0, s.grid.n, BLOCK_ROWS):
-        yield np.einsum("jy,jx->yx", f[:, start:start + BLOCK_ROWS], inner)

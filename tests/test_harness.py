@@ -14,9 +14,10 @@ import oamem
 from oamem.cli import SUBCOMMANDS
 from oamem.cli import main as cli_main
 from oamem.config import EXPERIMENT_KINDS, parse_config, serialize_config
-from oamem.decoherence import decohere, diffuse, longitudinal_drift_factor, magnetic_dephase
+from oamem.decoherence import (_larmor_map, decohere, decohered_rows, diffuse,
+                               longitudinal_drift_factor, magnetic_dephase)
 from oamem.errors import ConfigError, NonFiniteField
-from oamem.fieldgrid import Separable, row_blocks
+from oamem.fieldgrid import BLOCK_ROWS, Separable, row_blocks
 from oamem.harness import (RUNNERS, _channels, _input_field, _retrieve, _store, _transfer,
                            run_bounds_table, run_field_render, run_interference_scan,
                            run_meridian_sweep, run_storage_decay, run_tomography, storage_point)
@@ -201,6 +202,25 @@ class TestStream:
         for t_s in (0.0, 2e-5, 2e-4):
             assert np.array_equal(_retrieve(cfg, wave, t_s),
                                   dense_amplitudes(cfg, readout(cfg, wave, t_s), t_s))
+
+    @pytest.mark.parametrize("kind", ["ideal", "hologram"], ids=["factored", "sampled"])
+    def test_phase_multiplies_each_block_from_the_right(self, kind):
+        # numpy's complex product is not bitwise commutative, so the Larmor
+        # phase must keep the operand order block * rot; complex coefficients
+        # make the ideal wave complex, where the order shows
+        source = dict(HOLOGRAM) if kind == "hologram" else {"kind": kind}
+        qudit = dict(QUTRIT, coeffs=[[1.0, 0.0], [0.0, 1.0], [0.6, -0.3]])
+        cfg = small_cfg(grid=README_GRID, counting={"poisson": False}, source=source,
+                        qudit=qudit, **self.CHANNELS["magnetic"])
+        wave = _store(cfg)[1]
+        t_s = 2e-4
+        phase = _larmor_map(cfg.magnetic, wave.grid)[0] * t_s
+        rot = np.cos(phase) + 1j * np.sin(phase)
+        blocks = decohered_rows(wave, t_s, magnetic=cfg.magnetic)
+        for start, (block, got) in zip(range(0, wave.grid.n, BLOCK_ROWS),
+                                       zip(wave.row_blocks(), blocks)):
+            want = np.multiply(block, rot[start:start + BLOCK_ROWS])
+            assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
     def test_non_finite_amplitudes_raise(self):
         cfg = small_cfg(grid=README_GRID, decoherence={"diffusion": False})
@@ -758,6 +778,12 @@ NAN, INF = float("nan"), float("inf")
     ("decay", {"counting": {"poisson": False, "pulses": 5000}}),
     ("decay", {"source": {"kind": "ideal", "input_waist": 5.0e-4}}),
     ("decay", {"source": {"focal": 0.3}}),
+    # beyond numpy's largest Poisson mean, about 9.22e18
+    ("decay", {"counting": {"pulses": 10 ** 20}}),
+    ("tomo", {"counting": {"bg_rate": 1.0e300}}),
+    ("scan", {"qudit": README_QUBIT, "photon": {"n_bar": 1.0e300}}),
+    ("meridian", {"qudit": README_QUBIT, "photon": {"n_bar": 1.0e300}}),
+    ("bounds", {"photon": {"n_bar": 1.0e300}}),
 ], ids=["eta0", "zero-l", "zero-coeffs", "nan-n_bar", "zero-pulses",
         "hologram-input-waist", "qudit-waist", "meridian-hologram", "counting-n_bar",
         "str-seed", "float-seed", "negative-seed", "float-beta_points",
@@ -766,7 +792,9 @@ NAN, INF = float("nan"), float("inf")
         "anchor-overflow", "qutrit-bloch-angles", "mapping-storage-times", "huge-grid-n",
         "bool-storage-time", "bool-coeff", "bool-anchor", "eta0-without-tau",
         "eta0-tau-and-anchors", "coeffs-and-bloch-angles", "negative-acquisition",
-        "noiseless-bg_rate", "noiseless-pulses", "ideal-input-waist", "ideal-focal"])
+        "noiseless-bg_rate", "noiseless-pulses", "ideal-input-waist", "ideal-focal",
+        "poisson-mean-pulses", "poisson-mean-bg_rate", "poisson-mean-scan",
+        "poisson-mean-meridian", "poisson-mean-bounds"])
 def test_config_faults_exit_2(tmp_path, capsys, subcommand, changes):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({**README_CONFIG, **changes}))
@@ -801,16 +829,25 @@ HUGE_TIME = {"storage_times": [0.0, 1.0e300]}
 DRIFT_ONLY = {"memory": {"alpha": 0.05}, "storage_times": [0.0, 1.0e160],
               "decoherence": {"diffusion": False, "magnetic": False,
                               "longitudinal_drift": True}}
+# eta0 exp(-t_s / tau) underflows to 0 for the default anchors (tau = 0.48 ms)
+LONG_TIME = {"storage_times": [0.0, 1.0]}
 
 
-@pytest.mark.parametrize("subcommand, changes", [
-    ("decay", HUGE_TIME), ("tomo", HUGE_TIME), ("render", HUGE_TIME),
-    ("decay", DRIFT_ONLY), ("tomo", DRIFT_ONLY),
-], ids=["decay", "tomo", "render", "decay-drift", "tomo-drift"])
-def test_overflowing_storage_time_exits_3(tmp_path, capsys, subcommand, changes):
+@pytest.mark.parametrize("subcommand, changes, failed", [
+    ("decay", HUGE_TIME, "blur width sigma"), ("tomo", HUGE_TIME, "blur width sigma"),
+    ("render", HUGE_TIME, "blur width sigma"),
+    ("decay", DRIFT_ONLY, "drift factor"), ("tomo", DRIFT_ONLY, "drift factor"),
+    ("bounds", LONG_TIME, "efficiency"), ("decay", LONG_TIME, "efficiency"),
+    ("tomo", LONG_TIME, "efficiency"),
+], ids=["decay", "tomo", "render", "decay-drift", "tomo-drift", "bounds-eta-underflow",
+        "decay-eta-underflow", "tomo-eta-underflow"])
+def test_overflowing_storage_time_exits_3(tmp_path, capsys, subcommand, changes, failed):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump({**README_CONFIG, "grid": SMALL_GRID, **changes}))
     assert cli_main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ")
     assert err.count("\n") == 1
+    # the message names the quantity that failed and the storage time
+    assert failed in err
+    assert f"t_s = {changes['storage_times'][1]:g} s" in err
