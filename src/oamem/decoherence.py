@@ -8,20 +8,28 @@ Two physical mechanisms act on the transverse coherence pattern:
 * spatially inhomogeneous Larmor precession in the residual magnetic
   field, a pure per-pixel phase exp(i dOmega(rho) t_s).
 
-:func:`decohered_rows` yields the decohered wave of one storage time in
-blocks of ``BLOCK_ROWS`` rows, which a campaign projects as they come,
-so no storage point of an ideal source builds an n x n array;
-:func:`decohere` stacks the same blocks into one field, for rendering.
-Nothing that does not depend on t_s is rebuilt.  The spin wave is a
-:class:`~oamem.fieldgrid.TransverseField`, which carries out the blur
-itself (``TransverseField.filtered``; a hologram's far field caches one
-spectrum for it), and the blur width reads the ensemble's temperature
-and mass from the memory's :class:`~oamem.polariton.MemoryParams`
-(``MemoryParams.sigma``).  The Larmor map dOmega(x, y) is built once
-per (model, grid) pair, one block of rows at a time, and is the only
-n x n array that a ``decay`` or ``tomo`` campaign of an ideal source
-keeps; each storage time checks that dOmega t_s is finite and
-multiplies each block by its cos and sin.
+:func:`decohered` gives the decohered wave of one storage time without
+building an n x n array, and a campaign projects it as it is held;
+:func:`decohere` stacks its row blocks into one field, for rendering.
+The operator order is blur, then phase: the phase is taken at each
+atom's final position.  Nothing that does not depend on t_s is rebuilt.
+The spin wave is a :class:`~oamem.fieldgrid.TransverseField`, which
+carries out the blur itself (``TransverseField.filtered``; a hologram's
+far field caches one spectrum for it), and the blur width reads the
+ensemble's temperature and mass from the memory's
+:class:`~oamem.polariton.MemoryParams` (``MemoryParams.sigma``).
+
+Each storage time first checks that dOmega t_s is finite, against
+max |dOmega|, computed once per (model, grid) pair one block of rows at
+a time.  The phase exp(i dOmega t_s) of an ideal source's factored wave
+is then a low-rank sum sum_r u_r(y) v_r(x), built by adaptive cross
+approximation from a few rows and columns of the map
+(:func:`_phase_terms`), and the wave stays factored, with K R rows on
+each axis: no n x n phase map, no n x n cos or sin, no n x n array.  A
+map whose terms do not converge within n // PHASE_RANK_DIVISOR terms,
+and every hologram's far field, take the dense fallback: the Larmor map
+dOmega(x, y), built once per (model, grid) pair, and its cos and sin,
+one block of rows at a time (:func:`_dephased`).
 
 End-to-end retrieval efficiency is a separate, empirical exponential
 decay fitted to two measured anchor points.
@@ -37,11 +45,18 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NodalLineNotFound, NonFiniteField
-from .fieldgrid import BLOCK_ROWS, GridSpec, TransverseField
+from .fieldgrid import BLOCK_ROWS, GridSpec, TransverseField, stack_rows
 from .polariton import MemoryParams
 
 # reference end-to-end efficiencies used as default decay anchors
 DEFAULT_EFFICIENCY_ANCHORS = ((10e-6, 0.1074), (400e-6, 0.0473))
+# the low-rank Larmor phase (_phase_terms, whose docstring gives the measurements):
+# probe rows, and as many columns, on which its residual is checked
+PHASE_PROBES = 16
+# the largest residual entry allowed on the probes; phase entries have modulus 1
+PHASE_TOL = 3e-13
+# past n // PHASE_RANK_DIVISOR terms the dense phase is cheaper
+PHASE_RANK_DIVISOR = 8
 
 
 @dataclass(frozen=True)
@@ -120,38 +135,43 @@ def _active_channels(t_s: float, diffusion: MemoryParams | None,
     return diffusion is not None and t_s > 0.0, magnetic is not None and t_s > 0.0
 
 
-def decohered_rows(s: TransverseField, t_s: float, diffusion: MemoryParams | None = None,
-                   magnetic: MagneticModel | None = None) -> Iterator[np.ndarray]:
-    """The values of ``s`` after t_s of free expansion, then Larmor dephasing, in row blocks.
+def decohered(s: TransverseField, t_s: float, diffusion: MemoryParams | None = None,
+              magnetic: MagneticModel | None = None) -> TransverseField:
+    """``s`` after t_s of free expansion, then Larmor dephasing, with no n x n array built.
 
-    Yields consecutive blocks of BLOCK_ROWS rows, each valid until the
-    next is requested; a channel left None is off, and ``diffusion`` is
-    the memory whose temperature and mass set the blur.  With no channel
-    on, the blocks are ``s.row_blocks()``.
+    A channel left None is off, and ``diffusion`` is the memory whose
+    temperature and mass set the blur.  The blur is ``s.filtered``; the
+    phase is ``TransverseField.phased`` of :class:`_LarmorPhase`, which
+    keeps a factored wave factored under a low-rank phase and streams
+    any other wave times the dense phase in row blocks.  Raises
+    NonFiniteField, naming the phase and t_s, when dOmega t_s is not
+    finite somewhere on the grid.  With no channel on, returns ``s``.
     """
     blur, phase = _active_channels(t_s, diffusion, magnetic)
     if blur:
         s = s.filtered(_blur_kernel(s.grid, diffusion.sigma(t_s), t_s))
-    blocks = s.row_blocks()
-    return _dephased(blocks, s.grid, magnetic, t_s) if phase else blocks
+    if phase:
+        peak = _larmor_peak(magnetic, s.grid)
+        if not math.isfinite(peak * t_s):
+            raise NonFiniteField(f"field values must be finite: the Larmor phase dOmega t_s "
+                                 f"reaches {peak * t_s:g} rad at t_s = {t_s:g} s")
+        s = s.phased(_LarmorPhase(magnetic, s.grid, t_s))
+    return s
 
 
 def decohere(s: TransverseField, t_s: float, diffusion: MemoryParams | None = None,
              magnetic: MagneticModel | None = None) -> TransverseField:
     """``s`` after t_s of free expansion, then Larmor dephasing; a channel left None is off.
 
-    Stacks the blocks of :func:`decohered_rows` into one new n x n array,
+    Stacks the row blocks of :func:`decohered` into one new n x n array,
     which the returned field checks to be finite.  Returns ``s`` itself
     when no channel changes it (t_s = 0).  A campaign that only projects
-    the wave consumes the blocks directly and builds no n x n array.
+    the wave projects :func:`decohered` and builds no n x n array.
     """
     if not any(_active_channels(t_s, diffusion, magnetic)):
         return s
-    values = np.empty((s.grid.n, s.grid.n), dtype=np.complex128)
-    blocks = decohered_rows(s, t_s, diffusion, magnetic)
-    for start, block in zip(range(0, s.grid.n, BLOCK_ROWS), blocks):
-        values[start:start + BLOCK_ROWS] = block
-    return s.with_values(values)
+    wave = decohered(s, t_s, diffusion, magnetic)
+    return s.with_values(stack_rows(wave.row_blocks(), s.grid.n))
 
 
 def diffuse(s: TransverseField, p: MemoryParams, t_s: float) -> TransverseField:
@@ -167,33 +187,59 @@ def _blur_kernel(grid: GridSpec, sigma: float, t_s: float) -> np.ndarray:
     """exp(-q^2 sigma^2 / 2) on the ``np.fft.fftfreq`` axis of ``grid``.
 
     Raises NonFiniteField, naming sigma and t_s, when sigma^2 overflows.
+    A finite sigma^2 whose product with q^2 overflows gives the kernel
+    exp(-inf) = 0 there, which is its value, so that overflow is silent.
     """
     q = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.pitch)
     try:
-        return np.exp(-0.5 * q ** 2 * sigma ** 2)
+        with np.errstate(over="ignore"):
+            return np.exp(-0.5 * q ** 2 * sigma ** 2)
     except OverflowError:
         raise NonFiniteField(f"field values must be finite: the blur width sigma = "
                              f"{sigma:g} m at t_s = {t_s:g} s has no finite square") from None
 
 
-@lru_cache(maxsize=1)
-def _larmor_map(mdl: MagneticModel, grid: GridSpec) -> tuple[np.ndarray, float]:
-    """Read-only angular shift dOmega(x, y) of ``mdl`` on ``grid`` in rad/s, and max |dOmega|.
+def _larmor_blocks(mdl: MagneticModel, grid: GridSpec) -> Iterator[np.ndarray]:
+    """dOmega(x, y) of ``mdl`` on ``grid`` in rad/s, BLOCK_ROWS rows at a time.
 
     Rows are y, as in ``GridSpec.mesh``; the axes broadcast, so no mesh is
-    built, and the map is filled BLOCK_ROWS rows at a time, so that the
-    model's temporaries stay one block in size.  A ``field_at`` that
-    ignores an axis is broadcast over it.  A map that overflows has a
-    non-finite maximum, which :func:`_dephased` rejects.
+    built and the model's temporaries stay one block in size.  A
+    ``field_at`` that ignores an axis gives a block that broadcasts over
+    it.  Overflow is left to the callers, which check the values.
     """
     xs, ys = grid.xs()[None, :], grid.ys()[:, None]
+    for start in range(0, grid.n, BLOCK_ROWS):
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = mdl.angular_shift(xs, ys[start:start + BLOCK_ROWS])
+        yield block
+
+
+@lru_cache(maxsize=1)
+def _larmor_peak(mdl: MagneticModel, grid: GridSpec) -> float:
+    """max |dOmega| of ``mdl`` on ``grid`` in rad/s, from one block of rows at a time.
+
+    Computed once per (model, grid) pair, with no n x n |dOmega| and no
+    kept map; inf when the map overflows and NaN when it holds a NaN.
+    """
+    peak = 0.0
+    for block in _larmor_blocks(mdl, grid):
+        # np.max, unlike max, carries a NaN through
+        peak = np.max([peak, block.max(), -block.min()])
+    return float(peak)
+
+
+@lru_cache(maxsize=1)
+def _larmor_map(mdl: MagneticModel, grid: GridSpec) -> np.ndarray:
+    """Read-only angular shift dOmega(x, y) of ``mdl`` on ``grid`` in rad/s.
+
+    Built once per (model, grid) pair, from :func:`_larmor_blocks`, and
+    only for the dense phase of :func:`_dephased`.
+    """
     omega = np.empty((grid.n, grid.n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, grid.n, BLOCK_ROWS):
-            omega[start:start + BLOCK_ROWS] = mdl.angular_shift(xs, ys[start:start + BLOCK_ROWS])
+    for start, block in zip(range(0, grid.n, BLOCK_ROWS), _larmor_blocks(mdl, grid)):
+        omega[start:start + BLOCK_ROWS] = block
     omega.flags.writeable = False
-    # no n x n |dOmega|; a NaN reaches both ends
-    return omega, float(max(omega.max(), -omega.min()))
+    return omega
 
 
 def _dephased(blocks: Iterator[np.ndarray], grid: GridSpec, mdl: MagneticModel,
@@ -202,21 +248,114 @@ def _dephased(blocks: Iterator[np.ndarray], grid: GridSpec, mdl: MagneticModel,
 
     Every product is written into one phase buffer, which is yielded, so
     a yielded block is valid until the next one is requested; the input
-    blocks are not written.  Raises NonFiniteField when dOmega t_s is not
-    finite somewhere, before any cos or sin is taken.
+    blocks are not written.  :func:`decohered` has checked that dOmega t_s
+    is finite.
     """
-    omega, peak = _larmor_map(mdl, grid)
-    if not math.isfinite(peak * t_s):
-        raise NonFiniteField(f"field values must be finite: the Larmor phase dOmega t_s "
-                             f"reaches {peak * t_s:g} rad at t_s = {t_s:g} s")
+    omega = _larmor_map(mdl, grid)
     rot = np.empty((min(BLOCK_ROWS, grid.n), grid.n), dtype=np.complex128)
-    for start, block in zip(range(0, grid.n, BLOCK_ROWS), blocks):
+    start = 0
+    for block in blocks:
         np.multiply(omega[start:start + BLOCK_ROWS], t_s, out=rot.imag)
         np.cos(rot.imag, out=rot.real)
         np.sin(rot.imag, out=rot.imag)
         # block first: numpy's complex product is not bitwise commutative
         np.multiply(block, rot, out=rot)
+        start += len(block)
+        # dropped before the next block is built
+        del block
         yield rot
+
+
+@lru_cache(maxsize=1)
+def _phase_terms(mdl: MagneticModel, grid: GridSpec,
+                 t_s: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """exp(i dOmega t_s) on ``grid`` as sum_r u[r, y] v[r, x], or None past the rank cutoff.
+
+    Partial-pivot adaptive cross approximation (ACA; M. Bebendorf,
+    Numer. Math. 86, 565 (2000)).  Term r is one row and one column of
+    the residual map, each evaluated with ``mdl.angular_shift`` on 1-D
+    coordinates, so no n x n array and no n x n cos or sin is formed.
+    The next pivot row is the largest entry of the newest column among
+    rows not yet pivots; a pivot row that the terms already reproduce
+    restarts the search at the worst probe entry.  The terms stop when
+    the residual on PHASE_PROBES fixed rows and as many columns is at
+    most PHASE_TOL in every entry, and give up (None) when that takes
+    more than n // PHASE_RANK_DIVISOR terms.  The caller has checked that
+    dOmega t_s is finite.  The returned arrays are read-only.
+
+    The constants rest on measurements against the dense exp(i dOmega t)
+    on the benchmark workloads (seeds 1-3, every storage time, n = 512)
+    and on a cone (no guiding field, apex on the grid, up to 121 rad,
+    n = 32-512).  At a 1e-12 threshold, entries off the probes reached
+    6e-6 on the cone with 8 probes (n = 32) and 1.3e-12 to 5.5e-12 with
+    16 or 32; 16 probes at 3e-13 kept every map within 6.1e-13 of the
+    dense phase, under 1e-12, at 5-11 terms on the workloads and 17-43
+    on the cone.  A threshold of 1e-13 takes up to 15 terms where 3e-13
+    takes 10 (seed-1 decay workload), for no gain against 1e-12.  Each
+    term costs about 0.1 ms at n = 256-512, so a point's low-rank phase
+    breaks even with the dense one at about 13 terms at n = 256 and 60
+    at n = 512 and 1024 (dense points of 2, 12 and 25-40 ms); the cutoff
+    n // 8 (32, 64, 128) lets a map that does not converge cost at most
+    about twice its dense point at n >= 512, three times at 256.
+    """
+    n = grid.n
+    xs, ys = grid.xs(), grid.ys()
+
+    def phase(x, y, shape):
+        return np.exp(1j * t_s * np.broadcast_to(mdl.angular_shift(x, y), shape))
+
+    probes = np.linspace(0, n - 1, PHASE_PROBES).round().astype(np.intp)
+    # the residual on the probe rows, [p, x], and on the probe columns, [p, y]
+    probe_rows = phase(xs[None, :], ys[probes, None], (len(probes), n))
+    probe_cols = phase(xs[probes, None], ys[None, :], (len(probes), n))
+    rank = max(1, n // PHASE_RANK_DIVISOR)
+    # the terms so far; room for 16, doubled when full
+    u = np.empty((min(rank, 16), n), dtype=np.complex128)
+    v = np.empty_like(u)
+    free = np.ones(n, dtype=bool)
+    i = n // 2
+    residual = phase(xs, ys[i], (n,))
+    for r in range(rank):
+        if r == len(u):
+            u, v = np.concatenate((u, np.empty_like(u))), np.concatenate((v, np.empty_like(v)))
+        j = int(np.argmax(np.abs(residual)))
+        if abs(residual[j]) <= PHASE_TOL:
+            row_err, col_err = np.abs(probe_rows), np.abs(probe_cols)
+            if row_err.max() >= col_err.max():
+                p, j = np.unravel_index(np.argmax(row_err), row_err.shape)
+                i, residual = probes[p], probe_rows[p].copy()
+            else:
+                p, i = np.unravel_index(np.argmax(col_err), col_err.shape)
+                j = probes[p]
+                residual = phase(xs, ys[i], (n,)) - u[:r, i] @ v[:r]
+        free[i] = False
+        v[r] = residual / residual[j]
+        u[r] = phase(xs[j], ys, (n,)) - v[:r, j] @ u[:r]
+        probe_rows -= u[r, probes, None] * v[r]
+        probe_cols -= v[r, probes, None] * u[r]
+        if max(np.abs(probe_rows).max(), np.abs(probe_cols).max()) <= PHASE_TOL:
+            # copies, so that the cache keeps R rows and not the whole buffers
+            u, v = u[:r + 1].copy(), v[:r + 1].copy()
+            u.flags.writeable = v.flags.writeable = False
+            return u, v
+        i = int(np.argmax(np.where(free, np.abs(u[r]), -1.0)))
+        residual = phase(xs, ys[i], (n,)) - u[:r + 1, i] @ v[:r + 1]
+    return None
+
+
+@dataclass(frozen=True)
+class _LarmorPhase:
+    """exp(i dOmega t_s) of ``mdl`` on ``grid``, as ``TransverseField.phased`` reads it."""
+
+    mdl: MagneticModel
+    grid: GridSpec
+    t_s: float
+
+    def terms(self) -> tuple[np.ndarray, np.ndarray] | None:
+        return _phase_terms(self.mdl, self.grid, self.t_s)
+
+    def rows(self, blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+        return _dephased(blocks, self.grid, self.mdl, self.t_s)
 
 
 def magnetic_dephase(s: TransverseField, mdl: MagneticModel, t_s: float) -> TransverseField:

@@ -10,7 +10,7 @@ is conserved exactly:
     S(q) = (1 / 2 pi) * sum f(rho) exp(-i q . rho) dx^2
     sum |S|^2 dq^2 == sum |f|^2 dx^2
 
-A field is held in one of two representations, and only
+A field is held in one of three representations, and only
 :class:`TransverseField` decides between them:
 
 * sampled: its n x n ``samples``, such as a hologram's far field.  It
@@ -20,24 +20,30 @@ A field is held in one of two representations, and only
   row slices of the cached one, and its values as row slices of the
   samples.
 * factored: when it is separable, only its 1-D factors
-  (:class:`Separable`): an ideal source's field and spin wave are
-  K <= |l| + 1 rows of n samples and a K x K matrix.  Filtering
-  transforms the K real rows (K n log n work) and stays factored; its
-  spectrum and its values are streamed as blocks contracted from the
-  1-D row transforms and from the rows, so no n x n spectrum exists,
-  and its n x n ``values`` are built only when something reads them,
-  such as the exporters of ``render``.
+  (:class:`Separable`, Y^T M X).  An ideal source's field and spin wave
+  are K <= |l| + 1 real rows of n samples, used on both axes, and a
+  K x K matrix; under a low-rank phase sum_r u_r(y) v_r(x)
+  (:meth:`TransverseField.phased`) they become K R complex rows on each
+  axis.  Filtering transforms the rows (K n log n work) and stays
+  factored; its spectrum and its values are streamed as blocks
+  contracted from the 1-D row transforms and from the rows, so no
+  n x n spectrum exists, and its n x n ``values`` are built only when
+  something reads them, such as the exporters of ``render``.
+* streamed: a function that computes its row blocks as they are
+  requested, such as a wave times a dense phase map.
 
-Both stream in blocks of ``BLOCK_ROWS`` rows
+All stream in blocks of ``BLOCK_ROWS`` rows
 (:meth:`TransverseField.row_blocks`,
 :meth:`TransverseField.spectrum_blocks`), so that work that needs one
 row of an n x n array at a time holds about 64 n samples instead of
-n^2.
+n^2.  :meth:`TransverseField.contract` contracts a field with 1-D rows
+on both axes, as a projection onto separable modes does: from the
+factors when their axes differ, else block by block.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -124,47 +130,136 @@ def row_blocks(values: np.ndarray) -> Iterator[np.ndarray]:
     return (values[start:start + BLOCK_ROWS] for start in range(0, len(values), BLOCK_ROWS))
 
 
+def stack_rows(blocks: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """The n x n complex array whose consecutive row blocks ``blocks`` yields, as a new array.
+
+    Each block is copied as it arrives, so a block may be a buffer that
+    the next one overwrites.
+    """
+    values = np.empty((n, n), dtype=np.complex128)
+    start = 0
+    for block in blocks:
+        values[start:start + len(block)] = block
+        start += len(block)
+    return values
+
+
+def contract_rows(blocks: Iterable[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """sum_yx rows[j, y] F[y, x] rows[k, x] for the real K x n ``rows``, F given by its row blocks.
+
+    Each block of F is contracted with every row at once as it arrives,
+    so F never needs to exist.  Raises ValueError unless the blocks hold
+    n rows.
+    """
+    n = rows.shape[1]
+    # einsum keeps BLAS threads idle; it would cast the real rows to
+    # complex for every block, so they are cast once, to the same numbers
+    factors = rows.astype(np.complex128)
+    rows_by_factor = np.empty((n, len(rows)), dtype=np.complex128)
+    start = 0
+    for block in blocks:
+        np.einsum("yx,kx->yk", block, factors, out=rows_by_factor[start:start + len(block)])
+        start += len(block)
+        # dropped before the next block is built
+        del block
+    if start != n:
+        raise ValueError(f"blocks hold {start} rows, the grid has {n}")
+    return np.einsum("jy,yk->jk", rows, rows_by_factor)
+
+
 @dataclass(frozen=True)
 class Separable:
-    """An n x n array held as K 1-D rows and a K x K matrix.
+    """An n x n array held as 1-D y-rows, x-rows and the matrix that mixes them.
 
-    The array is sum_jk rows[j, y] mix[j, k] rows[k, x] (rows are y, as
-    in ``GridSpec.mesh``), so an operator that factors over x and y acts
-    on the K rows instead of the n x n samples.  Both arrays are read-only.
+    The array is Y^T M X, sum_jk rows[j, y] mix[j, k] xrows[k, x] (rows
+    are y, as in ``GridSpec.mesh``), so an operator that factors over x
+    and y acts on the 1-D rows instead of the n x n samples.  ``xrows``
+    None means the y-rows themselves: an ideal source's field is K real
+    rows used on both axes.  Rows may be complex, such as those of a wave
+    under a low-rank phase (:meth:`phased`).  All arrays are read-only.
     """
 
     rows: np.ndarray = field(repr=False)
     mix: np.ndarray = field(repr=False)
+    xrows: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", _freeze(self.rows, np.float64))
+        for name in ("rows", "xrows"):
+            a = getattr(self, name)
+            if a is not None:
+                a = _freeze(a, np.complex128 if np.iscomplexobj(a) else np.float64)
+                object.__setattr__(self, name, a)
+                _check_finite(a, "field factors")
         object.__setattr__(self, "mix", _freeze(self.mix))
-        _check_finite(self.rows, "field factors")
         _check_finite(self.mix, "field factors")
 
     def __setstate__(self, state):
         # unpickling skips __post_init__, so freeze its arrays here
         for a in state.values():
-            a.flags.writeable = False
+            if a is not None:
+                a.flags.writeable = False
         self.__dict__.update(state)
+
+    @property
+    def x(self) -> np.ndarray:
+        """The x-rows X."""
+        return self.rows if self.xrows is None else self.xrows
 
     def row_blocks(self, size: int = BLOCK_ROWS) -> Iterator[np.ndarray]:
         """The array, ``size`` rows at a time.
 
-        The real rows contract with the complex K x n matrix mix @ rows
-        viewed as float64 pairs, so nothing is upcast to complex; einsum
-        keeps BLAS threads idle.
+        Real rows used on both axes contract with the complex K x n
+        matrix mix @ rows viewed as float64 pairs, so nothing is upcast
+        to complex; einsum keeps BLAS threads idle.
         """
-        k, n = self.rows.shape
-        inner = np.einsum("jk,kx->jx", self.mix, self.rows).view(np.float64).reshape(k, n, 2)
+        n = self.rows.shape[1]
+        inner = np.einsum("jk,kx->jx", self.mix, self.x)
+        real = self.xrows is None and self.rows.dtype == np.float64
+        if real:
+            inner = inner.view(np.float64).reshape(len(inner), n, 2)
         for start in range(0, n, size):
-            block = np.einsum("jy,jxc->yxc", self.rows[:, start:start + size], inner)
-            yield block.view(np.complex128).reshape(-1, n)
+            if real:
+                yield (np.einsum("jy,jxc->yxc", self.rows[:, start:start + size], inner)
+                       .view(np.complex128).reshape(-1, n))
+            else:
+                yield np.einsum("jy,jx->yx", self.rows[:, start:start + size], inner)
 
     def array(self) -> np.ndarray:
         """The n x n array, as a new writable array."""
         (values,) = self.row_blocks(len(self.rows[0]))
         return values
+
+    def filtered(self, k1: np.ndarray) -> "Separable":
+        """This array with its 2-D spectrum multiplied by k1(q_x) k1(q_y).
+
+        Real rows used on both axes stay real: K n log n work on their
+        real transforms, and the y-rows go on serving as x-rows.  Other
+        rows run through complex transforms, each axis on its own rows.
+        """
+        n = self.rows.shape[1]
+        if self.xrows is None and self.rows.dtype == np.float64:
+            rows = np.fft.rfft(self.rows, axis=1)
+            rows *= k1[:rows.shape[1]]
+            return Separable(np.fft.irfft(rows, n, axis=1), self.mix)
+        return Separable(np.fft.ifft(np.fft.fft(self.rows, axis=1) * k1, axis=1), self.mix,
+                         np.fft.ifft(np.fft.fft(self.x, axis=1) * k1, axis=1))
+
+    def phased(self, u: np.ndarray, v: np.ndarray) -> "Separable":
+        """This array times the rank-R map sum_r u[r, y] v[r, x], still factored.
+
+        Row (j, r) is rows[j] u[r] on y and x[j] v[r] on x, and the mix
+        is M kron 1_R, so the product has K R rows on each axis.
+        """
+        k, n = self.rows.shape
+        rows = (self.rows[:, None, :] * u[None]).reshape(-1, n)
+        xrows = (self.x[:, None, :] * v[None]).reshape(-1, n)
+        return Separable(rows, np.kron(self.mix, np.eye(len(u))), xrows)
+
+    def contract(self, rows: np.ndarray) -> np.ndarray:
+        """sum_yx rows[j, y] A[y, x] rows[k, x] of this array A, from its 1-D rows alone."""
+        left = np.einsum("jy,ay->ja", rows, self.rows)
+        right = np.einsum("bx,kx->bk", self.x, rows)
+        return np.einsum("ja,ab,bk->jk", left, self.mix, right)
 
 
 @dataclass(frozen=True)
@@ -172,23 +267,26 @@ class TransverseField:
     """Complex envelope sampled on a grid, with the carrier wavelength.
 
     The same type holds an optical field and the spin wave that stores
-    it.  A field holds exactly one of ``samples``, its n x n values, and
-    ``factors``, the same values as a :class:`Separable`; ``values``
-    reads either.  Given factors are the field: samples passed with them
-    are dropped.  Fields are immutable after construction; operations
-    return new fields, and any new samples drop the factors.
+    it.  A field holds exactly one of ``samples``, its n x n values;
+    ``factors``, the same values as a :class:`Separable`; and ``stream``,
+    a function that yields them in row blocks, computed as they are
+    requested.  ``values`` reads any of them.  Given factors, or else a
+    given stream, are the field: samples passed with them are dropped.
+    Fields are immutable after construction; operations return new
+    fields, and any new samples drop the factors.
     """
 
     grid: GridSpec
     samples: np.ndarray | None = field(repr=False)
     wavelength: float
     factors: Separable | None = field(default=None, repr=False)
+    stream: Callable[[], Iterator[np.ndarray]] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         n = self.grid.n
-        if self.factors is not None:
+        if self.factors is not None or self.stream is not None:
             object.__setattr__(self, "samples", None)
-            if self.factors.rows.shape[1] != n:
+            if self.factors is not None and self.factors.rows.shape[1] != n:
                 raise ValueError(f"factor rows of length {self.factors.rows.shape[1]} "
                                  f"do not match grid n={n}")
         elif self.samples is None:
@@ -211,19 +309,25 @@ class TransverseField:
 
     @cached_property
     def values(self) -> np.ndarray:
-        """The read-only n x n samples; a factored field builds them on first read."""
-        if self.factors is None:
+        """The read-only n x n samples; factors or a stream build them on first read."""
+        if self.samples is not None:
             return self.samples
-        values = self.factors.array()
+        values = self.factors.array() if self.factors is not None else \
+            stack_rows(self.stream(), self.grid.n)
         _check_finite(values, "field values")
         values.flags.writeable = False
         return values
 
     def row_blocks(self) -> Iterator[np.ndarray]:
-        """``values``, BLOCK_ROWS rows at a time, without building them."""
-        if self.factors is None:
-            return row_blocks(self.samples)
-        return self.factors.row_blocks()
+        """``values``, BLOCK_ROWS rows at a time, without building them.
+
+        A streamed block is valid until the next one is requested.
+        """
+        if self.factors is not None:
+            return self.factors.row_blocks()
+        if self.stream is not None:
+            return self.stream()
+        return row_blocks(self.samples)
 
     def norm(self) -> float:
         """Physical L2 norm sqrt(sum |f|^2 * pixel_area)."""
@@ -239,7 +343,7 @@ class TransverseField:
         Two 1-D passes (x, then y, the order of ``np.fft.fft2``), the
         second in place.  Only a field without ``factors`` needs it:
         :meth:`filtered` and :meth:`spectrum_blocks` of a field with
-        factors run on their K 1-D rows.
+        factors run on their 1-D rows.
         """
         spectrum = np.fft.fft(self.values, axis=1)
         np.fft.fft(spectrum, axis=0, out=spectrum)
@@ -249,17 +353,18 @@ class TransverseField:
     def spectrum_blocks(self) -> Iterator[np.ndarray]:
         """The unnormalized 2-D DFT of ``values``, BLOCK_ROWS rows at a time.
 
-        Factored values V = R^T C R have the spectrum S = F^T C F with F
-        the 1-D DFTs of the K rows, so each block of S is built from F
-        and no n x n spectrum is formed or cached.  Sampled values are
+        Factored values V = Y^T M X have the spectrum S = F_Y^T M F_X with
+        F the 1-D DFTs of the rows, so each block of S is built from them
+        and no n x n spectrum is formed or cached.  Other values are
         sliced from their cached :attr:`spectrum`.
         """
         if self.factors is None:
             yield from row_blocks(self.spectrum)
             return
         f = np.fft.fft(self.factors.rows, axis=1)
+        fx = f if self.factors.xrows is None else np.fft.fft(self.factors.xrows, axis=1)
         # einsum keeps BLAS threads idle
-        inner = np.einsum("jk,kx->jx", self.factors.mix, f)
+        inner = np.einsum("jk,kx->jx", self.factors.mix, fx)
         for start in range(0, self.grid.n, BLOCK_ROWS):
             yield np.einsum("jy,jx->yx", f[:, start:start + BLOCK_ROWS], inner)
 
@@ -267,20 +372,47 @@ class TransverseField:
         """This field with its spectrum multiplied by k1(q_x) k1(q_y).
 
         ``k1`` is real and even, in ``np.fft.fftfreq`` order.  Factored
-        values filter their K real rows, which stay real, and the field
-        stays factored; sampled values scale a copy of their cached
+        values filter their 1-D rows (``Separable.filtered``) and the
+        field stays factored; other values scale a copy of their cached
         :attr:`spectrum` along both axes and invert it in place.
         """
         if self.factors is not None:
-            rows = np.fft.rfft(self.factors.rows, axis=1)
-            rows *= k1[:rows.shape[1]]
-            factors = Separable(np.fft.irfft(rows, self.grid.n, axis=1), self.factors.mix)
-            return TransverseField(self.grid, None, self.wavelength, factors)
+            return TransverseField(self.grid, None, self.wavelength, self.factors.filtered(k1))
         filtered = self.spectrum * k1
         filtered *= k1[:, None]
         np.fft.ifft(filtered, axis=1, out=filtered)
         np.fft.ifft(filtered, axis=0, out=filtered)
         return self.with_values(filtered)
+
+    def phased(self, phase) -> "TransverseField":
+        """This field times the n x n phase map that ``phase`` stands for.
+
+        ``phase.terms()`` is the map as low-rank terms (u, v), the map
+        being sum_r u[r, y] v[r, x], or None when it has none worth
+        using; ``phase.rows(blocks)`` yields the row blocks of a field
+        times the map.  A factored field under a low-rank map stays
+        factored (``Separable.phased``), with no n x n array; any other
+        field streams ``phase.rows`` of its row blocks, and ``terms`` is
+        not asked for.
+        """
+        terms = phase.terms() if self.factors is not None else None
+        if terms is not None:
+            return TransverseField(self.grid, None, self.wavelength, self.factors.phased(*terms))
+        return TransverseField(self.grid, None, self.wavelength,
+                               stream=lambda: phase.rows(self.row_blocks()))
+
+    def contract(self, rows: np.ndarray) -> np.ndarray:
+        """sum_yx rows[j, y] F[y, x] rows[k, x] of ``values`` F, for real K x n ``rows``.
+
+        Factors with distinct x-rows, such as a wave under a low-rank
+        phase, contract their 1-D rows (``Separable.contract``).  Every
+        other field contracts its row blocks as they come
+        (:func:`contract_rows`), which keeps the numbers of a field whose
+        real rows serve both axes bit for bit those of its values.
+        """
+        if self.factors is not None and self.factors.xrows is not None:
+            return self.factors.contract(rows)
+        return contract_rows(self.row_blocks(), rows)
 
     def with_values(self, values: np.ndarray) -> "TransverseField":
         return TransverseField(self.grid, values, self.wavelength)

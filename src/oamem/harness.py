@@ -19,14 +19,14 @@ import numpy as np
 from . import __version__
 from .bounds import classical_limit, threshold_band
 from .config import ExperimentConfig, config_hash
-from .decoherence import decohere, decohered_rows, longitudinal_drift_factor
+from .decoherence import decohere, decohered, longitudinal_drift_factor
 from .errors import ConfigError, DomainError, NonFiniteField
 from .fieldgrid import TransverseField, export_csv, export_pgm
 from .holography import (export_pgm_hologram, focal_basis_phases, fraunhofer,
                          qubit_hologram, qutrit_hologram)
 from .measurement import (CountRecord, fit_visibility, polar_retrieve, simulate_counts,
                           subtract_background, write_count_records, write_csv)
-from .modes import (LGModeSpec, QuditState, basis_charges, decompose_rows, lg_field,
+from .modes import (LGModeSpec, QuditState, basis_charges, decompose, lg_field,
                     qubit_state, synthesize)
 from .polariton import read, write
 from .tomography import (DensityMatrix, ProjectionSet, export_density_csv,
@@ -123,16 +123,17 @@ def _retrieve(cfg: ExperimentConfig, wave: TransverseField, t_s: float) -> np.nd
     """Qudit amplitudes a of the field read out of the written ``wave`` after t_s.
 
     A ket psi couples |psi^H a|^2 of the field into the fiber.  Readout
-    returns the wave as the field, so the decohered wave streams into the
-    projection in row blocks.  Projection is linear, so the drift factor,
+    returns the wave as the field, so the projection reads the decohered
+    wave as :func:`~oamem.decoherence.decohered` holds it: an ideal
+    source's wave under a low-rank phase as its 1-D factors, any other
+    in row blocks.  Projection is linear, so the drift factor,
     one number for the whole field, goes on the d amplitudes, exactly.  A
     hologram's lens gave each focal-plane mode the phase (-i)^|l|;
     dividing it out puts a in the mask-plane convention of the configured
     state.  Raises NonFiniteField when an amplitude is not finite.
     """
     q = cfg.qudit
-    blocks = decohered_rows(wave, t_s, *_channels(cfg))
-    a = decompose_rows(blocks, wave.grid, q.l, q.dim, q.waist)
+    a = decompose(decohered(wave, t_s, *_channels(cfg)), q.l, q.dim, q.waist)
     if cfg.source.kind == "hologram":
         a = a / focal_basis_phases(basis_charges(q.dim, q.l))
     if cfg.decoherence.longitudinal_drift:
@@ -308,7 +309,7 @@ def run_interference_scan(cfg: ExperimentConfig, out=None, parallel: int = 1) ->
             for i, beta in enumerate(betas)]
     t_s = _first_time(cfg)
     a = _retrieve(cfg, write(_input_field(cfg)[0], cfg.memory), t_s)
-    records = _count(cfg, a, cfg.efficiency.to_model()(t_s), 0, kets)
+    records = _count(cfg, a, _efficiency(cfg, t_s), 0, kets)
     records = [replace(r, beta=beta) for r, beta in zip(records, betas)]
     fit = fit_visibility(records)
     write_count_records(out_dir / "scan.csv", records)
@@ -333,7 +334,7 @@ def run_meridian_sweep(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Ca
         raise ConfigError("meridian sweep needs an ideal source: a binary mask "
                           "cannot prepare an arbitrary Bloch state")
     t_s = _first_time(cfg)
-    eta = cfg.efficiency.to_model()(t_s)
+    eta = _efficiency(cfg, t_s)
     a_l, a_r = _transfer(cfg, t_s).T
     points = cfg.meridian.gamma_points
     poles = ProjectionSet.qubit().projectors[:2]

@@ -9,7 +9,6 @@ for qutrits so density-matrix indexing is unambiguous everywhere.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -169,33 +168,23 @@ def synthesize(state: QuditState, w0: float, grid: GridSpec,
     return _sample(state.charges(), state.coeffs, w0, grid, wavelength)
 
 
-def decompose_rows(blocks: Iterable[np.ndarray], grid: GridSpec, l: int, dim: int,
-                   w0: float) -> np.ndarray:
-    """Raw qudit-basis amplitudes <m|f> of the field on ``grid`` whose rows ``blocks`` yields.
+def decompose(f: TransverseField, l: int, dim: int, w0: float) -> np.ndarray:
+    """Raw qudit-basis amplitudes <m|f> of the field ``f``.
 
-    ``blocks`` holds consecutive blocks of rows, such as ``f.row_blocks()``
-    of a whole field.  With the separable modes of :func:`_basis`, <m_i|f> is
-    sum_jk conj(mats[i, j, k]) powers[j]^T F powers[k] dx^2.  Each block of
-    rows is contracted with every 1-D factor at once as it arrives, so the
-    n x n field F never needs to exist; no mode is sampled on the grid, and
-    the factors are the cached ones of the basis.
+    With the separable modes of :func:`_basis`, <m_i|f> is
+    sum_jk conj(mats[i, j, k]) powers[j]^T F powers[k] dx^2, and ``f``
+    contracts F with the cached 1-D factors itself
+    (``TransverseField.contract``): a wave under a low-rank phase from
+    its own 1-D rows, any other field one block of rows at a time, so
+    the n x n field F never needs to exist and no mode is sampled on the
+    grid.
     """
-    mats, powers = _basis(basis_charges(dim, l), w0, grid)
-    # einsum keeps BLAS threads idle; it would cast the real factors to
-    # complex for every block, so they are cast once, to the same numbers
-    factors = powers.astype(np.complex128)
-    rows_by_factor = np.empty((grid.n, len(powers)), dtype=np.complex128)
-    start = 0
-    for block in blocks:
-        np.einsum("yx,kx->yk", block, factors, out=rows_by_factor[start:start + len(block)])
-        start += len(block)
-    if start != grid.n:
-        raise ValueError(f"blocks hold {start} rows, the grid has {grid.n}")
+    mats, powers = _basis(basis_charges(dim, l), w0, f.grid)
     # overlaps[j, k] = powers[j]^T F powers[k]
-    overlaps = np.einsum("jy,yk->jk", powers, rows_by_factor)
-    return np.einsum("ijk,jk->i", mats.conj(), overlaps) * grid.pixel_area
+    overlaps = f.contract(powers)
+    return np.einsum("ijk,jk->i", mats.conj(), overlaps) * f.grid.pixel_area
 
 
 def state_from_field(f: TransverseField, l: int, dim: int, w0: float) -> QuditState:
     """Normalized qudit state carried by a field within the mode subspace."""
-    return QuditState(decompose_rows(f.row_blocks(), f.grid, l, dim, w0), l=l)
+    return QuditState(decompose(f, l, dim, w0), l=l)

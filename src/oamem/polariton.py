@@ -22,10 +22,10 @@ loss is modeled downstream (empirical decay in
 phase q^2 D / k_s is checked explicitly, on the forward spectrum of
 the written wave: one block of rows at a time
 (``TransverseField.spectrum_blocks``), |S|^2 is folded into a quarter
-plane, which is binned by shell once.  The spin wave of an ideal source
-is no n x n array, and its spectrum is built block by block; a
-hologram's far field computes and caches its spectrum once, for the
-check and the blur.
+plane, whose 99 % shell is bisected from its row sums.  The spin wave
+of an ideal source is no n x n array, and its spectrum is built block
+by block; a hologram's far field computes and caches its spectrum
+once, for the check and the blur.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldgrid import BLOCK_ROWS, TransverseField
+from .fieldgrid import TransverseField
 
 BOLTZMANN = 1.380649e-23
 SPEED_OF_LIGHT = 299792458.0
@@ -128,32 +128,67 @@ def diffraction_check(params: MemoryParams, s: TransverseField) -> float:
 
     |S|^2 of the unnormalized 2-D DFT S is folded by the magnitudes
     (|i|, |j|) of its frequency indices into one quarter plane, one block
-    of rows at a time, and that plane is binned once by the integer shell
-    i^2 + j^2; q99^2 is q_pitch^2 times the first shell to reach 99 %.
+    of rows at a time; q99^2 is q_pitch^2 times the first integer shell
+    i^2 + j^2 to hold 99 % of it (:func:`_first_shell`).
     """
     quarter = _quarter_power(s)
-    k = np.arange(len(quarter))
-    shells = k[:, None] ** 2 + k ** 2
-    cum = np.bincount(shells.ravel(), weights=quarter.ravel())
-    np.cumsum(cum, out=cum)
-    if cum[-1] == 0:
+    shell = _first_shell(quarter, 0.99)
+    if shell is None:
         return 0.0
-    shell = int(np.searchsorted(cum, 0.99 * cum[-1]))
     return float(s.grid.q_pitch ** 2 * shell * params.diameter / params.k_s)
+
+
+def _first_shell(quarter: np.ndarray, fraction: float) -> int | None:
+    """The least shell S = i^2 + j^2 whose disc holds ``fraction`` of ``quarter``; None if empty.
+
+    The disc is every entry with i^2 + j^2 <= S.  Each row is summed
+    cumulatively in place, so the energy within S is one entry per row,
+    found from the 1-D table of the n/2 + 1 values of k^2; S is then
+    bisected, with no per-pixel shell index and no histogram over the
+    n^2 / 2 shells.
+    """
+    np.cumsum(quarter, axis=1, out=quarter)
+    k2 = np.arange(len(quarter)) ** 2
+    rows = np.arange(len(quarter))
+
+    def within(shell: int) -> float:
+        # row i holds the columns j with j^2 <= shell - i^2
+        count = np.searchsorted(k2, shell - k2, side="right")
+        inside = count > 0
+        return float(quarter[rows[inside], count[inside] - 1].sum())
+
+    top = 2 * int(k2[-1])
+    total = within(top)
+    if total == 0:
+        return None
+    low, high = 0, top
+    while low < high:
+        mid = (low + high) // 2
+        if within(mid) >= fraction * total:
+            high = mid
+        else:
+            low = mid + 1
+    return low
 
 
 def _quarter_power(s: TransverseField) -> np.ndarray:
     """|S|^2 of ``s.spectrum_blocks()`` summed by frequency magnitudes (|i|, |j|).
 
-    Each block of the spectrum is folded as it arrives and then dropped.
+    Each block of the spectrum is folded as it arrives and dropped before
+    the next one is built.
     """
     n = s.grid.n
     half = n // 2
     magnitudes = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(np.intp)
     quarter = np.zeros((half + 1, half + 1))
-    for start, block in zip(range(0, n, BLOCK_ROWS), s.spectrum_blocks()):
-        power = np.abs(block) ** 2
+    start = 0
+    for block in s.spectrum_blocks():
+        power = np.abs(block)
+        del block
+        power *= power
         # column n - j has the magnitude of column j
         power[:, 1:half] += power[:, :half:-1]
-        np.add.at(quarter, magnitudes[start:start + len(block)], power[:, :half + 1])
+        np.add.at(quarter, magnitudes[start:start + len(power)], power[:, :half + 1])
+        start += len(power)
+        del power
     return quarter

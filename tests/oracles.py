@@ -19,9 +19,9 @@ import numpy as np
 from oamem.bounds import TAIL_EPS
 from oamem.decoherence import longitudinal_drift_factor
 from oamem.errors import DomainError
-from oamem.fieldgrid import row_blocks
+from oamem.fieldgrid import TransverseField
 from oamem.holography import focal_basis_phases
-from oamem.modes import basis_charges, decompose_rows
+from oamem.modes import basis_charges, decompose
 
 
 def direct_gaussian_convolution(values: np.ndarray, pitch: float, sigma: float) -> np.ndarray:
@@ -58,6 +58,20 @@ def sorted_diffraction_phase(values: np.ndarray, pitch: float, diameter: float,
     return float(q99 ** 2 * diameter / k_s)
 
 
+def histogram_first_shell(quarter: np.ndarray, fraction: float) -> int | None:
+    """The first integer shell i^2 + j^2 of a quarter plane to hold ``fraction`` of its sum.
+
+    Every entry's shell index goes into one n/2 + 1 by n/2 + 1 array,
+    which ``np.bincount`` bins over all n^2 / 2 shells; the cumulative
+    bins are searched with ``np.searchsorted``.  None for an empty plane.
+    """
+    k = np.arange(len(quarter))
+    cum = np.cumsum(np.bincount((k[:, None] ** 2 + k ** 2).ravel(), weights=quarter.ravel()))
+    if cum[-1] == 0:
+        return None
+    return int(np.searchsorted(cum, fraction * cum[-1]))
+
+
 def overlap(a, b) -> complex:
     """Normalized projection <a|b> / (|a| |b|) of two fields' sample arrays."""
     return complex(np.vdot(a.values, b.values)
@@ -72,7 +86,8 @@ def dense_amplitudes(cfg, field, t_s: float = 0.0) -> np.ndarray:
     factor at t_s, in the order of the campaign path.
     """
     q = cfg.qudit
-    a = decompose_rows(row_blocks(field.values), field.grid, q.l, q.dim, q.waist)
+    dense = TransverseField(field.grid, field.values, field.wavelength)
+    a = decompose(dense, q.l, q.dim, q.waist)
     if cfg.source.kind == "hologram":
         a = a / focal_basis_phases(basis_charges(q.dim, q.l))
     if cfg.decoherence.longitudinal_drift:

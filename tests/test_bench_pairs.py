@@ -1,0 +1,35 @@
+"""``tools/bench_pairs.py`` summarises parent/change pairs of benchmark runs."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run(campaign_s):
+    return {"correct": True, "metrics": {"campaign_s": {"value": campaign_s, "unit": "s"}}}
+
+
+def test_summary_counts_wins_ties_and_quartiles():
+    tool = load_tool()
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [0.5, 2.0, 2.5, 4.5, 1.0]
+    stats = tool.summary([{"parent": run(p), "change": run(c)} for p, c in zip(parent, change)])
+    assert list(stats) == ["campaign_s"]
+    s = stats["campaign_s"]
+    assert (s["change_wins"], s["ties"], s["pairs"]) == (3, 1, 5)
+    assert s["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert s["change"]["median"] == 2.0
+
+
+def test_seed_range():
+    tool = load_tool()
+    assert tool.seed_range("1601-1603") == [1601, 1602, 1603]
+    assert tool.seed_range("7") == [7]

@@ -248,3 +248,87 @@ class TestFactoredField:
             assert not getattr(copy.factors, name).flags.writeable
         assert np.array_equal(copy.values, field.values)
         assert not copy.values.flags.writeable
+
+
+class TestPhasedFactors:
+    """Distinct, complex y-rows and x-rows: Y^T M X, as a low-rank phase leaves them."""
+
+    @pytest.fixture
+    def base(self, grid):
+        return synthesize(qutrit_state(1.0, 0.5j, -0.3 + 0.2j, l=1), 250e-6, grid)
+
+    @pytest.fixture
+    def terms(self, grid, rng):
+        # a rank-3 map of modulus about 1, complex on both axes
+        u = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(3, grid.n))) / 3
+        v = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(3, grid.n)))
+        return u, v
+
+    @staticmethod
+    def close(got, want, rtol=1e-13):
+        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+    def test_phased_array_is_the_product(self, base, terms):
+        u, v = terms
+        phased = base.factors.phased(u, v)
+        assert phased.rows.shape == phased.xrows.shape == (2 * 3, base.grid.n)
+        self.close(phased.array(), base.values * (u.T @ v))
+        blocks = list(TransverseField(base.grid, None, LAMBDA, phased).row_blocks())
+        assert np.array_equal(np.concatenate(blocks), phased.array())
+
+    def test_contract_equals_the_dense_contraction(self, base, terms, rng):
+        phased = base.factors.phased(*terms)
+        rows = rng.normal(size=(3, base.grid.n))
+        field = TransverseField(base.grid, None, LAMBDA, phased)
+        self.close(field.contract(rows), rows @ phased.array() @ rows.T)
+
+    def test_filtered_equals_the_spectral_filter(self, base, terms):
+        k1 = np.exp(-0.5 * (2 * np.pi * np.fft.fftfreq(base.grid.n, d=base.grid.pitch)) ** 2
+                    * (40e-6) ** 2)
+        phased = TransverseField(base.grid, None, LAMBDA, base.factors.phased(*terms))
+        got = phased.filtered(k1)
+        assert got.factors.xrows is not None
+        want = np.fft.ifft2(np.fft.fft2(phased.values) * np.outer(k1, k1))
+        self.close(got.values, want)
+
+    def test_spectrum_blocks_equal_the_2d_transform(self, base, terms):
+        phased = TransverseField(base.grid, None, LAMBDA, base.factors.phased(*terms))
+        got = np.concatenate(list(phased.spectrum_blocks()))
+        self.close(got, np.fft.fft2(phased.values))
+        assert "spectrum" not in vars(phased)
+
+    def test_real_rows_on_both_axes_keep_their_blocks(self, base):
+        # only distinct x-rows are contracted from the factors: the same
+        # rows on both axes give the numbers of their row blocks
+        rows = np.random.default_rng(1).normal(size=(2, base.grid.n))
+        plain = TransverseField(base.grid, base.values, LAMBDA)
+        assert np.array_equal(base.contract(rows), plain.contract(rows))
+
+
+class TestStreamedField:
+    def test_values_and_blocks_come_from_the_stream(self, grid, rng):
+        values = random_field(grid, rng).values
+        calls = []
+
+        def stream():
+            calls.append(1)
+            buffer = np.empty((BLOCK_ROWS, grid.n), dtype=np.complex128)
+            for start in range(0, grid.n, BLOCK_ROWS):
+                # one buffer, overwritten by the next block
+                buffer[:] = values[start:start + BLOCK_ROWS]
+                yield buffer
+
+        f = TransverseField(grid, np.zeros((grid.n, grid.n)), LAMBDA, stream=stream)
+        assert f.samples is None and f.factors is None
+        assert np.array_equal(f.values, values)
+        assert not f.values.flags.writeable
+        rows = rng.normal(size=(2, grid.n))
+        plain = TransverseField(grid, values, LAMBDA)
+        assert np.array_equal(f.contract(rows), plain.contract(rows))
+        assert len(calls) == 2
+
+    def test_non_finite_stream_raises_when_built(self, grid):
+        f = TransverseField(grid, None, LAMBDA,
+                            stream=lambda: iter([np.full((grid.n, grid.n), np.nan + 0j)]))
+        with pytest.raises(NonFiniteField):
+            f.values

@@ -1,8 +1,12 @@
 """The golden-gate script of ``tools/golden.py`` runs a subcommand and keeps what it leaves."""
 
 import importlib.util
+import io
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "golden.py"
@@ -36,3 +40,79 @@ def test_runner_keeps_outputs_streams_and_exit_code(tmp_path):
     assert (tmp_path / "runs" / "scan" / "stderr.txt").read_text() == (
         "config error: interference scan requires a qubit\n")
     assert set(golden.configs()) >= {"decay_qutrit_n512-s1-hologram", "readme"}
+
+
+def golden_tree(root, decay_rows, stderr="", report="f_abs = 0.5\n", pgm=b"\x00\x01"):
+    """A golden OUT_DIR with one run: a CSV, a text report, a PGM and a manifest."""
+    run = root / "runs" / "cfg-decay"
+    out = run / "out"
+    out.mkdir(parents=True)
+    (root / "configs").mkdir()
+    (root / "configs" / "cfg.yaml").write_text("seed: 1\n")
+    (out / "decay.csv").write_text("t_s,eta,count\r\n" + "".join(
+        f"{t},{eta},{count}\r\n" for t, eta, count in decay_rows), newline="")
+    (out / "report.txt").write_text(report)
+    (out / "retrieved.pgm").write_bytes(b"P5\n1 1\n65535\n" + pgm)
+    digest = str(hash(tuple(decay_rows)) & 0xffff)
+    (out / "manifest.csv").write_text(f"path,sha256\r\ndecay.csv,h{digest}\r\n", newline="")
+    (run / "exit.txt").write_text("0\n")
+    (run / "stderr.txt").write_text(stderr)
+    (run / "stdout.txt").write_text("storage_decay: wrote 3 files\n")
+
+
+def compared(tmp_path, rtol=1e-12, **new):
+    old_rows = [(0.0, 0.1, 12), (1e-4, 0.30000000000000004, 7)]
+    golden_tree(tmp_path / "old", old_rows)
+    golden_tree(tmp_path / "new", new.pop("rows", old_rows), **new)
+    printed = io.StringIO()
+    code = load_tool().compare(tmp_path / "old", tmp_path / "new", rtol, out=printed)
+    return code, printed.getvalue()
+
+
+def test_compare_passes_identical_trees(tmp_path):
+    code, printed = compared(tmp_path)
+    assert code == 0
+    assert "byte-identical: 1 runs" in printed
+
+
+def test_compare_passes_floats_within_rtol_and_their_manifest_hash(tmp_path):
+    code, printed = compared(tmp_path, rows=[(0.0, 0.1, 12), (1e-4, 0.3, 7)])
+    assert code == 0
+    assert "within rtol 1e-12: 1 runs: cfg-decay" in printed
+    assert "beyond rtol: 0 runs" in printed
+
+
+def test_compare_holds_a_rounding_level_entry_to_its_column_scale(tmp_path):
+    # 1e-20 -> 3e-20 is 200 % of the entry but 2e-16 of the column's 1e-4
+    old_rows = [(1e-20, 0.1, 12), (1e-4, 0.30000000000000004, 7)]
+    golden_tree(tmp_path / "old", old_rows)
+    golden_tree(tmp_path / "new", [(3e-20, 0.1, 12), old_rows[1]])
+    golden = load_tool()
+    assert golden.compare(tmp_path / "old", tmp_path / "new", 1e-12, out=io.StringIO()) == 0
+    assert golden.compare(tmp_path / "old", tmp_path / "new", 1e-17, out=io.StringIO()) == 1
+
+
+@pytest.mark.parametrize("new, field", [
+    ({"rows": [(0.0, 0.1, 12), (1e-4, 0.3001, 7)]},
+     "decay.csv: row 2 eta: '0.30000000000000004' -> '0.3001'"),
+    ({"rows": [(0.0, 0.1, 12), (1e-4, 0.30000000000000004, 8)]},
+     "decay.csv: row 2 count: '7' -> '8'"),
+    ({"stderr": "warning\n"}, "stderr.txt: bytes differ"),
+    ({"report": "f_rel = 0.5\n"}, "report.txt: line 1 text 0"),
+    ({"pgm": b"\x00\x02"}, "retrieved.pgm: 1 of 1 pixel levels differ, by at most 1"),
+], ids=["float", "integer", "stderr", "text", "pgm-level"])
+def test_compare_prints_what_differs_beyond_rtol(tmp_path, new, field):
+    code, printed = compared(tmp_path, **new)
+    assert code == 1
+    assert field in printed
+    assert "beyond rtol: 1 runs: cfg-decay" in printed
+
+
+def test_compare_from_the_command_line(tmp_path):
+    golden_tree(tmp_path / "old", [(0.0, 0.1, 1)])
+    golden_tree(tmp_path / "new", [(0.0, 0.1, 1)])
+    proc = subprocess.run([sys.executable, str(TOOL), "--compare", str(tmp_path / "old"),
+                           str(tmp_path / "new"), "--rtol", "1e-12"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert "byte-identical: 1 runs" in proc.stdout

@@ -3,9 +3,9 @@ import pytest
 from oracles import lg_amplitude
 
 from oamem.errors import DimMismatch, GridTooSmall
-from oamem.fieldgrid import GridSpec, TransverseField, inner_product, row_blocks
+from oamem.fieldgrid import GridSpec, TransverseField, inner_product
 from oamem.holography import fraunhofer, qubit_hologram
-from oamem.modes import (LGModeSpec, QuditState, basis_charges, decompose_rows, lg_field,
+from oamem.modes import (LGModeSpec, QuditState, basis_charges, decompose, lg_field,
                          qubit_state, qutrit_state, state_from_field, synthesize)
 
 W0 = 200e-6
@@ -165,7 +165,7 @@ def test_state_from_field_round_trip(grid, rng):
 
 
 class TestSeparableProjection:
-    """decompose_rows contracts 1-D mode factors; the reference samples each mode."""
+    """decompose contracts 1-D mode factors; the reference samples each mode."""
 
     @staticmethod
     def reference(f, l, dim, w0):
@@ -178,7 +178,7 @@ class TestSeparableProjection:
         grid = GridSpec(128, 3.2e-3, center=(2.0e-4, -1.5e-4))
         values = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
         f = TransverseField(grid, values, 795e-9)
-        got = decompose_rows(row_blocks(f.values), f.grid, l, dim, 120e-6)
+        got = decompose(f, l, dim, 120e-6)
         ref = self.reference(f, l, dim, 120e-6)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
@@ -186,7 +186,7 @@ class TestSeparableProjection:
         grid = GridSpec(128, 8e-3)
         gauss = lg_field(LGModeSpec(0, 1e-3), grid)
         f = fraunhofer(qubit_hologram(2, grid).imprint(gauss), 0.5)
-        got = decompose_rows(row_blocks(f.values), f.grid, 2, 2, 155e-6)
+        got = decompose(f, 2, 2, 155e-6)
         ref = self.reference(f, 2, 2, 155e-6)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
@@ -194,4 +194,4 @@ class TestSeparableProjection:
         grid = GridSpec(64, 2e-3)
         f = TransverseField(grid, rng.normal(size=(64, 64)) + 0j, 795e-9)
         with pytest.raises(GridTooSmall):
-            decompose_rows(row_blocks(f.values), f.grid, 3, 2, W0)
+            decompose(f, 3, 2, W0)

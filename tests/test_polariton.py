@@ -1,17 +1,22 @@
+import importlib.util
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import (longitudinal_slices, monte_carlo_drift_factor, overlap, slice_readout,
-                     sorted_diffraction_phase)
+from oracles import (histogram_first_shell, longitudinal_slices, monte_carlo_drift_factor,
+                     overlap, slice_readout, sorted_diffraction_phase)
 
+from oamem.config import parse_config
 from oamem.decoherence import diffuse, longitudinal_drift_factor
 from oamem.fieldgrid import GridSpec, TransverseField
+from oamem.harness import _input_field
 from oamem.modes import LGModeSpec, QuditState, lg_field, qubit_state, qutrit_state, synthesize
-from oamem.polariton import (SPEED_OF_LIGHT, MemoryParams, diffraction_check, group_velocity,
-                             mixing_angle, read, write)
+from oamem.polariton import (SPEED_OF_LIGHT, MemoryParams, _first_shell, _quarter_power,
+                             diffraction_check, group_velocity, mixing_angle, read, write)
 
 W0 = 250e-6
+GOLDEN = Path(__file__).resolve().parents[1] / "tools" / "golden.py"
 
 
 class TestMixingAngle:
@@ -252,6 +257,22 @@ class TestDiffractionCheck:
         assert f.factors is not None and plain.factors is None
         p = MemoryParams()
         assert diffraction_check(p, f) == diffraction_check(p, plain)
+
+    def test_bisected_shell_equals_the_shell_histogram_on_golden_configs(self):
+        # the 99 % shell, bisected from the row sums of the quarter plane,
+        # against every pixel's shell binned by np.bincount, on the written
+        # wave of every golden-gate config
+        spec = importlib.util.spec_from_file_location("golden", GOLDEN)
+        golden = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(golden)
+        for name, data in golden.configs().items():
+            cfg = parse_config(data)
+            quarter = _quarter_power(_input_field(cfg)[0])
+            expected = histogram_first_shell(quarter, 0.99)
+            assert expected is not None, name
+            assert _first_shell(quarter.copy(), 0.99) == expected, name
+        empty = np.zeros((5, 5))
+        assert _first_shell(empty, 0.99) is None and histogram_first_shell(empty, 0.99) is None
 
 
 class TestSpinWavePickle:

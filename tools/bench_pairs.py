@@ -1,0 +1,159 @@
+"""Paired benchmark runs of two oamem checkouts, and per-point times, as one JSON file.
+
+Usage::
+
+    python3 tools/bench_pairs.py pairs PARENT CHANGE OUT.json --seeds 1601-1610 [--seconds 50]
+    python3 tools/bench_pairs.py points PARENT CHANGE OUT.json [--n 512,1024]
+
+``pairs`` runs ``perfbench/run.py --workload W --seed S --seconds T`` in
+each checkout, the two in turn for every seed, alternating which runs
+first (the first pair runs PARENT first), for every workload of this
+checkout's ``perfbench/workloads.py``.  It records each run's JSON line
+and, per workload and end-to-end metric, both sides' medians and
+quartiles (``statistics.quantiles(method="inclusive")``) and the pairs
+the change won (lower is better; ties count for neither), under
+``sets["seeds_FIRST_LAST"]``.
+
+``points`` times one storage point (``harness._retrieve`` on the written
+wave) of the seed-1 config of each workload at each grid size n, in a
+fresh interpreter per checkout: the best of 5 per storage time after one
+untimed pass, with the per-time low-rank phase terms, where a checkout
+has them, dropped before each call, since a campaign meets each storage
+time once, under ``per_point_s``.  Writes OUT.json, merged into what is
+already there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+METRICS = ("campaign_s", "campaign_cpu_s", "setup_s", "peak_rss_mb")
+
+POINT_TIMER = r"""
+import json, sys, time
+root, n = sys.argv[1], int(sys.argv[2])
+sys.path[:0] = [root + "/src", root + "/perfbench"]
+from workloads import WORKLOADS
+from oamem.config import parse_config
+from oamem.harness import _retrieve, _store
+import oamem.decoherence as decoherence
+terms = getattr(decoherence, "_phase_terms", None)
+out = {}
+for name, make in WORKLOADS.items():
+    data = make(1)[1]
+    cfg = parse_config(dict(data, grid=dict(data["grid"], n=n)))
+    wave = _store(cfg)[1]
+    for t in cfg.storage_times[1:]:
+        _retrieve(cfg, wave, t)
+    best = []
+    for t in cfg.storage_times[1:]:
+        times = []
+        for _ in range(5):
+            if terms is not None:
+                terms.cache_clear()
+            start = time.perf_counter()
+            _retrieve(cfg, wave, t)
+            times.append(time.perf_counter() - start)
+        best.append(min(times))
+    out[name] = best
+print(json.dumps(out))
+"""
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds)],
+                          cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return {"correct": False, "error": proc.stderr.strip()[-500:]}
+    return json.loads(lines[-1])
+
+
+def summary(pairs: list[dict]) -> dict:
+    out = {}
+    for metric in METRICS:
+        sides = {side: [p[side]["metrics"][metric]["value"] for p in pairs
+                        if metric in p[side].get("metrics", {})] for side in ("parent", "change")}
+        if len(sides["parent"]) < 2 or len(sides["parent"]) != len(sides["change"]):
+            continue
+        stats = {}
+        for side, values in sides.items():
+            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+            stats[side] = {"median": median, "q1": q1, "q3": q3}
+        wins = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
+        ties = sum(c == p for p, c in zip(sides["parent"], sides["change"]))
+        out[metric] = {**stats, "change_wins": wins, "ties": ties, "pairs": len(sides["parent"])}
+    return out
+
+
+def pairs(parent: Path, change: Path, seeds: list[int], seconds: float) -> dict:
+    result = {}
+    for workload in WORKLOADS:
+        runs = []
+        for k, seed in enumerate(seeds):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_bench(parent if side == "parent" else change, workload, seed,
+                                       seconds)
+                print(workload, seed, side, pair[side].get("metrics", {}).get(
+                    "campaign_s", pair[side].get("error")), flush=True)
+            runs.append(pair)
+        result[workload] = {
+            "summary": summary(runs),
+            "all_correct": all(p[s].get("correct") for p in runs for s in ("parent", "change")),
+            "failed": sum(p[s].get("failed", 1) for p in runs for s in ("parent", "change")),
+            "pairs": runs}
+    return result
+
+
+def points(parent: Path, change: Path, sizes: list[int]) -> dict:
+    result = {}
+    for n in sizes:
+        for side, checkout in (("parent", parent), ("change", change)):
+            proc = subprocess.run([sys.executable, "-c", POINT_TIMER, str(checkout), str(n)],
+                                  capture_output=True, text=True, check=True)
+            for workload, best in json.loads(proc.stdout).items():
+                result.setdefault(f"{workload} n={n}", {})[side] = best
+    return result
+
+
+def seed_range(text: str) -> list[int]:
+    first, _, last = text.partition("-")
+    return list(range(int(first), int(last or first) + 1))
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("mode", choices=("pairs", "points"))
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--seeds", type=seed_range, default=seed_range("1601-1610"))
+    parser.add_argument("--seconds", type=float, default=50.0)
+    parser.add_argument("--n", default="512,1024")
+    args = parser.parse_args(argv)
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    if args.mode == "pairs":
+        name = f"seeds_{args.seeds[0]}_{args.seeds[-1]}"
+        data.setdefault("sets", {})[name] = pairs(args.parent.resolve(), args.change.resolve(),
+                                                  args.seeds, args.seconds)
+    else:
+        data["per_point_s"] = points(args.parent.resolve(), args.change.resolve(),
+                                     [int(n) for n in args.n.split(",")])
+    args.out.write_text(json.dumps(data, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

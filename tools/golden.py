@@ -4,6 +4,7 @@ Usage::
 
     python3 tools/golden.py OUT_DIR              # write the configs and run them all
     python3 tools/golden.py --configs OUT_DIR    # only write the configs
+    python3 tools/golden.py --compare OLD_DIR NEW_DIR --rtol R
 
 The configs are both ``perfbench/workloads.py`` workloads at seeds 1-3,
 each also from a binary hologram (``HOLOGRAM``), and the README's
@@ -16,10 +17,28 @@ stderr and exit code next to them, with OUT_DIR written as ``OUT_DIR``
 and this checkout as ``ROOT``.  Run it on two checkouts and ``diff -r``
 the two OUT_DIRs: a change that must not alter any result leaves that
 diff empty.
+
+A change that moves floats at rounding level compares the two OUT_DIRs
+with ``--compare`` instead (:func:`compare`): it passes, with exit 0,
+when every file is in both, exit codes, stderr and every byte that is
+not part of a float are identical, integers are identical, and each
+float of a CSV or text file is within ``rtol`` of the old one, relative
+to the largest magnitude in its CSV column, or in the file for other
+text, so that an entry at rounding level, such as the imaginary part
+of a density matrix's diagonal, is held to the scale of its column.
+A manifest's hash may differ only for a file that itself differs
+within ``rtol``.  A 16-bit PGM that differs is reported by how many
+pixel levels flip.  It prints each file and field that differs, then
+one line per outcome: byte-identical runs, runs within ``rtol``, and
+runs that differ beyond it.  ``diff -r`` stays the check for a change
+that must alter no result.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 import os
 import re
 import subprocess
@@ -91,7 +110,149 @@ def run(command: str, config: Path, run_dir: Path, out_dir: Path, parallel: int 
     return proc.returncode
 
 
+# a number in a text file: integer or float literal, or a non-finite float
+NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)")
+
+
+def _is_int(token: str) -> bool:
+    return re.fullmatch(r"[-+]?\d+", token) is not None
+
+
+def _numbers_close(old: str, new: str, rtol: float, scale: float) -> bool:
+    """Whether two number tokens agree: integers exactly, floats within rtol of ``scale``."""
+    if old == new:
+        return True
+    if _is_int(old) or _is_int(new):
+        return False
+    a, b = float(old), float(new)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return False
+    return abs(a - b) <= rtol * max(abs(a), abs(b), scale)
+
+
+def _text_fields(path: Path, text: str) -> list[tuple[str, str, str]]:
+    """(field name, scale group, value) of every CSV cell, or of every token of other text.
+
+    A CSV cell is named by its row and column header and grouped by its
+    column; a text token is named by its line and position, and the
+    whole file is one group.  Tokens alternate text and numbers, so the
+    text between numbers is compared as it stands.
+    """
+    if path.suffix == ".csv":
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        header = rows[0] if rows else []
+        return [(f"row {r} {header[c] if c < len(header) else c}", str(c), cell)
+                for r, row in enumerate(rows[1:], 1) for c, cell in enumerate(row)]
+    fields = []
+    for number, line in enumerate(text.split("\n"), 1):
+        pieces = NUMBER.split(line)
+        numbers = NUMBER.findall(line)
+        for k, piece in enumerate(pieces):
+            fields.append((f"line {number} text {k}", "", "T" + piece))
+            if k < len(numbers):
+                fields.append((f"line {number} number {k}", "", numbers[k]))
+    return fields
+
+
+def _compare_text(old: bytes, new: bytes, path: Path, rtol: float) -> list[str]:
+    """The fields in which two text files differ beyond rtol; [] when all agree."""
+    try:
+        a = _text_fields(path, old.decode())
+        b = _text_fields(path, new.decode())
+    except UnicodeDecodeError:
+        return ["binary bytes differ"]
+    if [name for name, _, _ in a] != [name for name, _, _ in b]:
+        return ["layout differs"]
+    scale = {}
+    for _, group, x in a:
+        if NUMBER.fullmatch(x) and math.isfinite(float(x)):
+            scale[group] = max(scale.get(group, 0.0), abs(float(x)))
+    bad = []
+    for (name, group, x), (_, _, y) in zip(a, b):
+        if x == y:
+            continue
+        numeric = NUMBER.fullmatch(x) and NUMBER.fullmatch(y)
+        if not (numeric and _numbers_close(x, y, rtol, scale.get(group, 0.0))):
+            bad.append(f"{name}: {x!r} -> {y!r}")
+    return bad
+
+
+def _pgm_levels(old: bytes, new: bytes) -> str:
+    """How the pixel levels of two 16-bit PGM files differ, or '' when they do not parse."""
+    def pixels(data):
+        header = data.split(b"\n", 3)
+        if len(header) < 4 or header[0] != b"P5" or header[2] != b"65535":
+            return None
+        return header[1], header[3]
+
+    a, b = pixels(old), pixels(new)
+    if a is None or b is None or a[0] != b[0] or len(a[1]) != len(b[1]):
+        return ""
+    levels = [(int.from_bytes(a[1][k:k + 2], "big"), int.from_bytes(b[1][k:k + 2], "big"))
+              for k in range(0, len(a[1]), 2)]
+    flipped = [(k, x, y) for k, (x, y) in enumerate(levels) if x != y]
+    return (f"{len(flipped)} of {len(levels)} pixel levels differ, by at most "
+            f"{max(abs(x - y) for _, x, y in flipped)}; first at pixel {flipped[0][0]}")
+
+
+def compare(old_dir: Path, new_dir: Path, rtol: float, out=sys.stdout) -> int:
+    """Compare two golden OUT_DIRs file by file; returns 0 when they agree within rtol.
+
+    Prints every file and field that differs, with the old and the new
+    value, and counts runs (directories under ``runs``) that are
+    byte-identical, within rtol, or beyond it.
+    """
+    old_files = {p.relative_to(old_dir) for p in old_dir.rglob("*") if p.is_file()}
+    new_files = {p.relative_to(new_dir) for p in new_dir.rglob("*") if p.is_file()}
+    within, beyond = {}, {}
+    for rel in sorted(old_files ^ new_files):
+        print(f"{rel}: only in {'OLD' if rel in old_files else 'NEW'}", file=out)
+        beyond.setdefault(_run_of(rel), []).append(rel)
+    common = sorted(old_files & new_files)
+    changed = {rel for rel in common
+               if (old_dir / rel).read_bytes() != (new_dir / rel).read_bytes()}
+    for rel in sorted(changed):
+        old, new = (old_dir / rel).read_bytes(), (new_dir / rel).read_bytes()
+        if rel.name in ("exit.txt", "stderr.txt", "stdout.txt") or rel.parts[0] == "configs":
+            bad = ["bytes differ"]
+        elif rel.suffix == ".pgm":
+            bad = [_pgm_levels(old, new) or "bytes differ"]
+        elif rel.name == "manifest.csv":
+            bad = _compare_manifest(old, new, rel, changed)
+        else:
+            bad = _compare_text(old, new, rel, rtol)
+        for line in bad:
+            print(f"{rel}: {line}", file=out)
+        (beyond if bad else within).setdefault(_run_of(rel), []).append(rel)
+    runs = {_run_of(rel) for rel in old_files | new_files if rel.parts[0] == "runs"}
+    identical = runs - within.keys() - beyond.keys()
+    print(f"byte-identical: {len(identical)} runs", file=out)
+    print(f"within rtol {rtol:g}: {len(within.keys() - beyond.keys())} runs: "
+          f"{' '.join(sorted(within.keys() - beyond.keys()))}", file=out)
+    print(f"beyond rtol: {len(beyond)} runs: {' '.join(sorted(beyond))}", file=out)
+    return 1 if beyond else 0
+
+
+def _run_of(rel: Path) -> str:
+    return rel.parts[1] if rel.parts[0] == "runs" and len(rel.parts) > 1 else rel.parts[0]
+
+
+def _compare_manifest(old: bytes, new: bytes, rel: Path, changed: set) -> list[str]:
+    """Rows of two manifests that differ, except hashes of files that changed within rtol.
+
+    A file that changed beyond rtol is reported on its own line.
+    """
+    a = list(csv.reader(io.StringIO(old.decode(), newline="")))
+    b = list(csv.reader(io.StringIO(new.decode(), newline="")))
+    if [row[0] for row in a] != [row[0] for row in b]:
+        return ["listed files differ"]
+    return [f"hash of {x[0]} differs, the file does not" for x, y in zip(a, b)
+            if x != y and rel.parent / x[0] not in changed]
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 5 and argv[0] == "--compare" and argv[3] == "--rtol":
+        return compare(Path(argv[1]), Path(argv[2]), float(argv[4]))
     if len(argv) == 2 and argv[0] == "--configs":
         write_configs(Path(argv[1]).resolve())
         return 0
