@@ -297,6 +297,13 @@ def _phase_terms(mdl: MagneticModel, grid: GridSpec,
     at n = 512 and 1024 (dense points of 2, 12 and 25-40 ms); the cutoff
     n // 8 (32, 64, 128) lets a map that does not converge cost at most
     about twice its dense point at n >= 512, three times at 256.
+
+    The residual rows and columns subtract the terms so far with
+    ``np.einsum``, not ``@``: a complex matrix-vector product of about 9
+    terms at n = 512 woke OpenBLAS's thread pool, which burned 2-60 ms of
+    CPU on other threads per decay campaign of 35-50 ms (2-vCPU VM).  No
+    ``@``, ``np.dot``, ``tensordot`` or ``einsum(optimize=...)``
+    contracts a grid axis on a campaign's path (module ``fieldgrid``).
     """
     n = grid.n
     xs, ys = grid.xs(), grid.ys()
@@ -327,10 +334,10 @@ def _phase_terms(mdl: MagneticModel, grid: GridSpec,
             else:
                 p, i = np.unravel_index(np.argmax(col_err), col_err.shape)
                 j = probes[p]
-                residual = phase(xs, ys[i], (n,)) - u[:r, i] @ v[:r]
+                residual = phase(xs, ys[i], (n,)) - np.einsum("r,rx->x", u[:r, i], v[:r])
         free[i] = False
         v[r] = residual / residual[j]
-        u[r] = phase(xs[j], ys, (n,)) - v[:r, j] @ u[:r]
+        u[r] = phase(xs[j], ys, (n,)) - np.einsum("r,ry->y", v[:r, j], u[:r])
         probe_rows -= u[r, probes, None] * v[r]
         probe_cols -= v[r, probes, None] * u[r]
         if max(np.abs(probe_rows).max(), np.abs(probe_cols).max()) <= PHASE_TOL:
@@ -339,7 +346,7 @@ def _phase_terms(mdl: MagneticModel, grid: GridSpec,
             u.flags.writeable = v.flags.writeable = False
             return u, v
         i = int(np.argmax(np.where(free, np.abs(u[r]), -1.0)))
-        residual = phase(xs, ys[i], (n,)) - u[:r + 1, i] @ v[:r + 1]
+        residual = phase(xs, ys[i], (n,)) - np.einsum("r,rx->x", u[:r + 1, i], v[:r + 1])
     return None
 
 

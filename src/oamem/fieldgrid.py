@@ -16,29 +16,42 @@ A field is held in one of three representations, and only
 * sampled: its n x n ``samples``, such as a hologram's far field.  It
   computes and caches one forward spectrum (``spectrum``); filtering
   scales a copy of that spectrum by the kernel along both axes and
-  inverts it, giving a new sampled field; its spectrum is streamed as
-  row slices of the cached one, and its values as row slices of the
-  samples.
+  inverts it, giving a new sampled field; the power of its spectrum is
+  folded from row slices of the cached one, and its values are streamed
+  as row slices of the samples.
 * factored: when it is separable, only its 1-D factors
   (:class:`Separable`, Y^T M X).  An ideal source's field and spin wave
   are K <= |l| + 1 real rows of n samples, used on both axes, and a
   K x K matrix; under a low-rank phase sum_r u_r(y) v_r(x)
   (:meth:`TransverseField.phased`) they become K R complex rows on each
   axis.  Filtering transforms the rows (K n log n work) and stays
-  factored; its spectrum and its values are streamed as blocks
-  contracted from the 1-D row transforms and from the rows, so no
-  n x n spectrum exists, and its n x n ``values`` are built only when
-  something reads them, such as the exporters of ``render``.
+  factored; the power of its spectrum, folded into a quarter plane, is
+  contracted from the 1-D row transforms, so no n x n spectrum exists;
+  its values are streamed as blocks contracted from the rows, and its
+  n x n ``values`` are built only when something reads them, such as
+  the exporters of ``render``.
 * streamed: a function that computes its row blocks as they are
   requested, such as a wave times a dense phase map.
 
 All stream in blocks of ``BLOCK_ROWS`` rows
-(:meth:`TransverseField.row_blocks`,
-:meth:`TransverseField.spectrum_blocks`), so that work that needs one
-row of an n x n array at a time holds about 64 n samples instead of
-n^2.  :meth:`TransverseField.contract` contracts a field with 1-D rows
-on both axes, as a projection onto separable modes does: from the
-factors when their axes differ, else block by block.
+(:meth:`TransverseField.row_blocks`), so that work that needs one row
+of an n x n array at a time holds about 64 n samples instead of n^2.
+:meth:`TransverseField.contract` contracts a field with 1-D rows on
+both axes, as a projection onto separable modes does: from the factors
+when their axes differ, else block by block.
+:meth:`TransverseField.quarter_power` folds |S|^2 by frequency
+magnitude for the diffraction check.
+
+Every contraction over a grid axis on a campaign's path is an
+``np.einsum`` without ``optimize``, which runs in the calling thread:
+no ``@``, ``np.dot``, ``tensordot`` or ``einsum(optimize=...)``.  Those
+call BLAS, and OpenBLAS wakes its thread pool once a product is large
+enough (the d x d algebra of tomography never is), and
+``einsum(optimize=True)`` reaches BLAS through ``tensordot``.  Three
+complex matrix-vector products in the low-rank Larmor phase, at about 9
+terms and n = 512, burned 2-60 ms of CPU on other threads per decay
+campaign of 35-50 ms (benchmark seeds 1-3, 2-vCPU VM), against none with
+``einsum``.
 """
 
 from __future__ import annotations
@@ -167,6 +180,18 @@ def contract_rows(blocks: Iterable[np.ndarray], rows: np.ndarray) -> np.ndarray:
     return np.einsum("jy,yk->jk", rows, rows_by_factor)
 
 
+def _fold(a: np.ndarray) -> np.ndarray:
+    """``a`` summed over the DFT indices of equal magnitude on its last axis, as a new array.
+
+    Index j of n holds frequency j for j <= n/2 and j - n above, so the
+    n/2 + 1 magnitudes 0 .. n/2 each collect index j and n - j.
+    """
+    half = a.shape[-1] // 2
+    folded = a[..., :half + 1].copy()
+    folded[..., 1:half] += a[..., :half:-1]
+    return folded
+
+
 @dataclass(frozen=True)
 class Separable:
     """An n x n array held as 1-D y-rows, x-rows and the matrix that mixes them.
@@ -254,6 +279,31 @@ class Separable:
         rows = (self.rows[:, None, :] * u[None]).reshape(-1, n)
         xrows = (self.x[:, None, :] * v[None]).reshape(-1, n)
         return Separable(rows, np.kron(self.mix, np.eye(len(u))), xrows)
+
+    def quarter_power(self) -> np.ndarray:
+        """|S|^2 of this array's 2-D DFT S, folded by frequency magnitudes, from its 1-D rows.
+
+        See ``TransverseField.quarter_power``.  The K^2 products of row
+        spectra per axis, folded, take K^2 (n/2 + 1) entries.  Both factors
+        of the last contraction are Hermitian in (b, d), so its real part
+        is the diagonal plus twice the real part above it: one contraction
+        of K^2 real rows per axis.
+        """
+        f = np.fft.fft(self.rows, axis=1)
+        # [a, c, i]: conj(F_a) F_c summed over the frequencies of magnitude i
+        folded_y = _fold(f.conj()[:, None] * f)
+        if self.xrows is None:
+            folded_x = folded_y
+        else:
+            g = np.fft.fft(self.xrows, axis=1)
+            folded_x = _fold(g.conj()[:, None] * g)
+        # [b, d, i]: sum_ac conj(M_ab) M_cd folded_y[a, c, i]
+        mixed = np.einsum("ab,cd,aci->bdi", self.mix.conj(), self.mix, folded_y)
+        upper = np.arange(len(mixed))[:, None] < np.arange(len(mixed))
+        up, x_up = mixed[upper], folded_x[upper]
+        left = np.concatenate((np.einsum("bbi->bi", mixed).real, 2 * up.real, -2 * up.imag))
+        right = np.concatenate((np.einsum("bbi->bi", folded_x).real, x_up.real, x_up.imag))
+        return np.einsum("ki,kj->ij", left, right)
 
     def contract(self, rows: np.ndarray) -> np.ndarray:
         """sum_yx rows[j, y] A[y, x] rows[k, x] of this array A, from its 1-D rows alone."""
@@ -350,23 +400,31 @@ class TransverseField:
         spectrum.flags.writeable = False
         return spectrum
 
-    def spectrum_blocks(self) -> Iterator[np.ndarray]:
-        """The unnormalized 2-D DFT of ``values``, BLOCK_ROWS rows at a time.
+    def quarter_power(self) -> np.ndarray:
+        """|S|^2 of the unnormalized 2-D DFT S of ``values``, folded into a quarter plane.
 
-        Factored values V = Y^T M X have the spectrum S = F_Y^T M F_X with
-        F the 1-D DFTs of the rows, so each block of S is built from them
-        and no n x n spectrum is formed or cached.  Other values are
-        sliced from their cached :attr:`spectrum`.
+        Entry [i, j] sums |S|^2 over the frequency indices of magnitudes
+        |i| on y and |j| on x, so the result is (n/2 + 1) x (n/2 + 1).
+        Factored values V = Y^T M X have the spectrum S = F^T M G, with F
+        and G the 1-D DFTs of the y- and x-rows, so
+        |S|^2 = sum conj(M_ab) M_cd conj(F_a) F_c (q_y) conj(G_b) G_d (q_x):
+        each of the K^2 products of row spectra is folded to n/2 + 1
+        entries on its axis, and the folds are contracted with those
+        K^2 x K^2 coefficients, with no block of S and no n x n array.
+        Other values fold |S|^2 of their cached :attr:`spectrum` one block
+        of BLOCK_ROWS rows at a time.
         """
-        if self.factors is None:
-            yield from row_blocks(self.spectrum)
-            return
-        f = np.fft.fft(self.factors.rows, axis=1)
-        fx = f if self.factors.xrows is None else np.fft.fft(self.factors.xrows, axis=1)
-        # einsum keeps BLAS threads idle
-        inner = np.einsum("jk,kx->jx", self.factors.mix, fx)
-        for start in range(0, self.grid.n, BLOCK_ROWS):
-            yield np.einsum("jy,jx->yx", f[:, start:start + BLOCK_ROWS], inner)
+        if self.factors is not None:
+            return self.factors.quarter_power()
+        n = self.grid.n
+        half = n // 2
+        magnitudes = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(np.intp)
+        quarter = np.zeros((half + 1, half + 1))
+        for start, block in zip(range(0, n, BLOCK_ROWS), row_blocks(self.spectrum)):
+            power = np.abs(block)
+            power *= power
+            np.add.at(quarter, magnitudes[start:start + len(power)], _fold(power))
+        return quarter
 
     def filtered(self, k1: np.ndarray) -> "TransverseField":
         """This field with its spectrum multiplied by k1(q_x) k1(q_y).

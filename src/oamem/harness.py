@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -193,11 +192,14 @@ def storage_point(cfg: ExperimentConfig, stored: tuple[np.ndarray, TransverseFie
     ``stored`` is :func:`_store` of ``cfg``.  Chain: decohere -> read ->
     project (:func:`_retrieve`) -> count -> reconstruct -> fidelity, where
     f_abs compares with the configured state and f_rel with the stored one.
+    At t_s = 0 the amplitudes are the stored state itself, which
+    :func:`_store` already projected: no channel acts and the drift factor
+    is exactly 1, so projecting again would give the same bytes.
     """
     reference, wave = stored
     state = cfg.qudit.to_state()
     pset = ProjectionSet.qubit() if state.dim == 2 else ProjectionSet.qutrit()
-    a = _retrieve(cfg, wave, t_s)
+    a = reference if t_s == 0.0 else _retrieve(cfg, wave, t_s)
     eta = _efficiency(cfg, t_s)
     records = _count(cfg, a, eta, t_index, pset.projectors)
     rho = reconstruct(records, pset)
@@ -245,12 +247,16 @@ def _map_points(cfg: ExperimentConfig, parallel: int):
     there are points or CPUs; one worker runs the points in this process.
     Each worker receives the config and the stored wave once (an ideal
     source's wave is only its factors, with no samples and no spectrum),
-    and each job only its (index, storage time).
+    and each job only its (index, storage time).  The pool's module, and
+    ``multiprocessing`` with it, is imported only when a pool starts: a
+    serial run does not pay for the import.
     """
     stored = _store(cfg)
     jobs = list(enumerate(cfg.storage_times))
     workers = min(parallel, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(cfg, stored)) as pool:
             return list(pool.map(_worker_point, jobs))

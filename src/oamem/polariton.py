@@ -20,12 +20,12 @@ during storage is the analytic
 loss is modeled downstream (empirical decay in
 :mod:`oamem.decoherence`), and the neglected free-space diffraction
 phase q^2 D / k_s is checked explicitly, on the forward spectrum of
-the written wave: one block of rows at a time
-(``TransverseField.spectrum_blocks``), |S|^2 is folded into a quarter
-plane, whose 99 % shell is bisected from its row sums.  The spin wave
-of an ideal source is no n x n array, and its spectrum is built block
-by block; a hologram's far field computes and caches its spectrum
-once, for the check and the blur.
+the written wave: |S|^2 is folded into a quarter plane
+(``TransverseField.quarter_power``), whose 99 % shell is bracketed and
+bisected from the row sums of its leading block.  The spin wave of an ideal source is no n x n array, and
+its quarter plane is contracted from the 1-D spectra of its factors; a
+hologram's far field computes and caches its spectrum once, for the
+check and the blur, and folds it one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -127,9 +127,9 @@ def diffraction_check(params: MemoryParams, s: TransverseField) -> float:
     """Max diffraction phase q^2 D / k_s over the 99%-energy spectrum.
 
     |S|^2 of the unnormalized 2-D DFT S is folded by the magnitudes
-    (|i|, |j|) of its frequency indices into one quarter plane, one block
-    of rows at a time; q99^2 is q_pitch^2 times the first integer shell
-    i^2 + j^2 to hold 99 % of it (:func:`_first_shell`).
+    (|i|, |j|) of its frequency indices into one quarter plane
+    (:func:`_quarter_power`); q99^2 is q_pitch^2 times the first integer
+    shell i^2 + j^2 to hold 99 % of it (:func:`_first_shell`).
     """
     quarter = _quarter_power(s)
     shell = _first_shell(quarter, 0.99)
@@ -141,30 +141,39 @@ def diffraction_check(params: MemoryParams, s: TransverseField) -> float:
 def _first_shell(quarter: np.ndarray, fraction: float) -> int | None:
     """The least shell S = i^2 + j^2 whose disc holds ``fraction`` of ``quarter``; None if empty.
 
-    The disc is every entry with i^2 + j^2 <= S.  Each row is summed
-    cumulatively in place, so the energy within S is one entry per row,
-    found from the 1-D table of the n/2 + 1 values of k^2; S is then
-    bisected, with no per-pixel shell index and no histogram over the
-    n^2 / 2 shells.
+    The disc is every entry with i^2 + j^2 <= S, so it lies in the
+    leading w x w block, w = isqrt(S) + 1.  S is bracketed by doubling
+    from 1, since a resolved spectrum fills a small disc, and then
+    bisected.  Each bracket sums the rows of its block cumulatively, so
+    the energy within S is one entry in each of the rows i <= sqrt(S),
+    found from the 1-D table of the n/2 + 1 values of k^2: no per-pixel
+    shell index, no histogram over the n^2 / 2 shells, and no pass over
+    the whole plane beyond its sum.
     """
-    np.cumsum(quarter, axis=1, out=quarter)
     k2 = np.arange(len(quarter)) ** 2
-    rows = np.arange(len(quarter))
+    target = fraction * float(quarter.sum())
+    if target == 0:
+        return None
 
-    def within(shell: int) -> float:
-        # row i holds the columns j with j^2 <= shell - i^2
-        count = np.searchsorted(k2, shell - k2, side="right")
-        inside = count > 0
-        return float(quarter[rows[inside], count[inside] - 1].sum())
+    def within(shell: int, prefix: np.ndarray) -> float:
+        # row i <= sqrt(shell) holds the columns j with j^2 <= shell - i^2
+        inside = min(math.isqrt(shell) + 1, len(k2))
+        count = np.searchsorted(k2, shell - k2[:inside], side="right")
+        return float(prefix[np.arange(inside), count - 1].sum())
+
+    def block(shell: int) -> np.ndarray:
+        width = min(math.isqrt(shell) + 1, len(k2))
+        return np.cumsum(quarter[:width, :width], axis=1)
 
     top = 2 * int(k2[-1])
-    total = within(top)
-    if total == 0:
-        return None
-    low, high = 0, top
+    low, high = 0, 1
+    prefix = block(high)
+    while high < top and within(high, prefix) < target:
+        low, high = high + 1, min(2 * high, top)
+        prefix = block(high)
     while low < high:
         mid = (low + high) // 2
-        if within(mid) >= fraction * total:
+        if within(mid, prefix) >= target:
             high = mid
         else:
             low = mid + 1
@@ -172,23 +181,5 @@ def _first_shell(quarter: np.ndarray, fraction: float) -> int | None:
 
 
 def _quarter_power(s: TransverseField) -> np.ndarray:
-    """|S|^2 of ``s.spectrum_blocks()`` summed by frequency magnitudes (|i|, |j|).
-
-    Each block of the spectrum is folded as it arrives and dropped before
-    the next one is built.
-    """
-    n = s.grid.n
-    half = n // 2
-    magnitudes = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(np.intp)
-    quarter = np.zeros((half + 1, half + 1))
-    start = 0
-    for block in s.spectrum_blocks():
-        power = np.abs(block)
-        del block
-        power *= power
-        # column n - j has the magnitude of column j
-        power[:, 1:half] += power[:, :half:-1]
-        np.add.at(quarter, magnitudes[start:start + len(power)], power[:, :half + 1])
-        start += len(power)
-        del power
-    return quarter
+    """|S|^2 of ``s`` summed by frequency magnitudes (|i|, |j|): ``s.quarter_power()``."""
+    return s.quarter_power()

@@ -1,5 +1,6 @@
 import importlib.util
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from oracles import (histogram_first_shell, longitudinal_slices, monte_carlo_dri
 
 from oamem.config import parse_config
 from oamem.decoherence import diffuse, longitudinal_drift_factor
-from oamem.fieldgrid import GridSpec, TransverseField
+from oamem.fieldgrid import BLOCK_ROWS, GridSpec, TransverseField
 from oamem.harness import _input_field
 from oamem.modes import LGModeSpec, QuditState, lg_field, qubit_state, qutrit_state, synthesize
 from oamem.polariton import (SPEED_OF_LIGHT, MemoryParams, _first_shell, _quarter_power,
@@ -17,6 +18,28 @@ from oamem.polariton import (SPEED_OF_LIGHT, MemoryParams, _first_shell, _quarte
 
 W0 = 250e-6
 GOLDEN = Path(__file__).resolve().parents[1] / "tools" / "golden.py"
+# the diffraction check's cases of a wave with factors: |l| = 1-4 qubits, a qutrit, a tight focus
+FACTORED_CASES = [
+    *(pytest.param(qubit_state(1.1, 0.4, l=l), 200e-6, 6.4e-3, id=f"qubit-l{l}")
+      for l in (1, 2, 3, 4)),
+    pytest.param(qutrit_state(0.8, 0.5j, -0.3 + 0.2j, l=1), 200e-6, 6.4e-3, id="qutrit"),
+    pytest.param(qubit_state(1.1, 0.4, l=1), 1e-5, 1.6e-4, id="tight-focus")]
+
+
+def golden_configs() -> dict:
+    """Every golden-gate config of ``tools/golden.py`` by name."""
+    spec = importlib.util.spec_from_file_location("golden", GOLDEN)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    return golden.configs()
+
+
+def assert_quarter_equals_the_block_fold(f: TransverseField) -> None:
+    """Asserts that ``f``'s quarter plane is a sampled copy's within 1e-13 of its largest entry."""
+    plain = TransverseField(f.grid, f.values, f.wavelength)
+    got, want = _quarter_power(f), _quarter_power(plain)
+    assert got.shape == want.shape == (f.grid.n // 2 + 1,) * 2
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
 
 class TestMixingAngle:
@@ -239,9 +262,17 @@ class TestDiffractionCheck:
 
         monkeypatch.setattr(np.fft, "fft", counted)
         monkeypatch.setattr(np.fft, "fft2", self.no_fft)
-        diffraction_check(MemoryParams(), s)
+        tracemalloc.start()
+        try:
+            diffraction_check(MemoryParams(), s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert shapes == [(3, grid.n)]
         assert "spectrum" not in vars(s)
+        # nor builds a block of one: the peak stays below one (BLOCK_ROWS, n)
+        # complex block (about 0.75 of one here, most of it the quarter plane)
+        assert peak < BLOCK_ROWS * grid.n * 16
 
     @pytest.mark.parametrize("state, w0, extent", [
         *(pytest.param(qubit_state(1.1, 0.4, l=l), 200e-6, 6.4e-3, id=f"qubit-l{l}")
@@ -257,6 +288,26 @@ class TestDiffractionCheck:
         assert f.factors is not None and plain.factors is None
         p = MemoryParams()
         assert diffraction_check(p, f) == diffraction_check(p, plain)
+
+    @pytest.mark.parametrize("state, w0, extent", FACTORED_CASES)
+    def test_factored_quarter_equals_the_block_fold(self, state, w0, extent):
+        # the quarter plane contracted from the folded products of the 1-D
+        # row spectra against |S|^2 of the cached n x n spectrum, folded one
+        # block of rows at a time
+        f = synthesize(state, w0, GridSpec(256, extent))
+        assert f.factors is not None
+        assert_quarter_equals_the_block_fold(f)
+
+    def test_factored_quarter_equals_the_block_fold_on_golden_configs(self):
+        # a hologram's far field has no factors, so both sides take the block fold
+        configs = golden_configs()
+        assert len(configs) == 13
+        factored = 0
+        for data in configs.values():
+            f = _input_field(parse_config(data))[0]
+            factored += f.factors is not None
+            assert_quarter_equals_the_block_fold(f)
+        assert factored == 7
 
     def test_bisected_shell_equals_the_shell_histogram_on_golden_configs(self):
         # the 99 % shell, bisected from the row sums of the quarter plane,
