@@ -21,15 +21,16 @@ A field is held in one of three representations, and only
   as row slices of the samples.
 * factored: when it is separable, only its 1-D factors
   (:class:`Separable`, Y^T M X).  An ideal source's field and spin wave
-  are K <= |l| + 1 real rows of n samples, used on both axes, and a
-  K x K matrix; under a low-rank phase sum_r u_r(y) v_r(x)
+  are K <= |l| + 1 real rows of n samples on each axis and a K x K
+  matrix; under a low-rank phase sum_r u_r(y) v_r(x)
   (:meth:`TransverseField.phased`) they become K R complex rows on each
   axis.  Filtering transforms the rows (K n log n work) and stays
   factored; the power of its spectrum, folded into a quarter plane, is
   contracted from the 1-D row transforms, so no n x n spectrum exists;
-  its values are streamed as blocks contracted from the rows, and its
-  n x n ``values`` are built only when something reads them, such as
-  the exporters of ``render``.
+  a projection onto separable modes contracts the rows alone (K^2 n
+  work); its values are streamed as blocks contracted from the rows,
+  and its n x n ``values`` are built only when something reads them,
+  such as the exporters of ``render``.
 * streamed: a function that computes its row blocks as they are
   requested, such as a wave times a dense phase map.
 
@@ -38,7 +39,7 @@ All stream in blocks of ``BLOCK_ROWS`` rows
 of an n x n array at a time holds about 64 n samples instead of n^2.
 :meth:`TransverseField.contract` contracts a field with 1-D rows on
 both axes, as a projection onto separable modes does: from the factors
-when their axes differ, else block by block.
+of a factored field, else block by block.
 :meth:`TransverseField.quarter_power` folds |S|^2 by frequency
 magnitude for the diffraction check.
 
@@ -126,14 +127,14 @@ class GridSpec:
         return 2.0 * np.pi / self.extent
 
 
-def _freeze(a: np.ndarray, dtype=np.complex128) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=dtype)
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=np.complex128)
     a.flags.writeable = False
     return a
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:
-    # a contiguous complex128 or float64 array, viewed as float64
+    # a contiguous complex128 array, viewed as float64
     if not np.all(np.isfinite(a.view(np.float64))):
         raise NonFiniteField(f"{what} must be finite")
 
@@ -198,56 +199,34 @@ class Separable:
 
     The array is Y^T M X, sum_jk rows[j, y] mix[j, k] xrows[k, x] (rows
     are y, as in ``GridSpec.mesh``), so an operator that factors over x
-    and y acts on the 1-D rows instead of the n x n samples.  ``xrows``
-    None means the y-rows themselves: an ideal source's field is K real
-    rows used on both axes.  Rows may be complex, such as those of a wave
-    under a low-rank phase (:meth:`phased`).  All arrays are read-only.
+    and y acts on the 1-D rows instead of the n x n samples.  An ideal
+    source's field passes its K real rows as both ``rows`` and ``xrows``;
+    a wave under a low-rank phase (:meth:`phased`) has K R complex rows
+    on each axis.  All three arrays are held as read-only complex128.
     """
 
     rows: np.ndarray = field(repr=False)
     mix: np.ndarray = field(repr=False)
-    xrows: np.ndarray | None = field(default=None, repr=False)
+    xrows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name in ("rows", "xrows"):
-            a = getattr(self, name)
-            if a is not None:
-                a = _freeze(a, np.complex128 if np.iscomplexobj(a) else np.float64)
-                object.__setattr__(self, name, a)
-                _check_finite(a, "field factors")
-        object.__setattr__(self, "mix", _freeze(self.mix))
-        _check_finite(self.mix, "field factors")
+        for name in ("rows", "mix", "xrows"):
+            a = _freeze(getattr(self, name))
+            object.__setattr__(self, name, a)
+            _check_finite(a, "field factors")
 
     def __setstate__(self, state):
         # unpickling skips __post_init__, so freeze its arrays here
         for a in state.values():
-            if a is not None:
-                a.flags.writeable = False
+            a.flags.writeable = False
         self.__dict__.update(state)
 
-    @property
-    def x(self) -> np.ndarray:
-        """The x-rows X."""
-        return self.rows if self.xrows is None else self.xrows
-
     def row_blocks(self, size: int = BLOCK_ROWS) -> Iterator[np.ndarray]:
-        """The array, ``size`` rows at a time.
-
-        Real rows used on both axes contract with the complex K x n
-        matrix mix @ rows viewed as float64 pairs, so nothing is upcast
-        to complex; einsum keeps BLAS threads idle.
-        """
+        """The array, ``size`` rows at a time; einsum keeps BLAS threads idle."""
         n = self.rows.shape[1]
-        inner = np.einsum("jk,kx->jx", self.mix, self.x)
-        real = self.xrows is None and self.rows.dtype == np.float64
-        if real:
-            inner = inner.view(np.float64).reshape(len(inner), n, 2)
+        inner = np.einsum("jk,kx->jx", self.mix, self.xrows)
         for start in range(0, n, size):
-            if real:
-                yield (np.einsum("jy,jxc->yxc", self.rows[:, start:start + size], inner)
-                       .view(np.complex128).reshape(-1, n))
-            else:
-                yield np.einsum("jy,jx->yx", self.rows[:, start:start + size], inner)
+            yield np.einsum("jy,jx->yx", self.rows[:, start:start + size], inner)
 
     def array(self) -> np.ndarray:
         """The n x n array, as a new writable array."""
@@ -257,27 +236,21 @@ class Separable:
     def filtered(self, k1: np.ndarray) -> "Separable":
         """This array with its 2-D spectrum multiplied by k1(q_x) k1(q_y).
 
-        Real rows used on both axes stay real: K n log n work on their
-        real transforms, and the y-rows go on serving as x-rows.  Other
-        rows run through complex transforms, each axis on its own rows.
+        One ``fft`` and one ``ifft`` of the K rows of each axis: K n log n
+        work, and the result stays factored.
         """
-        n = self.rows.shape[1]
-        if self.xrows is None and self.rows.dtype == np.float64:
-            rows = np.fft.rfft(self.rows, axis=1)
-            rows *= k1[:rows.shape[1]]
-            return Separable(np.fft.irfft(rows, n, axis=1), self.mix)
         return Separable(np.fft.ifft(np.fft.fft(self.rows, axis=1) * k1, axis=1), self.mix,
-                         np.fft.ifft(np.fft.fft(self.x, axis=1) * k1, axis=1))
+                         np.fft.ifft(np.fft.fft(self.xrows, axis=1) * k1, axis=1))
 
     def phased(self, u: np.ndarray, v: np.ndarray) -> "Separable":
         """This array times the rank-R map sum_r u[r, y] v[r, x], still factored.
 
-        Row (j, r) is rows[j] u[r] on y and x[j] v[r] on x, and the mix
+        Row (j, r) is rows[j] u[r] on y and xrows[j] v[r] on x, and the mix
         is M kron 1_R, so the product has K R rows on each axis.
         """
-        k, n = self.rows.shape
+        n = self.rows.shape[1]
         rows = (self.rows[:, None, :] * u[None]).reshape(-1, n)
-        xrows = (self.x[:, None, :] * v[None]).reshape(-1, n)
+        xrows = (self.xrows[:, None, :] * v[None]).reshape(-1, n)
         return Separable(rows, np.kron(self.mix, np.eye(len(u))), xrows)
 
     def quarter_power(self) -> np.ndarray:
@@ -290,13 +263,10 @@ class Separable:
         of K^2 real rows per axis.
         """
         f = np.fft.fft(self.rows, axis=1)
+        g = np.fft.fft(self.xrows, axis=1)
         # [a, c, i]: conj(F_a) F_c summed over the frequencies of magnitude i
         folded_y = _fold(f.conj()[:, None] * f)
-        if self.xrows is None:
-            folded_x = folded_y
-        else:
-            g = np.fft.fft(self.xrows, axis=1)
-            folded_x = _fold(g.conj()[:, None] * g)
+        folded_x = _fold(g.conj()[:, None] * g)
         # [b, d, i]: sum_ac conj(M_ab) M_cd folded_y[a, c, i]
         mixed = np.einsum("ab,cd,aci->bdi", self.mix.conj(), self.mix, folded_y)
         upper = np.arange(len(mixed))[:, None] < np.arange(len(mixed))
@@ -308,7 +278,7 @@ class Separable:
     def contract(self, rows: np.ndarray) -> np.ndarray:
         """sum_yx rows[j, y] A[y, x] rows[k, x] of this array A, from its 1-D rows alone."""
         left = np.einsum("jy,ay->ja", rows, self.rows)
-        right = np.einsum("bx,kx->bk", self.x, rows)
+        right = np.einsum("bx,kx->bk", self.xrows, rows)
         return np.einsum("ja,ab,bk->jk", left, self.mix, right)
 
 
@@ -392,8 +362,8 @@ class TransverseField:
 
         Two 1-D passes (x, then y, the order of ``np.fft.fft2``), the
         second in place.  Only a field without ``factors`` needs it:
-        :meth:`filtered` and :meth:`spectrum_blocks` of a field with
-        factors run on their 1-D rows.
+        :meth:`filtered`, :meth:`quarter_power` and :meth:`contract` of a
+        field with factors run on their 1-D rows.
         """
         spectrum = np.fft.fft(self.values, axis=1)
         np.fft.fft(spectrum, axis=0, out=spectrum)
@@ -462,13 +432,11 @@ class TransverseField:
     def contract(self, rows: np.ndarray) -> np.ndarray:
         """sum_yx rows[j, y] F[y, x] rows[k, x] of ``values`` F, for real K x n ``rows``.
 
-        Factors with distinct x-rows, such as a wave under a low-rank
-        phase, contract their 1-D rows (``Separable.contract``).  Every
-        other field contracts its row blocks as they come
-        (:func:`contract_rows`), which keeps the numbers of a field whose
-        real rows serve both axes bit for bit those of its values.
+        Factored values contract their 1-D rows (``Separable.contract``,
+        O(K^2 n) work); sampled and streamed values contract their row
+        blocks as they come (:func:`contract_rows`).
         """
-        if self.factors is not None and self.factors.xrows is not None:
+        if self.factors is not None:
             return self.factors.contract(rows)
         return contract_rows(self.row_blocks(), rows)
 

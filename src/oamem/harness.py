@@ -124,8 +124,8 @@ def _retrieve(cfg: ExperimentConfig, wave: TransverseField, t_s: float) -> np.nd
     A ket psi couples |psi^H a|^2 of the field into the fiber.  Readout
     returns the wave as the field, so the projection reads the decohered
     wave as :func:`~oamem.decoherence.decohered` holds it: an ideal
-    source's wave under a low-rank phase as its 1-D factors, any other
-    in row blocks.  Projection is linear, so the drift factor,
+    source's wave, blurred or under a low-rank phase, as its 1-D factors,
+    any other in row blocks.  Projection is linear, so the drift factor,
     one number for the whole field, goes on the d amplitudes, exactly.  A
     hologram's lens gave each focal-plane mode the phase (-i)^|l|;
     dividing it out puts a in the mask-plane convention of the configured

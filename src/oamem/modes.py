@@ -141,11 +141,11 @@ def _sample(charges: tuple, weights, w0: float, grid: GridSpec,
     """sum_i weights[i] LG_{charges[i],0} on the grid, held as its factors.
 
     The weights fold the modes of :func:`_basis` into one K x K matrix C;
-    the field is powers^T C powers, and no n x n array is built until
-    something reads its ``values``.
+    the field is powers^T C powers, the same rows on both axes, and no
+    n x n array is built until something reads its ``values``.
     """
     mats, powers = _basis(charges, w0, grid)
-    factors = Separable(powers, np.einsum("i,ijk->jk", weights, mats))
+    factors = Separable(powers, np.einsum("i,ijk->jk", weights, mats), powers)
     return TransverseField(grid, None, wavelength, factors)
 
 
@@ -174,10 +174,10 @@ def decompose(f: TransverseField, l: int, dim: int, w0: float) -> np.ndarray:
     With the separable modes of :func:`_basis`, <m_i|f> is
     sum_jk conj(mats[i, j, k]) powers[j]^T F powers[k] dx^2, and ``f``
     contracts F with the cached 1-D factors itself
-    (``TransverseField.contract``): a wave under a low-rank phase from
-    its own 1-D rows, any other field one block of rows at a time, so
-    the n x n field F never needs to exist and no mode is sampled on the
-    grid.
+    (``TransverseField.contract``): a factored field, such as an ideal
+    source's wave, from its own 1-D rows, any other field one block of
+    rows at a time, so the n x n field F never needs to exist and no
+    mode is sampled on the grid.
     """
     mats, powers = _basis(basis_charges(dim, l), w0, f.grid)
     # overlaps[j, k] = powers[j]^T F powers[k]

@@ -22,10 +22,11 @@ loss is modeled downstream (empirical decay in
 phase q^2 D / k_s is checked explicitly, on the forward spectrum of
 the written wave: |S|^2 is folded into a quarter plane
 (``TransverseField.quarter_power``), whose 99 % shell is bracketed and
-bisected from the row sums of its leading block.  The spin wave of an ideal source is no n x n array, and
-its quarter plane is contracted from the 1-D spectra of its factors; a
-hologram's far field computes and caches its spectrum once, for the
-check and the blur, and folds it one block of rows at a time.
+bisected from the row sums of its leading block.  The spin wave of an
+ideal source is no n x n array, and its quarter plane is contracted
+from the 1-D spectra of its factors; a hologram's far field computes
+and caches its spectrum once, for the check and the blur, and folds it
+one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -128,10 +129,10 @@ def diffraction_check(params: MemoryParams, s: TransverseField) -> float:
 
     |S|^2 of the unnormalized 2-D DFT S is folded by the magnitudes
     (|i|, |j|) of its frequency indices into one quarter plane
-    (:func:`_quarter_power`); q99^2 is q_pitch^2 times the first integer
-    shell i^2 + j^2 to hold 99 % of it (:func:`_first_shell`).
+    (``TransverseField.quarter_power``); q99^2 is q_pitch^2 times the
+    first integer shell i^2 + j^2 to hold 99 % of it (:func:`_first_shell`).
     """
-    quarter = _quarter_power(s)
+    quarter = s.quarter_power()
     shell = _first_shell(quarter, 0.99)
     if shell is None:
         return 0.0
@@ -178,8 +179,3 @@ def _first_shell(quarter: np.ndarray, fraction: float) -> int | None:
         else:
             low = mid + 1
     return low
-
-
-def _quarter_power(s: TransverseField) -> np.ndarray:
-    """|S|^2 of ``s`` summed by frequency magnitudes (|i|, |j|): ``s.quarter_power()``."""
-    return s.quarter_power()

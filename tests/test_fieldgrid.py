@@ -231,13 +231,14 @@ class TestFactoredField:
         rows, mix = np.array(field.factors.rows), np.array(field.factors.mix)
         {"rows": rows, "mix": mix}[part][0, 0] = np.nan
         with pytest.raises(NonFiniteField):
-            Separable(rows, mix)
+            Separable(rows, mix, field.factors.xrows)
 
     def test_overflowing_values_raise_when_built(self, field, grid):
         # finite factors whose product overflows: the values are checked
         # when they are built
         huge = TransverseField(grid, None, LAMBDA,
-                               Separable(field.factors.rows * 1e200, field.factors.mix * 1e200))
+                               Separable(field.factors.rows * 1e200, field.factors.mix * 1e200,
+                                         field.factors.xrows))
         with pytest.raises(NonFiniteField):
             huge.values
 
@@ -287,7 +288,7 @@ class TestPhasedFactors:
                     * (40e-6) ** 2)
         phased = TransverseField(base.grid, None, LAMBDA, base.factors.phased(*terms))
         got = phased.filtered(k1)
-        assert got.factors.xrows is not None
+        assert got.factors is not None
         want = np.fft.ifft2(np.fft.fft2(phased.values) * np.outer(k1, k1))
         self.close(got.values, want)
 
@@ -305,12 +306,14 @@ class TestPhasedFactors:
             np.add.at(want, (magnitudes[:, None], magnitudes), power)
             self.close(got, want)
 
-    def test_real_rows_on_both_axes_keep_their_blocks(self, base):
-        # only distinct x-rows are contracted from the factors: the same
-        # rows on both axes give the numbers of their row blocks
+    def test_real_rows_on_both_axes_contract_as_their_samples(self, base):
+        # an ideal source's field has the same real rows on both axes; its
+        # factors contract to the numbers of its sampled copy's row blocks
+        assert np.array_equal(base.factors.rows, base.factors.xrows)
+        assert not base.factors.rows.imag.any()
         rows = np.random.default_rng(1).normal(size=(2, base.grid.n))
         plain = TransverseField(base.grid, base.values, LAMBDA)
-        assert np.array_equal(base.contract(rows), plain.contract(rows))
+        self.close(base.contract(rows), plain.contract(rows))
 
 
 class TestStreamedField:

@@ -13,8 +13,8 @@ from oamem.decoherence import diffuse, longitudinal_drift_factor
 from oamem.fieldgrid import BLOCK_ROWS, GridSpec, TransverseField
 from oamem.harness import _input_field
 from oamem.modes import LGModeSpec, QuditState, lg_field, qubit_state, qutrit_state, synthesize
-from oamem.polariton import (SPEED_OF_LIGHT, MemoryParams, _first_shell, _quarter_power,
-                             diffraction_check, group_velocity, mixing_angle, read, write)
+from oamem.polariton import (SPEED_OF_LIGHT, MemoryParams, _first_shell, diffraction_check,
+                             group_velocity, mixing_angle, read, write)
 
 W0 = 250e-6
 GOLDEN = Path(__file__).resolve().parents[1] / "tools" / "golden.py"
@@ -37,7 +37,7 @@ def golden_configs() -> dict:
 def assert_quarter_equals_the_block_fold(f: TransverseField) -> None:
     """Asserts that ``f``'s quarter plane is a sampled copy's within 1e-13 of its largest entry."""
     plain = TransverseField(f.grid, f.values, f.wavelength)
-    got, want = _quarter_power(f), _quarter_power(plain)
+    got, want = f.quarter_power(), plain.quarter_power()
     assert got.shape == want.shape == (f.grid.n // 2 + 1,) * 2
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
@@ -250,8 +250,8 @@ class TestDiffractionCheck:
         assert s.spectrum is spectrum
 
     def test_factors_need_no_spectrum(self, grid, monkeypatch):
-        # a wave with factors transforms its K x n rows only, and neither
-        # write nor the check caches an n x n spectrum
+        # a wave with factors transforms its K x n rows only, one pass per
+        # axis, and neither write nor the check caches an n x n spectrum
         s = write(lg_field(LGModeSpec(2, W0), grid), MemoryParams())
         assert "spectrum" not in vars(s)
         shapes, fft = [], np.fft.fft
@@ -268,7 +268,7 @@ class TestDiffractionCheck:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert shapes == [(3, grid.n)]
+        assert shapes == [(3, grid.n)] * 2
         assert "spectrum" not in vars(s)
         # nor builds a block of one: the peak stays below one (BLOCK_ROWS, n)
         # complex block (about 0.75 of one here, most of it the quarter plane)
@@ -318,7 +318,7 @@ class TestDiffractionCheck:
         spec.loader.exec_module(golden)
         for name, data in golden.configs().items():
             cfg = parse_config(data)
-            quarter = _quarter_power(_input_field(cfg)[0])
+            quarter = _input_field(cfg)[0].quarter_power()
             expected = histogram_first_shell(quarter, 0.99)
             assert expected is not None, name
             assert _first_shell(quarter.copy(), 0.99) == expected, name
