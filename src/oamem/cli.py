@@ -45,10 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--parallel", type=int, default=1,
-                       help="worker processes for the storage points of decay and tomo, "
-                       "at most one per point and per CPU; a six-point qutrit decay on 2 "
-                       "CPUs took 0.91 s with 2 against 1.20 s with 1 at n = 2048, and "
-                       "lost at n = 1024 and 512")
+                       help="worker processes for the storage points of decay and tomo "
+                       "(the other subcommands ignore it), at most one per point and per "
+                       "CPU; 1, the default, runs the points in this process, and every "
+                       "value writes the same bytes")
     return parser
 
 

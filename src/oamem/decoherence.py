@@ -8,9 +8,10 @@ Two physical mechanisms act on the transverse coherence pattern:
 * spatially inhomogeneous Larmor precession in the residual magnetic
   field, a pure per-pixel phase exp(i dOmega(rho) t_s).
 
-:func:`decohered` gives the decohered wave of one storage time without
-building an n x n array, and a campaign projects it as it is held;
-:func:`decohere` stacks its row blocks into one field, for rendering.
+:func:`decohere` gives the decohered wave of one storage time as
+:class:`~oamem.fieldgrid.TransverseField` holds it, factored, streamed or
+sampled, without building an n x n array: a campaign projects it as it
+is held, and ``render`` reads its ``values``, built on first read.
 The operator order is blur, then phase: the phase is taken at each
 atom's final position.  Nothing that does not depend on t_s is rebuilt.
 The spin wave is a :class:`~oamem.fieldgrid.TransverseField`, which
@@ -45,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NodalLineNotFound, NonFiniteField
-from .fieldgrid import BLOCK_ROWS, GridSpec, TransverseField, stack_rows
+from .fieldgrid import BLOCK_ROWS, GridSpec, TransverseField
 from .polariton import MemoryParams
 
 # reference end-to-end efficiencies used as default decay anchors
@@ -127,51 +128,34 @@ class EfficiencyModel:
         return self.eta0 * math.exp(-t_s / self.tau)
 
 
-def _active_channels(t_s: float, diffusion: MemoryParams | None,
-                     magnetic: MagneticModel | None) -> tuple[bool, bool]:
-    """Whether the blur and the Larmor phase change a wave stored for t_s."""
-    if t_s < 0:
-        raise ValueError("storage time must be >= 0")
-    return diffusion is not None and t_s > 0.0, magnetic is not None and t_s > 0.0
-
-
-def decohered(s: TransverseField, t_s: float, diffusion: MemoryParams | None = None,
-              magnetic: MagneticModel | None = None) -> TransverseField:
-    """``s`` after t_s of free expansion, then Larmor dephasing, with no n x n array built.
+def decohere(s: TransverseField, t_s: float, diffusion: MemoryParams | None = None,
+             magnetic: MagneticModel | None = None) -> TransverseField:
+    """``s`` after t_s of free expansion, then Larmor dephasing, as ``TransverseField`` holds it.
 
     A channel left None is off, and ``diffusion`` is the memory whose
     temperature and mass set the blur.  The blur is ``s.filtered``; the
-    phase is ``TransverseField.phased`` of :class:`_LarmorPhase`, which
-    keeps a factored wave factored under a low-rank phase and streams
-    any other wave times the dense phase in row blocks.  Raises
-    NonFiniteField, naming the phase and t_s, when dOmega t_s is not
-    finite somewhere on the grid.  With no channel on, returns ``s``.
+    phase is ``s.phased`` of the low-rank terms (:func:`_phase_terms`)
+    and the dense rows (:func:`_dephased`), so a factored wave stays
+    factored under a low-rank phase and any other wave streams times the
+    dense phase in row blocks.  No n x n array is built: a campaign
+    projects the wave as it is held, and ``render`` reads its ``values``,
+    built on first read.  Raises NonFiniteField, naming the phase and
+    t_s, when dOmega t_s is not finite somewhere on the grid.  With no
+    channel on (t_s = 0), returns ``s``.
     """
-    blur, phase = _active_channels(t_s, diffusion, magnetic)
-    if blur:
+    if t_s < 0:
+        raise ValueError("storage time must be >= 0")
+    if diffusion is not None and t_s > 0.0:
         s = s.filtered(_blur_kernel(s.grid, diffusion.sigma(t_s), t_s))
-    if phase:
-        peak = _larmor_peak(magnetic, s.grid)
+    if magnetic is not None and t_s > 0.0:
+        grid = s.grid
+        peak = _larmor_peak(magnetic, grid)
         if not math.isfinite(peak * t_s):
             raise NonFiniteField(f"field values must be finite: the Larmor phase dOmega t_s "
                                  f"reaches {peak * t_s:g} rad at t_s = {t_s:g} s")
-        s = s.phased(_LarmorPhase(magnetic, s.grid, t_s))
+        s = s.phased(lambda: _phase_terms(magnetic, grid, t_s),
+                     lambda blocks: _dephased(blocks, grid, magnetic, t_s))
     return s
-
-
-def decohere(s: TransverseField, t_s: float, diffusion: MemoryParams | None = None,
-             magnetic: MagneticModel | None = None) -> TransverseField:
-    """``s`` after t_s of free expansion, then Larmor dephasing; a channel left None is off.
-
-    Stacks the row blocks of :func:`decohered` into one new n x n array,
-    which the returned field checks to be finite.  Returns ``s`` itself
-    when no channel changes it (t_s = 0).  A campaign that only projects
-    the wave projects :func:`decohered` and builds no n x n array.
-    """
-    if not any(_active_channels(t_s, diffusion, magnetic)):
-        return s
-    wave = decohered(s, t_s, diffusion, magnetic)
-    return s.with_values(stack_rows(wave.row_blocks(), s.grid.n))
 
 
 def diffuse(s: TransverseField, p: MemoryParams, t_s: float) -> TransverseField:
@@ -248,7 +232,7 @@ def _dephased(blocks: Iterator[np.ndarray], grid: GridSpec, mdl: MagneticModel,
 
     Every product is written into one phase buffer, which is yielded, so
     a yielded block is valid until the next one is requested; the input
-    blocks are not written.  :func:`decohered` has checked that dOmega t_s
+    blocks are not written.  :func:`decohere` has checked that dOmega t_s
     is finite.
     """
     omega = _larmor_map(mdl, grid)
@@ -348,21 +332,6 @@ def _phase_terms(mdl: MagneticModel, grid: GridSpec,
         i = int(np.argmax(np.where(free, np.abs(u[r]), -1.0)))
         residual = phase(xs, ys[i], (n,)) - np.einsum("r,rx->x", u[:r + 1, i], v[:r + 1])
     return None
-
-
-@dataclass(frozen=True)
-class _LarmorPhase:
-    """exp(i dOmega t_s) of ``mdl`` on ``grid``, as ``TransverseField.phased`` reads it."""
-
-    mdl: MagneticModel
-    grid: GridSpec
-    t_s: float
-
-    def terms(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return _phase_terms(self.mdl, self.grid, self.t_s)
-
-    def rows(self, blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-        return _dephased(blocks, self.grid, self.mdl, self.t_s)
 
 
 def magnetic_dephase(s: TransverseField, mdl: MagneticModel, t_s: float) -> TransverseField:

@@ -28,15 +28,16 @@ A field is held in one of three representations, and only
   factored; the power of its spectrum, folded into a quarter plane, is
   contracted from the 1-D row transforms, so no n x n spectrum exists;
   a projection onto separable modes contracts the rows alone (K^2 n
-  work); its values are streamed as blocks contracted from the rows,
-  and its n x n ``values`` are built only when something reads them,
-  such as the exporters of ``render``.
+  work); its values are streamed as blocks contracted from the rows.
 * streamed: a function that computes its row blocks as they are
   requested, such as a wave times a dense phase map.
 
 All stream in blocks of ``BLOCK_ROWS`` rows
 (:meth:`TransverseField.row_blocks`), so that work that needs one row
 of an n x n array at a time holds about 64 n samples instead of n^2.
+A factored or streamed field builds its n x n ``values`` only when
+something reads them, such as the exporters of ``render``, by stacking
+those same blocks, so there is one way to build them.
 :meth:`TransverseField.contract` contracts a field with 1-D rows on
 both axes, as a projection onto separable modes does: from the factors
 of a factored field, else block by block.
@@ -221,17 +222,12 @@ class Separable:
             a.flags.writeable = False
         self.__dict__.update(state)
 
-    def row_blocks(self, size: int = BLOCK_ROWS) -> Iterator[np.ndarray]:
-        """The array, ``size`` rows at a time; einsum keeps BLAS threads idle."""
+    def row_blocks(self) -> Iterator[np.ndarray]:
+        """The array, BLOCK_ROWS rows at a time; einsum keeps BLAS threads idle."""
         n = self.rows.shape[1]
         inner = np.einsum("jk,kx->jx", self.mix, self.xrows)
-        for start in range(0, n, size):
-            yield np.einsum("jy,jx->yx", self.rows[:, start:start + size], inner)
-
-    def array(self) -> np.ndarray:
-        """The n x n array, as a new writable array."""
-        (values,) = self.row_blocks(len(self.rows[0]))
-        return values
+        for start in range(0, n, BLOCK_ROWS):
+            yield np.einsum("jy,jx->yx", self.rows[:, start:start + BLOCK_ROWS], inner)
 
     def filtered(self, k1: np.ndarray) -> "Separable":
         """This array with its 2-D spectrum multiplied by k1(q_x) k1(q_y).
@@ -329,11 +325,10 @@ class TransverseField:
 
     @cached_property
     def values(self) -> np.ndarray:
-        """The read-only n x n samples; factors or a stream build them on first read."""
+        """The read-only n x n samples; other fields stack their row blocks on first read."""
         if self.samples is not None:
             return self.samples
-        values = self.factors.array() if self.factors is not None else \
-            stack_rows(self.stream(), self.grid.n)
+        values = stack_rows(self.row_blocks(), self.grid.n)
         _check_finite(values, "field values")
         values.flags.writeable = False
         return values
@@ -412,22 +407,22 @@ class TransverseField:
         np.fft.ifft(filtered, axis=0, out=filtered)
         return self.with_values(filtered)
 
-    def phased(self, phase) -> "TransverseField":
-        """This field times the n x n phase map that ``phase`` stands for.
+    def phased(self, terms: Callable[[], tuple[np.ndarray, np.ndarray] | None],
+               rows: Callable[[Iterator[np.ndarray]], Iterator[np.ndarray]]) -> "TransverseField":
+        """This field times the n x n phase map that two functions stand for, no map built.
 
-        ``phase.terms()`` is the map as low-rank terms (u, v), the map
-        being sum_r u[r, y] v[r, x], or None when it has none worth
-        using; ``phase.rows(blocks)`` yields the row blocks of a field
-        times the map.  A factored field under a low-rank map stays
-        factored (``Separable.phased``), with no n x n array; any other
-        field streams ``phase.rows`` of its row blocks, and ``terms`` is
-        not asked for.
+        ``terms()`` is the map as low-rank terms (u, v), the map being
+        sum_r u[r, y] v[r, x], or None when it has none worth using;
+        ``rows(blocks)`` yields the row blocks of a field times the map.
+        A factored field under a low-rank map stays factored
+        (``Separable.phased``), with no n x n array; any other field
+        streams ``rows`` of its row blocks, and ``terms`` is not called.
         """
-        terms = phase.terms() if self.factors is not None else None
-        if terms is not None:
-            return TransverseField(self.grid, None, self.wavelength, self.factors.phased(*terms))
+        uv = terms() if self.factors is not None else None
+        if uv is not None:
+            return TransverseField(self.grid, None, self.wavelength, self.factors.phased(*uv))
         return TransverseField(self.grid, None, self.wavelength,
-                               stream=lambda: phase.rows(self.row_blocks()))
+                               stream=lambda: rows(self.row_blocks()))
 
     def contract(self, rows: np.ndarray) -> np.ndarray:
         """sum_yx rows[j, y] F[y, x] rows[k, x] of ``values`` F, for real K x n ``rows``.

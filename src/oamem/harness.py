@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .bounds import classical_limit, threshold_band
 from .config import ExperimentConfig, config_hash
-from .decoherence import decohere, decohered, longitudinal_drift_factor
+from .decoherence import decohere, longitudinal_drift_factor
 from .errors import ConfigError, DomainError, NonFiniteField
 from .fieldgrid import TransverseField, export_csv, export_pgm
 from .holography import (export_pgm_hologram, focal_basis_phases, fraunhofer,
@@ -123,16 +123,17 @@ def _retrieve(cfg: ExperimentConfig, wave: TransverseField, t_s: float) -> np.nd
 
     A ket psi couples |psi^H a|^2 of the field into the fiber.  Readout
     returns the wave as the field, so the projection reads the decohered
-    wave as :func:`~oamem.decoherence.decohered` holds it: an ideal
-    source's wave, blurred or under a low-rank phase, as its 1-D factors,
-    any other in row blocks.  Projection is linear, so the drift factor,
-    one number for the whole field, goes on the d amplitudes, exactly.  A
-    hologram's lens gave each focal-plane mode the phase (-i)^|l|;
-    dividing it out puts a in the mask-plane convention of the configured
-    state.  Raises NonFiniteField when an amplitude is not finite.
+    wave as :func:`~oamem.decoherence.decohere` returns it, with no n x n
+    array: an ideal source's wave, blurred or under a low-rank phase, as
+    its 1-D factors, any other in row blocks.  Projection is linear, so
+    the drift factor, one number for the whole field, goes on the d
+    amplitudes, exactly.  A hologram's lens gave each focal-plane mode
+    the phase (-i)^|l|; dividing it out puts a in the mask-plane
+    convention of the configured state.  Raises NonFiniteField when an
+    amplitude is not finite.
     """
     q = cfg.qudit
-    a = decompose(decohered(wave, t_s, *_channels(cfg)), q.l, q.dim, q.waist)
+    a = decompose(decohere(wave, t_s, *_channels(cfg)), q.l, q.dim, q.waist)
     if cfg.source.kind == "hologram":
         a = a / focal_basis_phases(basis_charges(q.dim, q.l))
     if cfg.decoherence.longitudinal_drift:

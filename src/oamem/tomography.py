@@ -77,7 +77,8 @@ class ProjectionSet:
 
     @property
     def pole_labels(self) -> tuple[str, ...]:
-        return ("L", "R") if self.dim == 2 else ("L", "G", "R")
+        # the tables list the basis vectors first, in basis order
+        return self.labels[:self.dim]
 
     @cached_property
     def design(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, bool]:

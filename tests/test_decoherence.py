@@ -8,11 +8,12 @@ from oracles import direct_gaussian_convolution, overlap
 
 from oamem.config import parse_config
 from oamem.decoherence import (PHASE_RANK_DIVISOR, EfficiencyModel, MagneticModel, _dephased,
-                               _larmor_map, _larmor_peak, _phase_terms, decohere, decohered,
+                               _larmor_map, _larmor_peak, _phase_terms, decohere,
                                diffuse, longitudinal_drift_factor, magnetic_dephase,
                                qutrit_nodal_shift)
 from oamem.errors import NodalLineNotFound, NonFiniteField
 from oamem.fieldgrid import GridSpec, TransverseField, stack_rows
+from oamem.harness import _channels, _store
 from oamem.modes import LGModeSpec, decompose, lg_field, qubit_state, qutrit_state, synthesize
 from oamem.polariton import BOLTZMANN, MemoryParams, read, write
 
@@ -25,12 +26,12 @@ CONE = MagneticModel(trap_gradient=0.1, ambient_fraction=0.05, guiding_b=0.0,
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
-def workload_configs():
-    """The benchmark workloads at seeds 1-3, parsed."""
+def workload_configs(**changes):
+    """The benchmark workloads at seeds 1-3, each with ``changes``, parsed."""
     spec = importlib.util.spec_from_file_location("workloads", WORKLOADS_PY)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return {f"{name}-s{seed}": parse_config(make(seed)[1])
+    return {f"{name}-s{seed}": parse_config({**make(seed)[1], **changes})
             for name, make in workloads.WORKLOADS.items() for seed in (1, 2, 3)}
 
 
@@ -147,7 +148,8 @@ class TestDiffuse:
         for t_s in (1e-4, 5e-4, 1e-3, 2e-3):
             spectral = diffuse(plain, diffusion, t_s).values
             got = diffuse(s, diffusion, t_s)
-            assert got.factors is None
+            # decohere returns the blurred wave as it is held: still factored
+            assert got.factors is not None and "values" not in vars(got)
             assert np.max(np.abs(got.values - spectral)) <= 1e-13 * np.max(np.abs(spectral))
 
     def test_spectrum_cached_and_read_only(self, grid, diffusion):
@@ -228,6 +230,43 @@ class TestDecohere:
         s = stored(TransverseField(grid, f.values, f.wavelength))
         for both, turns in self.in_turn(s, diffusion):
             assert np.array_equal(both, turns)
+
+    @staticmethod
+    def waves(case):
+        """(stored wave, t_s, diffusion, magnetic) of each decoherence call of ``case``."""
+        if case == "dense-cone":
+            g = GridSpec(64, 3.2e-3)
+            s = stored(synthesize(qutrit_state(1.0, 0.5j, -0.3, l=1), W0, g))
+            for t_s in (0.0, 1e-5, 2e-5, 1e-3):
+                yield s, t_s, MemoryParams(temperature=100e-6, mass=RB85), CONE
+            return
+        source = {"kind": "hologram", "input_waist": 5e-4, "focal": 0.5}
+        configs = workload_configs(**({"source": source} if case == "hologram" else {}))
+        for name, cfg in configs.items():
+            if case == "hologram" and not name.endswith("-s1"):
+                continue
+            wave = _store(cfg)[1]
+            for t_s in cfg.storage_times:
+                yield wave, t_s, *_channels(cfg)
+
+    @pytest.mark.parametrize("case", ["low-rank", "dense-cone", "hologram"])
+    def test_values_are_the_stacked_row_blocks(self, case):
+        # render reads the values that a decohered wave builds on first read;
+        # they are the row blocks that a campaign streams, stacked, bit for
+        # bit, on a factored wave under a low-rank phase (the benchmark
+        # workloads), a factored wave streamed through the dense phase (the
+        # cone at n = 64) and a hologram's sampled far field
+        for s, t_s, diffusion, mdl in self.waves(case):
+            assert (s.samples is not None) == (case == "hologram")
+            got = decohere(s, t_s, diffusion, mdl)
+            want = stack_rows(decohere(s, t_s, diffusion, mdl).row_blocks(), s.grid.n)
+            assert np.array_equal(got.values.view(np.float64), want.view(np.float64))
+            if t_s == 0.0:
+                assert got is s
+            elif case == "low-rank":
+                assert got.factors is not None
+            else:
+                assert got.stream is not None
 
     def test_overflowing_phase_raises_before_cos(self, grid):
         s = stored(lg_field(LGModeSpec(1, W0), grid))
@@ -420,7 +459,7 @@ class TestLowRankPhase:
         t_s = 1e-3
         assert _phase_terms(CONE, grid, t_s) is None
         s = stored(synthesize(qutrit_state(1.0, 0.5j, -0.3, l=1), W0, grid))
-        wave = decohered(s, t_s, magnetic=CONE)
+        wave = decohere(s, t_s, magnetic=CONE)
         assert wave.factors is None
         dense = stack_rows(_dephased(s.row_blocks(), grid, CONE, t_s), grid.n)
         assert np.array_equal(stack_rows(wave.row_blocks(), grid.n).view(np.float64),
@@ -433,7 +472,7 @@ class TestLowRankPhase:
     def test_factored_wave_stays_factored(self, grid, diffusion):
         mdl = MagneticModel(guiding_b=2e-5, sensitivity=5e9, center=(3e-4, -2e-4))
         s = stored(synthesize(qutrit_state(1.0, 0.5j, -0.3, l=1), W0, grid))
-        wave = decohered(s, 2e-4, diffusion, mdl)
+        wave = decohere(s, 2e-4, diffusion, mdl)
         rank = len(_phase_terms(mdl, grid, 2e-4)[0])
         assert wave.factors.rows.shape == (2 * rank, grid.n)
         assert "values" not in vars(wave)

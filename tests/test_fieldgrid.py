@@ -6,7 +6,7 @@ from oracles import csv_writer_export, lg_amplitude, read_pgm
 
 from oamem.errors import GridMismatch, NonFiniteField
 from oamem.fieldgrid import (BLOCK_ROWS, GridSpec, Separable, TransverseField, export_csv,
-                             export_pgm, inner_product, transform_to_spectrum)
+                             export_pgm, inner_product, stack_rows, transform_to_spectrum)
 from oamem.modes import LGModeSpec, lg_field, qutrit_state, synthesize
 
 LAMBDA = 795e-9
@@ -203,7 +203,10 @@ class TestFactoredField:
 
     def test_values_are_the_factors_array_read_only_and_cached(self, field):
         values = field.values
-        assert np.array_equal(values, field.factors.array())
+        assert np.array_equal(values, stack_rows(field.factors.row_blocks(), field.grid.n))
+        f = field.factors
+        dense = np.einsum("jy,jk,kx->yx", f.rows, f.mix, f.xrows)
+        assert np.max(np.abs(values - dense)) <= 1e-13 * np.max(np.abs(dense))
         assert not values.flags.writeable
         assert field.values is values
 
@@ -273,15 +276,15 @@ class TestPhasedFactors:
         u, v = terms
         phased = base.factors.phased(u, v)
         assert phased.rows.shape == phased.xrows.shape == (2 * 3, base.grid.n)
-        self.close(phased.array(), base.values * (u.T @ v))
-        blocks = list(TransverseField(base.grid, None, LAMBDA, phased).row_blocks())
-        assert np.array_equal(np.concatenate(blocks), phased.array())
+        values = stack_rows(phased.row_blocks(), base.grid.n)
+        self.close(values, base.values * (u.T @ v))
+        assert np.array_equal(TransverseField(base.grid, None, LAMBDA, phased).values, values)
 
     def test_contract_equals_the_dense_contraction(self, base, terms, rng):
         phased = base.factors.phased(*terms)
         rows = rng.normal(size=(3, base.grid.n))
         field = TransverseField(base.grid, None, LAMBDA, phased)
-        self.close(field.contract(rows), rows @ phased.array() @ rows.T)
+        self.close(field.contract(rows), rows @ field.values @ rows.T)
 
     def test_filtered_equals_the_spectral_filter(self, base, terms):
         k1 = np.exp(-0.5 * (2 * np.pi * np.fft.fftfreq(base.grid.n, d=base.grid.pitch)) ** 2

@@ -15,7 +15,7 @@ import oamem
 from oamem.cli import SUBCOMMANDS
 from oamem.cli import main as cli_main
 from oamem.config import EXPERIMENT_KINDS, parse_config, serialize_config
-from oamem.decoherence import (_larmor_map, _phase_terms, decohere, decohered, diffuse,
+from oamem.decoherence import (_larmor_map, _phase_terms, decohere, diffuse,
                                longitudinal_drift_factor, magnetic_dephase)
 from oamem.errors import ConfigError, NonFiniteField
 from oamem.fieldgrid import BLOCK_ROWS, Separable, row_blocks
@@ -55,7 +55,7 @@ def small_cfg(**overrides):
 
 
 def readout(cfg, wave, t_s):
-    """The field read out of ``wave`` after t_s of the configured channels, as one array."""
+    """The field read out of ``wave`` after t_s of the configured channels, as it is held."""
     return read(decohere(wave, t_s, *_channels(cfg)))
 
 
@@ -293,7 +293,7 @@ class TestStream:
         t_s = 2e-4
         phase = _larmor_map(cfg.magnetic, wave.grid) * t_s
         rot = np.cos(phase) + 1j * np.sin(phase)
-        blocks = decohered(wave, t_s, magnetic=cfg.magnetic).row_blocks()
+        blocks = decohere(wave, t_s, magnetic=cfg.magnetic).row_blocks()
         for start, (block, got) in zip(range(0, wave.grid.n, BLOCK_ROWS),
                                        zip(wave.row_blocks(), blocks)):
             want = np.multiply(block, rot[start:start + BLOCK_ROWS])
@@ -307,14 +307,18 @@ class TestStream:
             _retrieve(cfg, huge, 0.0)
 
     def test_storage_point_peaks_below_one_field_array(self):
-        # with both channels on, a point holds a block of rows at a time; the
-        # first point builds the per-campaign Larmor map
-        cfg = small_cfg(grid=README_GRID, storage_times=[1e-5, 2e-5], **SENSITIVE)
+        # with both channels on and no low-rank phase, a point streams the
+        # dense phase and holds a block of rows at a time, about 10.5 n^2
+        # bytes; the first point builds the per-campaign Larmor map
+        cfg = small_cfg(grid=README_GRID, storage_times=[5e-4, 1e-3],
+                        counting={"poisson": False}, **SENSITIVE)
+        for t_s in cfg.storage_times:
+            assert _phase_terms(cfg.magnetic, cfg.grid, t_s) is None
         stored = _store(cfg)
-        storage_point(cfg, stored, 0, 1e-5)
+        storage_point(cfg, stored, 0, 5e-4)
         tracemalloc.start()
         try:
-            storage_point(cfg, stored, 1, 2e-5)
+            storage_point(cfg, stored, 1, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -375,7 +379,6 @@ class TestStream:
         def refuse(self, *args):
             raise AssertionError("a campaign built n x n values from the factors")
 
-        monkeypatch.setattr(Separable, "array", refuse)
         monkeypatch.setattr(Separable, "row_blocks", refuse)
         cfg = small_cfg(qudit=dict(qudit), storage_times=[0.0, 1e-5, 2e-4],
                         decoherence={"diffusion": True, "magnetic": True,
@@ -389,11 +392,13 @@ class TestStream:
     def test_dense_phase_builds_no_field_array(self, monkeypatch, tmp_path, runner):
         # the cone's phase has no low rank at n = 64, so each point with
         # t > 0 streams the factors' row blocks through the dense phase, and
-        # still no n x n array is built from the factors
-        def refuse(self):
-            raise AssertionError("a campaign built an n x n array from the factors")
+        # still no n x n array is stacked from any row blocks
+        import oamem.fieldgrid as fieldgrid
 
-        monkeypatch.setattr(Separable, "array", refuse)
+        def refuse(*args):
+            raise AssertionError("a campaign stacked an n x n array from row blocks")
+
+        monkeypatch.setattr(fieldgrid, "stack_rows", refuse)
         cfg = small_cfg(storage_times=[0.0, 1e-5, 2e-5],
                         decoherence={"diffusion": True, "magnetic": True,
                                      "longitudinal_drift": True},

@@ -39,6 +39,15 @@ class TestProjectionSets:
         assert ProjectionSet.qutrit().labels == (
             "L", "G", "R", "G-L", "G+R", "G+iL", "G-iR", "L+iR", "L-R")
 
+    def test_tables_open_with_the_basis_in_basis_order(self):
+        # pole_labels reads the first dim labels, so those kets must be the
+        # basis vectors: [L, R] for a qubit, [L, G, R] for a qutrit
+        for pset, poles in ((ProjectionSet.qubit(), ("L", "R")),
+                            (ProjectionSet.qutrit(), ("L", "G", "R"))):
+            kets = np.array([psi for _, psi in pset.projectors[:pset.dim]])
+            assert np.array_equal(kets, np.eye(pset.dim))
+            assert pset.pole_labels == poles
+
     def test_projectors_normalized(self):
         for pset in (ProjectionSet.qubit(), ProjectionSet.qutrit()):
             for _, psi in pset.projectors:
