@@ -11,6 +11,7 @@ below 1e-15, with an explicit certificate in the tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,8 +37,15 @@ class PhotonStatistics:
             raise DomainError("mean photon number must be positive")
         if self.uncertainty < 0:
             raise DomainError("uncertainty must be >= 0")
-        if self.n_bar - self.uncertainty <= 0:
+        lo, hi = self.n_bar - self.uncertainty, self.n_bar + self.uncertainty
+        if lo <= 0:
             raise DomainError("n_bar - uncertainty must stay positive")
+        # the tables start from P(0) = e^-n_bar, and the bound divides by 1 - P(0)
+        if math.exp(-lo) == 1.0:
+            raise DomainError(f"n_bar - uncertainty = {lo:g} rounds 1 - e^-{lo:g} to 0")
+        if math.exp(-hi) < sys.float_info.min:
+            raise DomainError(f"n_bar + uncertainty = {hi:g} is past 708.396, where "
+                              f"e^-n_bar is no longer a normal float")
 
 
 @dataclass(frozen=True)
@@ -52,6 +60,12 @@ class BoundResult:
 def _poisson_table(n_bar: float) -> tuple[tuple[int, float], ...]:
     """(N, P(N)) from N = 0 until the remaining tail mass is below TAIL_EPS.
 
+    The running sum rounds, so for some means (the first is 26.65)
+    1 - sum never drops to TAIL_EPS: the table also ends before the
+    first term past the mean that leaves the sum unchanged, which leaves
+    at most 2.3e-16 of mass past its last term (means 0.05 to 708.3 in
+    steps of 0.05).
+
     Built once per n_bar: a campaign asks for the same few values (n_bar
     and the points of :func:`threshold_band`) at every storage time.
     """
@@ -62,6 +76,8 @@ def _poisson_table(n_bar: float) -> tuple[tuple[int, float], ...]:
     while 1.0 - cumulative > TAIL_EPS and n < _MAX_TERMS:
         n += 1
         p *= n_bar / n
+        if n > n_bar and cumulative + p == cumulative:
+            break
         cumulative += p
         table.append((n, p))
     return tuple(table)

@@ -92,6 +92,11 @@ class GridSpec:
             raise ValueError(f"grid size must be a power of two, got {self.n}")
         if not self.extent > 0:
             raise ValueError(f"extent must be positive, got {self.extent}")
+        # the pixel areas in real and frequency space scale every transform
+        areas = (self.pitch * self.pitch, self.q_pitch * self.q_pitch)
+        if not all(np.finfo(float).tiny <= a < np.inf for a in areas):
+            raise ValueError(f"extent {self.extent:g} at n = {self.n} gives pixel areas "
+                             f"{areas[0]:g} m^2 and {areas[1]:g} rad^2/m^2: not normal floats")
         # hashable, so that per-grid maps can be cached
         object.__setattr__(self, "center", tuple(self.center))
 
@@ -478,10 +483,17 @@ def export_pgm(f: TransverseField, path) -> None:
     peak = inten.max()
     if peak > 0:
         inten = inten / peak
-    data = np.round(inten * 65535.0).astype(">u2")
+    write_pgm(path, inten * 65535.0, 65535)
+
+
+def write_pgm(path, data: np.ndarray, maxval: int) -> None:
+    """Write ``data``, rounded to levels 0 .. maxval, as a binary PGM (row-major).
+
+    Levels take one byte up to maxval 255 and two big-endian bytes above.
+    """
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{f.grid.n} {f.grid.n}\n65535\n".encode("ascii"))
-        fh.write(data.tobytes())
+        fh.write(f"P5\n{data.shape[1]} {data.shape[0]}\n{maxval}\n".encode("ascii"))
+        fh.write(np.round(data).astype("u1" if maxval < 256 else ">u2").tobytes())
 
 
 def export_csv(f: TransverseField, path) -> None:

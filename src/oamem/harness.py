@@ -87,11 +87,16 @@ def _input_field(cfg: ExperimentConfig):
 
     Returns (field, hologram_or_None); the hologram path imprints the
     binary mask on a Gaussian and takes the single lens far field, so
-    the returned field lives on the focal-plane grid.
+    the returned field lives on the focal-plane grid.  A mask depends
+    on the charge alone, not on the configured state: the qubit mask
+    makes (|L> + |R>) / sqrt(2) whatever ``gamma`` and ``beta`` are,
+    and the qutrit mask the equal qutrit whatever ``coeffs`` are.
+    ``f_abs`` compares the retrieved state with the configured one and
+    ``f_rel`` with the stored one.
     """
-    state = cfg.qudit.to_state()
     if cfg.source.kind == "ideal":
-        return synthesize(state, cfg.qudit.waist, cfg.grid, cfg.memory.lambda_s), None
+        return synthesize(cfg.qudit.to_state(), cfg.qudit.waist, cfg.grid,
+                          cfg.memory.lambda_s), None
     gauss = lg_field(LGModeSpec(0, cfg.source.input_waist), cfg.grid, cfg.memory.lambda_s)
     if cfg.qudit.dim == 2:
         holo = qubit_hologram(cfg.qudit.l, cfg.grid)

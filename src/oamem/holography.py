@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatch, InvalidCharge
-from .fieldgrid import GridSpec, TransverseField, inner_product, transform_to_spectrum
+from .fieldgrid import (GridSpec, TransverseField, inner_product, transform_to_spectrum,
+                        write_pgm)
 from .modes import QuditState, synthesize
 
 BINARY_TOL = 1e-9
@@ -106,10 +107,7 @@ def project_and_couple(f: TransverseField, target: QuditState, w0: float) -> com
 
 def export_pgm_hologram(h: PhaseHologram, path) -> None:
     """Write the binary mask as an 8-bit PGM, gray = phase * 255 / pi: 0 or 255."""
-    gray = np.round(h.phase * 255.0 / np.pi).astype("u1")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{h.grid.n} {h.grid.n}\n255\n".encode("ascii"))
-        fh.write(gray.tobytes())
+    write_pgm(path, h.phase * 255.0 / np.pi, 255)
 
 
 def focal_basis_phases(charges) -> np.ndarray:

@@ -17,9 +17,6 @@ import numpy as np
 from .errors import DimMismatch, GridTooSmall
 from .fieldgrid import GridSpec, Separable, TransverseField
 
-QUBIT_LABELS = ("L", "R")
-QUTRIT_LABELS = ("L", "G", "R")
-
 
 @dataclass(frozen=True)
 class LGModeSpec:
@@ -68,10 +65,6 @@ class QuditState:
     @property
     def dim(self) -> int:
         return self.coeffs.shape[0]
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return QUBIT_LABELS if self.dim == 2 else QUTRIT_LABELS
 
     def charges(self) -> tuple[int, ...]:
         return basis_charges(self.dim, self.l)

@@ -21,8 +21,8 @@ loss is modeled downstream (empirical decay in
 :mod:`oamem.decoherence`), and the neglected free-space diffraction
 phase q^2 D / k_s is checked explicitly, on the forward spectrum of
 the written wave: |S|^2 is folded into a quarter plane
-(``TransverseField.quarter_power``), whose 99 % shell is bracketed and
-bisected from the row sums of its leading block.  The spin wave of an
+(``TransverseField.quarter_power``), whose 99 % shell is read from one
+histogram of the shells of its leading block.  The spin wave of an
 ideal source is no n x n array, and its quarter plane is contracted
 from the 1-D spectra of its factors; a hologram's far field computes
 and caches its spectrum once, for the check and the blur, and folds it
@@ -142,40 +142,22 @@ def diffraction_check(params: MemoryParams, s: TransverseField) -> float:
 def _first_shell(quarter: np.ndarray, fraction: float) -> int | None:
     """The least shell S = i^2 + j^2 whose disc holds ``fraction`` of ``quarter``; None if empty.
 
-    The disc is every entry with i^2 + j^2 <= S, so it lies in the
-    leading w x w block, w = isqrt(S) + 1.  S is bracketed by doubling
-    from 1, since a resolved spectrum fills a small disc, and then
-    bisected.  Each bracket sums the rows of its block cumulatively, so
-    the energy within S is one entry in each of the rows i <= sqrt(S),
-    found from the 1-D table of the n/2 + 1 values of k^2: no per-pixel
-    shell index, no histogram over the n^2 / 2 shells, and no pass over
-    the whole plane beyond its sum.
+    The leading w x w block is doubled from w = 1, since a resolved
+    spectrum fills a small disc, until it holds the target.  Its
+    largest shell 2 (w - 1)^2 then holds the target too, and the disc
+    of every shell up to that one lies in the leading block of width
+    isqrt(2 (w - 1)^2) + 1, so one ``np.bincount`` of the shells of
+    that block, summed cumulatively, gives the energy within each of
+    them, and S is the first to reach the target.
     """
-    k2 = np.arange(len(quarter)) ** 2
     target = fraction * float(quarter.sum())
     if target == 0:
         return None
-
-    def within(shell: int, prefix: np.ndarray) -> float:
-        # row i <= sqrt(shell) holds the columns j with j^2 <= shell - i^2
-        inside = min(math.isqrt(shell) + 1, len(k2))
-        count = np.searchsorted(k2, shell - k2[:inside], side="right")
-        return float(prefix[np.arange(inside), count - 1].sum())
-
-    def block(shell: int) -> np.ndarray:
-        width = min(math.isqrt(shell) + 1, len(k2))
-        return np.cumsum(quarter[:width, :width], axis=1)
-
-    top = 2 * int(k2[-1])
-    low, high = 0, 1
-    prefix = block(high)
-    while high < top and within(high, prefix) < target:
-        low, high = high + 1, min(2 * high, top)
-        prefix = block(high)
-    while low < high:
-        mid = (low + high) // 2
-        if within(mid, prefix) >= target:
-            high = mid
-        else:
-            low = mid + 1
-    return low
+    w = 1
+    while w < len(quarter) and quarter[:w, :w].sum() < target:
+        w = min(2 * w, len(quarter))
+    width = min(math.isqrt(2 * (w - 1) ** 2) + 1, len(quarter))
+    k2 = np.arange(width) ** 2
+    block = quarter[:width, :width]
+    return int(np.searchsorted(np.cumsum(np.bincount((k2[:, None] + k2).ravel(),
+                                                     weights=block.ravel())), target))

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from oracles import (brute_classical_limit, brute_nmin, brute_weighted_limit,
                      poisson_terms, poisson_weighted_limit)
 
-from oamem.bounds import PhotonStatistics, _poisson_table, classical_limit, nmin, threshold_band
+from oamem.bounds import (TAIL_EPS, PhotonStatistics, _poisson_table, classical_limit, nmin,
+                          threshold_band)
 from oamem.decoherence import EfficiencyModel
 from oamem.errors import DomainError
 
@@ -38,6 +41,16 @@ def test_poisson_table_built_once_per_mean():
     assert [n for n, _ in table] == list(range(len(table)))
     assert [p for _, p in table] == pytest.approx(poisson_terms(1.6, len(table) - 1),
                                                   rel=1e-12)
+
+
+def test_poisson_table_ends_where_its_running_sum_stalls():
+    # at n_bar = 26.65, 1 - sum never drops to TAIL_EPS: the table ends past
+    # the mean where a term no longer changes the sum, not at 100001 terms
+    table = _poisson_table(26.65)
+    assert len(table) < 200
+    assert [p for _, p in table] == pytest.approx(poisson_terms(26.65, len(table) - 1),
+                                                  rel=1e-12)
+    assert math.fsum(poisson_terms(26.65, 400)[len(table):]) < TAIL_EPS
 
 
 class TestNmin:

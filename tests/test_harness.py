@@ -770,6 +770,19 @@ class TestCampaigns:
         assert f_abs >= 0.99
         assert f_abs == pytest.approx(abs(np.vdot(c, a_hat)), abs=1e-9)
 
+    def test_hologram_stores_one_state_whatever_the_configured_one(self):
+        # the qubit mask is Arg[cos(l phi)] whatever gamma and beta are, so it
+        # stores (|L> + |R>) / sqrt(2); f_abs compares with the configured state
+        stored = []
+        for gamma, beta in ((1.2, 0.3), (0.3, 2.0)):
+            cfg = small_cfg(qudit={**QUBIT, "gamma": gamma, "beta": beta},
+                            source=dict(HOLOGRAM), storage_times=[0.0])
+            stored.append(_store(cfg)[0])
+        assert np.abs(stored[0] - stored[1]).max() <= 1e-12
+        a = stored[0]
+        assert abs(abs(a[0]) - abs(a[1])) <= 1e-12
+        assert abs(np.angle(a[1] / a[0])) <= 1e-12
+
     def test_scan_honours_decoherence(self, tmp_path):
         cfg = small_cfg(qudit=dict(QUBIT), counting={"poisson": False},
                         storage_times=[2e-5], **SENSITIVE)
@@ -951,6 +964,30 @@ def test_config_faults_exit_2(tmp_path, capsys, subcommand, changes):
 
 
 SMALL_GRID = {"n": 64, "extent": 3.2e-3}
+
+
+# floats that leave the normal range: e^-(n_bar + uncertainty) past
+# n_bar + uncertainty = 708.4, 1 - e^-(n_bar - uncertainty) at 1e-300, and
+# the pixel areas of the grid, or of a hologram's focal-plane grid
+@pytest.mark.parametrize("subcommand, changes, named", [
+    ("bounds", {"photon": {"n_bar": 1000.0}}, "'photon' section: n_bar + uncertainty = 1000.4"),
+    ("bounds", {"photon": {"n_bar": 2.0e-300, "uncertainty": 1.0e-300}},
+     "'photon' section: n_bar - uncertainty = 1e-300"),
+    *((command, {"grid": {"n": 64, "extent": 1.0e160}}, "extent 1e+160 at n = 64")
+      for command in ("decay", "scan", "meridian", "render", "bounds")),
+    ("decay", {"grid": {"n": 64, "extent": 1.0e-160},
+               "qudit": {**README_QUDIT, "waist": 1.0e-162}}, "extent 1e-160 at n = 64"),
+    ("render", {"grid": SMALL_GRID, "source": {**HOLOGRAM, "focal": 1.0e200}},
+     "extent 1.59e+198 at n = 64"),
+], ids=["n_bar-1000", "n_bar-low-edge-1e-300", "extent-1e160-decay", "extent-1e160-scan",
+        "extent-1e160-meridian", "extent-1e160-render", "extent-1e160-bounds",
+        "extent-1e-160", "hologram-focal-grid"])
+def test_values_beyond_normal_floats_exit_2(tmp_path, capsys, subcommand, changes, named):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({**README_CONFIG, **changes}))
+    assert cli_main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
 
 
 @pytest.mark.parametrize("given", ["--out", "output_dir"])

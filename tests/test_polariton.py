@@ -310,20 +310,34 @@ class TestDiffractionCheck:
         assert factored == 7
 
     def test_bisected_shell_equals_the_shell_histogram_on_golden_configs(self):
-        # the 99 % shell, bisected from the row sums of the quarter plane,
-        # against every pixel's shell binned by np.bincount, on the written
-        # wave of every golden-gate config
-        spec = importlib.util.spec_from_file_location("golden", GOLDEN)
-        golden = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(golden)
-        for name, data in golden.configs().items():
-            cfg = parse_config(data)
-            quarter = _input_field(cfg)[0].quarter_power()
+        # the 99 % shell, from the histogram of the leading block that a doubled
+        # block bounds, against every pixel's shell binned by np.bincount: on the
+        # written wave of every golden-gate config at 0.99, and at 0.5, 0.99 and
+        # 0.999999 on edge planes: energy just past a doubled block's corner, only
+        # at the origin or the far corner, and random and peaked planes of 17-257
+        for name, data in golden_configs().items():
+            quarter = _input_field(parse_config(data))[0].quarter_power()
             expected = histogram_first_shell(quarter, 0.99)
             assert expected is not None, name
             assert _first_shell(quarter.copy(), 0.99) == expected, name
         empty = np.zeros((5, 5))
         assert _first_shell(empty, 0.99) is None and histogram_first_shell(empty, 0.99) is None
+        planes = {}
+        for name, spots in (("past-corner", [(7, 7), (0, 9)]), ("origin", [(0, 0)]),
+                            ("far-corner", [(16, 16)])):
+            planes[name] = np.zeros((17, 17))
+            for spot in spots:
+                planes[name][spot] = 1.0
+        rng = np.random.default_rng(5)
+        for size in (17, 33, 64, 100, 129, 200, 257):
+            k = np.arange(size)
+            planes[f"random-{size}"] = rng.random((size, size))
+            planes[f"peaked-{size}"] = (rng.random((size, size))
+                                        * np.exp(-(k[:, None] ** 2 + k ** 2) / (0.02 * size ** 2)))
+        for name, quarter in planes.items():
+            for fraction in (0.5, 0.99, 0.999999):
+                expected = histogram_first_shell(quarter, fraction)
+                assert _first_shell(quarter, fraction) == expected, (name, fraction)
 
 
 class TestSpinWavePickle:

@@ -37,7 +37,6 @@ KEEP = {
     "tomography.DensityMatrix.pure": "test-fixture constructor",
     "tomography.DensityMatrix.maximally_mixed": "test-fixture constructor",
     "modes.qutrit_state": "test-fixture constructor",
-    "modes.QuditState.labels": "test-fixture basis labels",
     "fieldgrid.TransverseField.norm": "test-fixture norm",
     "fieldgrid.TransverseField.__setstate__": "runs only when a field is unpickled: a "
                                               "forkserver or spawn pool pickles the stored "

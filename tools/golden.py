@@ -9,9 +9,10 @@ Usage::
 The configs are both ``perfbench/workloads.py`` workloads at seeds 1-3,
 each also from a binary hologram (``HOLOGRAM``), and the README's
 example config; they go to ``OUT_DIR/configs/<name>.yaml``.  Each config
-runs all six subcommands, and ``decay`` and ``tomo`` again with
-``--parallel 2``, each in a fresh interpreter on the ``src`` of the
-checkout this script lives in.  A run keeps its outputs in
+runs every subcommand of ``oamem.cli.SUBCOMMANDS``, and ``decay`` and
+``tomo`` again with ``--parallel 2``, each in a fresh interpreter on
+the ``src`` of the checkout this script lives in, whose CLI also lists
+the subcommands.  A run keeps its outputs in
 ``OUT_DIR/runs/<config>-<command>[-parallel2]/out`` and its stdout,
 stderr and exit code next to them, with OUT_DIR written as ``OUT_DIR``
 and this checkout as ``ROOT``.  Run it on two checkouts and ``diff -r``
@@ -48,10 +49,11 @@ from pathlib import Path
 import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from workloads import WORKLOADS  # noqa: E402
 
-SUBCOMMANDS = ("scan", "meridian", "decay", "tomo", "bounds", "render")
+from oamem.cli import SUBCOMMANDS  # noqa: E402
+
 PARALLEL = ("decay", "tomo")
 SEEDS = (1, 2, 3)
 HOLOGRAM = {"kind": "hologram", "input_waist": 5.0e-4, "focal": 0.5}
