@@ -4,8 +4,10 @@ An intercept/resend memory reaches fidelity (N+1)/(N+2) on a pulse of N
 photons.  For an attenuated coherent pulse the limit is the Poisson-
 weighted average over N >= 1; with retrieval efficiency eta_m < 1 the
 attacker answers only the highest-N fraction of pulses, raising the
-bound.  Series are truncated when the remaining Poisson tail mass drops
-below 1e-15, with an explicit certificate in the tests.
+bound.  Series are truncated once their rounded running sum comes
+within 1e-15 of 1 (see :func:`_poisson_table`).  The tests certify
+that the true Poisson mass past the last term, summed exactly, stays
+below 1e-14, which moves the bounds at the 1e-14 level.
 """
 
 from __future__ import annotations
@@ -58,13 +60,19 @@ class BoundResult:
 
 @lru_cache(maxsize=64)
 def _poisson_table(n_bar: float) -> tuple[tuple[int, float], ...]:
-    """(N, P(N)) from N = 0 until the remaining tail mass is below TAIL_EPS.
+    """(N, P(N)) from N = 0 until 1 minus their running sum is below TAIL_EPS.
 
     The running sum rounds, so for some means (the first is 26.65)
     1 - sum never drops to TAIL_EPS: the table also ends before the
-    first term past the mean that leaves the sum unchanged, which leaves
-    at most 2.3e-16 of mass past its last term (means 0.05 to 708.3 in
-    steps of 0.05).
+    first term past the mean that leaves the sum unchanged.
+
+    The stop rule reads the rounded sum, not the true mass past the last
+    term.  Summed exactly (``tests/oracles.py::poisson_tail``), that
+    mass exceeds TAIL_EPS for 7181 of the means 0.05, 0.051, ..., 49.999,
+    at worst 2.7e-15, and reaches 8.5e-15 on the means 0.05, 0.10, ...,
+    708.3.  The tests certify that it stays below 1e-14 for n_bar = 0.5,
+    1.0, ..., 708.0, so f_classical can sit off its untruncated value at
+    the 1e-14 level.
 
     Built once per n_bar: a campaign asks for the same few values (n_bar
     and the points of :func:`threshold_band`) at every storage time.

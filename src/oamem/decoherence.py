@@ -276,11 +276,15 @@ def _phase_terms(mdl: MagneticModel, grid: GridSpec,
     dense phase, under 1e-12, at 5-11 terms on the workloads and 17-43
     on the cone.  A threshold of 1e-13 takes up to 15 terms where 3e-13
     takes 10 (seed-1 decay workload), for no gain against 1e-12.  Each
-    term costs about 0.1 ms at n = 256-512, so a point's low-rank phase
-    breaks even with the dense one at about 13 terms at n = 256 and 60
-    at n = 512 and 1024 (dense points of 2, 12 and 25-40 ms); the cutoff
-    n // 8 (32, 64, 128) lets a map that does not converge cost at most
-    about twice its dense point at n >= 512, three times at 256.
+    term costs about 0.10 ms at n = 256, 0.16 ms at 512 and 0.3 ms at
+    1024, on top of 0.3, 0.5 and 1 ms for the probe lines (slopes over
+    runs cut at 1 to R terms, on the seed-1 maps of both workloads,
+    best of 7, 2-vCPU VM).  So a point's low-rank phase breaks even with
+    the dense one at about 15-19 terms at n = 256, 40-55 at 512 and
+    100-160 at 1024 (dense points of 2-3, 7-11 and 33-50 ms).  A map that
+    does not converge also pays its dense point, so the cutoff n // 8
+    (32, 64, 128) lets it cost at most about 2.6 times its dense point
+    at n = 256, 2.4 times at 512 and 2.2 times at 1024.
 
     The residual rows and columns subtract the terms so far with
     ``np.einsum``, not ``@``: a complex matrix-vector product of about 9

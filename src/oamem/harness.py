@@ -37,13 +37,6 @@ class CampaignResult:
     out_dir: Path
     files: tuple[str, ...]
     summary: tuple
-    provenance: dict
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
 
 
 def _record_seed(master: int, *spawn_key: int) -> int:
@@ -64,10 +57,11 @@ def _finalize(cfg: ExperimentConfig, experiment: str, out_dir: Path,
     prov_path = out_dir / "provenance.csv"
     write_csv(prov_path, ["key", "value"], sorted(provenance.items()))
     files = files + ["provenance.csv"]
-    manifest_rows = [(name, _sha256(out_dir / name)) for name in sorted(files)]
+    manifest_rows = [(name, hashlib.sha256((out_dir / name).read_bytes()).hexdigest())
+                     for name in sorted(files)]
     write_csv(out_dir / "manifest.csv", ["path", "sha256"], manifest_rows)
     return CampaignResult(out_dir=out_dir, files=tuple(sorted(files) + ["manifest.csv"]),
-                          summary=tuple(summary), provenance=provenance)
+                          summary=tuple(summary))
 
 
 def _out_dir(cfg: ExperimentConfig, override=None) -> Path:

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimMismatch, InsufficientData, NoCounts, NotPSD
-from .measurement import CountRecord, write_csv
+from .measurement import write_csv
 
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -253,17 +253,6 @@ def fidelity(rho: DensityMatrix, rho0: DensityMatrix) -> float:
     floor = max(vals.max(), 0.0) * 1e-13
     f = float(np.sum(np.sqrt(vals[vals > floor])))
     return min(max(f, 0.0), 1.0)
-
-
-def resample_records(records, seed: int) -> list[CountRecord]:
-    """Poisson bootstrap of integer count records (error-bar helper)."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for r in records:
-        out.append(CountRecord(basis_id=r.basis_id, counts=int(rng.poisson(r.counts)),
-                               background=r.background, acquisition=r.acquisition,
-                               beta=r.beta))
-    return out
 
 
 def export_density_csv(rho: DensityMatrix, path) -> None:

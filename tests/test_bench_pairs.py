@@ -33,3 +33,26 @@ def test_seed_range():
     tool = load_tool()
     assert tool.seed_range("1601-1603") == [1601, 1602, 1603]
     assert tool.seed_range("7") == [7]
+
+
+def test_pairs_compiles_each_checkout_once_before_the_first_run(monkeypatch, tmp_path):
+    tool = load_tool()
+    events = []
+
+    def fake_subprocess_run(args, cwd=None, **kwargs):
+        events.append(("compile", Path(cwd), tuple(args[1:])))
+
+    def fake_run_bench(checkout, workload, seed, seconds):
+        events.append(("bench", checkout))
+        return run(1.0)
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_subprocess_run)
+    monkeypatch.setattr(tool, "run_bench", fake_run_bench)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    result = tool.pairs(parent, change, [1, 2], 1.0)
+    compiles = [event for event in events if event[0] == "compile"]
+    assert compiles == [("compile", parent, ("-m", "compileall", "-q", "src", "perfbench")),
+                        ("compile", change, ("-m", "compileall", "-q", "src", "perfbench"))]
+    assert events[:2] == compiles
+    assert len(events) == 2 + 2 * 2 * len(tool.WORKLOADS)
+    assert result["bytecode"] == "compileall before the first run"

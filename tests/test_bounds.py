@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from oracles import (brute_classical_limit, brute_nmin, brute_weighted_limit,
-                     poisson_terms, poisson_weighted_limit)
+                     poisson_tail, poisson_terms, poisson_weighted_limit)
 
 from oamem.bounds import (TAIL_EPS, PhotonStatistics, _poisson_table, classical_limit, nmin,
                           threshold_band)
@@ -51,6 +51,21 @@ def test_poisson_table_ends_where_its_running_sum_stalls():
     assert [p for _, p in table] == pytest.approx(poisson_terms(26.65, len(table) - 1),
                                                   rel=1e-12)
     assert math.fsum(poisson_terms(26.65, 400)[len(table):]) < TAIL_EPS
+
+
+def test_poisson_table_leaves_below_1e_14_of_true_mass_past_its_end():
+    # the stop rule reads the rounded running sum; the exact tail past the
+    # table's last term stays below 1e-14 on a grid over the means a config
+    # accepts (up to 708.396)
+    tails = [poisson_tail(n_bar, len(_poisson_table(n_bar)))
+             for n_bar in (0.5 * k for k in range(1, 1417))]
+    assert max(tails) < 1e-14
+
+
+def test_poisson_tail_oracle_sums_every_term():
+    assert poisson_tail(1.6, 0) == pytest.approx(1.0, abs=1e-15)
+    assert poisson_tail(1.6, 3) == pytest.approx(math.fsum(poisson_terms(1.6, 200)[3:]),
+                                                 rel=1e-13)
 
 
 class TestNmin:

@@ -60,12 +60,13 @@ def golden_tree(root, decay_rows, stderr="", report="f_abs = 0.5\n", pgm=b"\x00\
     (run / "stdout.txt").write_text("storage_decay: wrote 3 files\n")
 
 
-def compared(tmp_path, rtol=1e-12, **new):
+def compared(tmp_path, rtol=1e-12, expect=None, **new):
     old_rows = [(0.0, 0.1, 12), (1e-4, 0.30000000000000004, 7)]
     golden_tree(tmp_path / "old", old_rows)
     golden_tree(tmp_path / "new", new.pop("rows", old_rows), **new)
     printed = io.StringIO()
-    code = load_tool().compare(tmp_path / "old", tmp_path / "new", rtol, out=printed)
+    code = load_tool().compare(tmp_path / "old", tmp_path / "new", rtol, out=printed,
+                               expect=expect)
     return code, printed.getvalue()
 
 
@@ -116,3 +117,61 @@ def test_compare_from_the_command_line(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "byte-identical: 1 runs" in proc.stdout
+
+
+ETA = {"runs": "cfg-*", "files": "decay.csv", "columns": ["eta"]}
+
+
+def test_expected_column_change_passes_and_prints_its_rows_and_largest_change(tmp_path):
+    code, printed = compared(tmp_path, rtol=None, expect=[ETA],
+                             rows=[(0.0, 0.2, 12), (1e-4, 0.25, 7)])
+    assert code == 0
+    assert "expect runs=cfg-* files=decay.csv: 1 files changed in 1 runs" in printed
+    assert "  eta: 2 rows changed, largest 0.1 -> 0.2" in printed
+    assert "within SPEC: 1 runs: cfg-decay" in printed
+    assert "beyond rtol: 0 runs" in printed
+
+
+def test_change_in_an_unlisted_column_of_an_expected_file_fails(tmp_path):
+    code, printed = compared(tmp_path, rtol=None, expect=[ETA],
+                             rows=[(0.0, 0.2, 12), (1e-4, 0.30000000000000004, 8)])
+    assert code == 1
+    assert "decay.csv: row 2 count: '7' -> '8'" in printed
+    assert "beyond rtol: 1 runs: cfg-decay" in printed
+
+
+@pytest.mark.parametrize("expect, vacuous", [
+    ([ETA, {"runs": "cfg-*", "files": "*.pgm"}], "files=*.pgm: 0 files changed in 0 runs"),
+    ([{**ETA, "columns": ["eta", "t_s"]}], "  t_s: 0 rows changed"),
+], ids=["entry", "column"])
+def test_expectation_that_matches_no_change_fails(tmp_path, expect, vacuous):
+    code, printed = compared(tmp_path, rtol=None, expect=expect,
+                             rows=[(0.0, 0.2, 12), (1e-4, 0.30000000000000004, 7)])
+    assert code == 1
+    assert vacuous in printed
+    assert "SPEC: 1 entries or columns changed in no run" in printed
+    assert "beyond rtol: 0 runs" in printed
+
+
+def test_whole_file_entry_lets_the_report_change(tmp_path):
+    expect = [{"runs": "cfg-decay", "files": "report*.txt"}]
+    code, printed = compared(tmp_path, rtol=None, expect=expect, report="f_rel = 0.6\n")
+    assert code == 0
+    assert "files=report*.txt: 1 files changed in 1 runs" in printed
+    assert compared(tmp_path / "bare", rtol=None, report="f_rel = 0.6\n")[0] == 1
+
+
+def test_compare_without_rtol_passes_identical_trees_and_fails_on_one_ulp(tmp_path):
+    def cli(old_rows, new_rows, name):
+        golden_tree(tmp_path / name / "old", old_rows)
+        golden_tree(tmp_path / name / "new", new_rows)
+        return subprocess.run([sys.executable, str(TOOL), "--compare", str(tmp_path / name / "old"),
+                               str(tmp_path / name / "new")],
+                              capture_output=True, text=True, timeout=120)
+
+    same = cli([(0.0, 0.1, 1)], [(0.0, 0.1, 1)], "same")
+    assert same.returncode == 0
+    assert "byte-identical: 1 runs" in same.stdout
+    ulp = cli([(0.0, 0.1, 1)], [(0.0, 0.10000000000000002, 1)], "ulp")
+    assert ulp.returncode == 1
+    assert "decay.csv: row 1 eta: '0.1' -> '0.10000000000000002'" in ulp.stdout

@@ -1,4 +1,6 @@
 import concurrent.futures
+import csv
+import hashlib
 import os
 import pickle
 import subprocess
@@ -97,11 +99,14 @@ class TestDeterminism:
             != (tmp_path / "b" / "decay.csv").read_bytes()
 
     def test_manifest_lists_every_file(self, tmp_path):
-        res = run_tomography(small_cfg(storage_times=[0.0]), out=tmp_path / "t")
-        manifest = (tmp_path / "t" / "manifest.csv").read_text().splitlines()
-        listed = {line.split(",")[0] for line in manifest[1:]}
+        run_tomography(small_cfg(storage_times=[0.0]), out=tmp_path / "t")
+        with open(tmp_path / "t" / "manifest.csv", newline="") as fh:
+            listed = {row["path"]: row["sha256"] for row in csv.DictReader(fh)}
         on_disk = {p.name for p in (tmp_path / "t").iterdir()} - {"manifest.csv"}
-        assert listed == on_disk
+        assert set(listed) == on_disk
+        # each hash is the sha256 of the file's bytes
+        assert listed == {name: hashlib.sha256((tmp_path / "t" / name).read_bytes()).hexdigest()
+                          for name in on_disk}
 
 
 class TestWorkerCap:

@@ -30,7 +30,6 @@ KEEP = {
                                     "both channels through decoherence.decohere",
     "decoherence.qutrit_nodal_shift": "backs the dark-line invariance acceptance criterion",
     "decoherence._nodal_position": "backs the dark-line invariance acceptance criterion",
-    "tomography.resample_records": "Poisson bootstrap for fidelity error bars (ROADMAP item 3)",
     "tomography._ml_refine": "reconstruct(max_likelihood=True), for ROADMAP item 3",
     "polariton.mixing_angle": "polariton bookkeeping for run diagnostics (ROADMAP item 4)",
     "polariton.group_velocity": "polariton bookkeeping for run diagnostics (ROADMAP item 4)",

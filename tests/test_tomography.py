@@ -5,7 +5,7 @@ from oamem.errors import DimMismatch, InsufficientData, NoCounts, NotPSD
 from oamem.measurement import CountRecord, simulate_counts
 from oamem.tomography import (QUBIT_PROJECTORS, DensityMatrix, ProjectionSet, _least_squares,
                               export_density_csv, fidelity, probabilities, reconstruct,
-                              resample_records, tomography_report)
+                              tomography_report)
 
 
 def random_pure(rng, dim):
@@ -234,13 +234,6 @@ class TestFidelity:
         psi /= np.linalg.norm(psi)
         direct = np.sqrt(np.real(psi.conj() @ rho.matrix @ psi))
         assert fidelity(rho, DensityMatrix.pure(psi)) == pytest.approx(direct, rel=1e-10)
-
-
-def test_resample_deterministic():
-    records = [CountRecord("L", 100), CountRecord("R", 50)]
-    a = resample_records(records, seed=4)
-    b = resample_records(records, seed=4)
-    assert [r.counts for r in a] == [r.counts for r in b]
 
 
 def test_exports(tmp_path, rng):

@@ -21,6 +21,12 @@ untimed pass, with the per-time low-rank phase terms, where a checkout
 has them, dropped before each call, since a campaign meets each storage
 time once, under ``per_point_s``.  Writes OUT.json, merged into what is
 already there.
+
+Before its first run, each mode byte-compiles both checkouts' ``src``
+and ``perfbench`` with ``python -m compileall -q`` (which writes the
+``.pyc`` files even under ``PYTHONDONTWRITEBYTECODE``), so that no run
+pays to recompile a module whose cached bytecode predates its source,
+and records that under ``"bytecode"``.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 METRICS = ("campaign_s", "campaign_cpu_s", "setup_s", "peak_rss_mb")
+BYTECODE = "compileall before the first run"
 
 POINT_TIMER = r"""
 import json, sys, time
@@ -69,6 +76,12 @@ print(json.dumps(out))
 """
 
 
+def compile_checkouts(*checkouts: Path) -> None:
+    for checkout in checkouts:
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                       cwd=checkout, check=True)
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds)],
@@ -97,7 +110,8 @@ def summary(pairs: list[dict]) -> dict:
 
 
 def pairs(parent: Path, change: Path, seeds: list[int], seconds: float) -> dict:
-    result = {}
+    compile_checkouts(parent, change)
+    result = {"bytecode": BYTECODE}
     for workload in WORKLOADS:
         runs = []
         for k, seed in enumerate(seeds):
@@ -118,7 +132,8 @@ def pairs(parent: Path, change: Path, seeds: list[int], seconds: float) -> dict:
 
 
 def points(parent: Path, change: Path, sizes: list[int]) -> dict:
-    result = {}
+    compile_checkouts(parent, change)
+    result = {"bytecode": BYTECODE}
     for n in sizes:
         for side, checkout in (("parent", parent), ("change", change)):
             proc = subprocess.run([sys.executable, "-c", POINT_TIMER, str(checkout), str(n)],

@@ -4,7 +4,7 @@ Usage::
 
     python3 tools/golden.py OUT_DIR              # write the configs and run them all
     python3 tools/golden.py --configs OUT_DIR    # only write the configs
-    python3 tools/golden.py --compare OLD_DIR NEW_DIR --rtol R
+    python3 tools/golden.py --compare OLD_DIR NEW_DIR [--rtol R] [--expect SPEC]
 
 The configs are both ``perfbench/workloads.py`` workloads at seeds 1-3,
 each also from a binary hologram (``HOLOGRAM``), and the README's
@@ -17,27 +17,41 @@ the subcommands.  A run keeps its outputs in
 stderr and exit code next to them, with OUT_DIR written as ``OUT_DIR``
 and this checkout as ``ROOT``.  Run it on two checkouts and ``diff -r``
 the two OUT_DIRs: a change that must not alter any result leaves that
-diff empty.
+diff empty, and ``--compare OLD_DIR NEW_DIR`` then passes and prints
+``byte-identical: <all> runs``.
 
-A change that moves floats at rounding level compares the two OUT_DIRs
-with ``--compare`` instead (:func:`compare`): it passes, with exit 0,
-when every file is in both, exit codes, stderr and every byte that is
-not part of a float are identical, integers are identical, and each
-float of a CSV or text file is within ``rtol`` of the old one, relative
-to the largest magnitude in its CSV column, or in the file for other
-text, so that an entry at rounding level, such as the imaginary part
-of a density matrix's diagonal, is held to the scale of its column.
-A manifest's hash may differ only for a file that itself differs
-within ``rtol``.  A 16-bit PGM that differs is reported by how many
-pixel levels flip.  It prints each file and field that differs, then
-one line per outcome: byte-identical runs, runs within ``rtol``, and
-runs that differ beyond it.  ``diff -r`` stays the check for a change
-that must alter no result.
+``--compare`` (:func:`compare`) passes, with exit 0, when every file is
+in both, exit codes, stderr and every byte that is not part of a float
+are identical, integers are identical, and each float is identical or,
+with ``--rtol``, within ``rtol`` of the old one, relative to the
+largest magnitude in its CSV column, or in the file for other text, so
+that an entry at rounding level, such as the imaginary part of a
+density matrix's diagonal, is held to the scale of its column.  A
+manifest's hash may differ only for a file that itself differs.  A
+16-bit PGM that differs is reported by how many pixel levels flip.
+
+A change that alters results on purpose states which ones in SPEC, a
+YAML list committed as ``tools/expect/<pr>.yaml``::
+
+    - runs: "decay_qutrit_n512-s*-decay*"   # glob on the run's directory name
+      files: "decay.csv"                    # glob on the file's name
+      columns: [f_classical, band_high]     # CSV columns that may change
+    - runs: "*-hologram-*"
+      files: "*.pgm"                        # no columns: the whole file may change
+
+With ``--expect SPEC`` those columns, or files, may change freely, and
+for each column it prints how many rows changed and the largest
+old -> new change.  An entry, or a listed column, that changes in no
+run fails the gate, so a vacuous SPEC cannot pass.  It prints each file
+and field that differs unexpectedly, then one line per outcome:
+byte-identical runs, runs that changed only as SPEC or ``rtol`` allows,
+and runs that changed otherwise.
 """
 
 from __future__ import annotations
 
 import csv
+import fnmatch
 import io
 import math
 import os
@@ -143,7 +157,10 @@ def _text_fields(path: Path, text: str) -> list[tuple[str, str, str]]:
     if path.suffix == ".csv":
         rows = list(csv.reader(io.StringIO(text, newline="")))
         header = rows[0] if rows else []
-        return [(f"row {r} {header[c] if c < len(header) else c}", str(c), cell)
+
+        def column(c: int) -> str:
+            return header[c] if c < len(header) else str(c)
+        return [(f"row {r} {column(c)}", column(c), cell)
                 for r, row in enumerate(rows[1:], 1) for c, cell in enumerate(row)]
     fields = []
     for number, line in enumerate(text.split("\n"), 1):
@@ -156,8 +173,14 @@ def _text_fields(path: Path, text: str) -> list[tuple[str, str, str]]:
     return fields
 
 
-def _compare_text(old: bytes, new: bytes, path: Path, rtol: float) -> list[str]:
-    """The fields in which two text files differ beyond rtol; [] when all agree."""
+def _compare_text(old: bytes, new: bytes, path: Path, rtol: float | None,
+                  columns: dict) -> list[str]:
+    """The fields in which two text files differ beyond rtol; [] when all agree.
+
+    A field of a CSV column named in ``columns`` may change: its
+    (old, new) pair is appended to ``columns[name]`` instead.  Without
+    rtol every other field must be identical.
+    """
     try:
         a = _text_fields(path, old.decode())
         b = _text_fields(path, new.decode())
@@ -173,7 +196,10 @@ def _compare_text(old: bytes, new: bytes, path: Path, rtol: float) -> list[str]:
     for (name, group, x), (_, _, y) in zip(a, b):
         if x == y:
             continue
-        numeric = NUMBER.fullmatch(x) and NUMBER.fullmatch(y)
+        if group in columns:
+            columns[group].append((x, y))
+            continue
+        numeric = NUMBER.fullmatch(x) and NUMBER.fullmatch(y) and rtol is not None
         if not (numeric and _numbers_close(x, y, rtol, scale.get(group, 0.0))):
             bad.append(f"{name}: {x!r} -> {y!r}")
     return bad
@@ -197,13 +223,21 @@ def _pgm_levels(old: bytes, new: bytes) -> str:
             f"{max(abs(x - y) for _, x, y in flipped)}; first at pixel {flipped[0][0]}")
 
 
-def compare(old_dir: Path, new_dir: Path, rtol: float, out=sys.stdout) -> int:
-    """Compare two golden OUT_DIRs file by file; returns 0 when they agree within rtol.
+def compare(old_dir: Path, new_dir: Path, rtol: float | None = None, out=sys.stdout,
+            expect: list | None = None) -> int:
+    """Compare two golden OUT_DIRs file by file; returns 0 when they agree.
 
-    Prints every file and field that differs, with the old and the new
-    value, and counts runs (directories under ``runs``) that are
-    byte-identical, within rtol, or beyond it.
+    They agree when every change is within rtol (None: none) or named by
+    an ``expect`` entry (a dict of ``runs``, ``files`` and optional
+    ``columns``), and every entry and column matches some change.
+    Prints every file and field that differs otherwise, with the old and
+    the new value, what each entry matched, and counts runs (directories
+    under ``runs``) that are byte-identical, within what is allowed, or
+    beyond it.
     """
+    expect = expect or []
+    # per entry: the files it let change, and each column's (old, new) pairs
+    matched = [([], {c: [] for c in entry.get("columns", [])}) for entry in expect]
     old_files = {p.relative_to(old_dir) for p in old_dir.rglob("*") if p.is_file()}
     new_files = {p.relative_to(new_dir) for p in new_dir.rglob("*") if p.is_file()}
     within, beyond = {}, {}
@@ -215,24 +249,58 @@ def compare(old_dir: Path, new_dir: Path, rtol: float, out=sys.stdout) -> int:
                if (old_dir / rel).read_bytes() != (new_dir / rel).read_bytes()}
     for rel in sorted(changed):
         old, new = (old_dir / rel).read_bytes(), (new_dir / rel).read_bytes()
-        if rel.name in ("exit.txt", "stderr.txt", "stdout.txt") or rel.parts[0] == "configs":
+        entries = [k for k, entry in enumerate(expect) if rel.parts[0] == "runs"
+                   and fnmatch.fnmatchcase(_run_of(rel), entry["runs"])
+                   and fnmatch.fnmatchcase(rel.name, entry["files"])]
+        columns = {c: [] for k in entries for c in matched[k][1]}
+        whole = [k for k in entries if not expect[k].get("columns")]
+        if whole:
+            bad = []
+        elif rel.name in ("exit.txt", "stderr.txt", "stdout.txt") or rel.parts[0] == "configs":
             bad = ["bytes differ"]
         elif rel.suffix == ".pgm":
             bad = [_pgm_levels(old, new) or "bytes differ"]
         elif rel.name == "manifest.csv":
             bad = _compare_manifest(old, new, rel, changed)
         else:
-            bad = _compare_text(old, new, rel, rtol)
+            bad = _compare_text(old, new, rel, rtol, columns)
+        for k in entries:
+            if k in whole or any(columns[c] for c in matched[k][1]):
+                matched[k][0].append(rel)
+            for c in matched[k][1]:
+                matched[k][1][c] += columns[c]
         for line in bad:
             print(f"{rel}: {line}", file=out)
         (beyond if bad else within).setdefault(_run_of(rel), []).append(rel)
+    vacuous = _print_expected(expect, matched, out)
     runs = {_run_of(rel) for rel in old_files | new_files if rel.parts[0] == "runs"}
     identical = runs - within.keys() - beyond.keys()
+    allowed = " or ".join(([] if rtol is None else [f"rtol {rtol:g}"]) + ["SPEC"] * bool(expect))
     print(f"byte-identical: {len(identical)} runs", file=out)
-    print(f"within rtol {rtol:g}: {len(within.keys() - beyond.keys())} runs: "
+    print(f"within {allowed or 'nothing'}: {len(within.keys() - beyond.keys())} runs: "
           f"{' '.join(sorted(within.keys() - beyond.keys()))}", file=out)
     print(f"beyond rtol: {len(beyond)} runs: {' '.join(sorted(beyond))}", file=out)
-    return 1 if beyond else 0
+    return 1 if beyond or vacuous else 0
+
+
+def _print_expected(expect: list, matched: list, out) -> int:
+    """Print what each SPEC entry matched; returns how many entries or columns matched nothing."""
+    vacuous = 0
+    for entry, (files, columns) in zip(expect, matched):
+        runs = sorted({_run_of(rel) for rel in files})
+        print(f"expect runs={entry['runs']} files={entry['files']}: {len(files)} files "
+              f"changed in {len(runs)} runs", file=out)
+        vacuous += not files
+        for column, pairs in columns.items():
+            numeric = [(abs(float(y) - float(x)), x, y) for x, y in pairs
+                       if NUMBER.fullmatch(x) and NUMBER.fullmatch(y)
+                       and math.isfinite(float(x) - float(y))]
+            largest = ", largest {1} -> {2}".format(*max(numeric)) if numeric else ""
+            print(f"  {column}: {len(pairs)} rows changed{largest}", file=out)
+            vacuous += not pairs
+    if vacuous:
+        print(f"SPEC: {vacuous} entries or columns changed in no run", file=out)
+    return vacuous
 
 
 def _run_of(rel: Path) -> str:
@@ -253,8 +321,13 @@ def _compare_manifest(old: bytes, new: bytes, rel: Path, changed: set) -> list[s
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 5 and argv[0] == "--compare" and argv[3] == "--rtol":
-        return compare(Path(argv[1]), Path(argv[2]), float(argv[4]))
+    options = dict(zip(argv[3::2], argv[4::2]))
+    if (argv[:1] == ["--compare"] and len(argv) >= 3 and len(argv) % 2
+            and set(options) <= {"--rtol", "--expect"}):
+        rtol = options.get("--rtol")
+        spec = options.get("--expect")
+        return compare(Path(argv[1]), Path(argv[2]), None if rtol is None else float(rtol),
+                       expect=spec and yaml.safe_load(Path(spec).read_text()))
     if len(argv) == 2 and argv[0] == "--configs":
         write_configs(Path(argv[1]).resolve())
         return 0
