@@ -18,7 +18,7 @@ Core layers, in the order a campaign runs them:
 __version__ = "0.1.0"
 
 from .fieldgrid import GridSpec, TransverseField, inner_product, transform_to_spectrum
-from .modes import LGModeSpec, QuditState, lg_field, qubit_state, qutrit_state, synthesize
+from .modes import LGModeSpec, QuditState, lg_field, qubit_state, synthesize
 from .holography import PhaseHologram, fraunhofer, project_and_couple, qubit_hologram, qutrit_hologram
 from .polariton import MemoryParams, group_velocity, mixing_angle, read, write
 from .decoherence import (EfficiencyModel, MagneticModel, decohere, diffuse, magnetic_dephase,
@@ -31,7 +31,7 @@ from .config import ExperimentConfig, load_config, parse_config
 __all__ = [
     "__version__",
     "GridSpec", "TransverseField", "inner_product", "transform_to_spectrum",
-    "LGModeSpec", "QuditState", "lg_field", "qubit_state", "qutrit_state", "synthesize",
+    "LGModeSpec", "QuditState", "lg_field", "qubit_state", "synthesize",
     "PhaseHologram", "qubit_hologram", "qutrit_hologram", "fraunhofer", "project_and_couple",
     "MemoryParams", "mixing_angle", "group_velocity", "write", "read",
     "MagneticModel", "EfficiencyModel", "decohere", "diffuse", "magnetic_dephase",

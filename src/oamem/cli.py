@@ -68,6 +68,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"config error: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
     except (OamemError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -48,8 +48,6 @@ class QuditConfig:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ConfigError("qudit dim must be 2 or 3")
         if self.coeffs is None and (self.gamma is None or self.dim != 2):
             raise ConfigError("qudit needs coeffs, or Bloch angles for a qubit")
         if self.coeffs is not None and len(self.coeffs) != self.dim:

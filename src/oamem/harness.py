@@ -28,7 +28,7 @@ from .measurement import (CountRecord, fit_visibility, polar_retrieve, simulate_
 from .modes import (LGModeSpec, QuditState, basis_charges, decompose, lg_field,
                     qubit_state, synthesize)
 from .polariton import read, write
-from .tomography import (DensityMatrix, ProjectionSet, export_density_csv,
+from .tomography import (PROJECTION_SETS, DensityMatrix, export_density_csv,
                          fidelity, probabilities, reconstruct, tomography_report)
 
 
@@ -198,7 +198,7 @@ def storage_point(cfg: ExperimentConfig, stored: tuple[np.ndarray, TransverseFie
     """
     reference, wave = stored
     state = cfg.qudit.to_state()
-    pset = ProjectionSet.qubit() if state.dim == 2 else ProjectionSet.qutrit()
+    pset = PROJECTION_SETS[state.dim]
     a = reference if t_s == 0.0 else _retrieve(cfg, wave, t_s)
     eta = _efficiency(cfg, t_s)
     records = _count(cfg, a, eta, t_index, pset.projectors)
@@ -343,7 +343,7 @@ def run_meridian_sweep(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Ca
     eta = _efficiency(cfg, t_s)
     a_l, a_r = _transfer(cfg, t_s).T
     points = cfg.meridian.gamma_points
-    poles = ProjectionSet.qubit().projectors[:2]
+    poles = PROJECTION_SETS[2].projectors[:2]
     rows = []
     for i in range(points):
         gamma_w = np.pi * i / (points - 1)

@@ -130,8 +130,6 @@ def subtract_background(records) -> list[CountRecord]:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, str):
@@ -142,9 +140,9 @@ def _fmt(value) -> str:
 def write_csv(path, header, rows) -> None:
     """CSV of ``header`` and ``rows``, the one number format of every output file.
 
-    A string is written as itself, a bool as 1 or 0, an int as its digits
-    and any other number as the repr of its float, so reruns are
-    byte-identical.
+    A string is written as itself, an int (a Python bool among them, as 1
+    or 0) as its digits and any other number as the repr of its float, so
+    reruns are byte-identical.
     """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -31,6 +31,8 @@ class LGModeSpec:
 
 
 def basis_charges(dim: int, l: int) -> tuple[int, ...]:
+    """Charges of the ordered basis; the one place that decides which
+    qudit dimensions a state or config may have."""
     if dim == 2:
         return (l, -l)
     if dim == 3:
@@ -51,8 +53,9 @@ class QuditState:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.ndim != 1 or c.shape[0] not in (2, 3):
-            raise DimMismatch(f"coefficient vector must have length 2 or 3, got {c.shape}")
+        if c.ndim != 1:
+            raise DimMismatch(f"coefficient vector must be one-dimensional, got {c.shape}")
+        basis_charges(len(c), self.l)
         norm = np.linalg.norm(c)
         if norm == 0:
             raise ValueError("zero state vector")
@@ -80,10 +83,6 @@ def qubit_state(gamma: float, beta: float, l: int = 1) -> QuditState:
                   math.sin(gamma / 2.0) * np.exp(1j * beta)]),
         l=l,
     )
-
-
-def qutrit_state(c_l: complex, c_g: complex, c_r: complex, l: int = 1) -> QuditState:
-    return QuditState(np.array([c_l, c_g, c_r], dtype=np.complex128), l=l)
 
 
 def _support_check(l: int, w0: float, grid: GridSpec) -> None:

@@ -2,8 +2,9 @@
 
 The projector sets are the five-basis qubit set {L, R, L+R, L+iR, L-R}
 and the nine-basis qutrit set {L, G, R, G-L, G+R, G+iL, G-iR, L+iR,
-L-R}.  Counts are normalized by the pole-basis subset (L+R for qubits,
-L+G+R for qutrits), which resolves the identity and provides the flux
+L-R}; ``PROJECTION_SETS`` maps each supported dimension to its set.
+Counts are normalized by the pole-basis subset (L+R for qubits, L+G+R
+for qutrits), which resolves the identity and provides the flux
 reference.  Reconstruction is linear least squares over Hermitian
 unit-trace matrices followed by eigenvalue clipping onto the physical
 set, with an optional fixed-point maximum-likelihood refinement.
@@ -55,21 +56,13 @@ QUTRIT_PROJECTORS = (
 class ProjectionSet:
     """Labeled pure-state projectors used for tomography.
 
-    ``qubit()`` and ``qutrit()`` return one shared instance each, so the
+    ``PROJECTION_SETS`` holds one shared instance per dimension, so the
     least-squares design of :func:`reconstruct`, cached per instance, is
     built once per process.
     """
 
     dim: int
     projectors: tuple
-
-    @classmethod
-    def qubit(cls) -> "ProjectionSet":
-        return _QUBIT_SET
-
-    @classmethod
-    def qutrit(cls) -> "ProjectionSet":
-        return _QUTRIT_SET
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -113,20 +106,21 @@ class ProjectionSet:
         return basis, rows, bool(np.linalg.matrix_rank(rows) == dim * dim - 1)
 
 
-_QUBIT_SET = ProjectionSet(2, QUBIT_PROJECTORS)
-_QUTRIT_SET = ProjectionSet(3, QUTRIT_PROJECTORS)
+PROJECTION_SETS = {2: ProjectionSet(2, QUBIT_PROJECTORS), 3: ProjectionSet(3, QUTRIT_PROJECTORS)}
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix of dim 2 or 3."""
+    """Hermitian, unit-trace, positive-semidefinite matrix of a dimension
+    in ``PROJECTION_SETS``."""
 
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 3):
-            raise DimMismatch(f"density matrix must be 2x2 or 3x3, got {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in PROJECTION_SETS:
+            raise DimMismatch(f"density matrix must be d x d, d in {tuple(PROJECTION_SETS)}, "
+                              f"got {m.shape}")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         if abs(np.trace(m).real - 1.0) > HERMITICITY_TOL:

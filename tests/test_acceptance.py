@@ -13,9 +13,9 @@ from oamem.fieldgrid import GridSpec, TransverseField
 from oamem.harness import (run_interference_scan, run_meridian_sweep,
                            run_storage_decay)
 from oamem.measurement import CountRecord, simulate_counts
-from oamem.modes import QuditState, qubit_state, qutrit_state, synthesize
+from oamem.modes import QuditState, qubit_state, synthesize
 from oamem.polariton import MemoryParams, read, write
-from oamem.tomography import DensityMatrix, ProjectionSet, fidelity, probabilities, reconstruct
+from oamem.tomography import PROJECTION_SETS, DensityMatrix, fidelity, probabilities, reconstruct
 
 RB85 = 85 * 1.66053906892e-27
 ETA_MODEL = EfficiencyModel.from_anchors()
@@ -85,7 +85,7 @@ def test_criterion_4_diffusion_oracle():
     def compute():
         grid = GridSpec(128, 0.9e-3)
         dp = MemoryParams(temperature=100e-6, mass=RB85)
-        f = synthesize(qutrit_state(1, 1, 1, l=1), 80e-6, grid)
+        f = synthesize(QuditState([1, 1, 1], l=1), 80e-6, grid)
         s = TransverseField(grid, f.values, f.wavelength)
         errs = []
         for t_s in (100e-6, 500e-6):
@@ -110,7 +110,7 @@ def test_criterion_5_dark_lines():
         qubit_after = diffuse(qubit, dp, 500e-6)
         diag = np.abs(np.diagonal(qubit_after.values)) ** 2
         dark = diag.max() / (np.abs(qubit_after.values) ** 2).max()
-        qutrit = write(synthesize(qutrit_state(1, 1, 1, l=1), w0, grid), params)
+        qutrit = write(synthesize(QuditState([1, 1, 1], l=1), w0, grid), params)
         shift = qutrit_nodal_shift(qutrit, diffuse(qutrit, dp, 500e-6))
         return dark, shift
 
@@ -139,14 +139,14 @@ def test_criterion_6_storage_reversibility(rng):
 def test_criterion_7_tomography_round_trip(rng):
     def compute():
         worst = 1.0
-        for pset in (ProjectionSet.qubit(), ProjectionSet.qutrit()):
+        for pset in (PROJECTION_SETS[2], PROJECTION_SETS[3]):
             for _ in range(100):
                 rho_true = DensityMatrix.pure(rng.normal(size=pset.dim)
                                               + 1j * rng.normal(size=pset.dim))
                 records = [CountRecord(lab, counts=p) for lab, p in
                            zip(pset.labels, probabilities(rho_true, pset))]
                 worst = min(worst, fidelity(reconstruct(records, pset), rho_true))
-        pset = ProjectionSet.qutrit()
+        pset = PROJECTION_SETS[3]
         fids = []
         for seed in range(15):
             rho_true = DensityMatrix.pure(rng.normal(size=3) + 1j * rng.normal(size=3))

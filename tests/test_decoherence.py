@@ -14,7 +14,7 @@ from oamem.decoherence import (PHASE_RANK_DIVISOR, EfficiencyModel, MagneticMode
 from oamem.errors import NodalLineNotFound, NonFiniteField
 from oamem.fieldgrid import GridSpec, TransverseField, stack_rows
 from oamem.harness import _channels, _store
-from oamem.modes import LGModeSpec, decompose, lg_field, qubit_state, qutrit_state, synthesize
+from oamem.modes import LGModeSpec, QuditState, decompose, lg_field, qubit_state, synthesize
 from oamem.polariton import BOLTZMANN, MemoryParams, read, write
 
 RB85 = 85 * 1.66053906892e-27
@@ -72,7 +72,7 @@ class TestDiffuse:
     def test_matches_direct_convolution(self, diffusion, t_s):
         # acceptance-grade oracle: dense separable convolution, no FFT
         g = GridSpec(128, 0.9e-3)
-        f = synthesize(qutrit_state(1.0, 1.0, 1.0, l=1), 80e-6, g)
+        f = synthesize(QuditState([1.0, 1.0, 1.0], l=1), 80e-6, g)
         s = TransverseField(g, f.values, f.wavelength)
         blurred = diffuse(s, diffusion, t_s)
         expected = direct_gaussian_convolution(f.values, g.pitch, diffusion.sigma(t_s))
@@ -126,7 +126,7 @@ class TestDiffuse:
 
     def test_matches_full_kernel(self, grid, diffusion):
         # the separable kernel on the cached spectrum is the n x n kernel
-        s = stored(synthesize(qutrit_state(1.0, 0.5j, 1.0, l=1), W0, grid))
+        s = stored(synthesize(QuditState([1.0, 0.5j, 1.0], l=1), W0, grid))
         sigma = diffusion.sigma(3e-4)
         q = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.pitch)
         qx, qy = np.meshgrid(q, q)
@@ -137,7 +137,7 @@ class TestDiffuse:
 
     @pytest.mark.parametrize("state", [
         *(pytest.param(qubit_state(1.1, 0.4, l=l), id=f"qubit-l{l}") for l in (1, 2, 3, 4)),
-        pytest.param(qutrit_state(0.8, 0.5j, -0.3 + 0.2j, l=2), id="qutrit")])
+        pytest.param(QuditState([0.8, 0.5j, -0.3 + 0.2j], l=2), id="qutrit")])
     def test_factored_equals_spectral(self, wide_grid, diffusion, state):
         # the blur of the K mode factors against the 2-D spectral path on the
         # same samples
@@ -180,7 +180,7 @@ class TestDarkLines:
 
     def test_qutrit_dark_line_moves_left(self, diffusion):
         g = GridSpec(512, 3.2e-3)
-        before = stored(synthesize(qutrit_state(1, 1, 1, l=1), W0, g))
+        before = stored(synthesize(QuditState([1, 1, 1], l=1), W0, g))
         t_s = 500e-6
         after = diffuse(before, diffusion, t_s)
         shift = qutrit_nodal_shift(before, after)
@@ -191,7 +191,7 @@ class TestDarkLines:
 
     def test_identity_shift_zero(self, diffusion):
         g = GridSpec(512, 3.2e-3)
-        s = stored(synthesize(qutrit_state(1, 1, 1, l=1), W0, g))
+        s = stored(synthesize(QuditState([1, 1, 1], l=1), W0, g))
         assert qutrit_nodal_shift(s, s) == 0.0
 
     def test_qubit_pattern_shift_within_pixel(self, diffusion):
@@ -225,12 +225,12 @@ class TestDecohere:
         # factored wave keeps its blurred factors under a low-rank phase,
         # where the phase in turn goes on the blurred samples, so the two
         # agree to the low-rank phase's error
-        s = stored(synthesize(qutrit_state(1, 0.5, 1j, l=1), W0, grid))
+        s = stored(synthesize(QuditState([1, 0.5, 1j], l=1), W0, grid))
         for both, turns in self.in_turn(s, diffusion):
             assert np.max(np.abs(both - turns)) <= 1e-12 * np.max(np.abs(turns))
 
     def test_equals_the_channels_in_turn_bit_for_bit_on_samples(self, grid, diffusion):
-        f = synthesize(qutrit_state(1, 0.5, 1j, l=1), W0, grid)
+        f = synthesize(QuditState([1, 0.5, 1j], l=1), W0, grid)
         s = stored(TransverseField(grid, f.values, f.wavelength))
         for both, turns in self.in_turn(s, diffusion):
             assert np.array_equal(both, turns)
@@ -240,7 +240,7 @@ class TestDecohere:
         """(stored wave, t_s, diffusion, magnetic) of each decoherence call of ``case``."""
         if case == "dense-cone":
             g = GridSpec(64, 3.2e-3)
-            s = stored(synthesize(qutrit_state(1.0, 0.5j, -0.3, l=1), W0, g))
+            s = stored(synthesize(QuditState([1.0, 0.5j, -0.3], l=1), W0, g))
             for t_s in (0.0, 1e-5, 2e-5, 1e-3):
                 yield s, t_s, MemoryParams(temperature=100e-6, mass=RB85), CONE
             return
@@ -321,7 +321,7 @@ class TestMagneticDephase:
         return s.values * np.exp(1j * mdl.angular_shift(x, y) * t_s)
 
     def test_matches_mesh_phase(self, grid):
-        s = stored(synthesize(qutrit_state(1, 0.5, 1j, l=1), W0, grid))
+        s = stored(synthesize(QuditState([1, 0.5, 1j], l=1), W0, grid))
         mdl = MagneticModel(guiding_b=2e-5, sensitivity=5e9, second_order=3e12,
                             center=(3e-4, -2e-4))
         for t_s in (1e-5, 2e-4):
@@ -401,7 +401,7 @@ class TestMagneticDephase:
         assert magnetic_dephase(s, MagneticModel(sensitivity=5e9), 0.0) is s
 
     def test_magnitudes_preserved(self, grid, rng):
-        s = stored(synthesize(qutrit_state(1, 0.5, 1, l=1), W0, grid))
+        s = stored(synthesize(QuditState([1, 0.5, 1], l=1), W0, grid))
         mdl = MagneticModel(trap_gradient=0.2, ambient_fraction=0.05,
                             guiding_b=0.0, sensitivity=4.4e10)
         s2 = magnetic_dephase(s, mdl, 1e-4)
@@ -466,7 +466,7 @@ class TestLowRankPhase:
         # of the Larmor map, block by block, bit for bit
         t_s = 1e-3
         assert _phase_terms(CONE, grid, t_s) is None
-        s = stored(synthesize(qutrit_state(1.0, 0.5j, -0.3, l=1), W0, grid))
+        s = stored(synthesize(QuditState([1.0, 0.5j, -0.3], l=1), W0, grid))
         wave = decohere(s, t_s, magnetic=CONE)
         assert wave.factors is None
         dense = stack_rows(_dephased(s.row_blocks(), grid, CONE, t_s), grid.n)
@@ -479,7 +479,7 @@ class TestLowRankPhase:
 
     def test_factored_wave_stays_factored(self, grid, diffusion):
         mdl = MagneticModel(guiding_b=2e-5, sensitivity=5e9, center=(3e-4, -2e-4))
-        s = stored(synthesize(qutrit_state(1.0, 0.5j, -0.3, l=1), W0, grid))
+        s = stored(synthesize(QuditState([1.0, 0.5j, -0.3], l=1), W0, grid))
         wave = decohere(s, 2e-4, diffusion, mdl)
         rank = len(_phase_terms(mdl, grid, 2e-4)[0])
         assert wave.factors.rows.shape == (2 * rank, grid.n)

@@ -7,7 +7,7 @@ from oracles import csv_writer_export, lg_amplitude, read_pgm
 from oamem.errors import GridMismatch, NonFiniteField
 from oamem.fieldgrid import (BLOCK_ROWS, GridSpec, Separable, TransverseField, export_csv,
                              export_pgm, inner_product, stack_rows, transform_to_spectrum)
-from oamem.modes import LGModeSpec, lg_field, qutrit_state, synthesize
+from oamem.modes import LGModeSpec, QuditState, lg_field, synthesize
 
 LAMBDA = 795e-9
 
@@ -182,7 +182,7 @@ class TestExport:
         # coordinates and values of every sign and magnitude
         g = GridSpec(128, 2e-3, center=(3.7e-4, -1.1e-4))
         if source == "factors":
-            f = synthesize(qutrit_state(0.8, 0.5j, -0.3 + 0.2j, l=1), 150e-6, g, LAMBDA)
+            f = synthesize(QuditState([0.8, 0.5j, -0.3 + 0.2j], l=1), 150e-6, g, LAMBDA)
         else:
             f = random_field(g, rng)
             f = f.with_values(f.values * np.logspace(-300, 300, g.n))
@@ -196,7 +196,7 @@ class TestFactoredField:
 
     @pytest.fixture
     def field(self, grid):
-        return synthesize(qutrit_state(0.8, 0.5j, -0.3 + 0.2j, l=1), 200e-6, grid, LAMBDA)
+        return synthesize(QuditState([0.8, 0.5j, -0.3 + 0.2j], l=1), 200e-6, grid, LAMBDA)
 
     def test_holds_no_samples(self, field):
         assert field.samples is None and "values" not in vars(field)
@@ -259,7 +259,7 @@ class TestPhasedFactors:
 
     @pytest.fixture
     def base(self, grid):
-        return synthesize(qutrit_state(1.0, 0.5j, -0.3 + 0.2j, l=1), 250e-6, grid)
+        return synthesize(QuditState([1.0, 0.5j, -0.3 + 0.2j], l=1), 250e-6, grid)
 
     @pytest.fixture
     def terms(self, grid, rng):

@@ -28,7 +28,7 @@ from oamem.holography import focal_basis_phases, project_and_couple
 from oamem.measurement import simulate_counts
 from oamem.modes import QuditState, decompose, synthesize
 from oamem.polariton import read, write
-from oamem.tomography import DensityMatrix, ProjectionSet, fidelity, reconstruct
+from oamem.tomography import PROJECTION_SETS, DensityMatrix, fidelity, reconstruct
 
 SRC = str(Path(oamem.__file__).resolve().parents[1])
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -424,7 +424,7 @@ class TestPipelineComposition:
         out = read(wave)
         a = decompose(out, state.l, state.dim, cfg.qudit.waist)
         eta = cfg.efficiency.to_model()(t_s)
-        pset = ProjectionSet.qutrit()
+        pset = PROJECTION_SETS[3]
         records = []
         for b_index, (label, psi) in enumerate(pset.projectors):
             amp = np.vdot(psi, a)
@@ -466,7 +466,7 @@ class TestPipelineComposition:
         field = readout(cfg, _store(cfg)[1], 2e-5)
         a = dense_amplitudes(cfg, field)
         state = cfg.qudit.to_state()
-        pset = ProjectionSet.qubit() if state.dim == 2 else ProjectionSet.qutrit()
+        pset = PROJECTION_SETS[state.dim]
         for _, psi in pset.projectors:
             ref = project_and_couple(field, QuditState(psi, l=state.l), cfg.qudit.waist)
             assert abs(np.vdot(psi, a) - ref) <= 1e-12 * abs(ref)
@@ -1012,6 +1012,29 @@ def test_output_path_that_cannot_be_a_directory_exits_2(tmp_path, capsys, given,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot create output directory {out}: ")
     assert err.count("\n") == 1
+
+
+# one file that each subcommand writes
+OUTPUT_FILE = {"scan": "scan.csv", "meridian": "meridian.csv", "decay": "decay.csv",
+               "tomo": "summary.csv", "bounds": "bounds.csv", "render": "input.csv"}
+
+
+@pytest.mark.parametrize("subcommand", list(SUBCOMMANDS))
+def test_output_file_that_cannot_be_written_exits_2(tmp_path, subcommand):
+    # a directory where an output file goes: the whole process prints one
+    # line and no traceback
+    out = tmp_path / "o"
+    (out / OUTPUT_FILE[subcommand]).mkdir(parents=True)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({**README_CONFIG, "grid": SMALL_GRID,
+                                    "qudit": README_QUBIT}))
+    proc = subprocess.run([sys.executable, "-m", "oamem.cli", subcommand, "--config", str(path),
+                           "--out", str(out)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: cannot write outputs: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 HUGE_TIME = {"storage_times": [0.0, 1.0e300]}

@@ -6,8 +6,7 @@ from oamem.errors import InvalidCharge
 from oamem.fieldgrid import GridSpec, TransverseField
 from oamem.holography import (PhaseHologram, export_pgm_hologram, focal_basis_phases,
                               fraunhofer, project_and_couple, qubit_hologram, qutrit_hologram)
-from oamem.modes import (LGModeSpec, QuditState, decompose, lg_field, qubit_state,
-                         qutrit_state, synthesize)
+from oamem.modes import LGModeSpec, QuditState, decompose, lg_field, qubit_state, synthesize
 
 LAMBDA = 795e-9
 FOCAL = 0.5
@@ -125,7 +124,7 @@ class TestBinaryMaskDiffraction:
         # symmetry-forced zero; pixels straddling the sector boundaries
         # leave a small grid residual
         far = fraunhofer(qubit_hologram(2, slm_grid).imprint(gaussian_in), FOCAL)
-        g_amp = project_and_couple(far, qutrit_state(0, 1, 0, l=2),
+        g_amp = project_and_couple(far, QuditState([0, 1, 0], l=2),
                                    LAMBDA * FOCAL / (np.pi * W_IN))
         assert abs(g_amp) ** 2 < 1e-6
 
@@ -147,7 +146,7 @@ class TestBinaryMaskDiffraction:
         assert np.max(np.abs(c.imag)) < 1e-6
         corrected = QuditState(c.real, l=1)
         resynth = synthesize(corrected, w_t, far.grid, LAMBDA)
-        direct = synthesize(qutrit_state(*c.real, l=1), w_t, far.grid, LAMBDA)
+        direct = synthesize(QuditState(c.real, l=1), w_t, far.grid, LAMBDA)
         row = far.grid.n // 2
         xs = far.grid.xs()
         for f in (resynth, direct):
@@ -203,8 +202,8 @@ class TestProjectAndCouple:
 
     def test_born_rule_consistency(self, grid, rng):
         # field-space projections agree with mode-space Born probabilities
-        from oamem.tomography import DensityMatrix, ProjectionSet, probabilities
-        for dim, pset in ((2, ProjectionSet.qubit()), (3, ProjectionSet.qutrit())):
+        from oamem.tomography import PROJECTION_SETS, DensityMatrix, probabilities
+        for dim, pset in ((2, PROJECTION_SETS[2]), (3, PROJECTION_SETS[3])):
             state = QuditState(rng.normal(size=dim) + 1j * rng.normal(size=dim), l=1)
             f = synthesize(state, 200e-6, grid)
             born = probabilities(DensityMatrix(state.density_matrix()), pset)

@@ -7,7 +7,7 @@ from oamem.config import parse_config
 from oamem.errors import ConfigError, DomainError, FitDegenerate, NoCounts
 from oamem.harness import _retrieve, _store, run_interference_scan
 from oamem.measurement import (CountRecord, fit_visibility, polar_retrieve, simulate_counts,
-                               subtract_background, write_count_records)
+                               subtract_background, write_count_records, write_csv)
 from oamem.modes import qubit_state
 
 BETAS = [2 * np.pi * i / 12 for i in range(12)]
@@ -237,6 +237,18 @@ def test_count_record_csv_round_trip(tmp_path):
     assert float(back[0]["counts"]) == 120
     assert back[1]["basis_id"] == back[1]["beta_or_label"] == "L"
     assert float(back[1]["acquisition_s"]) == 1200.0
+
+
+def test_write_csv_number_formats(tmp_path):
+    # a str as itself, a bool or an int as its digits, any other number
+    # as the repr of its float
+    path = tmp_path / "formats.csv"
+    write_csv(path, ["str", "true", "false", "int", "int64", "float", "float64"],
+              [["L+iR", True, False, -7, np.int64(12), 0.1, np.float64(1e-17)],
+               ["", True, False, 0, np.int64(-3), 2.0, np.float64(-0.0)]])
+    assert path.read_bytes() == (b"str,true,false,int,int64,float,float64\r\n"
+                                 b"L+iR,1,0,-7,12,0.1,1e-17\r\n"
+                                 b",1,0,0,-3,2.0,-0.0\r\n")
 
 
 def test_count_record_rejects_negative():

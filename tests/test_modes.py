@@ -6,7 +6,7 @@ from oamem.errors import DimMismatch, GridTooSmall
 from oamem.fieldgrid import GridSpec, TransverseField, inner_product
 from oamem.holography import fraunhofer, qubit_hologram
 from oamem.modes import (LGModeSpec, QuditState, basis_charges, decompose, lg_field,
-                         qubit_state, qutrit_state, state_from_field, synthesize)
+                         qubit_state, state_from_field, synthesize)
 
 W0 = 200e-6
 
@@ -81,7 +81,7 @@ class TestQuditState:
             QuditState(np.array([1.0, 0.0]), l=0)
 
     def test_charges_ordering(self):
-        assert qutrit_state(1, 1, 1, l=2).charges() == (2, 0, -2)
+        assert QuditState([1, 1, 1], l=2).charges() == (2, 0, -2)
         assert qubit_state(0.3, 0.1, l=3).charges() == (3, -3)
 
 
@@ -109,7 +109,7 @@ class TestSynthesize:
             assert abs(inner_product(mode, f) - coeff) < 1e-8
 
     def test_pure_g_is_gaussian(self, grid):
-        f = synthesize(qutrit_state(0, 1, 0, l=1), W0, grid)
+        f = synthesize(QuditState([0, 1, 0], l=1), W0, grid)
         ref = lg_field(LGModeSpec(0, W0), grid)
         assert np.max(np.abs(f.values - ref.values)) < 1e-12 * np.abs(ref.values).max()
 

@@ -12,7 +12,7 @@ from oamem.config import parse_config
 from oamem.decoherence import diffuse, longitudinal_drift_factor
 from oamem.fieldgrid import BLOCK_ROWS, GridSpec, TransverseField, stack_rows
 from oamem.harness import _input_field
-from oamem.modes import LGModeSpec, QuditState, lg_field, qubit_state, qutrit_state, synthesize
+from oamem.modes import LGModeSpec, QuditState, lg_field, qubit_state, synthesize
 from oamem.polariton import (SPEED_OF_LIGHT, MemoryParams, _first_shell, diffraction_check,
                              group_velocity, mixing_angle, read, write)
 
@@ -22,7 +22,7 @@ GOLDEN = Path(__file__).resolve().parents[1] / "tools" / "golden.py"
 FACTORED_CASES = [
     *(pytest.param(qubit_state(1.1, 0.4, l=l), 200e-6, 6.4e-3, id=f"qubit-l{l}")
       for l in (1, 2, 3, 4)),
-    pytest.param(qutrit_state(0.8, 0.5j, -0.3 + 0.2j, l=1), 200e-6, 6.4e-3, id="qutrit"),
+    pytest.param(QuditState([0.8, 0.5j, -0.3 + 0.2j], l=1), 200e-6, 6.4e-3, id="qutrit"),
     pytest.param(qubit_state(1.1, 0.4, l=1), 1e-5, 1.6e-4, id="tight-focus")]
 
 
@@ -277,7 +277,7 @@ class TestDiffractionCheck:
     @pytest.mark.parametrize("state, w0, extent", [
         *(pytest.param(qubit_state(1.1, 0.4, l=l), 200e-6, 6.4e-3, id=f"qubit-l{l}")
           for l in (1, 2, 3, 4)),
-        pytest.param(qutrit_state(0.8, 0.5j, -0.3 + 0.2j, l=1), 200e-6, 6.4e-3, id="qutrit"),
+        pytest.param(QuditState([0.8, 0.5j, -0.3 + 0.2j], l=1), 200e-6, 6.4e-3, id="qutrit"),
         pytest.param(qubit_state(1.1, 0.4, l=1), 1e-5, 1.6e-4, id="tight-focus")])
     def test_factored_equals_spectral(self, state, w0, extent):
         # the spectrum built block by block from the K row transforms lands

@@ -35,7 +35,6 @@ KEEP = {
     "polariton.group_velocity": "polariton bookkeeping for run diagnostics (ROADMAP item 4)",
     "tomography.DensityMatrix.pure": "test-fixture constructor",
     "tomography.DensityMatrix.maximally_mixed": "test-fixture constructor",
-    "modes.qutrit_state": "test-fixture constructor",
     "fieldgrid.TransverseField.norm": "test-fixture norm",
     "fieldgrid.TransverseField.__setstate__": "runs only when a field is unpickled: a "
                                               "forkserver or spawn pool pickles the stored "

@@ -3,9 +3,9 @@ import pytest
 
 from oamem.errors import DimMismatch, InsufficientData, NoCounts, NotPSD
 from oamem.measurement import CountRecord, simulate_counts
-from oamem.tomography import (QUBIT_PROJECTORS, DensityMatrix, ProjectionSet, _least_squares,
-                              export_density_csv, fidelity, probabilities, reconstruct,
-                              tomography_report)
+from oamem.tomography import (PROJECTION_SETS, QUBIT_PROJECTORS, DensityMatrix, ProjectionSet,
+                              _least_squares, export_density_csv, fidelity, probabilities,
+                              reconstruct, tomography_report)
 
 
 def random_pure(rng, dim):
@@ -33,29 +33,29 @@ def sampled_records(pset, probs, detections, seed):
 
 class TestProjectionSets:
     def test_qubit_labels(self):
-        assert ProjectionSet.qubit().labels == ("L", "R", "L+R", "L+iR", "L-R")
+        assert PROJECTION_SETS[2].labels == ("L", "R", "L+R", "L+iR", "L-R")
 
     def test_qutrit_labels(self):
-        assert ProjectionSet.qutrit().labels == (
+        assert PROJECTION_SETS[3].labels == (
             "L", "G", "R", "G-L", "G+R", "G+iL", "G-iR", "L+iR", "L-R")
 
     def test_tables_open_with_the_basis_in_basis_order(self):
         # pole_labels reads the first dim labels, so those kets must be the
         # basis vectors: [L, R] for a qubit, [L, G, R] for a qutrit
-        for pset, poles in ((ProjectionSet.qubit(), ("L", "R")),
-                            (ProjectionSet.qutrit(), ("L", "G", "R"))):
+        for pset, poles in ((PROJECTION_SETS[2], ("L", "R")),
+                            (PROJECTION_SETS[3], ("L", "G", "R"))):
             kets = np.array([psi for _, psi in pset.projectors[:pset.dim]])
             assert np.array_equal(kets, np.eye(pset.dim))
             assert pset.pole_labels == poles
 
     def test_projectors_normalized(self):
-        for pset in (ProjectionSet.qubit(), ProjectionSet.qutrit()):
+        for pset in (PROJECTION_SETS[2], PROJECTION_SETS[3]):
             for _, psi in pset.projectors:
                 assert np.linalg.norm(psi) == pytest.approx(1.0)
 
     def test_design_matrix_ranks(self):
         # the full sets pin the state; three qubit projectors leave it open
-        for pset in (ProjectionSet.qubit(), ProjectionSet.qutrit()):
+        for pset in (PROJECTION_SETS[2], PROJECTION_SETS[3]):
             probs = probabilities(DensityMatrix.maximally_mixed(pset.dim), pset)
             reconstruct(records_from_probs(pset, probs), pset)
         short = ProjectionSet(2, QUBIT_PROJECTORS[:3])
@@ -83,28 +83,28 @@ class TestDensityMatrix:
 
 class TestProbabilities:
     def test_pole_state(self):
-        pset = ProjectionSet.qubit()
+        pset = PROJECTION_SETS[2]
         p = probabilities(DensityMatrix.pure([1, 0]), pset)
         assert p == pytest.approx([1.0, 0.0, 0.5, 0.5, 0.5])
 
     def test_maximally_mixed(self):
-        pset = ProjectionSet.qubit()
+        pset = PROJECTION_SETS[2]
         p = probabilities(DensityMatrix.maximally_mixed(2), pset)
         assert p == pytest.approx([0.5] * 5)
 
     def test_circular_state(self):
-        pset = ProjectionSet.qubit()
+        pset = PROJECTION_SETS[2]
         p = dict(zip(pset.labels, probabilities(DensityMatrix.pure([1, 1j]), pset)))
         assert p["L+iR"] == pytest.approx(1.0)
         assert p["L-R"] == pytest.approx(0.5)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            probabilities(DensityMatrix.maximally_mixed(3), ProjectionSet.qubit())
+            probabilities(DensityMatrix.maximally_mixed(3), PROJECTION_SETS[2])
 
 
 class TestReconstruct:
-    @pytest.mark.parametrize("pset", [ProjectionSet.qubit(), ProjectionSet.qutrit()],
+    @pytest.mark.parametrize("pset", [PROJECTION_SETS[2], PROJECTION_SETS[3]],
                              ids=["qubit", "qutrit"])
     def test_noiseless_round_trip(self, pset, rng):
         for _ in range(100):
@@ -114,14 +114,14 @@ class TestReconstruct:
             assert fidelity(rho, rho_true) >= 0.9999
 
     def test_recovers_projection_basis_states(self):
-        pset = ProjectionSet.qubit()
+        pset = PROJECTION_SETS[2]
         for _, psi in pset.projectors:
             rho_true = DensityMatrix.pure(psi)
             records = records_from_probs(pset, probabilities(rho_true, pset))
             assert fidelity(reconstruct(records, pset), rho_true) >= 0.9999
 
     def test_poisson_counts_high_fidelity(self, rng):
-        pset = ProjectionSet.qutrit()
+        pset = PROJECTION_SETS[3]
         rho_true = DensityMatrix.pure([1, 1, 1])
         probs = probabilities(rho_true, pset)
         fids = [fidelity(reconstruct(sampled_records(pset, probs, 10 ** 5, seed), pset),
@@ -130,7 +130,7 @@ class TestReconstruct:
         assert np.median(fids) >= 0.99
 
     def test_consistency_counts_to_infinity(self, rng):
-        pset = ProjectionSet.qutrit()
+        pset = PROJECTION_SETS[3]
         rho_true = random_pure(rng, 3)
         probs = probabilities(rho_true, pset)
         dists = []
@@ -143,31 +143,31 @@ class TestReconstruct:
         assert dists[0] > dists[1] > dists[2]
 
     def test_missing_record(self):
-        pset = ProjectionSet.qubit()
+        pset = PROJECTION_SETS[2]
         records = records_from_probs(pset, probabilities(DensityMatrix.pure([1, 0]), pset))
         with pytest.raises(InsufficientData):
             reconstruct(records[:-1], pset)
 
     def test_zero_reference_counts(self):
-        pset = ProjectionSet.qubit()
+        pset = PROJECTION_SETS[2]
         records = [CountRecord(lab, counts=0.0) for lab in pset.labels]
         with pytest.raises(NoCounts):
             reconstruct(records, pset)
 
     def test_linear_inversion_missing_record(self):
-        pset = ProjectionSet.qutrit()
+        pset = PROJECTION_SETS[3]
         records = records_from_probs(pset, probabilities(DensityMatrix.pure([1, 1, 1]), pset))
         with pytest.raises(InsufficientData):
             _least_squares(records[1:], pset)
 
     def test_linear_inversion_zero_reference_counts(self):
-        pset = ProjectionSet.qubit()
+        pset = PROJECTION_SETS[2]
         records = [CountRecord(lab, counts=0.0) for lab in pset.labels]
         with pytest.raises(NoCounts):
             _least_squares(records, pset)
 
     def test_ml_refinement_close_to_linear(self, rng):
-        pset = ProjectionSet.qubit()
+        pset = PROJECTION_SETS[2]
         rho_true = random_pure(rng, 2)
         probs = probabilities(rho_true, pset)
         records = sampled_records(pset, probs, 10 ** 4, seed=5)
@@ -178,7 +178,7 @@ class TestReconstruct:
     def test_psd_projection_bound(self, rng):
         # clipping negative mass mu and renormalizing moves the state by
         # exactly 2 mu in trace norm, and at most that in squared fidelity
-        pset = ProjectionSet.qubit()
+        pset = PROJECTION_SETS[2]
         rho_true = random_pure(rng, 2)
         probs = probabilities(rho_true, pset)
         records = sampled_records(pset, probs, 200, seed=3)
@@ -237,7 +237,7 @@ class TestFidelity:
 
 
 def test_exports(tmp_path, rng):
-    pset = ProjectionSet.qubit()
+    pset = PROJECTION_SETS[2]
     rho = random_pure(rng, 2)
     path = tmp_path / "rho.csv"
     export_density_csv(rho, path)
@@ -254,7 +254,7 @@ def test_exports(tmp_path, rng):
 def test_report_prints_no_sign_of_rounding_noise():
     # reconstructed rho keeps imaginary parts of about 1e-17 on its diagonal;
     # their sign must not reach the report
-    pset = ProjectionSet.qubit()
+    pset = PROJECTION_SETS[2]
     base = np.array([[0.7, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]], dtype=complex)
     reports = []
     for noise in (1e-17, -1e-17):
@@ -267,8 +267,8 @@ def test_report_prints_no_sign_of_rounding_noise():
 
 
 def test_design_built_once_per_projection_set():
-    assert ProjectionSet.qubit() is ProjectionSet.qubit()
-    basis, rows, determined = ProjectionSet.qutrit().design
-    assert ProjectionSet.qutrit().design[1] is rows
+    assert PROJECTION_SETS[2] is PROJECTION_SETS[2]
+    basis, rows, determined = PROJECTION_SETS[3].design
+    assert PROJECTION_SETS[3].design[1] is rows
     assert determined and rows.shape == (9, 8) and not rows.flags.writeable
     assert not ProjectionSet(2, QUBIT_PROJECTORS[:3]).design[2]
