@@ -28,8 +28,8 @@ from .measurement import (CountRecord, fit_visibility, polar_retrieve, simulate_
 from .modes import (LGModeSpec, QuditState, basis_charges, decompose, lg_field,
                     qubit_state, synthesize)
 from .polariton import read, write
-from .tomography import (PROJECTION_SETS, DensityMatrix, export_density_csv,
-                         fidelity, probabilities, reconstruct, tomography_report)
+from .tomography import (PROJECTION_SETS, export_density_csv, fidelity, probabilities,
+                         reconstruct, tomography_report)
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,10 @@ def storage_point(cfg: ExperimentConfig, stored: tuple[np.ndarray, TransverseFie
     """One storage-and-tomography pass at a single storage time.
 
     ``stored`` is :func:`_store` of ``cfg``.  Chain: decohere -> read ->
-    project (:func:`_retrieve`) -> count -> reconstruct -> fidelity, where
-    f_abs compares with the configured state and f_rel with the stored one.
+    project (:func:`_retrieve`) -> count -> reconstruct (linear inversion
+    through the projector set's one cached pseudo-inverse) -> fidelity.
+    f_abs and f_rel are sqrt(<psi|rho|psi>) against the configured and
+    the stored ket, so f_abs ** 2 is the transition probability.
     At t_s = 0 the amplitudes are the stored state itself, which
     :func:`_store` already projected: no channel acts and the drift factor
     is exactly 1, so projecting again would give the same bytes.
@@ -203,8 +205,8 @@ def storage_point(cfg: ExperimentConfig, stored: tuple[np.ndarray, TransverseFie
     eta = _efficiency(cfg, t_s)
     records = _count(cfg, a, eta, t_index, pset.projectors)
     rho = reconstruct(records, pset)
-    f_abs = fidelity(rho, DensityMatrix(state.density_matrix()))
-    f_rel = fidelity(rho, DensityMatrix(QuditState(reference, l=state.l).density_matrix()))
+    f_abs = fidelity(rho, state.coeffs)
+    f_rel = fidelity(rho, reference / np.linalg.norm(reference))
     return {"t_s": t_s, "eta": eta, "f_rel": f_rel, "f_abs": f_abs,
             "records": records, "rho": rho, "pset": pset}
 

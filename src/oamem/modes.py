@@ -72,9 +72,6 @@ class QuditState:
     def charges(self) -> tuple[int, ...]:
         return basis_charges(self.dim, self.l)
 
-    def density_matrix(self) -> np.ndarray:
-        return np.outer(self.coeffs, np.conj(self.coeffs))
-
 
 def qubit_state(gamma: float, beta: float, l: int = 1) -> QuditState:
     """Bloch-sphere qubit cos(gamma/2)|L> + sin(gamma/2) e^{i beta}|R>."""

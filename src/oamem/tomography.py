@@ -5,13 +5,16 @@ and the nine-basis qutrit set {L, G, R, G-L, G+R, G+iL, G-iR, L+iR,
 L-R}; ``PROJECTION_SETS`` maps each supported dimension to its set.
 Counts are normalized by the pole-basis subset (L+R for qubits, L+G+R
 for qutrits), which resolves the identity and provides the flux
-reference.  Reconstruction is linear least squares over Hermitian
-unit-trace matrices followed by eigenvalue clipping onto the physical
-set, with an optional fixed-point maximum-likelihood refinement.
+reference.  Reconstruction is linear inversion over Hermitian unit-trace
+matrices, through one pseudo-inverse cached per projector set, followed
+by eigenvalue clipping onto the physical set, with an optional
+fixed-point maximum-likelihood refinement.  The fidelity is
+sqrt(<psi|rho|psi>) against a pure reference ket.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -57,8 +60,8 @@ class ProjectionSet:
     """Labeled pure-state projectors used for tomography.
 
     ``PROJECTION_SETS`` holds one shared instance per dimension, so the
-    least-squares design of :func:`reconstruct`, cached per instance, is
-    built once per process.
+    linear-inversion design of :func:`reconstruct`, cached per instance,
+    is built once per process.
     """
 
     dim: int
@@ -74,36 +77,45 @@ class ProjectionSet:
         return self.labels[:self.dim]
 
     @cached_property
-    def design(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, bool]:
+    def kets(self) -> np.ndarray:
+        """The projector kets as the rows of one read-only (k, dim) array."""
+        kets = np.array([psi for _, psi in self.projectors])
+        kets.flags.writeable = False
+        return kets
+
+    @cached_property
+    def design(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only traceless orthonormal Hermitian basis (generalized
-        Pauli/Gell-Mann), the rows tr(op |psi_i><psi_i|) over it, and whether
-        they determine the state (full rank)."""
+        Pauli/Gell-Mann) as an (m, dim, dim) stack, and the pseudo-inverse
+        of the Born rows <psi_i|op_m|psi_i> over it.
+
+        Raises InsufficientData when the rows do not determine the state
+        (rank below m = dim^2 - 1).
+        """
         dim = self.dim
         basis = []
-        for k in range(dim):
-            for m in range(k + 1, dim):
-                sym = np.zeros((dim, dim), dtype=np.complex128)
-                sym[k, m] = sym[m, k] = 1.0 / math.sqrt(2.0)
-                basis.append(sym)
-                asym = np.zeros((dim, dim), dtype=np.complex128)
-                asym[k, m] = -1j / math.sqrt(2.0)
-                asym[m, k] = 1j / math.sqrt(2.0)
-                basis.append(asym)
+        for k, m in itertools.combinations(range(dim), 2):
+            # symmetric, then antisymmetric off-diagonal pair
+            for upper, lower in ((1.0, 1.0), (-1j, 1j)):
+                op = np.zeros((dim, dim), dtype=np.complex128)
+                op[k, m], op[m, k] = upper / math.sqrt(2.0), lower / math.sqrt(2.0)
+                basis.append(op)
         for k in range(1, dim):
-            diag = np.zeros((dim, dim), dtype=np.complex128)
-            diag[:k, :k] = np.eye(k)
-            diag[k, k] = -k
-            diag /= math.sqrt(k * (k + 1))
-            basis.append(diag)
-        basis = tuple(basis)
-        rows = []
-        for _, psi in self.projectors:
-            proj = np.outer(psi, psi.conj())
-            rows.append([float(np.real(np.trace(op @ proj))) for op in basis])
-        rows = np.array(rows)
-        for a in basis + (rows,):
-            a.flags.writeable = False
-        return basis, rows, bool(np.linalg.matrix_rank(rows) == dim * dim - 1)
+            diag = np.r_[np.ones(k), -k, np.zeros(dim - k - 1)] / math.sqrt(k * (k + 1))
+            basis.append(np.diag(diag.astype(np.complex128)))
+        basis = np.array(basis)
+        rows = _born(self.kets, basis)
+        if np.linalg.matrix_rank(rows) != dim * dim - 1:
+            raise InsufficientData("projector set does not determine the state")
+        inverse = np.linalg.pinv(rows)
+        basis.flags.writeable = inverse.flags.writeable = False
+        return basis, inverse
+
+
+def _born(kets: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Re <psi_k| op |psi_k> for each row of ``kets`` (k, d) and each
+    operator of ``ops`` (d, d) or (m, d, d): shape (k,) or (k, m)."""
+    return np.einsum("ki,...ij,kj->k...", kets.conj(), ops, kets).real
 
 
 PROJECTION_SETS = {2: ProjectionSet(2, QUBIT_PROJECTORS), 3: ProjectionSet(3, QUTRIT_PROJECTORS)}
@@ -148,11 +160,7 @@ def probabilities(rho: DensityMatrix, pset: ProjectionSet) -> list[float]:
     """Born probabilities <psi_i| rho |psi_i> for every projector."""
     if rho.dim != pset.dim:
         raise DimMismatch("state and projection set dimensions differ")
-    out = []
-    for _, psi in pset.projectors:
-        p = float(np.real(psi.conj() @ rho.matrix @ psi))
-        out.append(min(max(p, 0.0), 1.0))
-    return out
+    return np.clip(_born(pset.kets, rho.matrix), 0.0, 1.0).tolist()
 
 
 def _project_to_physical(m: np.ndarray) -> np.ndarray:
@@ -180,13 +188,8 @@ def _least_squares(records, pset: ProjectionSet) -> tuple[np.ndarray, np.ndarray
     probs = np.array([by_label[lab].counts / reference for lab in pset.labels])
 
     dim = pset.dim
-    basis, design, determined = pset.design
-    if not determined:
-        raise InsufficientData("projector set does not determine the state")
-    coeffs, *_ = np.linalg.lstsq(design, probs - 1.0 / dim, rcond=None)
-    raw = np.eye(dim, dtype=np.complex128) / dim
-    for c, op in zip(coeffs, basis):
-        raw = raw + c * op
+    basis, inverse = pset.design
+    raw = np.eye(dim) / dim + np.einsum("m,mij->ij", inverse @ (probs - 1.0 / dim), basis)
     return probs, raw
 
 
@@ -194,9 +197,10 @@ def reconstruct(records, pset: ProjectionSet, max_likelihood: bool = False) -> D
     """Estimate the density matrix from one count record per projector.
 
     Counts become probabilities by division by the summed counts of the
-    pole subset.  Raises InsufficientData when a record is missing or
-    the projector set does not pin the state (rank check), NoCounts when
-    the reference flux is zero.
+    pole subset; linear inversion applies the projector set's cached
+    pseudo-inverse to them.  Raises InsufficientData when a record is
+    missing or the projector set does not pin the state (rank check),
+    NoCounts when the reference flux is zero.
     """
     probs, raw = _least_squares(records, pset)
     physical = _project_to_physical(raw)
@@ -208,45 +212,32 @@ def reconstruct(records, pset: ProjectionSet, max_likelihood: bool = False) -> D
 def _ml_refine(rho: np.ndarray, pset: ProjectionSet, freqs: np.ndarray,
                tol: float = 1e-10, max_iter: int = 10 ** 4) -> np.ndarray:
     """Fixed-point R rho R iteration maximizing sum f_i log p_i."""
-    projectors = [np.outer(psi, psi.conj()) for _, psi in pset.projectors]
     f = np.clip(freqs, 0.0, None)
     f = f / f.sum()
     last_ll = -np.inf
     for _ in range(max_iter):
-        p = np.array([max(np.real(np.trace(proj @ rho)), 1e-12) for proj in projectors])
+        p = np.maximum(_born(pset.kets, rho), 1e-12)
         ll = float(np.sum(f * np.log(p)))
         if abs(ll - last_ll) < tol:
             break
         last_ll = ll
-        r_op = sum((fi / pi) * proj for fi, pi, proj in zip(f, p, projectors))
+        r_op = np.einsum("k,ki,kj->ij", f / p, pset.kets, pset.kets.conj())
         rho = r_op @ rho @ r_op
         rho = (rho + rho.conj().T) / 2.0
         rho = rho / np.real(np.trace(rho))
     return _project_to_physical(rho)
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(m)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+def fidelity(rho: DensityMatrix, psi: np.ndarray) -> float:
+    """Square-root fidelity sqrt(<psi|rho|psi>) with the pure reference ``psi``,
+    a unit ket.
 
-
-def fidelity(rho: DensityMatrix, rho0: DensityMatrix) -> float:
-    """Square-root (amplitude) fidelity tr sqrt(sqrt(rho) rho0 sqrt(rho)).
-
-    For a pure reference this reduces to sqrt(<psi|rho|psi>); its square
-    is the transition probability.
+    This is Uhlmann's tr sqrt(sqrt(rho) |psi><psi| sqrt(rho)) for a pure
+    reference; its square is the transition probability.
     """
-    if rho.dim != rho0.dim:
-        raise DimMismatch("density matrices have different dimensions")
-    root = _psd_sqrt(rho.matrix)
-    inner = root @ rho0.matrix @ root
-    vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    # eigenvalues below the eigensolver's absolute resolution are noise;
-    # the square root would otherwise inflate them to ~1e-8
-    floor = max(vals.max(), 0.0) * 1e-13
-    f = float(np.sum(np.sqrt(vals[vals > floor])))
-    return min(max(f, 0.0), 1.0)
+    if np.shape(psi) != (rho.dim,):
+        raise DimMismatch("state and reference ket dimensions differ")
+    return min(math.sqrt(max(_born(np.atleast_2d(psi), rho.matrix)[0], 0.0)), 1.0)
 
 
 def export_density_csv(rho: DensityMatrix, path) -> None:

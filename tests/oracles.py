@@ -8,7 +8,10 @@ are plain finite sums, the diffraction-phase oracle sorts every pixel of
 a centered spectrum by |q|, and the field overlap and PGM reader work on
 the raw arrays and bytes, and the CSV exporter writes through
 ``csv.writer`` one pixel at a time.  The dense amplitude reference projects a whole
-read-out n x n field, where a campaign streams the decohered wave.
+read-out n x n field, where a campaign streams the decohered wave.  The
+fidelity oracle is Uhlmann's general formula for two density matrices,
+by eigendecomposition, where ``tomography.fidelity`` takes a pure
+reference ket.
 """
 
 import csv
@@ -76,6 +79,24 @@ def overlap(a, b) -> complex:
     """Normalized projection <a|b> / (|a| |b|) of two fields' sample arrays."""
     return complex(np.vdot(a.values, b.values)
                    / (np.linalg.norm(a.values) * np.linalg.norm(b.values)))
+
+
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(m)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+
+
+def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Square-root fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)) of two density matrices.
+
+    Eigenvalues of the inner matrix below 1e-13 of its largest are the
+    eigensolver's noise, which the square root would inflate to ~1e-7.
+    """
+    root = _psd_sqrt(rho)
+    inner = root @ sigma @ root
+    vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
+    floor = max(vals.max(), 0.0) * 1e-13
+    return float(np.sum(np.sqrt(vals[vals > floor])))
 
 
 def dense_amplitudes(cfg, field, t_s: float = 0.0) -> np.ndarray:

@@ -141,20 +141,21 @@ def test_criterion_7_tomography_round_trip(rng):
         worst = 1.0
         for pset in (PROJECTION_SETS[2], PROJECTION_SETS[3]):
             for _ in range(100):
-                rho_true = DensityMatrix.pure(rng.normal(size=pset.dim)
-                                              + 1j * rng.normal(size=pset.dim))
+                psi = rng.normal(size=pset.dim) + 1j * rng.normal(size=pset.dim)
+                psi /= np.linalg.norm(psi)
                 records = [CountRecord(lab, counts=p) for lab, p in
-                           zip(pset.labels, probabilities(rho_true, pset))]
-                worst = min(worst, fidelity(reconstruct(records, pset), rho_true))
+                           zip(pset.labels, probabilities(DensityMatrix.pure(psi), pset))]
+                worst = min(worst, fidelity(reconstruct(records, pset), psi))
         pset = PROJECTION_SETS[3]
         fids = []
         for seed in range(15):
-            rho_true = DensityMatrix.pure(rng.normal(size=3) + 1j * rng.normal(size=3))
-            probs = probabilities(rho_true, pset)
+            psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+            psi /= np.linalg.norm(psi)
+            probs = probabilities(DensityMatrix.pure(psi), pset)
             records = [simulate_counts(p, 1.0, 1.0, 10 ** 5, 0.0, seed * 100 + i,
                                        basis_id=lab)
                        for i, (lab, p) in enumerate(zip(pset.labels, probs))]
-            fids.append(fidelity(reconstruct(records, pset), rho_true))
+            fids.append(fidelity(reconstruct(records, pset), psi))
         return worst, float(np.median(fids))
 
     (worst, median), elapsed = timed(compute)

@@ -175,3 +175,23 @@ def test_compare_without_rtol_passes_identical_trees_and_fails_on_one_ulp(tmp_pa
     ulp = cli([(0.0, 0.1, 1)], [(0.0, 0.10000000000000002, 1)], "ulp")
     assert ulp.returncode == 1
     assert "decay.csv: row 1 eta: '0.1' -> '0.10000000000000002'" in ulp.stdout
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["-h"], 0), (["--compare", "old", "new", "--help"], 0),
+    (["--bogus"], 2), (["--configs", "--bogus"], 2), (["--compare", "old", "--bogus"], 2),
+    (["--compare", "old", "new", "--strict", "1"], 2), ([], 2),
+], ids=["help", "h", "help-anywhere", "unknown", "configs-dash", "compare-dash",
+        "compare-option", "none"])
+def test_usage_runs_nothing_and_makes_no_directory(tmp_path, monkeypatch, capsys, argv, code):
+    golden = load_tool()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a golden run started")
+
+    monkeypatch.setattr(golden, "run", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert golden.main(argv) == code
+    printed = capsys.readouterr()
+    assert "Usage::" in (printed.out if code == 0 else printed.err)
+    assert list(tmp_path.iterdir()) == []

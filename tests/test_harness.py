@@ -28,7 +28,7 @@ from oamem.holography import focal_basis_phases, project_and_couple
 from oamem.measurement import simulate_counts
 from oamem.modes import QuditState, decompose, synthesize
 from oamem.polariton import read, write
-from oamem.tomography import PROJECTION_SETS, DensityMatrix, fidelity, reconstruct
+from oamem.tomography import PROJECTION_SETS, fidelity, reconstruct
 
 SRC = str(Path(oamem.__file__).resolve().parents[1])
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -434,7 +434,7 @@ class TestPipelineComposition:
                                            eta, cfg.counting.pulses, 0.0, seed,
                                            basis_id=label))
         rho = reconstruct(records, pset)
-        f_abs = fidelity(rho, DensityMatrix(state.density_matrix()))
+        f_abs = fidelity(rho, state.coeffs)
         assert [r.counts for r in records] == [r.counts for r in got["records"]]
         assert got["f_abs"] == f_abs
         assert got["eta"] == eta

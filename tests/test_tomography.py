@@ -1,15 +1,28 @@
 import numpy as np
 import pytest
+from oracles import uhlmann_fidelity
 
 from oamem.errors import DimMismatch, InsufficientData, NoCounts, NotPSD
 from oamem.measurement import CountRecord, simulate_counts
-from oamem.tomography import (PROJECTION_SETS, QUBIT_PROJECTORS, DensityMatrix, ProjectionSet,
-                              _least_squares, export_density_csv, fidelity, probabilities,
-                              reconstruct, tomography_report)
+from oamem.tomography import (PROJECTION_SETS, QUBIT_PROJECTORS, QUTRIT_PROJECTORS,
+                              DensityMatrix, ProjectionSet, _born, _least_squares,
+                              export_density_csv, fidelity, probabilities, reconstruct,
+                              tomography_report)
+
+
+def random_ket(rng, dim):
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
 
 
 def random_pure(rng, dim):
-    return DensityMatrix.pure(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    return DensityMatrix.pure(random_ket(rng, dim))
+
+
+def random_mixed(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = z @ z.conj().T
+    return DensityMatrix(m / np.trace(m).real)
 
 
 def haar_unitary(rng, dim):
@@ -108,24 +121,23 @@ class TestReconstruct:
                              ids=["qubit", "qutrit"])
     def test_noiseless_round_trip(self, pset, rng):
         for _ in range(100):
-            rho_true = random_pure(rng, pset.dim)
-            records = records_from_probs(pset, probabilities(rho_true, pset))
+            psi = random_ket(rng, pset.dim)
+            records = records_from_probs(pset, probabilities(DensityMatrix.pure(psi), pset))
             rho = reconstruct(records, pset)
-            assert fidelity(rho, rho_true) >= 0.9999
+            assert fidelity(rho, psi) >= 0.9999
 
     def test_recovers_projection_basis_states(self):
         pset = PROJECTION_SETS[2]
         for _, psi in pset.projectors:
             rho_true = DensityMatrix.pure(psi)
             records = records_from_probs(pset, probabilities(rho_true, pset))
-            assert fidelity(reconstruct(records, pset), rho_true) >= 0.9999
+            assert fidelity(reconstruct(records, pset), psi) >= 0.9999
 
     def test_poisson_counts_high_fidelity(self, rng):
         pset = PROJECTION_SETS[3]
-        rho_true = DensityMatrix.pure([1, 1, 1])
-        probs = probabilities(rho_true, pset)
-        fids = [fidelity(reconstruct(sampled_records(pset, probs, 10 ** 5, seed), pset),
-                         rho_true)
+        psi = np.ones(3) / np.sqrt(3)
+        probs = probabilities(DensityMatrix.pure(psi), pset)
+        fids = [fidelity(reconstruct(sampled_records(pset, probs, 10 ** 5, seed), pset), psi)
                 for seed in range(10)]
         assert np.median(fids) >= 0.99
 
@@ -168,11 +180,11 @@ class TestReconstruct:
 
     def test_ml_refinement_close_to_linear(self, rng):
         pset = PROJECTION_SETS[2]
-        rho_true = random_pure(rng, 2)
-        probs = probabilities(rho_true, pset)
+        psi = random_ket(rng, 2)
+        probs = probabilities(DensityMatrix.pure(psi), pset)
         records = sampled_records(pset, probs, 10 ** 4, seed=5)
-        f_lin = fidelity(reconstruct(records, pset), rho_true)
-        f_ml = fidelity(reconstruct(records, pset, max_likelihood=True), rho_true)
+        f_lin = fidelity(reconstruct(records, pset), psi)
+        f_ml = fidelity(reconstruct(records, pset, max_likelihood=True), psi)
         assert f_ml >= f_lin - 0.02
 
     def test_psd_projection_bound(self, rng):
@@ -196,44 +208,52 @@ class TestReconstruct:
 
 class TestFidelity:
     def test_self_unity(self, rng):
-        rho = random_pure(rng, 3)
-        assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
+        psi = random_ket(rng, 3)
+        assert fidelity(DensityMatrix.pure(psi), psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_zero(self):
-        assert fidelity(DensityMatrix.pure([1, 0]), DensityMatrix.pure([0, 1])) == 0.0
+        assert fidelity(DensityMatrix.pure([1, 0]), np.array([0, 1])) == 0.0
 
     def test_mixed_vs_pure(self):
-        f = fidelity(DensityMatrix.maximally_mixed(2), DensityMatrix.pure([1, 0]))
+        f = fidelity(DensityMatrix.maximally_mixed(2), np.array([1, 0]))
         assert f == pytest.approx(1 / np.sqrt(2), rel=1e-12)
 
     def test_symmetric(self, rng):
-        a, b = random_pure(rng, 3), DensityMatrix.maximally_mixed(3)
-        assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-12)
+        # between two pure states the fidelity is |<a|b>| either way round
+        a, b = random_ket(rng, 3), random_ket(rng, 3)
+        assert fidelity(DensityMatrix.pure(a), b) == pytest.approx(
+            fidelity(DensityMatrix.pure(b), a), abs=1e-12)
+        assert fidelity(DensityMatrix.pure(a), b) == pytest.approx(abs(np.vdot(a, b)), abs=1e-12)
 
     def test_unitary_invariance(self, rng):
-        a, b = random_pure(rng, 3), random_pure(rng, 3)
+        rho, psi = random_mixed(rng, 3), random_ket(rng, 3)
         u = haar_unitary(np.random.default_rng(7), 3)
         assert np.allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
-        ua = DensityMatrix(u @ a.matrix @ u.conj().T)
-        ub = DensityMatrix(u @ b.matrix @ u.conj().T)
-        assert fidelity(ua, ub) == pytest.approx(fidelity(a, b), abs=1e-10)
+        urho = DensityMatrix(u @ rho.matrix @ u.conj().T)
+        assert fidelity(urho, u @ psi) == pytest.approx(fidelity(rho, psi), abs=1e-10)
 
     def test_squared_convention(self, rng):
         # squared, the fidelity to a pure state is the transition probability
-        a, b = random_pure(rng, 2), random_pure(rng, 2)
-        assert fidelity(a, b) ** 2 == pytest.approx(
-            np.real(np.trace(a.matrix @ b.matrix)), rel=1e-12)
+        rho, psi = random_mixed(rng, 2), random_ket(rng, 2)
+        assert fidelity(rho, psi) ** 2 == pytest.approx(
+            np.real(np.trace(rho.matrix @ np.outer(psi, psi.conj()))), rel=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            fidelity(DensityMatrix.maximally_mixed(2), DensityMatrix.maximally_mixed(3))
+            fidelity(DensityMatrix.maximally_mixed(2), np.ones(3) / np.sqrt(3))
 
     def test_pure_reference_shortcut(self, rng):
         rho = DensityMatrix.maximally_mixed(3)
-        psi = rng.normal(size=3) + 1j * rng.normal(size=3)
-        psi /= np.linalg.norm(psi)
+        psi = random_ket(rng, 3)
         direct = np.sqrt(np.real(psi.conj() @ rho.matrix @ psi))
-        assert fidelity(rho, DensityMatrix.pure(psi)) == pytest.approx(direct, rel=1e-10)
+        assert fidelity(rho, psi) == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_equals_the_uhlmann_oracle(self, dim, rng):
+        for _ in range(200):
+            rho, psi = random_mixed(rng, dim), random_ket(rng, dim)
+            expected = uhlmann_fidelity(rho.matrix, np.outer(psi, psi.conj()))
+            assert abs(fidelity(rho, psi) - expected) <= 1e-12
 
 
 def test_exports(tmp_path, rng):
@@ -266,9 +286,56 @@ def test_report_prints_no_sign_of_rounding_noise():
     assert "+0.700000+0.000000j  +0.100000-0.200000j" in reports[0]
 
 
-def test_design_built_once_per_projection_set():
+def test_design_built_once_per_projection_set(monkeypatch):
     assert PROJECTION_SETS[2] is PROJECTION_SETS[2]
-    basis, rows, determined = PROJECTION_SETS[3].design
-    assert PROJECTION_SETS[3].design[1] is rows
-    assert determined and rows.shape == (9, 8) and not rows.flags.writeable
-    assert not ProjectionSet(2, QUBIT_PROJECTORS[:3]).design[2]
+    basis, inverse = PROJECTION_SETS[3].design
+    assert PROJECTION_SETS[3].design[1] is inverse
+    assert basis.shape == (8, 3, 3) and inverse.shape == (8, 9)
+    assert not basis.flags.writeable and not inverse.flags.writeable
+    with pytest.raises(InsufficientData, match="does not determine"):
+        ProjectionSet(2, QUBIT_PROJECTORS[:3]).design
+    # a fresh set inverts its design once, however many records it reconstructs
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a) or pinv(a))
+    pset = ProjectionSet(3, QUTRIT_PROJECTORS)
+    probs = probabilities(DensityMatrix.maximally_mixed(3), pset)
+    for _ in range(3):
+        reconstruct(records_from_probs(pset, probs), pset)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("pset", [PROJECTION_SETS[2], PROJECTION_SETS[3]],
+                         ids=["qubit", "qutrit"])
+def test_design_rows_are_born_traces(pset):
+    basis, _ = pset.design
+    rows = _born(pset.kets, basis)
+    for psi, row in zip(pset.kets, rows):
+        proj = np.outer(psi, psi.conj())
+        expected = [np.real(np.trace(op @ proj)) for op in basis]
+        assert np.max(np.abs(row - expected)) <= 1e-15
+
+
+@pytest.mark.parametrize("pset", [PROJECTION_SETS[2], PROJECTION_SETS[3]],
+                         ids=["qubit", "qutrit"])
+def test_cached_inverse_matches_lstsq_on_poisson_counts(pset, rng):
+    basis, _ = pset.design
+    rows = _born(pset.kets, basis)
+    for seed in range(20):
+        probs = probabilities(random_mixed(rng, pset.dim), pset)
+        freqs, raw = _least_squares(sampled_records(pset, probs, 2000, seed), pset)
+        coeffs, *_ = np.linalg.lstsq(rows, freqs - 1.0 / pset.dim, rcond=None)
+        expected = np.eye(pset.dim) / pset.dim + np.tensordot(coeffs, basis, axes=1)
+        assert np.max(np.abs(raw - expected)) <= 1e-13
+
+
+def test_reconstruct_solves_no_least_squares(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("reconstruct called np.linalg.lstsq")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    pset = ProjectionSet(3, QUTRIT_PROJECTORS)  # its design is built under the patch too
+    psi = np.array([1, 1j, -1]) / np.sqrt(3)
+    rho = reconstruct(records_from_probs(pset, probabilities(DensityMatrix.pure(psi), pset)),
+                      pset)
+    assert fidelity(rho, psi) == pytest.approx(1.0, abs=1e-12)

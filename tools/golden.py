@@ -5,6 +5,7 @@ Usage::
     python3 tools/golden.py OUT_DIR              # write the configs and run them all
     python3 tools/golden.py --configs OUT_DIR    # only write the configs
     python3 tools/golden.py --compare OLD_DIR NEW_DIR [--rtol R] [--expect SPEC]
+    python3 tools/golden.py --help               # print this usage, run nothing
 
 The configs are both ``perfbench/workloads.py`` workloads at seeds 1-3,
 each also from a binary hologram (``HOLOGRAM``), and the README's
@@ -321,19 +322,32 @@ def _compare_manifest(old: bytes, new: bytes, rel: Path, changed: set) -> list[s
 
 
 def main(argv: list[str]) -> int:
+    """Run the form of the usage that ``argv`` names; -h or --help prints the usage.
+
+    Any other argument that starts with ``-`` outside its documented
+    place prints the usage and returns 2, and runs nothing.
+    """
+    if {"-h", "--help"} & set(argv):
+        print(__doc__)
+        return 0
     options = dict(zip(argv[3::2], argv[4::2]))
-    if (argv[:1] == ["--compare"] and len(argv) >= 3 and len(argv) % 2
-            and set(options) <= {"--rtol", "--expect"}):
+    if argv[:1] == ["--compare"]:
+        values = argv[1:3] + list(options.values())
+        valid = len(argv) >= 3 and len(argv) % 2 and set(options) <= {"--rtol", "--expect"}
+    else:
+        values = argv[1:] if argv[:1] == ["--configs"] else argv
+        valid = len(values) == 1
+    if not valid or any(value.startswith("-") for value in values):
+        print(__doc__, file=sys.stderr)
+        return 2
+    if argv[0] == "--compare":
         rtol = options.get("--rtol")
         spec = options.get("--expect")
         return compare(Path(argv[1]), Path(argv[2]), None if rtol is None else float(rtol),
                        expect=spec and yaml.safe_load(Path(spec).read_text()))
-    if len(argv) == 2 and argv[0] == "--configs":
+    if argv[0] == "--configs":
         write_configs(Path(argv[1]).resolve())
         return 0
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
-        return 2
     out_dir = Path(argv[0]).resolve()
     codes = {}
     for name, path in write_configs(out_dir).items():
