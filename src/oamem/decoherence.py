@@ -20,17 +20,22 @@ far field caches one spectrum for it), and the blur width reads the
 ensemble's temperature and mass from the memory's
 :class:`~oamem.polariton.MemoryParams` (``MemoryParams.sigma``).
 
-Each storage time first checks that dOmega t_s is finite, against
-max |dOmega|, computed once per (model, grid) pair one block of rows at
-a time.  The phase exp(i dOmega t_s) of an ideal source's factored wave
-is then a low-rank sum sum_r u_r(y) v_r(x), built by adaptive cross
-approximation from a few rows and columns of the map
-(:func:`_phase_terms`), and the wave stays factored, with K R rows on
-each axis: no n x n phase map, no n x n cos or sin, no n x n array.  A
-map whose terms do not converge within n // PHASE_RANK_DIVISOR terms,
-and every hologram's far field, take the dense fallback: the Larmor map
-dOmega(x, y), built once per (model, grid) pair, and its cos and sin,
-one block of rows at a time (:func:`_dephased`).
+The phase exp(i dOmega t_s) of an ideal source's factored wave is a
+low-rank sum sum_r u_r(y) v_r(x), built by adaptive cross approximation
+from a few rows and columns of the map (:func:`_phase_terms`), and the
+wave stays factored, with K R rows on each axis: no n x n phase map, no
+n x n cos or sin, no n x n array.  The sum is certified once per storage
+time against the exact phase on PHASE_PROBES probe rows and as many
+probe columns, which include the grid's four edges; dOmega on them is
+computed once per (model, grid) pair.  A map whose terms do not converge
+within n // PHASE_RANK_DIVISOR terms, and every hologram's far field,
+take the dense fallback: the Larmor map dOmega(x, y), built once per
+(model, grid) pair, and its cos and sin, one block of rows at a time
+(:func:`_dephased`).  dOmega t_s is checked to be finite wherever it is
+formed, before any exp, cos or sin: the low-rank phase checks it on the
+probe lines and on every row and column it evaluates, so a factored wave
+raises in :func:`decohere`; the dense phase checks each block of the
+map as it streams it.
 
 End-to-end retrieval efficiency is a separate, empirical exponential
 decay fitted to two measured anchor points.
@@ -140,8 +145,10 @@ def decohere(s: TransverseField, t_s: float, diffusion: MemoryParams | None = No
     dense phase in row blocks.  No n x n array is built: a campaign
     projects the wave as it is held, and ``render`` reads its ``values``,
     built on first read.  Raises NonFiniteField, naming the phase and
-    t_s, when dOmega t_s is not finite somewhere on the grid.  With no
-    channel on (t_s = 0), returns ``s``.
+    t_s, when dOmega t_s is not finite where it is formed: here for a
+    factored wave, on the low-rank phase's probe lines and evaluated rows
+    and columns, and for a streamed one when the block of the map is
+    streamed.  With no channel on (t_s = 0), returns ``s``.
     """
     if t_s < 0:
         raise ValueError("storage time must be >= 0")
@@ -149,10 +156,6 @@ def decohere(s: TransverseField, t_s: float, diffusion: MemoryParams | None = No
         s = s.filtered(_blur_kernel(s.grid, diffusion.sigma(t_s), t_s))
     if magnetic is not None and t_s > 0.0:
         grid = s.grid
-        peak = _larmor_peak(magnetic, grid)
-        if not math.isfinite(peak * t_s):
-            raise NonFiniteField(f"field values must be finite: the Larmor phase dOmega t_s "
-                                 f"reaches {peak * t_s:g} rad at t_s = {t_s:g} s")
         s = s.phased(lambda: _phase_terms(magnetic, grid, t_s),
                      lambda blocks: _dephased(blocks, grid, magnetic, t_s))
     return s
@@ -183,47 +186,70 @@ def _blur_kernel(grid: GridSpec, sigma: float, t_s: float) -> np.ndarray:
                              f"{sigma:g} m at t_s = {t_s:g} s has no finite square") from None
 
 
-def _larmor_blocks(mdl: MagneticModel, grid: GridSpec) -> Iterator[np.ndarray]:
-    """dOmega(x, y) of ``mdl`` on ``grid`` in rad/s, BLOCK_ROWS rows at a time.
+def _peak(omega: np.ndarray) -> float:
+    """max |dOmega| of ``omega``; inf when an entry overflows and NaN when one is NaN."""
+    # ndarray.max and .min, unlike max, carry a NaN through, to both ends
+    return max(float(omega.max()), -float(omega.min()))
 
-    Rows are y, as in ``GridSpec.mesh``; the axes broadcast, so no mesh is
-    built and the model's temporaries stay one block in size.  A
-    ``field_at`` that ignores an axis gives a block that broadcasts over
-    it.  Overflow is left to the callers, which check the values.
+
+def _check_phase(peak: float, t_s: float) -> None:
+    """Raises NonFiniteField, naming the Larmor phase and t_s, unless peak t_s is finite."""
+    # a float product overflows to inf without a warning
+    if not math.isfinite(peak * t_s):
+        raise NonFiniteField(f"field values must be finite: the Larmor phase dOmega t_s "
+                             f"reaches {peak * t_s:g} rad at t_s = {t_s:g} s")
+
+
+def _rotation(shift: np.ndarray, t_s: float, out: np.ndarray) -> np.ndarray:
+    """exp(i shift t_s), with ``shift`` broadcast, written into the complex ``out`` and returned.
+
+    The phase is formed in ``out.imag``, so no temporary is made.
     """
-    xs, ys = grid.xs()[None, :], grid.ys()[:, None]
-    for start in range(0, grid.n, BLOCK_ROWS):
-        with np.errstate(over="ignore", invalid="ignore"):
-            block = mdl.angular_shift(xs, ys[start:start + BLOCK_ROWS])
-        yield block
-
-
-@lru_cache(maxsize=1)
-def _larmor_peak(mdl: MagneticModel, grid: GridSpec) -> float:
-    """max |dOmega| of ``mdl`` on ``grid`` in rad/s, from one block of rows at a time.
-
-    Computed once per (model, grid) pair, with no n x n |dOmega| and no
-    kept map; inf when the map overflows and NaN when it holds a NaN.
-    """
-    peak = 0.0
-    for block in _larmor_blocks(mdl, grid):
-        # np.max, unlike max, carries a NaN through
-        peak = np.max([peak, block.max(), -block.min()])
-    return float(peak)
+    np.multiply(shift, t_s, out=out.imag)
+    np.cos(out.imag, out=out.real)
+    np.sin(out.imag, out=out.imag)
+    return out
 
 
 @lru_cache(maxsize=1)
 def _larmor_map(mdl: MagneticModel, grid: GridSpec) -> np.ndarray:
     """Read-only angular shift dOmega(x, y) of ``mdl`` on ``grid`` in rad/s.
 
-    Built once per (model, grid) pair, from :func:`_larmor_blocks`, and
-    only for the dense phase of :func:`_dephased`.
+    Built once per (model, grid) pair, BLOCK_ROWS rows at a time, and
+    only for the dense phase of :func:`_dephased`, which checks its
+    values.  Rows are y, as in ``GridSpec.mesh``; the axes broadcast, so
+    no mesh is built and the model's temporaries stay one block in size,
+    and a ``field_at`` that ignores an axis gives a block that broadcasts
+    over it.
     """
+    xs, ys = grid.xs()[None, :], grid.ys()[:, None]
     omega = np.empty((grid.n, grid.n))
-    for start, block in zip(range(0, grid.n, BLOCK_ROWS), _larmor_blocks(mdl, grid)):
-        omega[start:start + BLOCK_ROWS] = block
+    for start in range(0, grid.n, BLOCK_ROWS):
+        with np.errstate(over="ignore", invalid="ignore"):
+            omega[start:start + BLOCK_ROWS] = mdl.angular_shift(xs, ys[start:start + BLOCK_ROWS])
     omega.flags.writeable = False
     return omega
+
+
+@lru_cache(maxsize=1)
+def _probe_shift(mdl: MagneticModel, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    """The probes of :func:`_phase_terms`, dOmega of ``mdl`` on their lines, and its max |dOmega|.
+
+    The PHASE_PROBES probe indices are evenly spaced from the first to
+    the last, so the probe rows and columns hold the grid's four edges.
+    dOmega in rad/s is [0, p, x] on the probe rows and [1, p, y] on the
+    probe columns, read-only, from two calls of ``mdl.angular_shift``
+    once per (model, grid) pair.
+    """
+    n = grid.n
+    xs, ys = grid.xs(), grid.ys()
+    probes = np.linspace(0, n - 1, PHASE_PROBES).round().astype(np.intp)
+    shift = np.empty((2, len(probes), n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift[0] = mdl.angular_shift(xs[None, :], ys[probes, None])
+        shift[1] = mdl.angular_shift(xs[probes, None], ys[None, :])
+    shift.flags.writeable = False
+    return probes, shift, _peak(shift)
 
 
 def _dephased(blocks: Iterator[np.ndarray], grid: GridSpec, mdl: MagneticModel,
@@ -232,22 +258,51 @@ def _dephased(blocks: Iterator[np.ndarray], grid: GridSpec, mdl: MagneticModel,
 
     Every product is written into one phase buffer, which is yielded, so
     a yielded block is valid until the next one is requested; the input
-    blocks are not written.  :func:`decohere` has checked that dOmega t_s
-    is finite.
+    blocks are not written.  Each block of the Larmor map is checked to
+    give a finite dOmega t_s before its cos and sin.
     """
     omega = _larmor_map(mdl, grid)
     rot = np.empty((min(BLOCK_ROWS, grid.n), grid.n), dtype=np.complex128)
     start = 0
     for block in blocks:
-        np.multiply(omega[start:start + BLOCK_ROWS], t_s, out=rot.imag)
-        np.cos(rot.imag, out=rot.real)
-        np.sin(rot.imag, out=rot.imag)
+        shift = omega[start:start + BLOCK_ROWS]
+        _check_phase(_peak(shift), t_s)
+        _rotation(shift, t_s, rot)
         # block first: numpy's complex product is not bitwise commutative
         np.multiply(block, rot, out=rot)
         start += len(block)
         # dropped before the next block is built
         del block
         yield rot
+
+
+def _worst_probe_entry(exact: np.ndarray, w: np.ndarray,
+                       probes: np.ndarray) -> tuple[float, int, int, int, np.ndarray]:
+    """The largest residual entry of the terms ``w`` on the probe lines, against ``exact``.
+
+    ``w[0]`` holds the R rows u_r(y) and ``w[1]`` the R rows v_r(x); the
+    terms are sum_r u_r(y_p) v_r(x) on probe row p and sum_r v_r(x_p) u_r(y)
+    on probe column p.  ``exact`` is [line, p, n], line 0 the rows and 1
+    the columns.  The terms on both lines, real and imaginary parts
+    apart, come from one real ``np.einsum`` over the 2R real and
+    imaginary parts of the terms, stacked, which keeps BLAS threads idle.
+    Returns the entry's squared modulus, its line, p and index along the
+    line, and the complex residual on that line.
+    """
+    r = w.shape[1]
+    at_probes = w[:, :, probes].transpose(0, 2, 1)
+    lines = w[::-1]
+    # [line, part, p, k], against the 2R parts of the terms on the other axis, [line, k, x]
+    coeffs = np.empty((2, 2, len(probes), 2 * r))
+    coeffs[:, 0, :, :r] = coeffs[:, 1, :, r:] = at_probes.real
+    coeffs[:, 1, :, :r] = at_probes.imag
+    coeffs[:, 0, :, r:] = -at_probes.imag
+    err = np.einsum("lcpk,lkx->lcpx", coeffs, np.concatenate((lines.real, lines.imag), axis=1))
+    np.subtract(exact.real, err[:, 0], out=err[:, 0])
+    np.subtract(exact.imag, err[:, 1], out=err[:, 1])
+    size = np.einsum("lcpx,lcpx->lpx", err, err)
+    line, p, k = np.unravel_index(np.argmax(size), size.shape)
+    return float(size[line, p, k]), line, p, k, err[line, 0, p] + 1j * err[line, 1, p]
 
 
 @lru_cache(maxsize=1)
@@ -260,12 +315,15 @@ def _phase_terms(mdl: MagneticModel, grid: GridSpec,
     the residual map, each evaluated with ``mdl.angular_shift`` on 1-D
     coordinates, so no n x n array and no n x n cos or sin is formed.
     The next pivot row is the largest entry of the newest column among
-    rows not yet pivots; a pivot row that the terms already reproduce
-    restarts the search at the worst probe entry.  The terms stop when
-    the residual on PHASE_PROBES fixed rows and as many columns is at
-    most PHASE_TOL in every entry, and give up (None) when that takes
-    more than n // PHASE_RANK_DIVISOR terms.  The caller has checked that
-    dOmega t_s is finite.  The returned arrays are read-only.
+    rows not yet pivots.  When the terms reproduce a pivot row to
+    PHASE_TOL in every entry, they are certified once against the exact
+    phase on the PHASE_PROBES probe rows and as many columns of
+    :func:`_probe_shift`: the terms stop when the residual there is at
+    most PHASE_TOL in every entry, and otherwise the search restarts at
+    the worst probe entry.  They give up (None) past n //
+    PHASE_RANK_DIVISOR terms.  Raises NonFiniteField, naming t_s, when
+    dOmega t_s is not finite on the probe lines or on a row or column it
+    evaluates.  The returned arrays are read-only.
 
     The constants rest on measurements against the dense exp(i dOmega t)
     on the benchmark workloads (seeds 1-3, every storage time, n = 512)
@@ -276,15 +334,17 @@ def _phase_terms(mdl: MagneticModel, grid: GridSpec,
     dense phase, under 1e-12, at 5-11 terms on the workloads and 17-43
     on the cone.  A threshold of 1e-13 takes up to 15 terms where 3e-13
     takes 10 (seed-1 decay workload), for no gain against 1e-12.  Each
-    term costs about 0.10 ms at n = 256, 0.16 ms at 512 and 0.3 ms at
-    1024, on top of 0.3, 0.5 and 1 ms for the probe lines (slopes over
-    runs cut at 1 to R terms, on the seed-1 maps of both workloads,
-    best of 7, 2-vCPU VM).  So a point's low-rank phase breaks even with
-    the dense one at about 15-19 terms at n = 256, 40-55 at 512 and
-    100-160 at 1024 (dense points of 2-3, 7-11 and 33-50 ms).  A map that
-    does not converge also pays its dense point, so the cutoff n // 8
-    (32, 64, 128) lets it cost at most about 2.6 times its dense point
-    at n = 256, 2.4 times at 512 and 2.2 times at 1024.
+    term costs about 0.06 ms at n = 256, 0.08 ms at 512 and 0.11 ms at
+    1024, on top of 0.2-0.5, 0.25-0.7 and 0.8-2.3 ms for the exact phase
+    on the probe lines and its certificates (slopes over runs cut at 1
+    to R - 1 terms, on the seed-1 maps of both workloads at every storage
+    time, best of 7, 2-vCPU VM).  So a point's low-rank phase breaks even
+    with the dense one at about 23-28 terms at n = 256, 76-94 at 512 and
+    235-288 at 1024 (dense points of 2.0-2.3, 7.3-8.4 and 28.5-34.6 ms):
+    the cutoff n // 8 (32, 64, 128) lies above break-even at n = 256 and
+    below it at 512 and 1024.  A map that does not converge also pays
+    its dense point, so the cutoff lets it cost at most about 2.2 times
+    its dense point at n = 256, 1.8 times at 512 and 1.6 times at 1024.
 
     The residual rows and columns subtract the terms so far with
     ``np.einsum``, not ``@``: a complex matrix-vector product of about 9
@@ -295,47 +355,48 @@ def _phase_terms(mdl: MagneticModel, grid: GridSpec,
     """
     n = grid.n
     xs, ys = grid.xs(), grid.ys()
+    probes, shift, peak = _probe_shift(mdl, grid)
+    _check_phase(peak, t_s)
 
-    def phase(x, y, shape):
-        return np.exp(1j * t_s * np.broadcast_to(mdl.angular_shift(x, y), shape))
+    def phase(x, y):
+        with np.errstate(over="ignore", invalid="ignore"):
+            line = np.asarray(mdl.angular_shift(x, y))
+        _check_phase(_peak(line), t_s)
+        # broadcast, for a map that ignores the line's axis
+        return _rotation(line, t_s, np.empty(n, dtype=np.complex128))
 
-    probes = np.linspace(0, n - 1, PHASE_PROBES).round().astype(np.intp)
-    # the residual on the probe rows, [p, x], and on the probe columns, [p, y]
-    probe_rows = phase(xs[None, :], ys[probes, None], (len(probes), n))
-    probe_cols = phase(xs[probes, None], ys[None, :], (len(probes), n))
     rank = max(1, n // PHASE_RANK_DIVISOR)
-    # the terms so far; room for 16, doubled when full
-    u = np.empty((min(rank, 16), n), dtype=np.complex128)
-    v = np.empty_like(u)
+    # the terms so far, u in w[0] and v in w[1]; room for 16, doubled when full
+    w = np.empty((2, min(rank, 16), n), dtype=np.complex128)
     free = np.ones(n, dtype=bool)
-    i = n // 2
-    residual = phase(xs, ys[i], (n,))
-    for r in range(rank):
-        if r == len(u):
-            u, v = np.concatenate((u, np.empty_like(u))), np.concatenate((v, np.empty_like(v)))
+    exact = _rotation(shift, t_s, np.empty(shift.shape, dtype=np.complex128))
+    r, i = 0, n // 2
+    residual = phase(xs, ys[i])
+    while True:
         j = int(np.argmax(np.abs(residual)))
         if abs(residual[j]) <= PHASE_TOL:
-            row_err, col_err = np.abs(probe_rows), np.abs(probe_cols)
-            if row_err.max() >= col_err.max():
-                p, j = np.unravel_index(np.argmax(row_err), row_err.shape)
-                i, residual = probes[p], probe_rows[p].copy()
+            worst, line, p, k, probe_line = _worst_probe_entry(exact, w[:, :r], probes)
+            if worst <= PHASE_TOL ** 2:
+                # copies, so that the cache keeps R rows and not the whole buffer
+                u, v = w[0, :r].copy(), w[1, :r].copy()
+                u.flags.writeable = v.flags.writeable = False
+                return u, v
+            # restart at the worst probe entry
+            if line == 0:
+                i, j, residual = probes[p], k, probe_line
             else:
-                p, i = np.unravel_index(np.argmax(col_err), col_err.shape)
-                j = probes[p]
-                residual = phase(xs, ys[i], (n,)) - np.einsum("r,rx->x", u[:r, i], v[:r])
+                i, j = k, probes[p]
+                residual = phase(xs, ys[i]) - np.einsum("r,rx->x", w[0, :r, i], w[1, :r])
+        if r == rank:
+            return None
+        if r == w.shape[1]:
+            w = np.concatenate((w, np.empty_like(w)), axis=1)
         free[i] = False
-        v[r] = residual / residual[j]
-        u[r] = phase(xs[j], ys, (n,)) - np.einsum("r,ry->y", v[:r, j], u[:r])
-        probe_rows -= u[r, probes, None] * v[r]
-        probe_cols -= v[r, probes, None] * u[r]
-        if max(np.abs(probe_rows).max(), np.abs(probe_cols).max()) <= PHASE_TOL:
-            # copies, so that the cache keeps R rows and not the whole buffers
-            u, v = u[:r + 1].copy(), v[:r + 1].copy()
-            u.flags.writeable = v.flags.writeable = False
-            return u, v
-        i = int(np.argmax(np.where(free, np.abs(u[r]), -1.0)))
-        residual = phase(xs, ys[i], (n,)) - np.einsum("r,rx->x", u[:r + 1, i], v[:r + 1])
-    return None
+        w[1, r] = residual / residual[j]
+        w[0, r] = phase(xs[j], ys) - np.einsum("r,ry->y", w[1, :r, j], w[0, :r])
+        i = int(np.argmax(np.where(free, np.abs(w[0, r]), -1.0)))
+        r += 1
+        residual = phase(xs, ys[i]) - np.einsum("r,rx->x", w[0, :r, i], w[1, :r])
 
 
 def magnetic_dephase(s: TransverseField, mdl: MagneticModel, t_s: float) -> TransverseField:

@@ -26,7 +26,8 @@ A field is held in one of three representations, and only
   (:meth:`TransverseField.phased`) they become K R complex rows on each
   axis.  Filtering transforms the rows (K n log n work) and stays
   factored; the power of its spectrum, folded into a quarter plane, is
-  contracted from the 1-D row transforms, so no n x n spectrum exists;
+  held as rows contracted from the 1-D row transforms, so no n x n
+  spectrum exists;
   a projection onto separable modes contracts the rows alone (K^2 n
   work); its values are streamed as blocks contracted from the rows.
 * streamed: a function that computes its row blocks as they are
@@ -41,8 +42,9 @@ those same blocks, so there is one way to build them.
 :meth:`TransverseField.contract` contracts a field with 1-D rows on
 both axes, as a projection onto separable modes does: from the factors
 of a factored field, else block by block.
-:meth:`TransverseField.quarter_power` folds |S|^2 by frequency
-magnitude for the diffraction check.
+:meth:`TransverseField.folded_power` folds |S|^2 by frequency
+magnitude for the diffraction check; a factored field keeps it as rows
+(:class:`FoldedPower`), so the check reads only the blocks it needs.
 
 Every contraction over a grid axis on a campaign's path is an
 ``np.einsum`` without ``optimize``, which runs in the calling thread:
@@ -200,6 +202,31 @@ def _fold(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class FoldedPower:
+    """A quarter plane of folded |S|^2, entry [i, j] = sum_k left[k, i] right[k, j], as its rows.
+
+    It gives what the diffraction check reads of a plane: its side
+    ``len``, its total ``sum()``, from the K row sums on each axis, and
+    a leading block ``[:w, :w]``, contracted from the rows' first w
+    entries, so that no (n/2 + 1)^2 plane is built unless ``[:, :]``
+    asks for all of it.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+
+    def __len__(self) -> int:
+        return self.left.shape[1]
+
+    def sum(self) -> float:
+        return float(np.einsum("k,k->", self.left.sum(axis=1), self.right.sum(axis=1)))
+
+    def __getitem__(self, block: tuple[slice, slice]) -> np.ndarray:
+        rows, cols = block
+        return np.einsum("ki,kj->ij", self.left[:, rows], self.right[:, cols])
+
+
+@dataclass(frozen=True)
 class Separable:
     """An n x n array held as 1-D y-rows, x-rows and the matrix that mixes them.
 
@@ -254,14 +281,14 @@ class Separable:
         xrows = (self.xrows[:, None, :] * v[None]).reshape(-1, n)
         return Separable(rows, np.kron(self.mix, np.eye(len(u))), xrows)
 
-    def quarter_power(self) -> np.ndarray:
+    def folded_power(self) -> "FoldedPower":
         """|S|^2 of this array's 2-D DFT S, folded by frequency magnitudes, from its 1-D rows.
 
-        See ``TransverseField.quarter_power``.  The K^2 products of row
+        See ``TransverseField.folded_power``.  The K^2 products of row
         spectra per axis, folded, take K^2 (n/2 + 1) entries.  Both factors
         of the last contraction are Hermitian in (b, d), so its real part
-        is the diagonal plus twice the real part above it: one contraction
-        of K^2 real rows per axis.
+        is the diagonal plus twice the real part above it: the plane is a
+        contraction of K^2 real rows per axis, which are kept as they are.
         """
         f = np.fft.fft(self.rows, axis=1)
         g = np.fft.fft(self.xrows, axis=1)
@@ -274,7 +301,7 @@ class Separable:
         up, x_up = mixed[upper], folded_x[upper]
         left = np.concatenate((np.einsum("bbi->bi", mixed).real, 2 * up.real, -2 * up.imag))
         right = np.concatenate((np.einsum("bbi->bi", folded_x).real, x_up.real, x_up.imag))
-        return np.einsum("ki,kj->ij", left, right)
+        return FoldedPower(left, right)
 
     def contract(self, rows: np.ndarray) -> np.ndarray:
         """sum_yx rows[j, y] A[y, x] rows[k, x] of this array A, from its 1-D rows alone."""
@@ -362,7 +389,7 @@ class TransverseField:
 
         Two 1-D passes (x, then y, the order of ``np.fft.fft2``), the
         second in place.  Only a field without ``factors`` needs it:
-        :meth:`filtered`, :meth:`quarter_power` and :meth:`contract` of a
+        :meth:`filtered`, :meth:`folded_power` and :meth:`contract` of a
         field with factors run on their 1-D rows.
         """
         spectrum = np.fft.fft(self.values, axis=1)
@@ -370,22 +397,23 @@ class TransverseField:
         spectrum.flags.writeable = False
         return spectrum
 
-    def quarter_power(self) -> np.ndarray:
+    def folded_power(self) -> np.ndarray | FoldedPower:
         """|S|^2 of the unnormalized 2-D DFT S of ``values``, folded into a quarter plane.
 
         Entry [i, j] sums |S|^2 over the frequency indices of magnitudes
-        |i| on y and |j| on x, so the result is (n/2 + 1) x (n/2 + 1).
+        |i| on y and |j| on x, so the plane is (n/2 + 1) x (n/2 + 1).
         Factored values V = Y^T M X have the spectrum S = F^T M G, with F
         and G the 1-D DFTs of the y- and x-rows, so
         |S|^2 = sum conj(M_ab) M_cd conj(F_a) F_c (q_y) conj(G_b) G_d (q_x):
         each of the K^2 products of row spectra is folded to n/2 + 1
-        entries on its axis, and the folds are contracted with those
-        K^2 x K^2 coefficients, with no block of S and no n x n array.
-        Other values fold |S|^2 of their cached :attr:`spectrum` one block
-        of BLOCK_ROWS rows at a time.
+        entries on its axis, and the folds and those K^2 x K^2
+        coefficients give a :class:`FoldedPower`, with no block of S, no
+        n x n array and no plane.  Other values fold |S|^2 of their
+        cached :attr:`spectrum` into the plane, one block of BLOCK_ROWS
+        rows at a time.
         """
         if self.factors is not None:
-            return self.factors.quarter_power()
+            return self.factors.folded_power()
         n = self.grid.n
         half = n // 2
         magnitudes = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(np.intp)
@@ -395,6 +423,10 @@ class TransverseField:
             power *= power
             np.add.at(quarter, magnitudes[start:start + len(power)], _fold(power))
         return quarter
+
+    def quarter_power(self) -> np.ndarray:
+        """The whole (n/2 + 1) x (n/2 + 1) plane of :meth:`folded_power`."""
+        return self.folded_power()[:, :]
 
     def filtered(self, k1: np.ndarray) -> "TransverseField":
         """This field with its spectrum multiplied by k1(q_x) k1(q_y).

@@ -21,12 +21,14 @@ loss is modeled downstream (empirical decay in
 :mod:`oamem.decoherence`), and the neglected free-space diffraction
 phase q^2 D / k_s is checked explicitly, on the forward spectrum of
 the written wave: |S|^2 is folded into a quarter plane
-(``TransverseField.quarter_power``), whose 99 % shell is read from one
+(``TransverseField.folded_power``), whose 99 % shell is read from one
 histogram of the shells of its leading block.  The spin wave of an
-ideal source is no n x n array, and its quarter plane is contracted
-from the 1-D spectra of its factors; a hologram's far field computes
-and caches its spectrum once, for the check and the blur, and folds it
-one block of rows at a time.
+ideal source is no n x n array, and its quarter plane is no plane
+either: its total and the few leading blocks that the check reads are
+contracted from rows folded from the 1-D spectra of its factors
+(``fieldgrid.FoldedPower``); a hologram's far field computes and caches
+its spectrum once, for the check and the blur, and folds it into the
+plane one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldgrid import TransverseField
+from .fieldgrid import FoldedPower, TransverseField
 
 BOLTZMANN = 1.380649e-23
 SPEED_OF_LIGHT = 299792458.0
@@ -129,18 +131,20 @@ def diffraction_check(params: MemoryParams, s: TransverseField) -> float:
 
     |S|^2 of the unnormalized 2-D DFT S is folded by the magnitudes
     (|i|, |j|) of its frequency indices into one quarter plane
-    (``TransverseField.quarter_power``); q99^2 is q_pitch^2 times the
+    (``TransverseField.folded_power``); q99^2 is q_pitch^2 times the
     first integer shell i^2 + j^2 to hold 99 % of it (:func:`_first_shell`).
     """
-    quarter = s.quarter_power()
-    shell = _first_shell(quarter, 0.99)
+    shell = _first_shell(s.folded_power(), 0.99)
     if shell is None:
         return 0.0
     return float(s.grid.q_pitch ** 2 * shell * params.diameter / params.k_s)
 
 
-def _first_shell(quarter: np.ndarray, fraction: float) -> int | None:
+def _first_shell(quarter: np.ndarray | FoldedPower, fraction: float) -> int | None:
     """The least shell S = i^2 + j^2 whose disc holds ``fraction`` of ``quarter``; None if empty.
+
+    ``quarter`` is a square plane or a :class:`~oamem.fieldgrid.FoldedPower`:
+    only its side, its total and its leading blocks are read.
 
     The leading w x w block is doubled from w = 1, since a resolved
     spectrum fills a small disc, until it holds the target.  Its

@@ -1,4 +1,5 @@
 import importlib.util
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from oracles import direct_gaussian_convolution, overlap
 
 from oamem.config import parse_config
 from oamem.decoherence import (PHASE_RANK_DIVISOR, EfficiencyModel, MagneticModel, _dephased,
-                               _larmor_map, _larmor_peak, _phase_terms, decohere,
+                               _larmor_map, _phase_terms, _probe_shift, decohere,
                                diffuse, longitudinal_drift_factor, magnetic_dephase,
                                qutrit_nodal_shift)
 from oamem.errors import NodalLineNotFound, NonFiniteField
@@ -282,6 +283,29 @@ class TestDecohere:
         with pytest.raises(NonFiniteField, match="field values must be finite: the Larmor"):
             decohere(s, 1e5, magnetic=mdl)
 
+    @pytest.mark.parametrize("held", ["factored", "sampled"])
+    def test_map_overflowing_on_the_last_column_raises(self, grid, held):
+        # dOmega overflows on the grid's last column alone, which the low-rank
+        # phase's probe columns hold and the dense phase's map blocks meet:
+        # either raises naming the Larmor phase and t_s, before any numpy
+        # warning (turned into an error here)
+        edge = grid.xs()[-1]
+
+        class LastColumn(MagneticModel):
+            def field_at(self, x, y):
+                return np.where(x == edge, 1e200, 2e-5) + 0.0 * y
+
+        s = stored(synthesize(QuditState([1.0, 0.5j, -0.3], l=1), W0, grid))
+        if held == "sampled":
+            s = TransverseField(grid, s.values, s.wavelength)
+        mdl = LastColumn(sensitivity=5e9, second_order=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteField, match=r"field values must be finite: the Larmor "
+                                                     r"phase dOmega t_s reaches inf rad at "
+                                                     r"t_s = 0\.0001 s"):
+                decohere(s, 1e-4, magnetic=mdl).values
+
 
 class TestMagneticDephase:
     def test_clock_states_identity(self, grid):
@@ -358,13 +382,16 @@ class TestMagneticDephase:
 
     def test_larmor_map_filled_in_blocks_equals_the_mesh_map(self, grid):
         # filled 64 rows at a time, the map holds the numbers of one
-        # evaluation on the whole mesh, and its peak is max |dOmega|
+        # evaluation on the whole mesh; so do the probe lines of the
+        # low-rank phase, whose peak is max |dOmega| on them
         mdl = MagneticModel(guiding_b=2e-5, sensitivity=5e9, second_order=3e12,
                             center=(3e-4, -2e-4))
-        omega, peak = _larmor_map(mdl, grid), _larmor_peak(mdl, grid)
+        omega = _larmor_map(mdl, grid)
         expected = mdl.angular_shift(*grid.mesh())
         assert np.array_equal(omega, expected)
-        assert peak == np.max(np.abs(expected))
+        probes, shift, peak = _probe_shift(mdl, grid)
+        assert np.array_equal(shift, [expected[probes], expected[:, probes].T])
+        assert peak == np.max(np.abs(shift))
 
     def test_larmor_map_of_y_alone_fills_the_mesh(self, grid):
         class Column(MagneticModel):
@@ -373,9 +400,10 @@ class TestMagneticDephase:
 
         s = stored(synthesize(qubit_state(np.pi / 2, 0.3, l=2), W0, grid))
         mdl = Column(sensitivity=1.0)
-        omega, peak = _larmor_map(mdl, grid), _larmor_peak(mdl, grid)
+        omega = _larmor_map(mdl, grid)
         assert np.array_equal(omega, mdl.angular_shift(*grid.mesh()))
-        assert peak == np.max(np.abs(3.0e4 * grid.ys()))
+        # the probe columns, the first and the last among them, hold every y
+        assert _probe_shift(mdl, grid)[2] == np.max(np.abs(3.0e4 * grid.ys()))
         expected = self.reference(s, mdl, 0.7)
         got = magnetic_dephase(s, mdl, 0.7).values
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -355,9 +355,10 @@ class TestStream:
     def test_workload_like_campaign_builds_no_larmor_map(self, monkeypatch, tmp_path, runner):
         # a guided field and an off-axis quadrupole, as in the benchmark: every
         # point's phase has low rank, so no n x n Larmor map is built, and a
-        # campaign peaks below 10 n^2 bytes (about 9.35 n^2, at the point of
-        # t = 0.9 ms; storing takes about 4.5 n^2, most of it the diffraction
-        # check's quarter plane); the map alone took 8 n^2 bytes more
+        # campaign peaks below 10 n^2 bytes (about 9.4 n^2, at the point of
+        # t = 1.45 ms, where the phase certificate's probe residuals take
+        # about 3 n^2; storing takes about 1.5 n^2, since the diffraction
+        # check builds no quarter plane); the map alone took 8 n^2 bytes more
         import oamem.decoherence as decoherence
 
         def refuse(*args):
@@ -372,6 +373,54 @@ class TestStream:
                                   "center": [3.3e-4, 3.7e-4]}, memory={"alpha": 0.02})
         runner(cfg, out=tmp_path / "out")
         assert self.campaign_peak(cfg) < 10 * cfg.grid.n ** 2
+
+    def test_phase_certificate_evaluates_few_lines(self, monkeypatch, tmp_path):
+        # a five-point decay evaluates dOmega on the 2-D probe lines in two calls,
+        # once per (model, grid), and each storage time on at most 2 R + 2
+        # single rows or columns for its R terms, plus two per restart, where a
+        # certificate on the probe lines fails
+        import oamem.decoherence as decoherence
+
+        calls, points = [], []
+        shift, terms = decoherence.MagneticModel.angular_shift, decoherence._phase_terms
+        certify = decoherence._worst_probe_entry
+
+        def spy_shift(self, x, y):
+            calls.append(np.broadcast(x, y).ndim)
+            if points:
+                points[-1]["lines"] += np.broadcast(x, y).ndim == 1
+            return shift(self, x, y)
+
+        def spy_terms(*args):
+            points.append({"lines": 0, "certificates": 0})
+            uv = terms(*args)
+            points[-1]["rank"] = len(uv[0])
+            return uv
+
+        def spy_certify(*args):
+            points[-1]["certificates"] += 1
+            return certify(*args)
+
+        monkeypatch.setattr(decoherence.MagneticModel, "angular_shift", spy_shift)
+        monkeypatch.setattr(decoherence, "_phase_terms", spy_terms)
+        monkeypatch.setattr(decoherence, "_worst_probe_entry", spy_certify)
+        decoherence._probe_shift.cache_clear()
+        terms.cache_clear()
+        cfg = small_cfg(grid=README_GRID, counting={"poisson": False},
+                        storage_times=[0.0, 3e-4, 6e-4, 9e-4, 1.45e-3],
+                        decoherence={"diffusion": True, "magnetic": True},
+                        magnetic={"guiding_b": 2e-5, "sensitivity": 5.3e9,
+                                  "center": [3.3e-4, 3.7e-4]})
+        run_storage_decay(cfg, out=tmp_path / "out")
+        assert calls.count(2) == 2 and set(calls) == {1, 2}
+        assert len(points) == 4
+        for point in points:
+            restarts = point["certificates"] - 1
+            assert point["certificates"] >= 1
+            assert point["lines"] <= 2 * point["rank"] + 2 + 2 * restarts, point
+        # a second campaign on the same model and grid makes no 2-D call
+        run_storage_decay(cfg, out=tmp_path / "again")
+        assert calls.count(2) == 2
 
     @pytest.mark.parametrize("runner, qudit", [
         (run_storage_decay, QUTRIT), (run_tomography, QUTRIT),

@@ -10,7 +10,7 @@ from oracles import (histogram_first_shell, longitudinal_slices, monte_carlo_dri
 
 from oamem.config import parse_config
 from oamem.decoherence import diffuse, longitudinal_drift_factor
-from oamem.fieldgrid import BLOCK_ROWS, GridSpec, TransverseField, stack_rows
+from oamem.fieldgrid import BLOCK_ROWS, FoldedPower, GridSpec, TransverseField, stack_rows
 from oamem.harness import _input_field
 from oamem.modes import LGModeSpec, QuditState, lg_field, qubit_state, synthesize
 from oamem.polariton import (SPEED_OF_LIGHT, MemoryParams, _first_shell, diffraction_check,
@@ -308,6 +308,31 @@ class TestDiffractionCheck:
             factored += f.factors is not None
             assert_quarter_equals_the_block_fold(f)
         assert factored == 7
+
+    def test_folded_rows_give_the_shell_of_the_plane_on_golden_configs(self, monkeypatch):
+        # a factored wave gives the check its total from the folded rows and
+        # only leading blocks, none of them the whole plane; the shell equals
+        # the histogram's of the whole plane at 0.5, 0.99 and 0.999999
+        widths = []
+        block = FoldedPower.__getitem__
+
+        def spy(self, key):
+            got = block(self, key)
+            widths.append(len(got))
+            return got
+
+        for name, data in golden_configs().items():
+            f = _input_field(parse_config(data))[0]
+            folded, quarter = f.folded_power(), f.quarter_power()
+            assert isinstance(folded, FoldedPower) == (f.factors is not None), name
+            if f.factors is not None:
+                assert folded.sum() == pytest.approx(quarter.sum(), rel=1e-13)
+            with monkeypatch.context() as patch:
+                patch.setattr(FoldedPower, "__getitem__", spy)
+                for fraction in (0.5, 0.99, 0.999999):
+                    expected = histogram_first_shell(quarter, fraction)
+                    assert _first_shell(folded, fraction) == expected, (name, fraction)
+        assert widths and max(widths) < len(quarter)
 
     def test_bisected_shell_equals_the_shell_histogram_on_golden_configs(self):
         # the 99 % shell, from the histogram of the leading block that a doubled
