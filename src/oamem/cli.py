@@ -45,9 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override master seed")
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--parallel", type=int, default=1,
-                       help="worker processes for the storage points of decay and tomo "
+                       help="threads for the storage points of decay and tomo "
                        "(the other subcommands ignore it), at most one per point and per "
-                       "CPU; 1, the default, runs the points in this process, and every "
+                       "CPU; 1, the default, runs the points in the main thread, and every "
                        "value writes the same bytes")
     return parser
 

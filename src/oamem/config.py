@@ -25,7 +25,7 @@ from .errors import ConfigError
 from .fieldgrid import GridSpec
 from .holography import _focal_grid
 from .measurement import POISSON_MEAN_MAX
-from .modes import QuditState, _support_check, qubit_state
+from .modes import QuditState, _basis, _support_check, basis_charges, qubit_state
 from .polariton import MemoryParams
 
 EXPERIMENT_KINDS = ("interference_scan", "meridian_sweep", "storage_decay",
@@ -189,12 +189,13 @@ class ExperimentConfig:
                                   f"counting.bg_rate) = {mean:g} exceeds numpy's limit "
                                   f"{POISSON_MEAN_MAX:g}")
             # the qudit modes are sampled where the field is: for a hologram
-            # source, on the focal-plane grid behind the mask's lens
+            # source, on the focal-plane grid behind the mask's lens, where
+            # the basis must fit and be resolved (modes._basis)
             mode_grid = self.grid
             if self.source.kind == "hologram":
                 _support_check(0, self.source.input_waist, self.grid)
                 mode_grid = _focal_grid(self.grid, self.source.focal, self.memory.lambda_s)
-            _support_check(self.qudit.l, self.qudit.waist, mode_grid)
+            _basis(basis_charges(self.qudit.dim, self.qudit.l), self.qudit.waist, mode_grid)
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
 

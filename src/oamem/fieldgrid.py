@@ -248,12 +248,6 @@ class Separable:
             object.__setattr__(self, name, a)
             _check_finite(a, "field factors")
 
-    def __setstate__(self, state):
-        # unpickling skips __post_init__, so freeze its arrays here
-        for a in state.values():
-            a.flags.writeable = False
-        self.__dict__.update(state)
-
     def row_blocks(self) -> Iterator[np.ndarray]:
         """The array, BLOCK_ROWS rows at a time; einsum keeps BLAS threads idle."""
         n = self.rows.shape[1]
@@ -347,13 +341,6 @@ class TransverseField:
             _check_finite(v, "field values")
         if not self.wavelength > 0:
             raise ValueError("wavelength must be positive")
-
-    def __setstate__(self, state):
-        # unpickling skips __post_init__, so freeze its arrays here
-        for name in {"samples", "values", "spectrum"} & state.keys():
-            if state[name] is not None:
-                state[name].flags.writeable = False
-        self.__dict__.update(state)
 
     @cached_property
     def values(self) -> np.ndarray:

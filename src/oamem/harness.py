@@ -230,38 +230,28 @@ def _bound_columns(cfg: ExperimentConfig, eta: float) -> list[float]:
             *threshold_band(cfg.photon, eta)]
 
 
-_WORKER_STORED = None
-
-
-def _init_worker(cfg: ExperimentConfig, stored) -> None:
-    global _WORKER_STORED
-    _WORKER_STORED = (cfg, stored)
-
-
-def _worker_point(job):
-    return storage_point(*_WORKER_STORED, *job)
-
-
 def _map_points(cfg: ExperimentConfig, parallel: int):
-    """Every storage point, on at most ``parallel`` worker processes.
+    """Every storage point, on at most ``parallel`` threads.
 
-    The pool forks all its workers at once, so it never gets more than
-    there are points or CPUs; one worker runs the points in this process.
-    Each worker receives the config and the stored wave once (an ideal
-    source's wave is only its factors, with no samples and no spectrum),
-    and each job only its (index, storage time).  The pool's module, and
-    ``multiprocessing`` with it, is imported only when a pool starts: a
-    serial run does not pay for the import.
+    numpy releases the GIL in its FFTs and ufuncs, and each point draws
+    from its own RNG streams, keyed (point, ket), so the points can run
+    side by side and every schedule writes the same bytes.  The pool
+    never gets more threads than there are points or CPUs; one worker
+    runs the points in this thread.  Every thread reads the one config
+    and stored wave.  Two threads may both build an ``lru_cache`` value
+    (``_larmor_map``, ``_probe_shift``, ``_phase_terms``) the first time
+    it is needed; the builds are deterministic, so whichever one the
+    cache keeps holds the same numbers.  The pool's module is imported
+    only when a pool starts: a serial run does not pay for the import.
     """
     stored = _store(cfg)
     jobs = list(enumerate(cfg.storage_times))
     workers = min(parallel, len(jobs), os.cpu_count() or 1)
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(cfg, stored)) as pool:
-            return list(pool.map(_worker_point, jobs))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda job: storage_point(cfg, stored, *job), jobs))
     return [storage_point(cfg, stored, *job) for job in jobs]
 
 

@@ -82,6 +82,11 @@ def qubit_state(gamma: float, beta: float, l: int = 1) -> QuditState:
     )
 
 
+# how far the sampled basis's Gram matrix may miss the identity: the golden
+# configs reach 1.7e-6 (charges +-2 two pitches wide), 1.5 pitches miss by 3.7e-3
+GRAM_TOL = 1e-3
+
+
 def _support_check(l: int, w0: float, grid: GridSpec) -> None:
     if w0 * (1 + abs(l)) >= grid.extent / 4.0:
         raise GridTooSmall(
@@ -103,7 +108,11 @@ def _basis(charges: tuple, w0: float, grid: GridSpec) -> tuple[np.ndarray, np.nd
     is powers^T mats[i] powers: mats[i] is K x K, K = max |l| + 1, with these
     coefficients / norm on the antidiagonal of its top-left block.  The
     discrete norm expands the same way through |x + i y|^(2|l|), so it needs
-    only the 1-D moments sum powers[k]^2.
+    only the 1-D moments sum powers[k]^2; the Gram matrix of the modes needs
+    the cross moments sum powers[j] powers[k].  Raises GridTooSmall when a
+    mode does not fit on the grid, when a norm is 0 (a waist far below the
+    pitch leaves only the centre pixel, where a charged mode is 0), or when
+    the Gram matrix misses the identity by more than GRAM_TOL.
 
     Built once per (charges, w0, grid) and read-only: the input field and
     every projection of a campaign share it.
@@ -116,11 +125,25 @@ def _basis(charges: tuple, w0: float, grid: GridSpec) -> tuple[np.ndarray, np.nd
     powers = np.array([u ** k * g for k in range(top + 1)])
     moments = np.sum(powers * powers, axis=1)
     mats = np.zeros((len(charges), top + 1, top + 1), dtype=np.complex128)
-    for mat, l in zip(mats, charges):
+    norms = np.zeros(len(charges))
+    for i, l in enumerate(charges):
         k = np.arange(abs(l) + 1)
         binom = np.array([math.comb(abs(l), j) for j in k], dtype=np.float64)
-        norm = math.sqrt(grid.pixel_area * float(np.sum(binom * moments[k] * moments[k[::-1]])))
-        mat[k[::-1], k] = binom * (1j * math.copysign(1.0, l)) ** k[::-1] / norm
+        norms[i] = math.sqrt(grid.pixel_area * float(np.sum(binom * moments[k] * moments[k[::-1]])))
+        mats[i, k[::-1], k] = binom * (1j * math.copysign(1.0, l)) ** k[::-1]
+    if not norms.min() > 0.0:
+        raise GridTooSmall(f"modes {charges} of waist {w0:g} m have a zero norm on a grid "
+                           f"of pitch {grid.pitch:g} m")
+    # the unnormalized modes' Gram matrix, divided by the norms after the
+    # sum, so that a tiny norm cannot overflow it
+    cross = np.einsum("jy,ky->jk", powers, powers)
+    gram = np.einsum("iab,jcd,ac,bd->ij", mats.conj(), mats, cross, cross) * grid.pixel_area
+    error = float(np.max(np.abs(gram / norms / norms[:, None] - np.eye(len(charges)))))
+    if not error <= GRAM_TOL:
+        raise GridTooSmall(f"modes {charges} of waist {w0:g} m on a grid of pitch "
+                           f"{grid.pitch:g} m are orthonormal only to {error:.2g}, "
+                           f"above {GRAM_TOL:g}")
+    mats /= norms[:, None, None]
     mats.flags.writeable = powers.flags.writeable = False
     return mats, powers
 

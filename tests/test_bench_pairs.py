@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import yaml
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 
 
@@ -56,3 +58,35 @@ def test_pairs_compiles_each_checkout_once_before_the_first_run(monkeypatch, tmp
     assert events[:2] == compiles
     assert len(events) == 2 + 2 * 2 * len(tool.WORKLOADS)
     assert result["bytecode"] == "compileall before the first run"
+
+
+def test_parallel_alternates_settings_and_checkouts(monkeypatch, tmp_path):
+    tool = load_tool()
+    runs = []
+
+    def fake_subprocess_run(args, cwd=None, env=None, **kwargs):
+        if "compileall" in args:
+            runs.append(("compile", Path(cwd)))
+            return
+        cfg = yaml.safe_load(Path(args[args.index("--config") + 1]).read_text())
+        assert args[1:4] == ["-m", "oamem.cli", "decay"]
+        assert env["PYTHONPATH"] == str(Path(cwd) / "src")
+        runs.append((Path(cwd), cfg["grid"]["n"], cfg.get("source", {}).get("kind", "ideal"),
+                     int(args[args.index("--parallel") + 1])))
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_subprocess_run)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    result = tool.parallel(parent, change, [512], 3)
+    assert runs[:2] == [("compile", parent), ("compile", change)]
+    ideal = [run for run in runs[2:] if run[2] == "ideal"]
+    # pair 0: parent then change, serial first; pair 1 the other way round
+    assert [(run[0], run[3]) for run in ideal[:8]] == [
+        (parent, 1), (parent, 2), (change, 1), (change, 2),
+        (change, 2), (change, 1), (parent, 2), (parent, 1)]
+    assert len(runs) == 2 + 2 * 2 * 2 * 3
+    assert {run[1] for run in runs[2:]} == {512}
+    assert list(result) == ["bytecode", "ideal n=512", "hologram n=512"]
+    side = result["hologram n=512"]["change"]
+    assert len(side["serial_s"]) == len(side["parallel2_s"]) == side["pairs"] == 3
+    assert set(side["serial"]) == {"median", "q1", "q3"}
+    assert 0 <= side["parallel2_wins"] <= 3

@@ -248,10 +248,7 @@ class TestFactoredField:
     def test_pickle_round_trip(self, field):
         copy = pickle.loads(pickle.dumps(field))
         assert copy.samples is None and "values" not in vars(copy)
-        for name in ("rows", "mix"):
-            assert not getattr(copy.factors, name).flags.writeable
         assert np.array_equal(copy.values, field.values)
-        assert not copy.values.flags.writeable
 
 
 class TestPhasedFactors:

@@ -5,7 +5,9 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +112,7 @@ class TestDeterminism:
 
 
 class TestWorkerCap:
-    """The pool forks all its workers at once, so their number is capped."""
+    """The pool never gets more threads than there are points or CPUs."""
 
     @pytest.mark.parametrize("cpus, workers", [(64, [2]), (1, []), (None, [])],
                              ids=["many-cpus", "one-cpu", "unknown-cpus"])
@@ -120,11 +122,10 @@ class TestWorkerCap:
         created = []
 
         class RecordingPool:
-            """Records max_workers and maps in this process."""
+            """Records max_workers and maps in this thread, so no thread starts."""
 
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 created.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -135,8 +136,7 @@ class TestWorkerCap:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(harness, "_WORKER_STORED", None)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         cfg = small_cfg()
         pooled = run_storage_decay(cfg, out=tmp_path / "p", parallel=10 ** 6)
@@ -184,48 +184,36 @@ with tempfile.TemporaryDirectory() as out:
 
 class TestWorkerInput:
     def test_workers_get_the_wave_once_and_run_no_forward_fft(self, monkeypatch, tmp_path):
-        # a spawning pool pickles the initializer's arguments once per worker
-        # and every job on its own: jobs carry only (index, t), and the
-        # stored wave arrives with its mode factors, whose K x n rows are all
-        # a worker transforms: no forward fft of an n x n array, only one of
-        # each axis's factors per point with t > 0
+        # the threads share the one stored wave, and jobs carry only
+        # (index, t); the wave holds its mode factors, whose K x n rows are
+        # all a point transforms: no forward fft of an n x n array, only
+        # one of each axis's factors per point with t > 0, on a pool thread
         import oamem.harness as harness
 
         jobs_seen, forward = [], []
 
-        class PicklingPool:
-            """Runs one worker in this process, pickling what a spawned one receives."""
-
-            def __init__(self, max_workers, initializer, initargs):
-                self.initializer, self.initargs = initializer, pickle.dumps(initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
+            """A real thread pool that records its jobs and counts forward ffts."""
 
             def map(self, fn, jobs):
                 fft = np.fft.fft
 
                 def counted(*args, **kwargs):
-                    forward.append(args)
+                    forward.append((np.shape(args[0]), threading.current_thread()))
                     return fft(*args, **kwargs)
 
                 monkeypatch.setattr(np.fft, "fft", counted)
-                self.initializer(*pickle.loads(self.initargs))
-                jobs_seen.extend(pickle.loads(pickle.dumps(job)) for job in jobs)
-                return [fn(job) for job in jobs_seen]
+                jobs_seen.extend(jobs)
+                return super().map(fn, jobs_seen)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
-        monkeypatch.setattr(harness, "_WORKER_STORED", None)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         cfg = small_cfg(storage_times=[0.0, 1e-5, 2e-5], **SENSITIVE)
         pooled = run_storage_decay(cfg, out=tmp_path / "p", parallel=2)
         assert jobs_seen == list(enumerate(cfg.storage_times))
-        assert [np.shape(args[0]) for args in forward] == [(cfg.qudit.l + 1, cfg.grid.n)] * 2 * 2
+        assert [shape for shape, _ in forward] == [(cfg.qudit.l + 1, cfg.grid.n)] * 2 * 2
+        assert threading.main_thread() not in {thread for _, thread in forward}
         assert pooled.summary == run_storage_decay(cfg, out=tmp_path / "s").summary
-
 
     def test_ideal_wave_ships_without_a_spectrum(self):
         # the pickled config and stored wave carry no n x n array: the wave
@@ -1042,6 +1030,28 @@ def test_values_beyond_normal_floats_exit_2(tmp_path, capsys, subcommand, change
     assert cli_main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and named in err
+
+
+# a waist about a hundredth of the focal-plane pitch (2.5 mm): the sampled
+# modes are 0, which exits 2 at parsing, not 3 at the first projection
+UNDER_RESOLVED = {"seed": 1, "grid": {"n": 32, "extent": 0.000488},
+                  "qudit": {"dim": 2, "l": 1, "waist": 2.2e-05, "gamma": 1.2, "beta": 0.3},
+                  "source": {"kind": "hologram", "input_waist": 0.0001, "focal": 1.53},
+                  "efficiency": {"eta0": 0.1, "tau": 5.0e-4}, "storage_times": [0.0, 1.0e-4]}
+
+
+@pytest.mark.parametrize("subcommand", list(SUBCOMMANDS))
+def test_under_resolved_mode_exits_2(tmp_path, capsys, subcommand):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(UNDER_RESOLVED))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_main([subcommand, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("config error:") == 1 and err.startswith("config error: ")
+    assert "zero norm" in err
+    assert not caught
 
 
 @pytest.mark.parametrize("given", ["--out", "output_dir"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from oracles import lg_amplitude
@@ -154,6 +156,32 @@ class TestSynthesize:
                        for c, charge in zip(state.coeffs, state.charges()))
         got = synthesize(state, W0, wide_grid).values
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+class TestResolution:
+    """A basis that its grid does not resolve is rejected before any mode is built."""
+
+    def test_waist_far_below_the_pitch_has_a_zero_norm(self):
+        # every pixel but the centre holds exp(-(pitch / w0)^2) = 0, where
+        # x + iy is 0: the modes are 0 on the grid
+        grid = GridSpec(32, 4.88e-4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridTooSmall, match="zero norm"):
+                synthesize(qubit_state(1.2, 0.3, l=1), 0.01 * grid.pitch, grid)
+
+    def test_gram_error_is_the_overlap_of_the_sampled_modes(self):
+        # charges +-2 one pitch wide: the square lattice does not keep
+        # e^{2i phi} and e^{-2i phi} apart, and the sampled modes overlap
+        grid = GridSpec(64, 3.2e-3)
+        r, phi = grid.polar()
+        a, b = (lg_amplitude(l, grid.pitch, r, phi) for l in (2, -2))
+        overlap = abs(np.vdot(a, b)) / np.linalg.norm(a) / np.linalg.norm(b)
+        assert overlap > 0.1
+        with pytest.raises(GridTooSmall, match=f"orthonormal only to {overlap:.2g},"):
+            synthesize(qubit_state(1.2, 0.3, l=2), grid.pitch, grid)
+        # two pitches wide, the same basis passes
+        synthesize(qubit_state(1.2, 0.3, l=2), 2 * grid.pitch, grid)
 
 
 def test_state_from_field_round_trip(grid, rng):

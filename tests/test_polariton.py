@@ -1,5 +1,4 @@
 import importlib.util
-import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -363,29 +362,6 @@ class TestDiffractionCheck:
             for fraction in (0.5, 0.99, 0.999999):
                 expected = histogram_first_shell(quarter, fraction)
                 assert _first_shell(quarter, fraction) == expected, (name, fraction)
-
-
-class TestSpinWavePickle:
-    """A spin wave is a TransverseField; unpickling keeps its arrays read-only."""
-
-    @pytest.mark.parametrize("cached", [False, True], ids=["values", "values+spectrum"])
-    def test_unpickled_arrays_are_read_only(self, grid, cached):
-        wave = TransverseField(grid, lg_field(LGModeSpec(1, W0), grid).values, 795e-9)
-        if cached:
-            wave.spectrum
-        copy = pickle.loads(pickle.dumps(wave))
-        assert not copy.values.flags.writeable
-        assert np.array_equal(copy.values, wave.values)
-        assert ("spectrum" in vars(copy)) == cached
-        assert not copy.spectrum.flags.writeable
-
-    def test_unpickled_factors_are_read_only(self, grid):
-        wave = write(lg_field(LGModeSpec(2, W0), grid), MemoryParams())
-        copy = pickle.loads(pickle.dumps(wave))
-        for name in ("rows", "mix"):
-            assert not getattr(copy.factors, name).flags.writeable
-            assert np.array_equal(getattr(copy.factors, name), getattr(wave.factors, name))
-        assert not copy.values.flags.writeable
 
 
 class TestFactors:

@@ -39,14 +39,6 @@ KEEP = {
     "fieldgrid.TransverseField.quarter_power": "test-fixture plane: the diffraction check "
                                                "reads only the total and leading blocks of "
                                                "folded_power",
-    "fieldgrid.TransverseField.__setstate__": "runs only when a field is unpickled: a "
-                                              "forkserver or spawn pool pickles the stored "
-                                              "wave into its workers (CI checks forkserver), "
-                                              "a fork pool does not",
-    "fieldgrid.Separable.__setstate__": "runs only when a field's factors are unpickled, as "
-                                        "fieldgrid.TransverseField.__setstate__ does",
-    "harness._init_worker": "runs only in the worker processes of --parallel",
-    "harness._worker_point": "runs only in the worker processes of --parallel",
     "tomography._ket": "runs at import, building the projector tables",
 }
 

@@ -4,6 +4,7 @@ Usage::
 
     python3 tools/bench_pairs.py pairs PARENT CHANGE OUT.json --seeds 1601-1610 [--seconds 50]
     python3 tools/bench_pairs.py points PARENT CHANGE OUT.json [--n 512,1024]
+    python3 tools/bench_pairs.py parallel PARENT CHANGE OUT.json [--n 512,1024] [--repeats 10]
 
 ``pairs`` runs ``perfbench/run.py --workload W --seed S --seconds T`` in
 each checkout, the two in turn for every seed, alternating which runs
@@ -22,6 +23,16 @@ has them, dropped before each call, since a campaign meets each storage
 time once, under ``per_point_s``.  Writes OUT.json, merged into what is
 already there.
 
+``parallel`` times whole-process ``oamem decay`` (wall seconds of the
+``python -m oamem.cli`` process) on the seed-1 ``decay_qutrit_n512``
+config at each grid size n, from an ideal source and from a hologram
+(``HOLOGRAM``), ``--repeats`` pairs of ``--parallel 1`` and
+``--parallel 2`` in each checkout.  Pair k runs PARENT then CHANGE, and
+in each ``--parallel 1`` then ``--parallel 2``, for even k, and both in
+the other order for odd k.  Per case and checkout it records every time,
+the medians and quartiles of both settings and the pairs that
+``--parallel 2`` won, under ``parallel["<source> n=<n>"]``.
+
 Before its first run, each mode byte-compiles both checkouts' ``src``
 and ``perfbench`` with ``python -m compileall -q`` (which writes the
 ``.pyc`` files even under ``PYTHONDONTWRITEBYTECODE``), so that no run
@@ -33,10 +44,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
+
+import yaml
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -44,6 +60,8 @@ from workloads import WORKLOADS  # noqa: E402
 
 METRICS = ("campaign_s", "campaign_cpu_s", "setup_s", "peak_rss_mb")
 BYTECODE = "compileall before the first run"
+# the golden gate's hologram source (tools/golden.py)
+HOLOGRAM = {"kind": "hologram", "input_waist": 5.0e-4, "focal": 0.5}
 
 POINT_TIMER = r"""
 import json, sys, time
@@ -99,10 +117,7 @@ def summary(pairs: list[dict]) -> dict:
                         if metric in p[side].get("metrics", {})] for side in ("parent", "change")}
         if len(sides["parent"]) < 2 or len(sides["parent"]) != len(sides["change"]):
             continue
-        stats = {}
-        for side, values in sides.items():
-            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-            stats[side] = {"median": median, "q1": q1, "q3": q3}
+        stats = {side: quartiles(values) for side, values in sides.items()}
         wins = sum(c < p for p, c in zip(sides["parent"], sides["change"]))
         ties = sum(c == p for p, c in zip(sides["parent"], sides["change"]))
         out[metric] = {**stats, "change_wins": wins, "ties": ties, "pairs": len(sides["parent"])}
@@ -143,6 +158,52 @@ def points(parent: Path, change: Path, sizes: list[int]) -> dict:
     return result
 
 
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def time_decay(checkout: Path, config: Path, out: Path, parallel: int) -> float:
+    """Wall seconds of one ``oamem decay`` process on the ``src`` of ``checkout``."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "oamem.cli", "decay", "--config", str(config),
+                    "--out", str(out), "--parallel", str(parallel)],
+                   env=env, cwd=checkout, stdout=subprocess.DEVNULL, check=True)
+    return time.perf_counter() - start
+
+
+def parallel(parent: Path, change: Path, sizes: list[int], repeats: int) -> dict:
+    compile_checkouts(parent, change)
+    result = {"bytecode": BYTECODE}
+    data = WORKLOADS["decay_qutrit_n512"](1)[1]
+    with tempfile.TemporaryDirectory() as scratch:
+        for n in sizes:
+            for source in ("ideal", "hologram"):
+                case = f"{source} n={n}"
+                config = Path(scratch) / f"{source}-{n}.yaml"
+                cfg = dict(data, grid=dict(data["grid"], n=n))
+                if source == "hologram":
+                    cfg["source"] = HOLOGRAM
+                config.write_text(yaml.safe_dump(cfg))
+                times = {side: {1: [], 2: []} for side in ("parent", "change")}
+                for k in range(repeats):
+                    sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                    for side in sides:
+                        for workers in ((1, 2) if k % 2 == 0 else (2, 1)):
+                            times[side][workers].append(time_decay(
+                                parent if side == "parent" else change, config,
+                                Path(scratch) / f"{case}-{side}-{k}-{workers}", workers))
+                    print(case, k, {side: [times[side][w][-1] for w in (1, 2)]
+                                    for side in sides}, flush=True)
+                result[case] = {side: {
+                    "serial_s": t[1], "parallel2_s": t[2],
+                    "serial": quartiles(t[1]), "parallel2": quartiles(t[2]),
+                    "parallel2_wins": sum(p < s for s, p in zip(t[1], t[2])),
+                    "pairs": repeats} for side, t in times.items()}
+    return result
+
+
 def seed_range(text: str) -> list[int]:
     first, _, last = text.partition("-")
     return list(range(int(first), int(last or first) + 1))
@@ -150,22 +211,26 @@ def seed_range(text: str) -> list[int]:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("mode", choices=("pairs", "points"))
+    parser.add_argument("mode", choices=("pairs", "points", "parallel"))
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("out", type=Path)
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1601-1610"))
     parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--n", default="512,1024")
+    parser.add_argument("--repeats", type=int, default=10)
     args = parser.parse_args(argv)
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     if args.mode == "pairs":
         name = f"seeds_{args.seeds[0]}_{args.seeds[-1]}"
         data.setdefault("sets", {})[name] = pairs(args.parent.resolve(), args.change.resolve(),
                                                   args.seeds, args.seconds)
-    else:
+    elif args.mode == "points":
         data["per_point_s"] = points(args.parent.resolve(), args.change.resolve(),
                                      [int(n) for n in args.n.split(",")])
+    else:
+        data["parallel"] = parallel(args.parent.resolve(), args.change.resolve(),
+                                    [int(n) for n in args.n.split(",")], args.repeats)
     args.out.write_text(json.dumps(data, indent=1) + "\n")
     return 0
 
