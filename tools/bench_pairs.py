@@ -4,7 +4,7 @@ Usage::
 
     python3 tools/bench_pairs.py pairs PARENT CHANGE OUT.json --seeds 1601-1610 [--seconds 50]
     python3 tools/bench_pairs.py points PARENT CHANGE OUT.json [--n 512,1024]
-    python3 tools/bench_pairs.py parallel PARENT CHANGE OUT.json [--n 512,1024] [--repeats 10]
+    python3 tools/bench_pairs.py parallel PARENT CHANGE OUT.json [--n 512,1024]
 
 ``pairs`` runs ``perfbench/run.py --workload W --seed S --seconds T`` in
 each checkout, the two in turn for every seed, alternating which runs
@@ -26,7 +26,7 @@ already there.
 ``parallel`` times whole-process ``oamem decay`` (wall seconds of the
 ``python -m oamem.cli`` process) on the seed-1 ``decay_qutrit_n512``
 config at each grid size n, from an ideal source and from a hologram
-(``HOLOGRAM``), ``--repeats`` pairs of ``--parallel 1`` and
+(``HOLOGRAM``), ten pairs of ``--parallel 1`` and
 ``--parallel 2`` in each checkout.  Pair k runs PARENT then CHANGE, and
 in each ``--parallel 1`` then ``--parallel 2``, for even k, and both in
 the other order for odd k.  Per case and checkout it records every time,
@@ -218,7 +218,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1601-1610"))
     parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--n", default="512,1024")
-    parser.add_argument("--repeats", type=int, default=10)
     args = parser.parse_args(argv)
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     if args.mode == "pairs":
@@ -230,7 +229,7 @@ def main(argv: list[str]) -> int:
                                      [int(n) for n in args.n.split(",")])
     else:
         data["parallel"] = parallel(args.parent.resolve(), args.change.resolve(),
-                                    [int(n) for n in args.n.split(",")], args.repeats)
+                                    [int(n) for n in args.n.split(",")], 10)
     args.out.write_text(json.dumps(data, indent=1) + "\n")
     return 0
 
