@@ -19,7 +19,7 @@ from . import __version__
 from .bounds import classical_limit, threshold_band
 from .config import ExperimentConfig, config_hash
 from .decoherence import decohere, longitudinal_drift_factor
-from .errors import ConfigError, DomainError, NonFiniteField
+from .errors import ConfigError, DomainError, NoCounts, NonFiniteField
 from .fieldgrid import TransverseField, export_csv, export_pgm
 from .holography import (export_pgm_hologram, focal_basis_phases, fraunhofer,
                          qubit_hologram, qutrit_hologram)
@@ -185,15 +185,33 @@ def _count(cfg: ExperimentConfig, a: np.ndarray, eta: float, point: int, kets):
     return records
 
 
+def _unit_amplitudes(a: np.ndarray) -> np.ndarray:
+    """a / ||a||, the state that noiseless counting of ``a`` reconstructs.
+
+    Noiseless records hold |psi^H a|^2 and are divided by the pole
+    records' sum, ||a||^2, so linear inversion returns the pure state
+    a a^H / ||a||^2.  Raises NoCounts, as :func:`reconstruct` does, when
+    every pole probability |a_j|^2 is 0.
+    """
+    if not np.sum(np.abs(a) ** 2) > 0:
+        raise NoCounts("pole-basis reference counts are zero")
+    return a / np.linalg.norm(a)
+
+
 def storage_point(cfg: ExperimentConfig, stored: tuple[np.ndarray, TransverseField],
-                  t_index: int, t_s: float) -> dict:
+                  t_index: int, t_s: float, keep_records: bool = False) -> dict:
     """One storage-and-tomography pass at a single storage time.
 
     ``stored`` is :func:`_store` of ``cfg``.  Chain: decohere -> read ->
     project (:func:`_retrieve`) -> count -> reconstruct (linear inversion
     through the projector set's one cached pseudo-inverse) -> fidelity.
     f_abs and f_rel are sqrt(<psi|rho|psi>) against the configured and
-    the stored ket, so f_abs ** 2 is the transition probability.
+    the stored ket, so f_abs ** 2 is the transition probability.  With
+    noiseless counting rho is the pure state of the retrieved amplitudes
+    a (:func:`_unit_amplitudes`), so they are the overlaps |psi^H a| / ||a||,
+    at most 1, taken from a; the count records and rho are then built
+    only for ``keep_records``, where a file holds them.  Poisson counting
+    always counts and reconstructs.
     At t_s = 0 the amplitudes are the stored state itself, which
     :func:`_store` already projected: no channel acts and the drift factor
     is exactly 1, so projecting again would give the same bytes.
@@ -203,12 +221,18 @@ def storage_point(cfg: ExperimentConfig, stored: tuple[np.ndarray, TransverseFie
     pset = PROJECTION_SETS[state.dim]
     a = reference if t_s == 0.0 else _retrieve(cfg, wave, t_s)
     eta = _efficiency(cfg, t_s)
-    records = _count(cfg, a, eta, t_index, pset.projectors)
-    rho = reconstruct(records, pset)
-    f_abs = fidelity(rho, state.coeffs)
-    f_rel = fidelity(rho, reference / np.linalg.norm(reference))
-    return {"t_s": t_s, "eta": eta, "f_rel": f_rel, "f_abs": f_abs,
-            "records": records, "rho": rho, "pset": pset}
+    point = {"t_s": t_s, "eta": eta, "pset": pset}
+    if keep_records or cfg.counting.poisson:
+        point["records"] = _count(cfg, a, eta, t_index, pset.projectors)
+        point["rho"] = reconstruct(point["records"], pset)
+    kets = (state.coeffs, _unit_amplitudes(reference))
+    if cfg.counting.poisson:
+        point["f_abs"], point["f_rel"] = (fidelity(point["rho"], psi) for psi in kets)
+    else:
+        unit = _unit_amplitudes(a)
+        point["f_abs"], point["f_rel"] = (min(float(abs(np.vdot(psi, unit))), 1.0)
+                                          for psi in kets)
+    return point
 
 
 def _efficiency(cfg: ExperimentConfig, t_s: float) -> float:
@@ -230,8 +254,9 @@ def _bound_columns(cfg: ExperimentConfig, eta: float) -> list[float]:
             *threshold_band(cfg.photon, eta)]
 
 
-def _map_points(cfg: ExperimentConfig, parallel: int):
-    """Every storage point, on at most ``parallel`` threads.
+def _map_points(cfg: ExperimentConfig, parallel: int, keep_records: bool = False):
+    """Every storage point (:func:`storage_point` with ``keep_records``), on at
+    most ``parallel`` threads.
 
     numpy releases the GIL in its FFTs and ufuncs, and each point draws
     from its own RNG streams, keyed (point, ket), so the points can run
@@ -251,15 +276,21 @@ def _map_points(cfg: ExperimentConfig, parallel: int):
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda job: storage_point(cfg, stored, *job), jobs))
-    return [storage_point(cfg, stored, *job) for job in jobs]
+            return list(pool.map(lambda job: storage_point(cfg, stored, *job, keep_records),
+                                 jobs))
+    return [storage_point(cfg, stored, *job, keep_records) for job in jobs]
 
 
 RNG_SCHEME = "SeedSequence(seed, spawn_key=(point_index, basis_index))"
 
 
 def run_storage_decay(cfg: ExperimentConfig, out=None, parallel: int = 1) -> CampaignResult:
-    """Fidelity and efficiency versus storage time, with classical bounds."""
+    """Fidelity and efficiency versus storage time, with classical bounds.
+
+    decay.csv holds no records: with noiseless counting each fidelity is
+    the overlap of the retrieved amplitudes (:func:`storage_point`), and
+    no point counts or reconstructs.
+    """
     out_dir = _out_dir(cfg, out)
     results = _map_points(cfg, parallel)
     header = ["t_s", "eta", "f_rel", "f_abs", "f_classical", "band_low", "band_high"]
@@ -272,7 +303,7 @@ def run_storage_decay(cfg: ExperimentConfig, out=None, parallel: int = 1) -> Cam
 def run_tomography(cfg: ExperimentConfig, out=None, parallel: int = 1) -> CampaignResult:
     """Full state reconstruction at each storage time."""
     out_dir = _out_dir(cfg, out)
-    results = _map_points(cfg, parallel)
+    results = _map_points(cfg, parallel, keep_records=True)
     files = []
     summary = []
     for i, r in enumerate(results):

@@ -11,7 +11,9 @@ the raw arrays and bytes, and the CSV exporter writes through
 read-out n x n field, where a campaign streams the decohered wave.  The
 fidelity oracle is Uhlmann's general formula for two density matrices,
 by eigendecomposition, where ``tomography.fidelity`` takes a pure
-reference ket.
+reference ket.  The noiseless-fidelity reference counts, reconstructs
+and takes the fidelity of the reconstruction, where a campaign takes
+the overlap of the retrieved amplitudes.
 """
 
 import csv
@@ -24,7 +26,9 @@ from oamem.decoherence import longitudinal_drift_factor
 from oamem.errors import DomainError
 from oamem.fieldgrid import TransverseField
 from oamem.holography import focal_basis_phases
+from oamem.measurement import CountRecord
 from oamem.modes import basis_charges, decompose
+from oamem.tomography import PROJECTION_SETS, fidelity, reconstruct
 
 
 def direct_gaussian_convolution(values: np.ndarray, pitch: float, sigma: float) -> np.ndarray:
@@ -114,6 +118,22 @@ def dense_amplitudes(cfg, field, t_s: float = 0.0) -> np.ndarray:
     if cfg.decoherence.longitudinal_drift:
         a = a * longitudinal_drift_factor(cfg.memory, t_s)
     return a
+
+
+def reconstructed_fidelities(cfg, a: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
+    """f_abs and f_rel of noiseless counting of the retrieved amplitudes ``a``, the long way.
+
+    One noiseless record min(|psi^H a|^2, 1) per projector of the qudit's
+    set, linear inversion (``reconstruct``), and ``fidelity`` of the
+    reconstructed rho against the configured ket and the unit ``reference``
+    (the stored amplitudes).
+    """
+    pset = PROJECTION_SETS[cfg.qudit.dim]
+    records = [CountRecord(basis_id=label, counts=min(abs(np.vdot(psi, a)) ** 2, 1.0))
+               for label, psi in pset.projectors]
+    rho = reconstruct(records, pset)
+    return (fidelity(rho, cfg.qudit.to_state().coeffs),
+            fidelity(rho, reference / np.linalg.norm(reference)))
 
 
 def csv_writer_export(f, path) -> None:

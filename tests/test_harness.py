@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from oracles import dense_amplitudes
+from oracles import dense_amplitudes, reconstructed_fidelities
 
 import oamem
 from oamem.cli import SUBCOMMANDS
@@ -21,7 +21,7 @@ from oamem.cli import main as cli_main
 from oamem.config import EXPERIMENT_KINDS, parse_config, serialize_config
 from oamem.decoherence import (_larmor_map, _phase_terms, decohere, diffuse,
                                longitudinal_drift_factor, magnetic_dephase)
-from oamem.errors import ConfigError, NonFiniteField
+from oamem.errors import ConfigError, NoCounts, NonFiniteField
 from oamem.fieldgrid import BLOCK_ROWS, Separable, row_blocks
 from oamem.harness import (RUNNERS, _channels, _input_field, _retrieve, _store, _transfer,
                            run_bounds_table, run_field_render, run_interference_scan,
@@ -507,6 +507,110 @@ class TestPipelineComposition:
         for _, psi in pset.projectors:
             ref = project_and_couple(field, QuditState(psi, l=state.l), cfg.qudit.waist)
             assert abs(np.vdot(psi, a) - ref) <= 1e-12 * abs(ref)
+
+
+# every channel on, strong enough that the fidelities fall well below 1
+ALL_CHANNELS = {"decoherence": {"diffusion": True, "magnetic": True, "longitudinal_drift": True},
+                "magnetic": SENSITIVE["magnetic"], "memory": {"alpha": 0.05},
+                "storage_times": [0.0, 1e-5, 2e-5, 4e-5]}
+SOURCES = [(QUBIT, "ideal"), (QUBIT, "hologram"), (QUTRIT, "ideal"), (QUTRIT, "hologram")]
+SOURCE_IDS = ["qubit-ideal", "qubit-hologram", "qutrit-ideal", "qutrit-hologram"]
+# np.linalg's LAPACK-backed functions
+LAPACK = ("eigh", "eigvalsh", "eig", "eigvals", "pinv", "svd", "matrix_rank", "lstsq", "solve",
+          "inv", "qr", "det")
+
+
+def all_channels_cfg(qudit, kind, poisson=False):
+    source = ({"kind": "hologram", "input_waist": 5.0e-4, "focal": 0.5} if kind == "hologram"
+              else {"kind": "ideal"})
+    return small_cfg(grid=README_GRID, qudit=dict(qudit), source=source,
+                     counting={"poisson": poisson}, **ALL_CHANNELS)
+
+
+class TestNoiselessFidelity:
+    """Noiseless counting takes f_abs and f_rel from the retrieved amplitudes."""
+
+    @pytest.mark.parametrize("qudit, kind", SOURCES, ids=SOURCE_IDS)
+    def test_noiseless_decay_counts_and_reconstructs_nothing(self, monkeypatch, tmp_path,
+                                                             qudit, kind):
+        import oamem.harness as harness
+        import oamem.tomography as tomography
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"a noiseless decay called {name}")
+            return call
+
+        for name in LAPACK:
+            monkeypatch.setattr(np.linalg, name, refuse(f"np.linalg.{name}"))
+        for module in (harness, tomography):
+            monkeypatch.setattr(module, "reconstruct", refuse("reconstruct"))
+        monkeypatch.setattr(harness, "CountRecord", refuse("CountRecord"))
+        monkeypatch.setattr(harness, "simulate_counts", refuse("simulate_counts"))
+        monkeypatch.setattr(tomography, "DensityMatrix", refuse("DensityMatrix"))
+        cfg = all_channels_cfg(qudit, kind)
+        res = run_storage_decay(cfg, out=tmp_path / "d")
+        assert [row[0] for row in res.summary] == list(cfg.storage_times)
+
+    @pytest.mark.parametrize("kind", ["ideal", "hologram"])
+    def test_poisson_decay_reconstructs_once_per_storage_time(self, monkeypatch, tmp_path,
+                                                              kind):
+        import oamem.harness as harness
+
+        calls = []
+
+        def spy(records, pset, *args, **kwargs):
+            calls.append(pset.dim)
+            return reconstruct(records, pset, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "reconstruct", spy)
+        cfg = all_channels_cfg(QUTRIT, kind, poisson=True)
+        run_storage_decay(cfg, out=tmp_path / "d")
+        assert calls == [3] * len(cfg.storage_times)
+
+    @pytest.mark.parametrize("qudit, kind", SOURCES, ids=SOURCE_IDS)
+    def test_overlaps_equal_the_reconstructed_fidelities(self, qudit, kind):
+        cfg = all_channels_cfg(qudit, kind)
+        stored = _store(cfg)
+        reference, wave = stored
+        for point in enumerate(cfg.storage_times):
+            got = storage_point(cfg, stored, *point)
+            a = reference if point[1] == 0.0 else _retrieve(cfg, wave, point[1])
+            f_abs, f_rel = reconstructed_fidelities(cfg, a, reference)
+            assert abs(got["f_abs"] - f_abs) <= 1e-14
+            assert abs(got["f_rel"] - f_rel) <= 1e-14
+            assert "records" not in got and "rho" not in got
+
+    @pytest.mark.parametrize("poisson", [False, True], ids=["noiseless", "poisson"])
+    @pytest.mark.parametrize("keep_records", [False, True], ids=["decay", "tomo"])
+    def test_zero_amplitudes_raise_no_counts(self, monkeypatch, poisson, keep_records):
+        import oamem.harness as harness
+
+        monkeypatch.setattr(harness, "_retrieve",
+                            lambda cfg, wave, t_s: np.zeros(cfg.qudit.dim, dtype=complex))
+        cfg = small_cfg(counting={"poisson": poisson})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stored = _store(cfg)
+            for point in enumerate(cfg.storage_times):
+                with pytest.raises(NoCounts, match="^pole-basis reference counts are zero$"):
+                    storage_point(cfg, stored, *point, keep_records)
+
+    @pytest.mark.parametrize("poisson", [False, True], ids=["noiseless", "poisson"])
+    def test_zero_amplitudes_exit_3(self, monkeypatch, tmp_path, capsys, poisson):
+        import oamem.harness as harness
+
+        monkeypatch.setattr(harness, "_retrieve",
+                            lambda cfg, wave, t_s: np.zeros(cfg.qudit.dim, dtype=complex))
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({**README_CONFIG, "grid": SMALL_GRID,
+                                        "counting": {"poisson": poisson}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["decay", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == \
+            "numerical failure: pole-basis reference counts are zero\n"
 
 
 class TestCallCounts:
