@@ -10,7 +10,6 @@ value must have its field's declared type, and every number is finite.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields, is_dataclass
@@ -18,6 +17,19 @@ from pathlib import Path
 
 import numpy as np
 import yaml
+
+# CPython's built-in SHA-256, the C code that hashlib falls back to without
+# OpenSSL: importing hashlib maps libcrypto (+3.7 MB RSS, 3 ms) to digest a
+# few files, which a noiseless campaign need never load.  Poisson counting
+# still loads it through numpy.random (secrets -> hmac -> hashlib), and
+# render's large outputs hash about 5x slower (+0.1 s at n = 512).
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python <= 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .bounds import PhotonStatistics
 from .decoherence import DEFAULT_EFFICIENCY_ANCHORS, EfficiencyModel, MagneticModel
@@ -336,5 +348,11 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
+    """Hex SHA-256 of the config's canonical JSON.
+
+    The digest is :data:`sha256`, CPython's built-in implementation, so
+    hashing a config never loads OpenSSL (a Poisson campaign loads it
+    anyway, through ``numpy.random``); its bytes equal hashlib's.
+    """
     canonical = json.dumps(serialize_config(cfg), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 from dataclasses import fields
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oamem.config import (_ACCEPTS, _SECTION_TYPES, ExperimentConfig, config_hash,
-                          load_config, parse_config, serialize_config)
+                          load_config, parse_config, serialize_config, sha256)
 from oamem.errors import ConfigError
 
 BASE = {
@@ -128,6 +129,18 @@ EVERY_PHYSICS_KEY = {
                  "sensitivity": 44000000000, "second_order": 0, "center": [3e-4, 4e-4]},
     "photon": {"n_bar": 2, "uncertainty": 0.5},
 }
+
+
+@pytest.mark.parametrize("data", [b"", b"abc", np.random.default_rng(28).bytes(1 << 20)],
+                         ids=["empty", "abc", "1MiB"])
+def test_builtin_sha256_matches_hashlib(data):
+    assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_builtin_sha256_abc_vector():
+    # FIPS 180-2, appendix B.1
+    assert sha256(b"abc").hexdigest() == \
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 
 
 def test_hash_pinned_across_section_types():

@@ -101,14 +101,17 @@ class TestDeterminism:
             != (tmp_path / "b" / "decay.csv").read_bytes()
 
     def test_manifest_lists_every_file(self, tmp_path):
-        run_tomography(small_cfg(storage_times=[0.0]), out=tmp_path / "t")
-        with open(tmp_path / "t" / "manifest.csv", newline="") as fh:
-            listed = {row["path"]: row["sha256"] for row in csv.DictReader(fh)}
-        on_disk = {p.name for p in (tmp_path / "t").iterdir()} - {"manifest.csv"}
-        assert set(listed) == on_disk
-        # each hash is the sha256 of the file's bytes
-        assert listed == {name: hashlib.sha256((tmp_path / "t" / name).read_bytes()).hexdigest()
-                          for name in on_disk}
+        for kind, run in RUNNERS.items():
+            qudit = QUBIT if kind in ("interference_scan", "meridian_sweep") else QUTRIT
+            out = tmp_path / kind
+            run(small_cfg(storage_times=[0.0], qudit=qudit), out=out)
+            with open(out / "manifest.csv", newline="") as fh:
+                listed = {row["path"]: row["sha256"] for row in csv.DictReader(fh)}
+            on_disk = {p.name for p in out.iterdir()} - {"manifest.csv"}
+            assert set(listed) == on_disk, kind
+            # each hash is hashlib's sha256 of the file's bytes
+            assert listed == {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                              for name in on_disk}, kind
 
 
 class TestWorkerCap:
@@ -180,6 +183,47 @@ with tempfile.TemporaryDirectory() as out:
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(PERFBENCH)], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         assert float(proc.stdout) < 2e-3
+
+
+class TestImportContract:
+    # a fresh interpreter records its modules before importing oamem, runs
+    # the noiseless campaigns through the CLI and prints which of WATCHED
+    # they newly loaded, then a Poisson tomo and prints them again;
+    # comparing with the start set lets a site hook load any of them first
+    SCRIPT = """
+import sys
+before = set(sys.modules)
+from oamem import cli
+WATCHED = ("_hashlib", "numpy.random", "concurrent.futures")
+noiseless, poisson, out = sys.argv[1:]
+for command in ("decay", "bounds", "render"):
+    assert cli.main([command, "--config", noiseless, "--out", f"{out}/{command}"]) == 0
+print("new:", *(m for m in WATCHED if m in sys.modules and m not in before))
+assert cli.main(["tomo", "--config", poisson, "--out", f"{out}/tomo"]) == 0
+print("new:", *(m for m in WATCHED if m in sys.modules and m not in before))
+"""
+
+    def test_noiseless_campaigns_load_no_openssl_rng_or_pool(self, tmp_path):
+        # noiseless counting draws nothing and hashes with CPython's
+        # built-in sha256, so decay, bounds and render never map OpenSSL
+        # (hashlib's _hashlib), numpy.random or the thread pool's module
+        configs = {}
+        for name, counting in [("noiseless", {"poisson": False}),
+                               ("poisson", {"pulses": 20000, "poisson": True})]:
+            configs[name] = tmp_path / f"{name}.yaml"
+            configs[name].write_text(yaml.safe_dump({
+                "seed": 1234, "grid": {"n": 64, "extent": 3.2e-3}, "qudit": QUTRIT,
+                "storage_times": [0.0, 1e-5], "counting": counting, **SENSITIVE}))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(configs["noiseless"]),
+             str(configs["poisson"]), str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+            timeout=120, check=True)
+        noiseless, poisson = [line.split()[1:] for line in proc.stdout.splitlines()
+                              if line.startswith("new:")]
+        assert noiseless == []
+        # the probe sees a module that a campaign loads
+        assert "numpy.random" in poisson
 
 
 class TestWorkerInput:
