@@ -17,6 +17,22 @@ Core layers, in the order a campaign runs them:
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# OpenBLAS starts a worker thread when numpy loads it, and that thread
+# spins for about 0.13 s of CPU before it sleeps, while no campaign makes a
+# BLAS call large enough to use it (grid axes are contracted with einsum,
+# the LAPACK calls are d x d).  So numpy is loaded with a one-thread BLAS,
+# unless it is already loaded or the user chose OPENBLAS_NUM_THREADS, and
+# the variable is removed again, so child processes inherit nothing.
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .fieldgrid import GridSpec, TransverseField, inner_product, transform_to_spectrum
 from .modes import LGModeSpec, QuditState, lg_field, qubit_state, synthesize
 from .holography import PhaseHologram, fraunhofer, project_and_couple, qubit_hologram, qutrit_hologram

@@ -347,11 +347,13 @@ def _phase_terms(mdl: MagneticModel, grid: GridSpec,
     its dense point at n = 256, 1.8 times at 512 and 1.6 times at 1024.
 
     The residual rows and columns subtract the terms so far with
-    ``np.einsum``, not ``@``: a complex matrix-vector product of about 9
-    terms at n = 512 woke OpenBLAS's thread pool, which burned 2-60 ms of
-    CPU on other threads per decay campaign of 35-50 ms (2-vCPU VM).  No
-    ``@``, ``np.dot``, ``tensordot`` or ``einsum(optimize=...)``
-    contracts a grid axis on a campaign's path (module ``fieldgrid``).
+    ``np.einsum``, not ``@``, so a BLAS pool that the user kept (module
+    ``oamem`` loads a one-thread OpenBLAS by default) changes no byte
+    and stays asleep: a complex matrix-vector product of about 9 terms
+    at n = 512 woke such a pool, which burned 2-60 ms of CPU on other
+    threads per decay campaign of 35-50 ms (2-vCPU VM).  No ``@``,
+    ``np.dot``, ``tensordot`` or ``einsum(optimize=...)`` contracts a
+    grid axis on a campaign's path (module ``fieldgrid``).
     """
     n = grid.n
     xs, ys = grid.xs(), grid.ys()

@@ -49,13 +49,17 @@ magnitude for the diffraction check; a factored field keeps it as rows
 Every contraction over a grid axis on a campaign's path is an
 ``np.einsum`` without ``optimize``, which runs in the calling thread:
 no ``@``, ``np.dot``, ``tensordot`` or ``einsum(optimize=...)``.  Those
-call BLAS, and OpenBLAS wakes its thread pool once a product is large
-enough (the d x d algebra of tomography never is), and
-``einsum(optimize=True)`` reaches BLAS through ``tensordot``.  Three
-complex matrix-vector products in the low-rank Larmor phase, at about 9
-terms and n = 512, burned 2-60 ms of CPU on other threads per decay
-campaign of 35-50 ms (benchmark seeds 1-3, 2-vCPU VM), against none with
-``einsum``.
+call BLAS (``einsum(optimize=True)`` through ``tensordot``), which may
+split a product over its threads once it is large enough (the d x d
+algebra of tomography never is).  The package loads numpy with a
+one-thread OpenBLAS (module ``oamem``), but a user may set
+``OPENBLAS_NUM_THREADS`` or import numpy first and so keep a pool.
+With einsum, such a pool changes no output byte (CI reruns the seed-1
+golden configs with two BLAS threads) and never wakes: when the pool
+was there by default, three complex matrix-vector products in the
+low-rank Larmor phase, at about 9 terms and n = 512, burned 2-60 ms of
+CPU on other threads per decay campaign of 35-50 ms (benchmark seeds
+1-3, 2-vCPU VM), against none with ``einsum``.
 """
 
 from __future__ import annotations

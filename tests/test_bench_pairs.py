@@ -1,6 +1,7 @@
 """``tools/bench_pairs.py`` summarises parent/change pairs of benchmark runs."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import yaml
@@ -71,10 +72,12 @@ def test_parallel_alternates_settings_and_checkouts(monkeypatch, tmp_path):
         cfg = yaml.safe_load(Path(args[args.index("--config") + 1]).read_text())
         assert args[1:4] == ["-m", "oamem.cli", "decay"]
         assert env["PYTHONPATH"] == str(Path(cwd) / "src")
+        assert not [name for name in env if name.endswith("_THREADS")]
         runs.append((Path(cwd), cfg["grid"]["n"], cfg.get("source", {}).get("kind", "ideal"),
                      int(args[args.index("--parallel") + 1])))
 
     monkeypatch.setattr(tool.subprocess, "run", fake_subprocess_run)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     parent, change = tmp_path / "parent", tmp_path / "change"
     result = tool.parallel(parent, change, [512], 3)
     assert runs[:2] == [("compile", parent), ("compile", change)]
@@ -88,5 +91,25 @@ def test_parallel_alternates_settings_and_checkouts(monkeypatch, tmp_path):
     assert list(result) == ["bytecode", "ideal n=512", "hologram n=512"]
     side = result["hologram n=512"]["change"]
     assert len(side["serial_s"]) == len(side["parallel2_s"]) == side["pairs"] == 3
-    assert set(side["serial"]) == {"median", "q1", "q3"}
+    assert set(side["serial"]) == set(side["parallel2_cpu"]) == {"median", "q1", "q3"}
     assert 0 <= side["parallel2_wins"] <= 3
+    assert len(side["serial_cpu_s"]) == len(side["parallel2_cpu_s"]) == 3
+
+
+def test_time_decay_counts_the_child_process_cpu(monkeypatch, tmp_path):
+    tool = load_tool()
+    # a child that burns CPU in a second thread as well as its main one
+    burn = ("import threading, time\n"
+            "def spin():\n"
+            "    end = time.thread_time() + 0.1\n"
+            "    while time.thread_time() < end: pass\n"
+            "thread = threading.Thread(target=spin); thread.start(); spin(); thread.join()\n")
+    real_run = tool.subprocess.run
+
+    def fake_subprocess_run(args, **kwargs):
+        return real_run([sys.executable, "-c", burn], check=True)
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_subprocess_run)
+    wall, cpu = tool.time_decay(tmp_path, tmp_path / "cfg.yaml", tmp_path / "out", 1)
+    assert cpu >= 0.2
+    assert wall > 0

@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import hashlib
+import json
 import os
 import pickle
 import subprocess
@@ -147,42 +148,85 @@ class TestWorkerCap:
         assert pooled.summary == run_storage_decay(cfg, out=tmp_path / "s").summary
 
 
+# the hygiene tests count this process's threads in /proc/self/task
+NEEDS_PROC = pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+
+
+def run_fresh(script: str, *args: str, **env: str) -> str:
+    """Stdout of ``script`` in a fresh interpreter with no ``*_THREADS`` variable but ``env``.
+
+    perfbench/run.py runs its campaigns without them (its thread
+    variables all end in _THREADS), so that OpenBLAS chooses by itself.
+    """
+    base = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          env={**base, "PYTHONPATH": SRC, **env},
+                          capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout
+
+
 class TestBlasThreads:
-    # the seed-1 decay workload, run as the benchmark runs it: in a fresh
-    # interpreter, without thread variables (perfbench/run.py's all end in
-    # _THREADS), so that OpenBLAS starts its pool; prints the CPU seconds of
-    # threads other than this one over the campaign.  A pool thread spins
-    # for 50-80 ms of CPU after numpy starts it, with no BLAS call, up to
-    # about 40 ms past the import; so the campaign starts only once the
-    # other threads have stopped taking CPU (at most 2 s later)
+    # the seed-1 decay workload, run as the benchmark runs it; prints the
+    # CPU seconds of threads other than this one from before `import oamem`
+    # to the end of the campaign, so an OpenBLAS pool that spins after
+    # numpy starts it (about 0.13 s of CPU on a 2-vCPU VM) counts too
     SCRIPT = """
 import sys, tempfile, time
+other = lambda: time.process_time() - time.thread_time()
+start = other()
+import oamem
 sys.path.insert(0, sys.argv[1])
 from workloads import WORKLOADS
 from oamem.config import parse_config
 from oamem.harness import run_storage_decay
 cfg = parse_config(WORKLOADS["decay_qutrit_n512"](1)[1])
-other = lambda: time.process_time() - time.thread_time()
-for _ in range(40):
-    idle = other()
-    time.sleep(0.05)
-    if other() - idle < 1e-4:
-        break
 with tempfile.TemporaryDirectory() as out:
-    cpu, own = time.process_time(), time.thread_time()
     run_storage_decay(cfg, out=out)
-    print((time.process_time() - cpu) - (time.thread_time() - own))
+print(other() - start)
+"""
+    # prints the threads of this process and whether os.environ is as it
+    # was before the imports, after importing oamem, numpy first on "numpy"
+    HYGIENE = """
+import json, os, sys
+before = dict(os.environ)
+if sys.argv[1:] == ["numpy"]:
+    import numpy
+threads = len(os.listdir("/proc/self/task"))
+import oamem
+print(json.dumps({"threads_before": threads, "threads": len(os.listdir("/proc/self/task")),
+                  "environ_kept": dict(os.environ) == before,
+                  "openblas": os.environ.get("OPENBLAS_NUM_THREADS")}))
 """
 
+    def hygiene(self, *args, **env):
+        return json.loads(run_fresh(self.HYGIENE, *args, **env))
+
     def test_decay_workload_wakes_no_blas_thread(self):
-        # every contraction on a campaign's path is an einsum without
-        # optimize, which runs in the calling thread; one BLAS product in
-        # the low-rank phase woke the pool for 9-60 ms of other threads' CPU
-        env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
-        env["PYTHONPATH"] = SRC
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(PERFBENCH)], env=env,
-                              capture_output=True, text=True, timeout=120, check=True)
-        assert float(proc.stdout) < 2e-3
+        # oamem loads numpy with a one-thread BLAS, and every contraction
+        # on a campaign's path is an einsum without optimize, which runs in
+        # the calling thread
+        assert float(run_fresh(self.SCRIPT, str(PERFBENCH))) < 2e-3
+
+    @NEEDS_PROC
+    def test_import_starts_no_blas_pool_and_leaves_no_variable(self):
+        seen = self.hygiene()
+        assert seen["threads"] == 1
+        assert seen["environ_kept"] and seen["openblas"] is None
+
+    @NEEDS_PROC
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts no pool on one CPU")
+    def test_user_blas_thread_count_wins(self):
+        seen = self.hygiene(OPENBLAS_NUM_THREADS="2")
+        assert seen["environ_kept"] and seen["openblas"] == "2"
+        assert seen["threads"] >= 2
+
+    @NEEDS_PROC
+    def test_numpy_imported_first_is_left_as_it_is(self):
+        # numpy chose its threads before oamem was imported: oamem changes
+        # neither them nor the environment
+        seen = self.hygiene("numpy")
+        assert seen["environ_kept"] and seen["openblas"] is None
+        assert seen["threads"] == seen["threads_before"]
 
 
 class TestImportContract:

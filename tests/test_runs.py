@@ -11,8 +11,8 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oamem.cli import SUBCOMMANDS
-from oamem.cli import main as cli_main
+from oamem import cli
+from oamem.errors import GridTooSmall
 
 # the one warning a run may print: polariton.write's diffraction warning
 DIFFRACTION_WARNING = "diffraction phase q^2 D / k_s"
@@ -102,15 +102,35 @@ def valid_configs(draw) -> dict:
 
 
 def _run(command: str, config: Path, out: Path, parallel: int):
-    """Exit code, stderr, warnings and output bytes of one ``oamem`` run."""
+    """Exit code, stderr, warnings, output bytes and escaped error type of one ``oamem`` run.
+
+    The runner is wrapped while the CLI runs, so the last item is the
+    type of the exception that left it (None if none did), which tells a
+    fault found while running from a config check's and from one another.
+    """
+    kind, _ = cli.SUBCOMMANDS[command]
+    runner, escaped = cli.RUNNERS[kind], []
+
+    def recorded(*args, **kwargs):
+        try:
+            return runner(*args, **kwargs)
+        except Exception as exc:
+            escaped.append(type(exc))
+            raise
+
     err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
-        warnings.simplefilter("always")
-        code = cli_main([command, "--config", str(config), "--out", str(out),
-                         "--parallel", str(parallel)])
+    cli.RUNNERS[kind] = recorded
+    try:
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = cli.main([command, "--config", str(config), "--out", str(out),
+                             "--parallel", str(parallel)])
+    finally:
+        cli.RUNNERS[kind] = runner
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
-    return code, err.getvalue().replace(str(out), "OUT"), caught, files
+    return code, err.getvalue().replace(str(out), "OUT"), caught, files, \
+        escaped[0] if escaped else None
 
 
 @settings(derandomize=True, max_examples=70, deadline=None,
@@ -120,12 +140,15 @@ def test_every_subcommand_exits_cleanly_and_reruns_byte_identical(data):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "cfg.yaml"
         config.write_text(yaml.safe_dump(data))
-        for command in SUBCOMMANDS:
+        for command in cli.SUBCOMMANDS:
             # the rerun runs decay's and tomo's storage points on two threads
             first = _run(command, config, Path(tmp) / command / "a", 1)
             rerun = _run(command, config, Path(tmp) / command / "b", 2)
-            code, err, caught, files = first
+            code, err, caught, files, escaped = first
             assert code in (0, 2, 3), err
+            # the config check resolves the modes (modes._basis), so a grid
+            # too small for them exits 2 and never escapes a runner to exit 3
+            assert escaped is None or not issubclass(escaped, GridTooSmall), err
             if code == 0:
                 assert err == ""
             else:
@@ -134,4 +157,4 @@ def test_every_subcommand_exits_cleanly_and_reruns_byte_identical(data):
             for warning in caught + rerun[2]:
                 assert warning.category is UserWarning, warning
                 assert str(warning.message).startswith(DIFFRACTION_WARNING), warning
-            assert (rerun[0], rerun[1], rerun[3]) == (code, err, files)
+            assert (rerun[0], rerun[1], rerun[3], rerun[4]) == (code, err, files, escaped)

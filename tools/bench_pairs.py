@@ -24,14 +24,18 @@ time once, under ``per_point_s``.  Writes OUT.json, merged into what is
 already there.
 
 ``parallel`` times whole-process ``oamem decay`` (wall seconds of the
-``python -m oamem.cli`` process) on the seed-1 ``decay_qutrit_n512``
-config at each grid size n, from an ideal source and from a hologram
-(``HOLOGRAM``), ten pairs of ``--parallel 1`` and
-``--parallel 2`` in each checkout.  Pair k runs PARENT then CHANGE, and
-in each ``--parallel 1`` then ``--parallel 2``, for even k, and both in
-the other order for odd k.  Per case and checkout it records every time,
-the medians and quartiles of both settings and the pairs that
-``--parallel 2`` won, under ``parallel["<source> n=<n>"]``.
+``python -m oamem.cli`` process, and its CPU seconds, the growth of
+``RUSAGE_CHILDREN``, which counts every thread of it from start to
+exit, so also CPU spent outside the benchmark's runner window) on the
+seed-1 ``decay_qutrit_n512`` config at each grid size n, from an ideal
+source and from a hologram (``HOLOGRAM``), ten pairs of ``--parallel 1``
+and ``--parallel 2`` in each checkout, with no ``*_THREADS`` variable.
+Pair k runs PARENT then CHANGE, and in each ``--parallel 1`` then
+``--parallel 2``, for even k, and both in the other order for odd k.
+Per case and checkout it records every wall and CPU time, the medians
+and quartiles of both settings (``serial``, ``parallel2``,
+``serial_cpu``, ``parallel2_cpu``) and the pairs that ``--parallel 2``
+won on wall time, under ``parallel["<source> n=<n>"]``.
 
 Before its first run, each mode byte-compiles both checkouts' ``src``
 and ``perfbench`` with ``python -m compileall -q`` (which writes the
@@ -45,6 +49,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -163,14 +168,25 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def time_decay(checkout: Path, config: Path, out: Path, parallel: int) -> float:
-    """Wall seconds of one ``oamem decay`` process on the ``src`` of ``checkout``."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    start = time.perf_counter()
+def cpu_of_children() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def time_decay(checkout: Path, config: Path, out: Path, parallel: int) -> tuple[float, float]:
+    """Wall and CPU seconds of one ``oamem decay`` process on the ``src`` of ``checkout``.
+
+    The CPU seconds are the growth of ``RUSAGE_CHILDREN`` over the run:
+    every thread of the process, from interpreter start to exit.  Like
+    ``perfbench/run.py``, the process gets no ``*_THREADS`` variable.
+    """
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
+    env["PYTHONPATH"] = str(checkout / "src")
+    cpu, start = cpu_of_children(), time.perf_counter()
     subprocess.run([sys.executable, "-m", "oamem.cli", "decay", "--config", str(config),
                     "--out", str(out), "--parallel", str(parallel)],
                    env=env, cwd=checkout, stdout=subprocess.DEVNULL, check=True)
-    return time.perf_counter() - start
+    return time.perf_counter() - start, cpu_of_children() - cpu
 
 
 def parallel(parent: Path, change: Path, sizes: list[int], repeats: int) -> dict:
@@ -186,6 +202,7 @@ def parallel(parent: Path, change: Path, sizes: list[int], repeats: int) -> dict
                 if source == "hologram":
                     cfg["source"] = HOLOGRAM
                 config.write_text(yaml.safe_dump(cfg))
+                # (wall, cpu) per run
                 times = {side: {1: [], 2: []} for side in ("parent", "change")}
                 for k in range(repeats):
                     sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -196,12 +213,19 @@ def parallel(parent: Path, change: Path, sizes: list[int], repeats: int) -> dict
                                 Path(scratch) / f"{case}-{side}-{k}-{workers}", workers))
                     print(case, k, {side: [times[side][w][-1] for w in (1, 2)]
                                     for side in sides}, flush=True)
-                result[case] = {side: {
-                    "serial_s": t[1], "parallel2_s": t[2],
-                    "serial": quartiles(t[1]), "parallel2": quartiles(t[2]),
-                    "parallel2_wins": sum(p < s for s, p in zip(t[1], t[2])),
-                    "pairs": repeats} for side, t in times.items()}
+                result[case] = {side: parallel_summary(t, repeats) for side, t in times.items()}
     return result
+
+
+def parallel_summary(times: dict, repeats: int) -> dict:
+    """One checkout's record of a ``parallel`` case from its (wall, cpu) runs per setting."""
+    (wall1, cpu1), (wall2, cpu2) = (zip(*times[w]) for w in (1, 2))
+    return {"serial_s": list(wall1), "parallel2_s": list(wall2),
+            "serial": quartiles(wall1), "parallel2": quartiles(wall2),
+            "parallel2_wins": sum(p < s for s, p in zip(wall1, wall2)),
+            "serial_cpu_s": list(cpu1), "parallel2_cpu_s": list(cpu2),
+            "serial_cpu": quartiles(cpu1), "parallel2_cpu": quartiles(cpu2),
+            "pairs": repeats}
 
 
 def seed_range(text: str) -> list[int]:
