@@ -37,8 +37,7 @@ from .fieldgrid import GridSpec, TransverseField, inner_product, transform_to_sp
 from .modes import LGModeSpec, QuditState, lg_field, qubit_state, synthesize
 from .holography import PhaseHologram, fraunhofer, project_and_couple, qubit_hologram, qutrit_hologram
 from .polariton import MemoryParams, group_velocity, mixing_angle, read, write
-from .decoherence import (EfficiencyModel, MagneticModel, decohere, diffuse, magnetic_dephase,
-                          qutrit_nodal_shift)
+from .decoherence import EfficiencyModel, MagneticModel, decohere, diffuse, magnetic_dephase
 from .measurement import CountRecord, VisibilityFit, fit_visibility, polar_retrieve, simulate_counts
 from .tomography import DensityMatrix, ProjectionSet, fidelity, probabilities, reconstruct
 from .bounds import BoundResult, PhotonStatistics, classical_limit, nmin, threshold_band
@@ -51,7 +50,6 @@ __all__ = [
     "PhaseHologram", "qubit_hologram", "qutrit_hologram", "fraunhofer", "project_and_couple",
     "MemoryParams", "mixing_angle", "group_velocity", "write", "read",
     "MagneticModel", "EfficiencyModel", "decohere", "diffuse", "magnetic_dephase",
-    "qutrit_nodal_shift",
     "CountRecord", "VisibilityFit", "simulate_counts", "fit_visibility", "polar_retrieve",
     "ProjectionSet", "DensityMatrix", "probabilities", "reconstruct", "fidelity",
     "PhotonStatistics", "BoundResult", "nmin",

@@ -46,7 +46,7 @@ EXPERIMENT_KINDS = ("interference_scan", "meridian_sweep", "storage_decay",
 
 @dataclass(frozen=True)
 class QuditConfig:
-    """State under test: dimension, charge, waist, and coefficients.
+    """State under test: dimension, charge magnitude l >= 1, waist, and coefficients.
 
     Qubits may be given as Bloch angles (gamma, beta) instead of explicit
     coefficients, not as both; coefficients are [re, im] pairs in basis order.
@@ -68,6 +68,9 @@ class QuditConfig:
             raise ConfigError("qudit takes coeffs or Bloch angles, not both")
         if not self.waist > 0:
             raise ConfigError("qudit waist must be positive")
+        # l is the magnitude of the charge: a negative one would swap |L> and |R>
+        if self.l < 1:
+            raise ConfigError(f"qudit.l must be a charge >= 1, got {self.l}")
 
     def to_state(self) -> QuditState:
         if self.coeffs is not None:

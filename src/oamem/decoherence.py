@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NodalLineNotFound, NonFiniteField
+from .errors import NonFiniteField
 from .fieldgrid import BLOCK_ROWS, GridSpec, TransverseField
 from .polariton import MemoryParams
 
@@ -420,38 +420,3 @@ def longitudinal_drift_factor(p: MemoryParams, t_s: float) -> float:
         raise NonFiniteField(f"the drift factor must be finite: (dk sigma_z)^2 / 2 "
                              f"overflows at sigma_z = {p.sigma(t_s):g} m, t_s = {t_s:g} s"
                              ) from None
-
-
-def _nodal_position(s: TransverseField) -> float:
-    """x of the deepest interior intensity minimum along the center row.
-
-    Refined with a parabolic fit through the three samples around the
-    minimum; near a true zero the intensity is quadratic, so the vertex
-    recovers the node to far better than a pixel.
-    """
-    n = s.grid.n
-    row = np.abs(s.values[n // 2, :]) ** 2
-    xs = s.grid.xs()
-    peak = row.max()
-    if peak == 0:
-        raise NodalLineNotFound("empty pattern")
-    mid, left, right = row[1:-1], row[:-2], row[2:]
-    candidates = np.where((mid <= left) & (mid <= right))[0] + 1
-    candidates = candidates[row[candidates] < 0.1 * peak]
-    # a dark line separates two bright regions; numerical ripple in the
-    # far tails must not qualify
-    flanked = [i for i in candidates
-               if row[:i].max(initial=0.0) > 0.1 * peak
-               and row[i + 1:].max(initial=0.0) > 0.1 * peak]
-    if not flanked:
-        raise NodalLineNotFound("no local minimum below 10% of the peak")
-    i = int(min(flanked, key=lambda j: row[j]))
-    y0, y1, y2 = row[i - 1], row[i], row[i + 1]
-    denom = y0 - 2.0 * y1 + y2
-    offset = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
-    return float(xs[i] + offset * s.grid.pitch)
-
-
-def qutrit_nodal_shift(before: TransverseField, after: TransverseField) -> float:
-    """Signed displacement of the dark line along x, after minus before."""
-    return _nodal_position(after) - _nodal_position(before)

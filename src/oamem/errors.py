@@ -17,10 +17,6 @@ class InvalidCharge(OamemError, ValueError):
     """Topological charge not supported by the requested hologram."""
 
 
-class NodalLineNotFound(OamemError):
-    """No intensity minimum below threshold along the search axis."""
-
-
 class FitDegenerate(OamemError):
     """Least-squares design matrix is singular or underdetermined."""
 

@@ -367,10 +367,6 @@ class TransverseField:
             return self.stream()
         return row_blocks(self.samples)
 
-    def norm(self) -> float:
-        """Physical L2 norm sqrt(sum |f|^2 * pixel_area)."""
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.pixel_area))
-
     def intensity(self) -> np.ndarray:
         return np.abs(self.values) ** 2
 
@@ -414,10 +410,6 @@ class TransverseField:
             power *= power
             np.add.at(quarter, magnitudes[start:start + len(power)], _fold(power))
         return quarter
-
-    def quarter_power(self) -> np.ndarray:
-        """The whole (n/2 + 1) x (n/2 + 1) plane of :meth:`folded_power`."""
-        return self.folded_power()[:, :]
 
     def filtered(self, k1: np.ndarray) -> "TransverseField":
         """This field with its spectrum multiplied by k1(q_x) k1(q_y).
@@ -483,7 +475,7 @@ def _center_phase(grid: GridSpec) -> np.ndarray | float:
 def transform_to_spectrum(f: TransverseField) -> np.ndarray:
     """Unitary 2-D Fourier transform S of the envelope, on the centered q grid.
 
-    Norm-preserving: sum |S|^2 q_pitch^2 equals ``f.norm() ** 2`` to machine precision.
+    Norm-preserving: sum |S|^2 q_pitch^2 equals sum |f|^2 pixel_area to machine precision.
     """
     g = f.grid
     scale = g.n * g.pixel_area / (2.0 * np.pi)

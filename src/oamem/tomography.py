@@ -146,15 +146,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def pure(cls, vector) -> "DensityMatrix":
-        v = _ket(vector)
-        return cls(np.outer(v, v.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim, dtype=np.complex128) / dim)
-
 
 def probabilities(rho: DensityMatrix, pset: ProjectionSet) -> list[float]:
     """Born probabilities <psi_i| rho |psi_i> for every projector."""

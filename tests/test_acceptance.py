@@ -4,18 +4,19 @@ PASS/FAIL line with its measured value and runtime budget."""
 import time
 
 import numpy as np
-from oracles import direct_gaussian_convolution, overlap, poisson_weighted_limit
+from oracles import (direct_gaussian_convolution, overlap, poisson_weighted_limit, pure_density,
+                     qutrit_nodal_shift)
 
 from oamem.bounds import PhotonStatistics, classical_limit, threshold_band
 from oamem.config import parse_config
-from oamem.decoherence import EfficiencyModel, diffuse, qutrit_nodal_shift
+from oamem.decoherence import EfficiencyModel, diffuse
 from oamem.fieldgrid import GridSpec, TransverseField
 from oamem.harness import (run_interference_scan, run_meridian_sweep,
                            run_storage_decay)
 from oamem.measurement import CountRecord, simulate_counts
 from oamem.modes import QuditState, qubit_state, synthesize
 from oamem.polariton import MemoryParams, read, write
-from oamem.tomography import PROJECTION_SETS, DensityMatrix, fidelity, probabilities, reconstruct
+from oamem.tomography import PROJECTION_SETS, fidelity, probabilities, reconstruct
 
 RB85 = 85 * 1.66053906892e-27
 ETA_MODEL = EfficiencyModel.from_anchors()
@@ -144,14 +145,14 @@ def test_criterion_7_tomography_round_trip(rng):
                 psi = rng.normal(size=pset.dim) + 1j * rng.normal(size=pset.dim)
                 psi /= np.linalg.norm(psi)
                 records = [CountRecord(lab, counts=p) for lab, p in
-                           zip(pset.labels, probabilities(DensityMatrix.pure(psi), pset))]
+                           zip(pset.labels, probabilities(pure_density(psi), pset))]
                 worst = min(worst, fidelity(reconstruct(records, pset), psi))
         pset = PROJECTION_SETS[3]
         fids = []
         for seed in range(15):
             psi = rng.normal(size=3) + 1j * rng.normal(size=3)
             psi /= np.linalg.norm(psi)
-            probs = probabilities(DensityMatrix.pure(psi), pset)
+            probs = probabilities(pure_density(psi), pset)
             records = [simulate_counts(p, 1.0, 1.0, 10 ** 5, 0.0, seed * 100 + i,
                                        basis_id=lab)
                        for i, (lab, p) in enumerate(zip(pset.labels, probs))]

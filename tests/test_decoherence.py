@@ -5,14 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import direct_gaussian_convolution, overlap
+from oracles import NodalLineNotFound, direct_gaussian_convolution, overlap, qutrit_nodal_shift
 
 from oamem.config import parse_config
 from oamem.decoherence import (PHASE_RANK_DIVISOR, EfficiencyModel, MagneticModel, _dephased,
                                _larmor_map, _phase_terms, _probe_shift, decohere,
-                               diffuse, longitudinal_drift_factor, magnetic_dephase,
-                               qutrit_nodal_shift)
-from oamem.errors import NodalLineNotFound, NonFiniteField
+                               diffuse, longitudinal_drift_factor, magnetic_dephase)
+from oamem.errors import NonFiniteField
 from oamem.fieldgrid import GridSpec, TransverseField, stack_rows
 from oamem.harness import _channels, _store
 from oamem.modes import LGModeSpec, QuditState, decompose, lg_field, qubit_state, synthesize

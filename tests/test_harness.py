@@ -1136,6 +1136,7 @@ NAN, INF = float("nan"), float("inf")
 @pytest.mark.parametrize("subcommand, changes", [
     ("decay", {"efficiency": {"eta0": 1.5, "tau": 1.0e-3}}),
     ("decay", {"qudit": dict(README_QUDIT, l=0)}),
+    ("decay", {"qudit": dict(README_QUDIT, l=-1)}),
     ("decay", {"qudit": dict(README_QUDIT, coeffs=[[0.0, 0.0]] * 3)}),
     ("decay", {"photon": {"n_bar": NAN}}),
     ("decay", {"counting": {"pulses": 0}}),
@@ -1179,7 +1180,7 @@ NAN, INF = float("nan"), float("inf")
     ("scan", {"qudit": README_QUBIT, "photon": {"n_bar": 1.0e300}}),
     ("meridian", {"qudit": README_QUBIT, "photon": {"n_bar": 1.0e300}}),
     ("bounds", {"photon": {"n_bar": 1.0e300}}),
-], ids=["eta0", "zero-l", "zero-coeffs", "nan-n_bar", "zero-pulses",
+], ids=["eta0", "zero-l", "negative-l", "zero-coeffs", "nan-n_bar", "zero-pulses",
         "hologram-input-waist", "qudit-waist", "meridian-hologram", "counting-n_bar",
         "str-seed", "float-seed", "negative-seed", "float-beta_points",
         "float-gamma_points", "float-l", "grid-center-3", "nan-storage-time",

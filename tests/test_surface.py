@@ -3,12 +3,15 @@
 Each subcommand runs once, under a profiler, on small qubit, qutrit and
 hologram configs that set every config section.  A function or method
 defined in the package that none of these runs call is library surface
-that only tests reach: it goes, or it joins KEEP with its reason.
+that only tests reach: it goes, or it joins KEEP with a reason that
+names its pin (``PINS``): ``perfbench/tracer.py``, which rebinds it, the
+ROADMAP item that puts it on a campaign path, or running at import.
 """
 
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
 import warnings
 
@@ -28,19 +31,13 @@ KEEP = {
                            "channels through decoherence.decohere",
     "decoherence.magnetic_dephase": "rebound by name in perfbench/tracer.py; campaigns run "
                                     "both channels through decoherence.decohere",
-    "decoherence.qutrit_nodal_shift": "backs the dark-line invariance acceptance criterion",
-    "decoherence._nodal_position": "backs the dark-line invariance acceptance criterion",
     "tomography._ml_refine": "reconstruct(max_likelihood=True), for ROADMAP item 3",
     "polariton.mixing_angle": "polariton bookkeeping for run diagnostics (ROADMAP item 4)",
     "polariton.group_velocity": "polariton bookkeeping for run diagnostics (ROADMAP item 4)",
-    "tomography.DensityMatrix.pure": "test-fixture constructor",
-    "tomography.DensityMatrix.maximally_mixed": "test-fixture constructor",
-    "fieldgrid.TransverseField.norm": "test-fixture norm",
-    "fieldgrid.TransverseField.quarter_power": "test-fixture plane: the diffraction check "
-                                               "reads only the total and leading blocks of "
-                                               "folded_power",
     "tomography._ket": "runs at import, building the projector tables",
 }
+# what a reason may cite as the pin that keeps its name in the package
+PINS = re.compile(r"perfbench/tracer\.py|ROADMAP item \d+|at import")
 
 GRID = {"n": 64, "extent": 3.2e-3}
 # every section set, so that parsing builds each section's type
@@ -126,3 +123,7 @@ def test_keep_list_is_exact(called):
     assert sorted(set(KEEP) - set(defined)) == []
     assert sorted(name for name in KEEP if defined[name] in called) == []
 
+
+def test_every_keep_reason_names_its_pin():
+    # test-only surface cannot come back under a reason that pins nothing
+    assert sorted(name for name, reason in KEEP.items() if not PINS.search(reason)) == []

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import uhlmann_fidelity
+from oracles import pure_density, uhlmann_fidelity
 
 from oamem.errors import DimMismatch, InsufficientData, NoCounts, NotPSD
 from oamem.measurement import CountRecord, simulate_counts
@@ -16,7 +16,7 @@ def random_ket(rng, dim):
 
 
 def random_pure(rng, dim):
-    return DensityMatrix.pure(random_ket(rng, dim))
+    return pure_density(random_ket(rng, dim))
 
 
 def random_mixed(rng, dim):
@@ -69,7 +69,7 @@ class TestProjectionSets:
     def test_design_matrix_ranks(self):
         # the full sets pin the state; three qubit projectors leave it open
         for pset in (PROJECTION_SETS[2], PROJECTION_SETS[3]):
-            probs = probabilities(DensityMatrix.maximally_mixed(pset.dim), pset)
+            probs = probabilities(DensityMatrix(np.eye(pset.dim) / pset.dim), pset)
             reconstruct(records_from_probs(pset, probs), pset)
         short = ProjectionSet(2, QUBIT_PROJECTORS[:3])
         with pytest.raises(InsufficientData, match="does not determine"):
@@ -97,23 +97,23 @@ class TestDensityMatrix:
 class TestProbabilities:
     def test_pole_state(self):
         pset = PROJECTION_SETS[2]
-        p = probabilities(DensityMatrix.pure([1, 0]), pset)
+        p = probabilities(pure_density([1, 0]), pset)
         assert p == pytest.approx([1.0, 0.0, 0.5, 0.5, 0.5])
 
     def test_maximally_mixed(self):
         pset = PROJECTION_SETS[2]
-        p = probabilities(DensityMatrix.maximally_mixed(2), pset)
+        p = probabilities(DensityMatrix(np.eye(2) / 2), pset)
         assert p == pytest.approx([0.5] * 5)
 
     def test_circular_state(self):
         pset = PROJECTION_SETS[2]
-        p = dict(zip(pset.labels, probabilities(DensityMatrix.pure([1, 1j]), pset)))
+        p = dict(zip(pset.labels, probabilities(pure_density([1, 1j]), pset)))
         assert p["L+iR"] == pytest.approx(1.0)
         assert p["L-R"] == pytest.approx(0.5)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            probabilities(DensityMatrix.maximally_mixed(3), PROJECTION_SETS[2])
+            probabilities(DensityMatrix(np.eye(3) / 3), PROJECTION_SETS[2])
 
 
 class TestReconstruct:
@@ -122,21 +122,21 @@ class TestReconstruct:
     def test_noiseless_round_trip(self, pset, rng):
         for _ in range(100):
             psi = random_ket(rng, pset.dim)
-            records = records_from_probs(pset, probabilities(DensityMatrix.pure(psi), pset))
+            records = records_from_probs(pset, probabilities(pure_density(psi), pset))
             rho = reconstruct(records, pset)
             assert fidelity(rho, psi) >= 0.9999
 
     def test_recovers_projection_basis_states(self):
         pset = PROJECTION_SETS[2]
         for _, psi in pset.projectors:
-            rho_true = DensityMatrix.pure(psi)
+            rho_true = pure_density(psi)
             records = records_from_probs(pset, probabilities(rho_true, pset))
             assert fidelity(reconstruct(records, pset), psi) >= 0.9999
 
     def test_poisson_counts_high_fidelity(self, rng):
         pset = PROJECTION_SETS[3]
         psi = np.ones(3) / np.sqrt(3)
-        probs = probabilities(DensityMatrix.pure(psi), pset)
+        probs = probabilities(pure_density(psi), pset)
         fids = [fidelity(reconstruct(sampled_records(pset, probs, 10 ** 5, seed), pset), psi)
                 for seed in range(10)]
         assert np.median(fids) >= 0.99
@@ -156,7 +156,7 @@ class TestReconstruct:
 
     def test_missing_record(self):
         pset = PROJECTION_SETS[2]
-        records = records_from_probs(pset, probabilities(DensityMatrix.pure([1, 0]), pset))
+        records = records_from_probs(pset, probabilities(pure_density([1, 0]), pset))
         with pytest.raises(InsufficientData):
             reconstruct(records[:-1], pset)
 
@@ -168,7 +168,7 @@ class TestReconstruct:
 
     def test_linear_inversion_missing_record(self):
         pset = PROJECTION_SETS[3]
-        records = records_from_probs(pset, probabilities(DensityMatrix.pure([1, 1, 1]), pset))
+        records = records_from_probs(pset, probabilities(pure_density([1, 1, 1]), pset))
         with pytest.raises(InsufficientData):
             _least_squares(records[1:], pset)
 
@@ -181,7 +181,7 @@ class TestReconstruct:
     def test_ml_refinement_close_to_linear(self, rng):
         pset = PROJECTION_SETS[2]
         psi = random_ket(rng, 2)
-        probs = probabilities(DensityMatrix.pure(psi), pset)
+        probs = probabilities(pure_density(psi), pset)
         records = sampled_records(pset, probs, 10 ** 4, seed=5)
         f_lin = fidelity(reconstruct(records, pset), psi)
         f_ml = fidelity(reconstruct(records, pset, max_likelihood=True), psi)
@@ -209,21 +209,21 @@ class TestReconstruct:
 class TestFidelity:
     def test_self_unity(self, rng):
         psi = random_ket(rng, 3)
-        assert fidelity(DensityMatrix.pure(psi), psi) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(pure_density(psi), psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_zero(self):
-        assert fidelity(DensityMatrix.pure([1, 0]), np.array([0, 1])) == 0.0
+        assert fidelity(pure_density([1, 0]), np.array([0, 1])) == 0.0
 
     def test_mixed_vs_pure(self):
-        f = fidelity(DensityMatrix.maximally_mixed(2), np.array([1, 0]))
+        f = fidelity(DensityMatrix(np.eye(2) / 2), np.array([1, 0]))
         assert f == pytest.approx(1 / np.sqrt(2), rel=1e-12)
 
     def test_symmetric(self, rng):
         # between two pure states the fidelity is |<a|b>| either way round
         a, b = random_ket(rng, 3), random_ket(rng, 3)
-        assert fidelity(DensityMatrix.pure(a), b) == pytest.approx(
-            fidelity(DensityMatrix.pure(b), a), abs=1e-12)
-        assert fidelity(DensityMatrix.pure(a), b) == pytest.approx(abs(np.vdot(a, b)), abs=1e-12)
+        assert fidelity(pure_density(a), b) == pytest.approx(
+            fidelity(pure_density(b), a), abs=1e-12)
+        assert fidelity(pure_density(a), b) == pytest.approx(abs(np.vdot(a, b)), abs=1e-12)
 
     def test_unitary_invariance(self, rng):
         rho, psi = random_mixed(rng, 3), random_ket(rng, 3)
@@ -240,10 +240,10 @@ class TestFidelity:
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            fidelity(DensityMatrix.maximally_mixed(2), np.ones(3) / np.sqrt(3))
+            fidelity(DensityMatrix(np.eye(2) / 2), np.ones(3) / np.sqrt(3))
 
     def test_pure_reference_shortcut(self, rng):
-        rho = DensityMatrix.maximally_mixed(3)
+        rho = DensityMatrix(np.eye(3) / 3)
         psi = random_ket(rng, 3)
         direct = np.sqrt(np.real(psi.conj() @ rho.matrix @ psi))
         assert fidelity(rho, psi) == pytest.approx(direct, rel=1e-10)
@@ -299,7 +299,7 @@ def test_design_built_once_per_projection_set(monkeypatch):
     pinv = np.linalg.pinv
     monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a) or pinv(a))
     pset = ProjectionSet(3, QUTRIT_PROJECTORS)
-    probs = probabilities(DensityMatrix.maximally_mixed(3), pset)
+    probs = probabilities(DensityMatrix(np.eye(3) / 3), pset)
     for _ in range(3):
         reconstruct(records_from_probs(pset, probs), pset)
     assert len(calls) == 1
@@ -336,6 +336,6 @@ def test_reconstruct_solves_no_least_squares(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
     pset = ProjectionSet(3, QUTRIT_PROJECTORS)  # its design is built under the patch too
     psi = np.array([1, 1j, -1]) / np.sqrt(3)
-    rho = reconstruct(records_from_probs(pset, probabilities(DensityMatrix.pure(psi), pset)),
+    rho = reconstruct(records_from_probs(pset, probabilities(pure_density(psi), pset)),
                       pset)
     assert fidelity(rho, psi) == pytest.approx(1.0, abs=1e-12)
