@@ -10,6 +10,8 @@ Core layers, in the order a campaign runs them:
 * :mod:`oamem.decoherence` - thermal expansion, magnetic dephasing, efficiency
 * :mod:`oamem.measurement` - photon counting, background subtraction, the
   equator-scan visibility fit and polar-angle retrieval
+* :mod:`oamem.rng` - numpy's seeding, PCG64 stream and Poisson sampler,
+  ported to Python so that counting never imports ``numpy.random``
 * :mod:`oamem.tomography` - density-matrix reconstruction and fidelity
 * :mod:`oamem.bounds` - classical-memory fidelity limits
 * :mod:`oamem.harness` / :mod:`oamem.cli` - campaign runners and CLI

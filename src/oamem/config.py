@@ -20,9 +20,8 @@ import yaml
 
 # CPython's built-in SHA-256, the C code that hashlib falls back to without
 # OpenSSL: importing hashlib maps libcrypto (+3.7 MB RSS, 3 ms) to digest a
-# few files, which a noiseless campaign need never load.  Poisson counting
-# still loads it through numpy.random (secrets -> hmac -> hashlib), and
-# render's large outputs hash about 5x slower (+0.1 s at n = 512).
+# few files, which no campaign need load; render's large outputs hash about
+# 5x slower (+0.1 s at n = 512).
 try:
     from _sha2 import sha256  # Python >= 3.12
 except ImportError:
@@ -36,9 +35,9 @@ from .decoherence import DEFAULT_EFFICIENCY_ANCHORS, EfficiencyModel, MagneticMo
 from .errors import ConfigError
 from .fieldgrid import GridSpec
 from .holography import _focal_grid
-from .measurement import POISSON_MEAN_MAX
 from .modes import QuditState, _basis, _support_check, basis_charges, qubit_state
 from .polariton import MemoryParams
+from .rng import POISSON_MEAN_MAX
 
 EXPERIMENT_KINDS = ("interference_scan", "meridian_sweep", "storage_decay",
                     "tomography", "bounds_table", "field_render")
@@ -354,8 +353,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
     """Hex SHA-256 of the config's canonical JSON.
 
     The digest is :data:`sha256`, CPython's built-in implementation, so
-    hashing a config never loads OpenSSL (a Poisson campaign loads it
-    anyway, through ``numpy.random``); its bytes equal hashlib's.
+    hashing a config never loads OpenSSL; its bytes equal hashlib's.
     """
     canonical = json.dumps(serialize_config(cfg), sort_keys=True)
     return sha256(canonical.encode("utf-8")).hexdigest()

@@ -27,6 +27,7 @@ from .measurement import (CountRecord, fit_visibility, polar_retrieve, simulate_
 from .modes import (LGModeSpec, QuditState, basis_charges, decompose, lg_field,
                     qubit_state, synthesize)
 from .polariton import read, write
+from .rng import generate_state
 from .tomography import (PROJECTION_SETS, export_density_csv, fidelity, probabilities,
                          reconstruct, tomography_report)
 
@@ -38,21 +39,14 @@ class CampaignResult:
     summary: tuple
 
 
-def _record_seed(master: int, *spawn_key: int) -> int:
-    """Deterministic per-record stream id from the master seed."""
-    return int(np.random.SeedSequence(entropy=master, spawn_key=spawn_key)
-               .generate_state(1)[0])
-
-
 def _finalize(cfg: ExperimentConfig, experiment: str, out_dir: Path,
               files: list[str], summary, rng_scheme: str) -> CampaignResult:
     """Write provenance.csv, then manifest.csv with the SHA-256 of every file.
 
     The digests come from :data:`oamem.config.sha256`, CPython's built-in
-    SHA-256, so a noiseless campaign never maps OpenSSL; it hashes at about
-    230 MB/s against OpenSSL's 1200, which costs ``render`` about 0.1 s on
-    its 22-27 MB of outputs at n = 512.  A Poisson campaign loads OpenSSL
-    anyway, through ``numpy.random``.
+    SHA-256, so no campaign maps OpenSSL; it hashes at about 230 MB/s
+    against OpenSSL's 1200, which costs ``render`` about 0.1 s on its
+    22-27 MB of outputs at n = 512.
     """
     provenance = {
         "experiment": experiment,
@@ -173,8 +167,9 @@ def _transfer(cfg: ExperimentConfig, t_s: float) -> np.ndarray:
 def _count(cfg: ExperimentConfig, a: np.ndarray, eta: float, point: int, kets):
     """One record per (label, psi) projector of the retrieved amplitudes ``a``.
 
-    Each record is a Poisson draw keyed (point, ket index), or the
-    noiseless probability |psi^H a|^2.
+    Each record is a Poisson draw whose stream is seeded by the first word
+    of SeedSequence(seed, spawn_key=(point, ket index)), or the noiseless
+    probability |psi^H a|^2.
     """
     counting = cfg.counting
     records = []
@@ -182,7 +177,8 @@ def _count(cfg: ExperimentConfig, a: np.ndarray, eta: float, point: int, kets):
         prob = min(abs(np.vdot(psi, a)) ** 2, 1.0)
         if counting.poisson:
             records.append(simulate_counts(prob, cfg.photon.n_bar, eta, counting.pulses,
-                                           counting.bg_rate, _record_seed(cfg.seed, point, k),
+                                           counting.bg_rate,
+                                           generate_state(cfg.seed, (point, k))[0],
                                            basis_id=label, acquisition=counting.acquisition))
         else:
             records.append(CountRecord(basis_id=label, counts=prob,

@@ -17,12 +17,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, FitDegenerate, NoCounts
+from .rng import PCG64, poisson
 
 # a fitted fringe amplitude up to this fraction of the mean count is rounding
 # noise, so the fringe's delta and phase would carry no information
 FLAT_FRINGE_RATIO = 1e-12
-# numpy's Poisson sampler rejects a larger mean ("lam value too large")
-POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -63,15 +62,20 @@ def simulate_counts(prob: float, n_bar: float, eta: float, pulses: int,
     """Draw integrated counts ~ Poisson(pulses * (n_bar eta prob + bg_rate)).
 
     The background field holds an independent same-mean draw, standing in
-    for a separate background acquisition.  Deterministic for fixed seed.
+    for a separate background acquisition.  Deterministic for fixed seed:
+    both draws come from :mod:`oamem.rng`, a pure-Python port of numpy's
+    seeding, PCG64 stream and Poisson sampler that the tests check against
+    ``np.random.default_rng(seed).poisson``, so the counts are bit-identical
+    to numpy's and no campaign imports ``numpy.random``.  A mean that is
+    NaN, negative or above ``rng.POISSON_MEAN_MAX`` raises ValueError.
     """
     if not 0 <= prob <= 1:
         raise DomainError(f"probability {prob} outside [0, 1]")
     if not 0 <= eta <= 1:
         raise DomainError(f"efficiency {eta} outside [0, 1]")
-    rng = np.random.default_rng(seed)
-    counts = int(rng.poisson(pulses * (n_bar * eta * prob + bg_rate)))
-    background = int(rng.poisson(pulses * bg_rate))
+    bitgen = PCG64(seed)
+    counts = poisson(bitgen, pulses * (n_bar * eta * prob + bg_rate))
+    background = poisson(bitgen, pulses * bg_rate)
     return CountRecord(basis_id=basis_id, counts=counts, background=background,
                        acquisition=acquisition)
 

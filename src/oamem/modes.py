@@ -59,8 +59,9 @@ class QuditState:
         norm = np.linalg.norm(c)
         if norm == 0:
             raise ValueError("zero state vector")
-        if self.l == 0:
-            raise ValueError("charge l must be nonzero")
+        if self.l < 1:
+            # a negative l would swap the charges of |L> and |R>
+            raise ValueError(f"charge l must be >= 1, got {self.l}")
         c = c / norm
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)

@@ -15,10 +15,14 @@ reference ket.  The noiseless-fidelity reference counts, reconstructs
 and takes the fidelity of the reconstruction, where a campaign takes
 the overlap of the retrieved amplitudes.  The nodal-line finder is an
 analysis that only the tests run: no campaign locates a dark line, and
-the dark-line tests measure its shift with it.
+the dark-line tests measure its shift with it.  The count and log-gamma
+references are numpy's own: ``numpy.random``'s Generator, and its C
+``random_loggam`` called through ``ctypes``, where ``oamem.rng`` ports
+them to Python.
 """
 
 import csv
+import ctypes
 import math
 
 import numpy as np
@@ -31,6 +35,26 @@ from oamem.holography import focal_basis_phases
 from oamem.measurement import CountRecord
 from oamem.modes import basis_charges, decompose
 from oamem.tomography import PROJECTION_SETS, DensityMatrix, fidelity, reconstruct
+
+
+def numpy_simulate_counts(prob: float, n_bar: float, eta: float, pulses: int,
+                          bg_rate: float, seed: int, basis_id: str = "",
+                          acquisition: float = 1.0) -> CountRecord:
+    """``measurement.simulate_counts`` with its two draws from ``numpy.random``."""
+    rng = np.random.default_rng(seed)
+    counts = int(rng.poisson(pulses * (n_bar * eta * prob + bg_rate)))
+    background = int(rng.poisson(pulses * bg_rate))
+    return CountRecord(basis_id=basis_id, counts=counts, background=background,
+                       acquisition=acquisition)
+
+
+def numpy_loggam(x: float) -> float:
+    """numpy's C ``random_loggam(x)``, which its Poisson sampler calls from lam = 10 on."""
+    import numpy.random._generator as generator
+
+    loggam = ctypes.CDLL(generator.__file__).random_loggam
+    loggam.argtypes, loggam.restype = [ctypes.c_double], ctypes.c_double
+    return loggam(x)
 
 
 def direct_gaussian_convolution(values: np.ndarray, pitch: float, sigma: float) -> np.ndarray:

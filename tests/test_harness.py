@@ -238,7 +238,7 @@ class TestImportContract:
 import sys
 before = set(sys.modules)
 from oamem import cli
-WATCHED = ("_hashlib", "numpy.random", "concurrent.futures")
+WATCHED = ("_hashlib", "hmac", "secrets", "numpy.random", "concurrent.futures", "numpy.fft")
 noiseless, poisson, out = sys.argv[1:]
 for command in ("decay", "bounds", "render"):
     assert cli.main([command, "--config", noiseless, "--out", f"{out}/{command}"]) == 0
@@ -249,8 +249,10 @@ print("new:", *(m for m in WATCHED if m in sys.modules and m not in before))
 
     def test_noiseless_campaigns_load_no_openssl_rng_or_pool(self, tmp_path):
         # noiseless counting draws nothing and hashes with CPython's
-        # built-in sha256, so decay, bounds and render never map OpenSSL
-        # (hashlib's _hashlib), numpy.random or the thread pool's module
+        # built-in sha256, and Poisson counting draws from oamem.rng, so no
+        # campaign maps OpenSSL (hashlib's _hashlib, which numpy.random
+        # would load through secrets and hmac), numpy.random or the thread
+        # pool's module
         configs = {}
         for name, counting in [("noiseless", {"poisson": False}),
                                ("poisson", {"pulses": 20000, "poisson": True})]:
@@ -265,9 +267,9 @@ print("new:", *(m for m in WATCHED if m in sys.modules and m not in before))
             timeout=120, check=True)
         noiseless, poisson = [line.split()[1:] for line in proc.stdout.splitlines()
                               if line.startswith("new:")]
-        assert noiseless == []
-        # the probe sees a module that a campaign loads
-        assert "numpy.random" in poisson
+        # the probe sees a module that a campaign loads: numpy.fft, which
+        # the first blur loads lazily
+        assert noiseless == poisson == ["numpy.fft"]
 
 
 class TestWorkerInput:

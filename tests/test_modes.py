@@ -82,6 +82,12 @@ class TestQuditState:
         with pytest.raises(ValueError):
             QuditState(np.array([1.0, 0.0]), l=0)
 
+    @pytest.mark.parametrize("l", [-1, -2])
+    def test_rejects_negative_charge(self, l):
+        # a negative l would give |L> the charge -|l| and |R> the charge +|l|
+        with pytest.raises(ValueError, match=rf"charge l must be >= 1, got {l}"):
+            QuditState(np.array([1.0, 0.0]), l=l)
+
     def test_charges_ordering(self):
         assert QuditState([1, 1, 1], l=2).charges() == (2, 0, -2)
         assert qubit_state(0.3, 0.1, l=3).charges() == (3, -3)
