@@ -16,20 +16,17 @@ A field is held in one of three representations, and only
 * sampled: its n x n ``samples``, such as a hologram's far field.  It
   computes and caches one forward spectrum (``spectrum``); filtering
   scales a copy of that spectrum by the kernel along both axes and
-  inverts it, giving a new sampled field; the power of its spectrum is
-  folded from row slices of the cached one, and its values are streamed
-  as row slices of the samples.
+  inverts it, giving a new sampled field; its values are streamed as
+  row slices of the samples.
 * factored: when it is separable, only its 1-D factors
   (:class:`Separable`, Y^T M X).  An ideal source's field and spin wave
   are K <= |l| + 1 real rows of n samples on each axis and a K x K
   matrix; under a low-rank phase sum_r u_r(y) v_r(x)
   (:meth:`TransverseField.phased`) they become K R complex rows on each
   axis.  Filtering transforms the rows (K n log n work) and stays
-  factored; the power of its spectrum, folded into a quarter plane, is
-  held as rows contracted from the 1-D row transforms, so no n x n
-  spectrum exists;
-  a projection onto separable modes contracts the rows alone (K^2 n
-  work); its values are streamed as blocks contracted from the rows.
+  factored, so no n x n spectrum exists; a projection onto separable
+  modes contracts the rows alone (K^2 n work); its values are streamed
+  as blocks contracted from the rows.
 * streamed: a function that computes its row blocks as they are
   requested, such as a wave times a dense phase map.
 
@@ -42,9 +39,6 @@ those same blocks, so there is one way to build them.
 :meth:`TransverseField.contract` contracts a field with 1-D rows on
 both axes, as a projection onto separable modes does: from the factors
 of a factored field, else block by block.
-:meth:`TransverseField.folded_power` folds |S|^2 by frequency
-magnitude for the diffraction check; a factored field keeps it as rows
-(:class:`FoldedPower`), so the check reads only the blocks it needs.
 
 Every contraction over a grid axis on a campaign's path is an
 ``np.einsum`` without ``optimize``, which runs in the calling thread:
@@ -193,43 +187,6 @@ def contract_rows(blocks: Iterable[np.ndarray], rows: np.ndarray) -> np.ndarray:
     return np.einsum("jy,yk->jk", rows, rows_by_factor)
 
 
-def _fold(a: np.ndarray) -> np.ndarray:
-    """``a`` summed over the DFT indices of equal magnitude on its last axis, as a new array.
-
-    Index j of n holds frequency j for j <= n/2 and j - n above, so the
-    n/2 + 1 magnitudes 0 .. n/2 each collect index j and n - j.
-    """
-    half = a.shape[-1] // 2
-    folded = a[..., :half + 1].copy()
-    folded[..., 1:half] += a[..., :half:-1]
-    return folded
-
-
-@dataclass(frozen=True)
-class FoldedPower:
-    """A quarter plane of folded |S|^2, entry [i, j] = sum_k left[k, i] right[k, j], as its rows.
-
-    It gives what the diffraction check reads of a plane: its side
-    ``len``, its total ``sum()``, from the K row sums on each axis, and
-    a leading block ``[:w, :w]``, contracted from the rows' first w
-    entries, so that no (n/2 + 1)^2 plane is built unless ``[:, :]``
-    asks for all of it.
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-
-    def __len__(self) -> int:
-        return self.left.shape[1]
-
-    def sum(self) -> float:
-        return float(np.einsum("k,k->", self.left.sum(axis=1), self.right.sum(axis=1)))
-
-    def __getitem__(self, block: tuple[slice, slice]) -> np.ndarray:
-        rows, cols = block
-        return np.einsum("ki,kj->ij", self.left[:, rows], self.right[:, cols])
-
-
 @dataclass(frozen=True)
 class Separable:
     """An n x n array held as 1-D y-rows, x-rows and the matrix that mixes them.
@@ -278,28 +235,6 @@ class Separable:
         rows = (self.rows[:, None, :] * u[None]).reshape(-1, n)
         xrows = (self.xrows[:, None, :] * v[None]).reshape(-1, n)
         return Separable(rows, np.kron(self.mix, np.eye(len(u))), xrows)
-
-    def folded_power(self) -> "FoldedPower":
-        """|S|^2 of this array's 2-D DFT S, folded by frequency magnitudes, from its 1-D rows.
-
-        See ``TransverseField.folded_power``.  The K^2 products of row
-        spectra per axis, folded, take K^2 (n/2 + 1) entries.  Both factors
-        of the last contraction are Hermitian in (b, d), so its real part
-        is the diagonal plus twice the real part above it: the plane is a
-        contraction of K^2 real rows per axis, which are kept as they are.
-        """
-        f = np.fft.fft(self.rows, axis=1)
-        g = np.fft.fft(self.xrows, axis=1)
-        # [a, c, i]: conj(F_a) F_c summed over the frequencies of magnitude i
-        folded_y = _fold(f.conj()[:, None] * f)
-        folded_x = _fold(g.conj()[:, None] * g)
-        # [b, d, i]: sum_ac conj(M_ab) M_cd folded_y[a, c, i]
-        mixed = np.einsum("ab,cd,aci->bdi", self.mix.conj(), self.mix, folded_y)
-        upper = np.arange(len(mixed))[:, None] < np.arange(len(mixed))
-        up, x_up = mixed[upper], folded_x[upper]
-        left = np.concatenate((np.einsum("bbi->bi", mixed).real, 2 * up.real, -2 * up.imag))
-        right = np.concatenate((np.einsum("bbi->bi", folded_x).real, x_up.real, x_up.imag))
-        return FoldedPower(left, right)
 
     def contract(self, rows: np.ndarray) -> np.ndarray:
         """sum_yx rows[j, y] A[y, x] rows[k, x] of this array A, from its 1-D rows alone."""
@@ -376,40 +311,13 @@ class TransverseField:
 
         Two 1-D passes (x, then y, the order of ``np.fft.fft2``), the
         second in place.  Only a field without ``factors`` needs it:
-        :meth:`filtered`, :meth:`folded_power` and :meth:`contract` of a
-        field with factors run on their 1-D rows.
+        :meth:`filtered` and :meth:`contract` of a field with factors run
+        on their 1-D rows.
         """
         spectrum = np.fft.fft(self.values, axis=1)
         np.fft.fft(spectrum, axis=0, out=spectrum)
         spectrum.flags.writeable = False
         return spectrum
-
-    def folded_power(self) -> np.ndarray | FoldedPower:
-        """|S|^2 of the unnormalized 2-D DFT S of ``values``, folded into a quarter plane.
-
-        Entry [i, j] sums |S|^2 over the frequency indices of magnitudes
-        |i| on y and |j| on x, so the plane is (n/2 + 1) x (n/2 + 1).
-        Factored values V = Y^T M X have the spectrum S = F^T M G, with F
-        and G the 1-D DFTs of the y- and x-rows, so
-        |S|^2 = sum conj(M_ab) M_cd conj(F_a) F_c (q_y) conj(G_b) G_d (q_x):
-        each of the K^2 products of row spectra is folded to n/2 + 1
-        entries on its axis, and the folds and those K^2 x K^2
-        coefficients give a :class:`FoldedPower`, with no block of S, no
-        n x n array and no plane.  Other values fold |S|^2 of their
-        cached :attr:`spectrum` into the plane, one block of BLOCK_ROWS
-        rows at a time.
-        """
-        if self.factors is not None:
-            return self.factors.folded_power()
-        n = self.grid.n
-        half = n // 2
-        magnitudes = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(np.intp)
-        quarter = np.zeros((half + 1, half + 1))
-        for start, block in zip(range(0, n, BLOCK_ROWS), row_blocks(self.spectrum)):
-            power = np.abs(block)
-            power *= power
-            np.add.at(quarter, magnitudes[start:start + len(power)], _fold(power))
-        return quarter
 
     def filtered(self, k1: np.ndarray) -> "TransverseField":
         """This field with its spectrum multiplied by k1(q_x) k1(q_y).

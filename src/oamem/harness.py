@@ -25,8 +25,8 @@ from .holography import (export_pgm_hologram, focal_basis_phases, fraunhofer,
 from .measurement import (CountRecord, fit_visibility, polar_retrieve, simulate_counts,
                           subtract_background, write_count_records, write_csv)
 from .modes import (LGModeSpec, QuditState, basis_charges, decompose, lg_field,
-                    qubit_state, synthesize)
-from .polariton import read, write
+                    qubit_state, spectral_x99, synthesize)
+from .polariton import diffraction_check, read, write
 from .rng import generate_state
 from .tomography import (PROJECTION_SETS, export_density_csv, fidelity, probabilities,
                          reconstruct, tomography_report)
@@ -77,8 +77,27 @@ def _out_dir(cfg: ExperimentConfig, override=None) -> Path:
     return path
 
 
+def _check_diffraction(cfg: ExperimentConfig) -> float:
+    """:func:`~oamem.polariton.diffraction_check` at the 99 % spectral radius of the written wave.
+
+    The radius is that of the continuum LG spectrum of the written
+    modes (:func:`~oamem.modes.spectral_x99`): the configured state at
+    the qudit waist for an ideal source.  A hologram's mask is phase
+    only, so whatever the mask its far field's spectrum carries the
+    power of the input Gaussian, which is that of the lens's Gaussian
+    focal spot, of waist 2 f / (k_s w_in).
+    """
+    if cfg.source.kind == "ideal":
+        state = cfg.qudit.to_state()
+        charges, weights, w0 = state.charges(), state.coeffs, cfg.qudit.waist
+    else:
+        charges, weights = (0,), (1.0,)
+        w0 = 2.0 * cfg.source.focal / (cfg.memory.k_s * cfg.source.input_waist)
+    return diffraction_check(cfg.memory, 2.0 * spectral_x99(charges, weights) / w0 / w0)
+
+
 def _input_field(cfg: ExperimentConfig):
-    """Build the stored field per the configured source.
+    """Build the stored field per the configured source, after :func:`_check_diffraction`.
 
     Returns (field, hologram_or_None); the hologram path imprints the
     binary mask on a Gaussian and takes the single lens far field, so
@@ -89,6 +108,7 @@ def _input_field(cfg: ExperimentConfig):
     ``f_abs`` compares the retrieved state with the configured one and
     ``f_rel`` with the stored one.
     """
+    _check_diffraction(cfg)
     if cfg.source.kind == "ideal":
         return synthesize(cfg.qudit.to_state(), cfg.qudit.waist, cfg.grid,
                           cfg.memory.lambda_s), None
@@ -149,13 +169,15 @@ def _transfer(cfg: ExperimentConfig, t_s: float) -> np.ndarray:
 
     Write, decoherence, readout and projection are linear, so a prepared
     state c retrieves as T c.  Column j is :func:`_retrieve` of basis
-    mode j, synthesized and written.  Raises ConfigError for a hologram
-    source, whose stored field is not a synthesized mode and whose
-    retrieval divides out the lens's focal phases.
+    mode j, synthesized and written, after :func:`_check_diffraction`.
+    Raises ConfigError for a hologram source, whose stored field is not
+    a synthesized mode and whose retrieval divides out the lens's focal
+    phases.
     """
     if cfg.source.kind != "ideal":
         raise ConfigError(f"the transfer matrix needs an ideal source, "
                           f"not a {cfg.source.kind} source")
+    _check_diffraction(cfg)
     q = cfg.qudit
     columns = []
     for e in np.eye(q.dim):

@@ -198,6 +198,43 @@ def decompose(f: TransverseField, l: int, dim: int, w0: float) -> np.ndarray:
     return np.einsum("ijk,jk->i", mats.conj(), overlaps) * f.grid.pixel_area
 
 
+def spectral_power(charges, weights, x: float) -> float:
+    """Spectral power share of sum_i weights[i] LG_{charges[i],0} within x = q^2 w0^2 / 2 > 0.
+
+    In the continuum LG_{l,0} of waist w0 has the spectrum
+    q^|l| exp(-q^2 w0^2 / 4) e^{i l phi_q}, whose power within x is
+    P(|l| + 1, x), the regularized lower incomplete gamma function:
+    1 minus the Poisson probabilities e^-x x^j / j! of j = 0 .. |l|.
+    Each one is the exponential of its logarithm, which is at most 0,
+    so that no power or factorial overflows at any charge.  Modes of
+    different charges are orthogonal on every ring, so the mixture's
+    share is the mean of theirs weighted by |weights|^2.
+    """
+    log_x = math.log(x)
+    powers = [abs(w) ** 2 for w in weights]
+    tails = [math.fsum(math.exp(j * log_x - x - math.lgamma(j + 1)) for j in range(abs(l) + 1))
+             for l in charges]
+    return 1.0 - math.fsum(p * t for p, t in zip(powers, tails)) / math.fsum(powers)
+
+
+def spectral_x99(charges, weights) -> float:
+    """The least x = q^2 w0^2 / 2 whose disc holds 99 % of :func:`spectral_power`.
+
+    Bisection: the bracket doubles from [0, 1] until its top holds 99 %,
+    then halves until its midpoint is one of its ends, so the root is
+    found to the last bit of x.
+    """
+    low, high = 0.0, 1.0
+    while spectral_power(charges, weights, high) < 0.99:
+        low, high = high, 2.0 * high
+    while low < (mid := 0.5 * (low + high)) < high:
+        if spectral_power(charges, weights, mid) < 0.99:
+            low = mid
+        else:
+            high = mid
+    return high
+
+
 def state_from_field(f: TransverseField, l: int, dim: int, w0: float) -> QuditState:
     """Normalized qudit state carried by a field within the mode subspace."""
     return QuditState(decompose(f, l, dim, w0), l=l)

@@ -12,23 +12,17 @@ transverse profile on the same grid, so it is a
 :class:`~oamem.fieldgrid.TransverseField` too.  At theta = pi/2 the
 field maps onto the spin wave as -S and back as -(-S), a sign that
 readout cancels exactly and no output can see, so ``write`` returns the
-checked field itself and ``read`` returns the wave.  Along z the
-coherence carries exp(-i dk z) (``MemoryParams.delta_k``), which
-forward readout undoes exactly; the loss when atoms drift along z
-during storage is the analytic
-:func:`oamem.decoherence.longitudinal_drift_factor`.  All efficiency
+field itself and ``read`` returns the wave.  Along z the coherence
+carries exp(-i dk z) (``MemoryParams.delta_k``), which forward readout
+undoes exactly; the loss when atoms drift along z during storage is the
+analytic :func:`oamem.decoherence.longitudinal_drift_factor`.  All efficiency
 loss is modeled downstream (empirical decay in
 :mod:`oamem.decoherence`), and the neglected free-space diffraction
-phase q^2 D / k_s is checked explicitly, on the forward spectrum of
-the written wave: |S|^2 is folded into a quarter plane
-(``TransverseField.folded_power``), whose 99 % shell is read from one
-histogram of the shells of its leading block.  The spin wave of an
-ideal source is no n x n array, and its quarter plane is no plane
-either: its total and the few leading blocks that the check reads are
-contracted from rows folded from the 1-D spectra of its factors
-(``fieldgrid.FoldedPower``); a hologram's far field computes and caches
-its spectrum once, for the check and the blur, and folds it into the
-plane one block of rows at a time.
+phase q^2 D / k_s is checked explicitly (:func:`diffraction_check`),
+once per campaign, at the radius q99 that holds 99 % of the written
+wave's spectral power.  Every wave a config can write has a spectrum in
+closed form, so :mod:`oamem.harness` takes q99 from the config
+(:func:`oamem.modes.spectral_x99`), not from the sampled wave.
 """
 
 from __future__ import annotations
@@ -39,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldgrid import FoldedPower, TransverseField
+from .fieldgrid import TransverseField
 
 BOLTZMANN = 1.380649e-23
 SPEED_OF_LIGHT = 299792458.0
@@ -106,18 +100,12 @@ def group_velocity(params: MemoryParams) -> float:
 
 
 def write(f: TransverseField, params: MemoryParams) -> TransverseField:
-    """Map an optical envelope onto the spin wave (unit write efficiency).
+    """Map an optical envelope onto the spin wave (unit write efficiency): ``f`` itself.
 
-    Warns when the neglected diffraction phase q^2 D / k_s exceeds 0.1
-    over the occupied spectrum.  Returns ``f`` itself as the spin wave.
+    Nothing here depends on ``params``: the diffraction check that the
+    mapping needs runs once per campaign, from the config
+    (:func:`diffraction_check`).
     """
-    phase = diffraction_check(params, f)
-    if phase >= DIFFRACTION_PHASE_LIMIT:
-        warnings.warn(
-            f"diffraction phase q^2 D / k_s = {phase:.3g} >= {DIFFRACTION_PHASE_LIMIT}; "
-            "the stored profile will not read out faithfully",
-            stacklevel=2,
-        )
     return f
 
 
@@ -126,42 +114,17 @@ def read(s: TransverseField) -> TransverseField:
     return s
 
 
-def diffraction_check(params: MemoryParams, s: TransverseField) -> float:
-    """Max diffraction phase q^2 D / k_s over the 99%-energy spectrum.
+def diffraction_check(params: MemoryParams, q2: float) -> float:
+    """The diffraction phase q2 D / k_s at the squared spectral radius ``q2`` (rad^2 / m^2).
 
-    |S|^2 of the unnormalized 2-D DFT S is folded by the magnitudes
-    (|i|, |j|) of its frequency indices into one quarter plane
-    (``TransverseField.folded_power``); q99^2 is q_pitch^2 times the
-    first integer shell i^2 + j^2 to hold 99 % of it (:func:`_first_shell`).
+    Warns when it reaches DIFFRACTION_PHASE_LIMIT: the stored profile
+    then does not read out faithfully.
     """
-    shell = _first_shell(s.folded_power(), 0.99)
-    if shell is None:
-        return 0.0
-    return float(s.grid.q_pitch ** 2 * shell * params.diameter / params.k_s)
-
-
-def _first_shell(quarter: np.ndarray | FoldedPower, fraction: float) -> int | None:
-    """The least shell S = i^2 + j^2 whose disc holds ``fraction`` of ``quarter``; None if empty.
-
-    ``quarter`` is a square plane or a :class:`~oamem.fieldgrid.FoldedPower`:
-    only its side, its total and its leading blocks are read.
-
-    The leading w x w block is doubled from w = 1, since a resolved
-    spectrum fills a small disc, until it holds the target.  Its
-    largest shell 2 (w - 1)^2 then holds the target too, and the disc
-    of every shell up to that one lies in the leading block of width
-    isqrt(2 (w - 1)^2) + 1, so one ``np.bincount`` of the shells of
-    that block, summed cumulatively, gives the energy within each of
-    them, and S is the first to reach the target.
-    """
-    target = fraction * float(quarter.sum())
-    if target == 0:
-        return None
-    w = 1
-    while w < len(quarter) and quarter[:w, :w].sum() < target:
-        w = min(2 * w, len(quarter))
-    width = min(math.isqrt(2 * (w - 1) ** 2) + 1, len(quarter))
-    k2 = np.arange(width) ** 2
-    block = quarter[:width, :width]
-    return int(np.searchsorted(np.cumsum(np.bincount((k2[:, None] + k2).ravel(),
-                                                     weights=block.ravel())), target))
+    phase = q2 * params.diameter / params.k_s
+    if phase >= DIFFRACTION_PHASE_LIMIT:
+        warnings.warn(
+            f"diffraction phase q^2 D / k_s = {phase:.3g} >= {DIFFRACTION_PHASE_LIMIT}; "
+            "the stored profile will not read out faithfully",
+            stacklevel=2,
+        )
+    return phase

@@ -91,20 +91,6 @@ def sorted_diffraction_phase(values: np.ndarray, pitch: float, diameter: float,
     return float(q99 ** 2 * diameter / k_s)
 
 
-def histogram_first_shell(quarter: np.ndarray, fraction: float) -> int | None:
-    """The first integer shell i^2 + j^2 of a quarter plane to hold ``fraction`` of its sum.
-
-    Every entry's shell index goes into one n/2 + 1 by n/2 + 1 array,
-    which ``np.bincount`` bins over all n^2 / 2 shells; the cumulative
-    bins are searched with ``np.searchsorted``.  None for an empty plane.
-    """
-    k = np.arange(len(quarter))
-    cum = np.cumsum(np.bincount((k[:, None] ** 2 + k ** 2).ravel(), weights=quarter.ravel()))
-    if cum[-1] == 0:
-        return None
-    return int(np.searchsorted(cum, fraction * cum[-1]))
-
-
 def overlap(a, b) -> complex:
     """Normalized projection <a|b> / (|a| |b|) of two fields' sample arrays."""
     return complex(np.vdot(a.values, b.values)

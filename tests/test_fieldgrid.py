@@ -292,20 +292,6 @@ class TestPhasedFactors:
         want = np.fft.ifft2(np.fft.fft2(phased.values) * np.outer(k1, k1))
         self.close(got.values, want)
 
-    def test_quarter_power_equals_the_folded_2d_transform(self, base, terms):
-        # real rows on both axes, and distinct complex rows: |fft2|^2 of the
-        # values, every pixel added at its (|i|, |j|) frequency magnitudes
-        n = base.grid.n
-        magnitudes = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(np.intp)
-        phased = TransverseField(base.grid, None, LAMBDA, base.factors.phased(*terms))
-        for field in (base, phased):
-            got = field.folded_power()[:, :]
-            assert "spectrum" not in vars(field)
-            want = np.zeros((n // 2 + 1, n // 2 + 1))
-            power = np.abs(np.fft.fft2(field.values)) ** 2
-            np.add.at(want, (magnitudes[:, None], magnitudes), power)
-            self.close(got, want)
-
     def test_real_rows_on_both_axes_contract_as_their_samples(self, base):
         # an ideal source's field has the same real rows on both axes; its
         # factors contract to the numbers of its sampled copy's row blocks

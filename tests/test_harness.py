@@ -421,10 +421,11 @@ class TestStream:
             tracemalloc.stop()
 
     def test_ideal_campaign_peaks_below_one_field_array(self):
-        # the field and the spin wave are their factors, and the diffraction
-        # check and every point stream blocks of rows; the cone's phase takes
-        # 28 terms here, and its phased rows and terms set the peak, about
-        # 13.4 n^2 bytes, below 14 n^2 bytes (a field array is 16 n^2)
+        # the field and the spin wave are their factors, the diffraction check
+        # reads only the config, and every point streams blocks of rows; the
+        # cone's phase takes 28 terms here, and its phased rows and terms set
+        # the peak, about 13.4 n^2 bytes, below 14 n^2 bytes (a field array is
+        # 16 n^2)
         cfg = small_cfg(grid=README_GRID, storage_times=[0.0, 1e-5, 2e-5], **SENSITIVE)
         assert self.campaign_peak(cfg) < 14 * cfg.grid.n ** 2
 
@@ -435,8 +436,8 @@ class TestStream:
         # point's phase has low rank, so no n x n Larmor map is built, and a
         # campaign peaks below 10 n^2 bytes (about 9.4 n^2, at the point of
         # t = 1.45 ms, where the phase certificate's probe residuals take
-        # about 3 n^2; storing takes about 1.5 n^2, since the diffraction
-        # check builds no quarter plane); the map alone took 8 n^2 bytes more
+        # about 3 n^2; storing takes about 0.4 n^2, since the diffraction
+        # check reads only the config); the map alone took 8 n^2 bytes more
         import oamem.decoherence as decoherence
 
         def refuse(*args):
@@ -721,7 +722,7 @@ class TestCallCounts:
                 monkeypatch.setattr(module, func.__name__, wrapper)
 
         count(polariton.write, polariton, harness)
-        count(polariton.diffraction_check, polariton)
+        count(polariton.diffraction_check, polariton, harness)
         count(modes.lg_field, modes, harness)
         count(modes.synthesize, modes, harness)
         cfg = small_cfg(storage_times=[0.0, 1e-5, 2e-5, 3e-5], counting={"poisson": False},
@@ -732,6 +733,28 @@ class TestCallCounts:
         assert names.count("diffraction_check") == 1
         assert names.count("lg_field") == 0
         assert names.count("synthesize") == 1
+
+    @pytest.mark.parametrize("runner, checks", [
+        (run_storage_decay, 1), (run_tomography, 1), (run_interference_scan, 1),
+        (run_meridian_sweep, 1), (run_field_render, 1), (run_bounds_table, 0)],
+        ids=["decay", "tomo", "scan", "meridian", "render", "bounds"])
+    def test_diffraction_check_runs_once_where_a_wave_is_written(self, monkeypatch, tmp_path,
+                                                                 runner, checks):
+        # once per campaign, however many points or basis modes it writes
+        # (meridian writes both of the transfer matrix's columns)
+        import oamem.harness as harness
+
+        radii, check = [], harness.diffraction_check
+
+        def counted(params, q2):
+            radii.append(q2)
+            return check(params, q2)
+
+        monkeypatch.setattr(harness, "diffraction_check", counted)
+        cfg = small_cfg(qudit=dict(QUBIT), storage_times=[0.0, 1e-5, 2e-5],
+                        counting={"poisson": False}, meridian={"gamma_points": 3}, **SENSITIVE)
+        runner(cfg, out=tmp_path / "o")
+        assert len(radii) == checks
 
     @staticmethod
     def fft_calls(monkeypatch, cfg, tmp_path):
@@ -752,21 +775,21 @@ class TestCallCounts:
         run_storage_decay(cfg, out=tmp_path / "d")
         return calls
 
-    def test_decay_runs_one_forward_spectrum(self, monkeypatch, tmp_path):
-        # an ideal source: one forward pass of the K x n mode factors of each
-        # axis per campaign (the written wave's spectrum, for the diffraction
-        # check), then per point with t > 0 one fft and one ifft of each
-        # axis's factors; no transform touches an n x n array
+    def test_ideal_decay_transforms_only_blurred_factors(self, monkeypatch, tmp_path):
+        # an ideal source: nothing before the first point with t > 0 (the
+        # diffraction check reads the config), then per point with t > 0 one
+        # fft and one ifft of each axis's K x n mode factors; no transform
+        # touches an n x n array
         cfg = small_cfg(storage_times=[0.0, 1e-5, 2e-5, 3e-5], counting={"poisson": False},
                         **SENSITIVE)
         n, k = cfg.grid.n, cfg.qudit.l + 1
         calls = self.fft_calls(monkeypatch, cfg, tmp_path)
-        assert calls == [("fft", (k, n))] * 2 + [("fft", (k, n)), ("ifft", (k, n))] * 2 * 3
+        assert calls == [("fft", (k, n)), ("ifft", (k, n))] * 2 * 3
 
     def test_hologram_decay_inverts_the_spectrum(self, monkeypatch, tmp_path):
         # a hologram's far field has no factors: one centered transform for
-        # the lens, the two forward passes of the spectrum, and two n x n
-        # inverse passes per point with t > 0
+        # the lens, the two forward passes of the spectrum that the first blur
+        # caches, and two n x n inverse passes per point with t > 0
         cfg = small_cfg(grid=README_GRID, storage_times=[0.0, 1e-5, 2e-5, 3e-5],
                         counting={"poisson": False},
                         source={"kind": "hologram", "input_waist": 5.0e-4, "focal": 0.5},
@@ -986,7 +1009,8 @@ class TestCampaigns:
             source={"kind": "hologram", "input_waist": 1e-3, "focal": 0.5},
             storage_times=[0.0],
         )
-        with pytest.warns(UserWarning):
+        # the closed-form diffraction phase of this focus is 0.146
+        with pytest.warns(UserWarning, match="diffraction phase"):
             res = run_field_render(cfg, out=tmp_path / "h")
         assert "hologram.pgm" in res.files
 

@@ -1,23 +1,25 @@
 import importlib.util
-import tracemalloc
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import (field_norm, histogram_first_shell, longitudinal_slices,
-                     monte_carlo_drift_factor, overlap, slice_readout, sorted_diffraction_phase)
+from oracles import (field_norm, longitudinal_slices, monte_carlo_drift_factor, overlap,
+                     slice_readout, sorted_diffraction_phase)
 
 from oamem.config import parse_config
 from oamem.decoherence import diffuse, longitudinal_drift_factor
-from oamem.fieldgrid import BLOCK_ROWS, FoldedPower, GridSpec, TransverseField, stack_rows
-from oamem.harness import _input_field
-from oamem.modes import LGModeSpec, QuditState, lg_field, qubit_state, synthesize
-from oamem.polariton import (SPEED_OF_LIGHT, MemoryParams, _first_shell, diffraction_check,
-                             group_velocity, mixing_angle, read, write)
+from oamem.fieldgrid import GridSpec, TransverseField, stack_rows
+from oamem.harness import _check_diffraction, _input_field
+from oamem.modes import (LGModeSpec, QuditState, lg_field, qubit_state, spectral_power,
+                         spectral_x99, synthesize)
+from oamem.polariton import (DIFFRACTION_PHASE_LIMIT, SPEED_OF_LIGHT, MemoryParams,
+                             diffraction_check, group_velocity, mixing_angle, read, write)
 
 W0 = 250e-6
 GOLDEN = Path(__file__).resolve().parents[1] / "tools" / "golden.py"
-# the diffraction check's cases of a wave with factors: |l| = 1-4 qubits, a qutrit, a tight focus
+# waves with factors for the diffraction check: |l| = 1-4 qubits, a qutrit, a tight focus
 FACTORED_CASES = [
     *(pytest.param(qubit_state(1.1, 0.4, l=l), 200e-6, 6.4e-3, id=f"qubit-l{l}")
       for l in (1, 2, 3, 4)),
@@ -33,12 +35,16 @@ def golden_configs() -> dict:
     return golden.configs()
 
 
-def assert_quarter_equals_the_block_fold(f: TransverseField) -> None:
-    """Asserts that ``f``'s quarter plane is a sampled copy's within 1e-13 of its largest entry."""
-    plain = TransverseField(f.grid, f.values, f.wavelength)
-    got, want = f.folded_power()[:, :], plain.folded_power()[:, :]
-    assert got.shape == want.shape == (f.grid.n // 2 + 1,) * 2
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+def mode_q2(charges, weights, w0: float) -> float:
+    """The closed-form squared 99 % radius of sum_i weights[i] LG_{charges[i],0} of waist w0."""
+    return 2.0 * spectral_x99(charges, weights) / w0 ** 2
+
+
+def assert_matches_the_sorted_spectrum(q2: float, f: TransverseField) -> None:
+    """Asserts that sqrt(q2) is within one q_pitch of the oracle's 99 % radius on ``f``."""
+    p = MemoryParams()
+    oracle = sorted_diffraction_phase(f.values, f.grid.pitch, p.diameter, p.k_s)
+    assert abs(math.sqrt(q2) - math.sqrt(oracle * p.k_s / p.diameter)) <= f.grid.q_pitch
 
 
 class TestMixingAngle:
@@ -191,177 +197,89 @@ class TestLongitudinalDrift:
 
 
 class TestDiffractionCheck:
-    def test_plane_wave_negligible(self, grid):
-        s = TransverseField(grid, np.ones((grid.n, grid.n)), 795e-9)
-        assert diffraction_check(MemoryParams(), s) < 1e-3
-
-    def test_stored_mode_within_budget(self, grid):
-        s = write(lg_field(LGModeSpec(1, 200e-6), grid), MemoryParams())
-        value = diffraction_check(MemoryParams(), s)
+    def test_stored_mode_within_budget(self):
+        value = diffraction_check(MemoryParams(), mode_q2((1,), (1.0,), 200e-6))
         assert value == pytest.approx(0.0829, abs=0.01)
         assert value < 0.1
 
     def test_small_waist_flagged(self):
-        g = GridSpec(256, 1.6e-4)
-        s = TransverseField(g, lg_field(LGModeSpec(1, 1e-5), g).values, 795e-9)
-        assert diffraction_check(MemoryParams(), s) > 0.1
-
-    def test_write_warns_on_tight_focus(self):
-        g = GridSpec(256, 1.6e-4)
-        f = lg_field(LGModeSpec(1, 1e-5), g)
         with pytest.warns(UserWarning, match="diffraction phase"):
-            write(f, MemoryParams())
+            assert diffraction_check(MemoryParams(), mode_q2((1,), (1.0,), 1e-5)) > 0.1
 
-    @pytest.mark.parametrize("case", ["l0", "l1", "l-2", "l3", "tight-focus",
-                                      "off-centre", "zero"])
-    def test_matches_sorted_spectrum_oracle(self, wide_grid, rng, case):
-        # shell binning of the cached spectrum against the centered FFT
-        # with every pixel sorted by |q|
+    def test_warns_at_the_limit_only(self):
         p = MemoryParams()
+        q2 = DIFFRACTION_PHASE_LIMIT * p.k_s / p.diameter
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert diffraction_check(p, 0.99 * q2) == pytest.approx(0.099, rel=1e-12)
+        with pytest.warns(UserWarning, match=r"diffraction phase q\^2 D / k_s = 0.101 >= 0.1;"):
+            diffraction_check(p, 1.01 * q2)
+
+    @pytest.mark.parametrize("case", ["l0", "l1", "l-2", "l3", "tight-focus", "off-centre"])
+    def test_matches_sorted_spectrum_oracle(self, wide_grid, case):
+        # the closed-form radius of one mode against the centered FFT of its
+        # samples with every pixel sorted by |q|; the grid's centre enters neither
         if case.startswith("l"):
-            values = lg_field(LGModeSpec(int(case[1:]), 200e-6), wide_grid).values
-            g = wide_grid
+            l, w0, g = int(case[1:]), 200e-6, wide_grid
         elif case == "tight-focus":
-            g = GridSpec(256, 1.6e-4)
-            values = lg_field(LGModeSpec(1, 1e-5), g).values
-        elif case == "off-centre":
-            g = GridSpec(64, 2e-3, center=(3e-4, -1e-4))
-            values = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+            l, w0, g = 1, 1e-5, GridSpec(256, 1.6e-4)
         else:
-            g = wide_grid
-            values = np.zeros((g.n, g.n))
-        got = diffraction_check(p, TransverseField(g, values, 795e-9))
-        expected = sorted_diffraction_phase(values, g.pitch, p.diameter, p.k_s)
-        assert abs(got - expected) <= 1e-12 * expected
-
-    @staticmethod
-    def no_fft(*args, **kwargs):
-        raise AssertionError("diffraction_check ran a transform")
-
-    def test_reuses_the_cached_spectrum(self, grid, monkeypatch):
-        # a wave without factors, the only kind that caches its spectrum
-        f = lg_field(LGModeSpec(1, 200e-6), grid)
-        s = write(TransverseField(grid, f.values, f.wavelength), MemoryParams())
-        spectrum = s.spectrum
-        monkeypatch.setattr(np.fft, "fft", self.no_fft)
-        monkeypatch.setattr(np.fft, "fft2", self.no_fft)
-        diffraction_check(MemoryParams(), s)
-        assert s.spectrum is spectrum
-
-    def test_factors_need_no_spectrum(self, grid, monkeypatch):
-        # a wave with factors transforms its K x n rows only, one pass per
-        # axis, and neither write nor the check caches an n x n spectrum
-        s = write(lg_field(LGModeSpec(2, W0), grid), MemoryParams())
-        assert "spectrum" not in vars(s)
-        shapes, fft = [], np.fft.fft
-
-        def counted(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return fft(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "fft", counted)
-        monkeypatch.setattr(np.fft, "fft2", self.no_fft)
-        tracemalloc.start()
-        try:
-            diffraction_check(MemoryParams(), s)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert shapes == [(3, grid.n)] * 2
-        assert "spectrum" not in vars(s)
-        # nor builds a block of one: the peak stays below one (BLOCK_ROWS, n)
-        # complex block (about 0.75 of one here, most of it the quarter plane)
-        assert peak < BLOCK_ROWS * grid.n * 16
-
-    @pytest.mark.parametrize("state, w0, extent", [
-        *(pytest.param(qubit_state(1.1, 0.4, l=l), 200e-6, 6.4e-3, id=f"qubit-l{l}")
-          for l in (1, 2, 3, 4)),
-        pytest.param(QuditState([0.8, 0.5j, -0.3 + 0.2j], l=1), 200e-6, 6.4e-3, id="qutrit"),
-        pytest.param(qubit_state(1.1, 0.4, l=1), 1e-5, 1.6e-4, id="tight-focus")])
-    def test_factored_equals_spectral(self, state, w0, extent):
-        # the spectrum built block by block from the K row transforms lands
-        # on the same 99 % shell as the cached n x n spectrum of the samples
-        g = GridSpec(256, extent)
-        f = synthesize(state, w0, g)
-        plain = TransverseField(g, f.values, f.wavelength)
-        assert f.factors is not None and plain.factors is None
-        p = MemoryParams()
-        assert diffraction_check(p, f) == diffraction_check(p, plain)
+            l, w0, g = 1, 100e-6, GridSpec(64, 2e-3, center=(3e-4, -1e-4))
+        assert_matches_the_sorted_spectrum(mode_q2((l,), (1.0,), w0),
+                                           lg_field(LGModeSpec(l, w0), g))
 
     @pytest.mark.parametrize("state, w0, extent", FACTORED_CASES)
-    def test_factored_quarter_equals_the_block_fold(self, state, w0, extent):
-        # the quarter plane contracted from the folded products of the 1-D
-        # row spectra against |S|^2 of the cached n x n spectrum, folded one
-        # block of rows at a time
+    def test_factored_equals_spectral(self, state, w0, extent):
+        # the closed form of the superposed modes of a wave with factors
+        # against the sorted spectrum of its samples
         f = synthesize(state, w0, GridSpec(256, extent))
         assert f.factors is not None
-        assert_quarter_equals_the_block_fold(f)
+        assert_matches_the_sorted_spectrum(mode_q2(state.charges(), state.coeffs, w0), f)
 
-    def test_factored_quarter_equals_the_block_fold_on_golden_configs(self):
-        # a hologram's far field has no factors, so both sides take the block fold
+    def test_closed_form_matches_the_sorted_spectrum_on_golden_configs(self):
+        # each golden config at n = 256, through the harness: a hologram's far
+        # field against the oracle on its focal-plane grid (0.16 % apart in
+        # q^2), an ideal source's modes up to 2.7 % apart in q^2 at 3.2 mm;
+        # all within 0.11 q_pitch
         configs = golden_configs()
         assert len(configs) == 13
-        factored = 0
+        p = MemoryParams()
         for data in configs.values():
-            f = _input_field(parse_config(data))[0]
-            factored += f.factors is not None
-            assert_quarter_equals_the_block_fold(f)
-        assert factored == 7
+            cfg = parse_config({**data, "grid": {**data["grid"], "n": 256}})
+            q2 = _check_diffraction(cfg) * p.k_s / p.diameter
+            assert_matches_the_sorted_spectrum(q2, _input_field(cfg)[0])
 
-    def test_folded_rows_give_the_shell_of_the_plane_on_golden_configs(self, monkeypatch):
-        # a factored wave gives the check its total from the folded rows and
-        # only leading blocks, none of them the whole plane; the shell equals
-        # the histogram's of the whole plane at 0.5, 0.99 and 0.999999
-        widths = []
-        block = FoldedPower.__getitem__
+    def test_bisected_radius_holds_99_percent(self):
+        # the mixture's power at the returned x is 0.99 within 1e-12: on the
+        # modes of every golden config and factored case, and at |l| = 400
+        cases = [((0,), (1.0,)), ((400, -400), (0.6, 0.8j))]
+        for data in golden_configs().values():
+            state = parse_config(data).qudit.to_state()
+            cases.append((state.charges(), state.coeffs))
+        for param in FACTORED_CASES:
+            state = param.values[0]
+            cases.append((state.charges(), state.coeffs))
+        for charges, weights in cases:
+            x = spectral_x99(charges, weights)
+            assert abs(spectral_power(charges, weights, x) - 0.99) <= 1e-12, charges
+        # a hologram's Gaussian: P(1, x) = 1 - exp(-x), so x99 = ln(100)
+        assert spectral_x99((0,), (1.0,)) == pytest.approx(math.log(100.0), rel=1e-14)
 
-        def spy(self, key):
-            got = block(self, key)
-            widths.append(len(got))
-            return got
+    def test_mixture_share_is_the_power_weighted_mean(self):
+        # P(|l| + 1, x) written out for |l| = 0, 1, 2, weighted by |c|^2
+        x = 2.5
+        p1, p2, p3 = (1.0 - math.exp(-x) * sum(x ** j / math.factorial(j) for j in range(k))
+                      for k in (1, 2, 3))
+        assert spectral_power((0, -1), (0.6, 0.8j), x) == pytest.approx(0.36 * p1 + 0.64 * p2,
+                                                                          rel=1e-14)
+        assert spectral_power((2, 1, -2), (0.5, 0.5j, -0.5), x) == pytest.approx(
+            (2 * p3 + p2) / 3, rel=1e-14)
 
-        for name, data in golden_configs().items():
-            f = _input_field(parse_config(data))[0]
-            folded, quarter = f.folded_power(), f.folded_power()[:, :]
-            assert isinstance(folded, FoldedPower) == (f.factors is not None), name
-            if f.factors is not None:
-                assert folded.sum() == pytest.approx(quarter.sum(), rel=1e-13)
-            with monkeypatch.context() as patch:
-                patch.setattr(FoldedPower, "__getitem__", spy)
-                for fraction in (0.5, 0.99, 0.999999):
-                    expected = histogram_first_shell(quarter, fraction)
-                    assert _first_shell(folded, fraction) == expected, (name, fraction)
-        assert widths and max(widths) < len(quarter)
-
-    def test_bisected_shell_equals_the_shell_histogram_on_golden_configs(self):
-        # the 99 % shell, from the histogram of the leading block that a doubled
-        # block bounds, against every pixel's shell binned by np.bincount: on the
-        # written wave of every golden-gate config at 0.99, and at 0.5, 0.99 and
-        # 0.999999 on edge planes: energy just past a doubled block's corner, only
-        # at the origin or the far corner, and random and peaked planes of 17-257
-        for name, data in golden_configs().items():
-            quarter = _input_field(parse_config(data))[0].folded_power()[:, :]
-            expected = histogram_first_shell(quarter, 0.99)
-            assert expected is not None, name
-            assert _first_shell(quarter.copy(), 0.99) == expected, name
-        empty = np.zeros((5, 5))
-        assert _first_shell(empty, 0.99) is None and histogram_first_shell(empty, 0.99) is None
-        planes = {}
-        for name, spots in (("past-corner", [(7, 7), (0, 9)]), ("origin", [(0, 0)]),
-                            ("far-corner", [(16, 16)])):
-            planes[name] = np.zeros((17, 17))
-            for spot in spots:
-                planes[name][spot] = 1.0
-        rng = np.random.default_rng(5)
-        for size in (17, 33, 64, 100, 129, 200, 257):
-            k = np.arange(size)
-            planes[f"random-{size}"] = rng.random((size, size))
-            planes[f"peaked-{size}"] = (rng.random((size, size))
-                                        * np.exp(-(k[:, None] ** 2 + k ** 2) / (0.02 * size ** 2)))
-        for name, quarter in planes.items():
-            for fraction in (0.5, 0.99, 0.999999):
-                expected = histogram_first_shell(quarter, fraction)
-                assert _first_shell(quarter, fraction) == expected, (name, fraction)
+    def test_high_charge_stays_finite(self):
+        # x^j / j! alone would overflow from |l| of about 150 on
+        x = spectral_x99((400,), (1.0,))
+        assert math.isfinite(x) and 401 < x < 500
+        assert math.isfinite(mode_q2((400,), (1.0,), 1e-3))
 
 
 class TestFactors:
