@@ -12,7 +12,8 @@ Core layers, in the order a campaign runs them:
   equator-scan visibility fit and polar-angle retrieval
 * :mod:`oamem.rng` - numpy's seeding, PCG64 stream and Poisson sampler,
   ported to Python so that counting never imports ``numpy.random``
-* :mod:`oamem.tomography` - density-matrix reconstruction and fidelity
+* :mod:`oamem.tomography` - density-matrix reconstruction and fidelity, whose
+  small eigenproblems and least-squares fits :mod:`oamem._jacobi` solves
 * :mod:`oamem.bounds` - classical-memory fidelity limits
 * :mod:`oamem.harness` / :mod:`oamem.cli` - campaign runners and CLI
 """
@@ -25,7 +26,7 @@ import sys
 # OpenBLAS starts a worker thread when numpy loads it, and that thread
 # spins for about 0.13 s of CPU before it sleeps, while no campaign makes a
 # BLAS call large enough to use it (grid axes are contracted with einsum,
-# the LAPACK calls are d x d).  So numpy is loaded with a one-thread BLAS,
+# and no campaign calls LAPACK).  So numpy is loaded with a one-thread BLAS,
 # unless it is already loaded or the user chose OPENBLAS_NUM_THREADS, and
 # the variable is removed again, so child processes inherit nothing.
 if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:

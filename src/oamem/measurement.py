@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._jacobi import pseudo_inverse
 from .errors import DomainError, FitDegenerate, NoCounts
 from .rng import PCG64, poisson
 
@@ -87,8 +88,10 @@ def fit_visibility(records) -> VisibilityFit:
     N0 = hypot(c, s), phase = atan2(s, c) and delta = a / N0 - 1: a fringe
     shifted by dephasing keeps its contrast.  The visibility of the fitted
     curve is (max - min) / (max + min) = 1 / (1 + delta), clamped to
-    [0, 1] as a physical contrast.  A modulation amplitude of at most
-    FLAT_FRINGE_RATIO |a| raises FitDegenerate.
+    [0, 1] as a physical contrast.  The coefficients come from the
+    normal equations (:func:`oamem._jacobi.pseudo_inverse`), which a
+    design of rank below 3 fails with FitDegenerate.  A modulation
+    amplitude of at most FLAT_FRINGE_RATIO |a| raises FitDegenerate.
     """
     records = list(records)
     if any(r.beta is None for r in records):
@@ -98,9 +101,10 @@ def fit_visibility(records) -> VisibilityFit:
         raise FitDegenerate("need at least 4 distinct beta values")
     counts = np.array([r.counts for r in records], dtype=np.float64)
     design = np.column_stack([np.ones_like(betas), np.cos(betas), np.sin(betas)])
-    if np.linalg.matrix_rank(design) < 3:
+    inverse = pseudo_inverse(design)
+    if inverse is None:
         raise FitDegenerate("design matrix is singular (fringe not resolved)")
-    coef, *_ = np.linalg.lstsq(design, counts, rcond=None)
+    coef = np.einsum("jk,k->j", inverse, counts)
     a, c, s = coef
     n0 = math.hypot(c, s)
     if not n0 > FLAT_FRINGE_RATIO * abs(a):
@@ -108,7 +112,7 @@ def fit_visibility(records) -> VisibilityFit:
                             f"{FLAT_FRINGE_RATIO:g} of the mean {a:.3g}")
     delta = a / n0 - 1.0
     visibility = min(max(1.0 / (1.0 + delta), 0.0), 1.0)
-    residual = counts - design @ coef
+    residual = counts - np.einsum("kj,j->k", design, coef)
     return VisibilityFit(n0=float(n0), delta=float(delta), visibility=float(visibility),
                          residual_rms=float(np.sqrt(np.mean(residual ** 2))),
                          phase=float(math.atan2(s, c)))

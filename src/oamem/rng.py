@@ -54,41 +54,62 @@ def _words(n: int) -> list[int]:
     return [n >> shift & MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
+def _hash_constants(init: int, mult: int, n: int) -> tuple[int, ...]:
+    """init * mult^k mod 2^32 for k < n: SeedSequence's hash constants in
+    the order its hashing steps them."""
+    return tuple(init * pow(mult, k, 1 << 32) & MASK32 for k in range(n))
+
+
+# The constants do not depend on the seed, so they are tabled once.  Hashing
+# w >= POOL_SIZE entropy words takes POOL_SIZE * w + 1 of them, so HASH_A
+# serves up to 16 words (512 bits of seed and spawn key), and HASH_B up to
+# 16 output words; longer inputs compute their own.
+HASH_A = _hash_constants(INIT_A, MULT_A, 65)
+HASH_B = _hash_constants(INIT_B, MULT_B, 17)
+# the order in which the pool words are mixed into each other
+POOL_PAIRS = tuple((src, dst) for src in range(POOL_SIZE) for dst in range(POOL_SIZE)
+                   if src != dst)
+
+
 def generate_state(entropy: int, spawn_key: tuple[int, ...] = (),
                    n_words: int = 1) -> list[int]:
-    """``SeedSequence(entropy, spawn_key=spawn_key).generate_state(n_words)`` as ints."""
+    """``SeedSequence(entropy, spawn_key=spawn_key).generate_state(n_words)`` as ints.
+
+    The k-th hash of a word xors it with the k-th hash constant and
+    multiplies it by the next one, as numpy's ``hashmix`` does while it
+    steps its constant.
+    """
     words = _words(entropy)
     key = [w for k in spawn_key for w in _words(k)]
     if key:
         # numpy pads short entropy to the pool size before a spawn key
         words += [0] * (POOL_SIZE - len(words))
     words += key
-    hash_const = INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * MULT_A & MASK32
-        value = value * hash_const & MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        result = (MIX_MULT_L * x - MIX_MULT_R * y) & MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(POOL_SIZE)]
-    for src in range(POOL_SIZE):
-        for dst in range(POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    words += [0] * (POOL_SIZE - len(words))  # the pool starts from zeros
+    n_hashes = POOL_SIZE * len(words)
+    consts = (HASH_A if n_hashes < len(HASH_A)
+              else _hash_constants(INIT_A, MULT_A, n_hashes + 1))
+    pool = []
+    for k in range(POOL_SIZE):
+        value = (words[k] ^ consts[k]) * consts[k + 1] & MASK32
+        pool.append(value ^ value >> 16)
+    # every pool word is mixed into every other, then each further word into each
+    k = POOL_SIZE
+    for src, dst in POOL_PAIRS:
+        value = (pool[src] ^ consts[k]) * consts[k + 1] & MASK32
+        value = (MIX_MULT_L * pool[dst] - MIX_MULT_R * (value ^ value >> 16)) & MASK32
+        pool[dst] = value ^ value >> 16
+        k += 1
     for word in words[POOL_SIZE:]:
         for dst in range(POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const, state = INIT_B, []
-    for i in range(n_words):
-        value = pool[i % POOL_SIZE] ^ hash_const
-        hash_const = hash_const * MULT_B & MASK32
-        value = value * hash_const & MASK32
+            value = (word ^ consts[k]) * consts[k + 1] & MASK32
+            value = (MIX_MULT_L * pool[dst] - MIX_MULT_R * (value ^ value >> 16)) & MASK32
+            pool[dst] = value ^ value >> 16
+            k += 1
+    consts = HASH_B if n_words < len(HASH_B) else _hash_constants(INIT_B, MULT_B, n_words + 1)
+    state = []
+    for k in range(n_words):
+        value = (pool[k % POOL_SIZE] ^ consts[k]) * consts[k + 1] & MASK32
         state.append(value ^ value >> 16)
     return state
 

@@ -23,7 +23,7 @@ from oamem.config import EXPERIMENT_KINDS, parse_config, serialize_config
 from oamem.decoherence import (_larmor_map, _phase_terms, decohere, diffuse,
                                longitudinal_drift_factor, magnetic_dephase)
 from oamem.errors import ConfigError, NoCounts, NonFiniteField
-from oamem.fieldgrid import BLOCK_ROWS, Separable, row_blocks
+from oamem.fieldgrid import BLOCK_ROWS, Separable
 from oamem.harness import (RUNNERS, _channels, _input_field, _retrieve, _store, _transfer,
                            run_bounds_table, run_field_render, run_interference_scan,
                            run_meridian_sweep, run_storage_decay, run_tomography, storage_point)
@@ -702,6 +702,42 @@ class TestNoiselessFidelity:
         assert code == 3
         assert capsys.readouterr().err == \
             "numerical failure: pole-basis reference counts are zero\n"
+
+
+class TestNoLapack:
+    """No subcommand calls LAPACK: the tomography design, its physical
+    projection and the scan's fit solve through ``oamem._jacobi``."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_lapack(self, monkeypatch):
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"a campaign called {name}")
+            return call
+
+        for name in LAPACK:
+            monkeypatch.setattr(np.linalg, name, refuse(f"np.linalg.{name}"))
+        # each shared projection set caches its design: build it again under the refusal
+        for pset in PROJECTION_SETS.values():
+            monkeypatch.delitem(vars(pset), "design", raising=False)
+
+    @pytest.mark.parametrize("qudit, kind", SOURCES, ids=SOURCE_IDS)
+    @pytest.mark.parametrize("runner", [run_storage_decay, run_tomography],
+                             ids=["decay", "tomo"])
+    def test_poisson_campaigns(self, tmp_path, runner, qudit, kind):
+        cfg = all_channels_cfg(qudit, kind, poisson=True)
+        res = runner(cfg, out=tmp_path / "o")
+        assert [row[0] for row in res.summary] == list(cfg.storage_times)
+
+    @pytest.mark.parametrize("runner, kind", [(run_interference_scan, "ideal"),
+                                              (run_interference_scan, "hologram"),
+                                              (run_meridian_sweep, "ideal"),
+                                              (run_bounds_table, "ideal"),
+                                              (run_field_render, "ideal")],
+                             ids=["scan-ideal", "scan-hologram", "meridian", "bounds", "render"])
+    def test_qubit_campaigns(self, tmp_path, runner, kind):
+        cfg = all_channels_cfg(QUBIT, kind, poisson=True)
+        assert runner(cfg, out=tmp_path / "o").files
 
 
 class TestCallCounts:

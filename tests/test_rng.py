@@ -42,6 +42,17 @@ def test_state_word_stream_and_two_draws_match_numpy(master, key, lam):
     assert bitgen.next_double() == generator.random()
 
 
+# 16 entropy words and 16 output words fill the tabled hash constants; the
+# other cases go past them
+@pytest.mark.parametrize("entropy, key, n_words", [(2 ** 383, (1, 2, 3, 4), 16),
+                                                   (2 ** 415, (1, 2, 3, 4), 17),
+                                                   (2 ** 600 - 1, (), 1),
+                                                   (3, (2 ** 70, 5), 40)])
+def test_long_entropy_and_many_words_match_numpy(entropy, key, n_words):
+    want = np.random.SeedSequence(entropy, spawn_key=key).generate_state(n_words)
+    assert generate_state(entropy, key, n_words) == want.tolist()
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 100.0),
        st.floats(0.0, 1.0), st.integers(1, 10 ** 6), st.floats(0.0, 1.0))

@@ -35,6 +35,8 @@ KEEP = {
     "polariton.mixing_angle": "polariton bookkeeping for run diagnostics (ROADMAP item 4)",
     "polariton.group_velocity": "polariton bookkeeping for run diagnostics (ROADMAP item 4)",
     "tomography._ket": "runs at import, building the projector tables",
+    "rng._hash_constants": "runs at import, building the hash-constant tables; a campaign "
+                           "calls it only for a seed of more than 448 bits",
 }
 # what a reason may cite as the pin that keeps its name in the package
 PINS = re.compile(r"perfbench/tracer\.py|ROADMAP item \d+|at import")
