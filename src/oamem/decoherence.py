@@ -31,11 +31,11 @@ computed once per (model, grid) pair.  A map whose terms do not converge
 within n // PHASE_RANK_DIVISOR terms, and every hologram's far field,
 take the dense fallback: the Larmor map dOmega(x, y), built once per
 (model, grid) pair, and its cos and sin, one block of rows at a time
-(:func:`_dephased`).  dOmega t_s is checked to be finite wherever it is
-formed, before any exp, cos or sin: the low-rank phase checks it on the
-probe lines and on every row and column it evaluates, so a factored wave
-raises in :func:`decohere`; the dense phase checks each block of the
-map as it streams it.
+(:func:`_dephased`).  :func:`decohere` alone chooses between the two.
+dOmega is evaluated in one function (:func:`_shift`) and turned into a
+phase in one (:func:`_phase`), which checks that dOmega t_s is finite on
+the whole array it turns, before any cos or sin: the probe lines, each
+row and column of the cross approximation, each block of the map.
 
 End-to-end retrieval efficiency is a separate, empirical exponential
 decay fitted to two measured anchor points.
@@ -138,27 +138,30 @@ def decohere(s: TransverseField, t_s: float, diffusion: MemoryParams | None = No
     """``s`` after t_s of free expansion, then Larmor dephasing, as ``TransverseField`` holds it.
 
     A channel left None is off, and ``diffusion`` is the memory whose
-    temperature and mass set the blur.  The blur is ``s.filtered``; the
-    phase is ``s.phased`` of the low-rank terms (:func:`_phase_terms`)
-    and the dense rows (:func:`_dephased`), so a factored wave stays
-    factored under a low-rank phase and any other wave streams times the
-    dense phase in row blocks.  No n x n array is built: a campaign
+    temperature and mass set the blur.  The blur is ``s.filtered``.  Only
+    this function chooses the phase's path: a factored wave whose phase
+    has low-rank terms (:func:`_phase_terms`, called once per call) stays
+    factored (``Separable.phased``), and any other wave streams its row
+    blocks times the dense phase (:func:`_dephased`); a wave without
+    factors asks for no terms.  No n x n array is built: a campaign
     projects the wave as it is held, and ``render`` reads its ``values``,
     built on first read.  Raises NonFiniteField, naming the phase and
-    t_s, when dOmega t_s is not finite where it is formed: here for a
-    factored wave, on the low-rank phase's probe lines and evaluated rows
-    and columns, and for a streamed one when the block of the map is
-    streamed.  With no channel on (t_s = 0), returns ``s``.
+    t_s, where :func:`_phase` finds dOmega t_s not finite: here for a
+    factored wave, and for a streamed one when the block is streamed.
+    With no channel on (t_s = 0), returns ``s``.
     """
     if t_s < 0:
         raise ValueError("storage time must be >= 0")
     if diffusion is not None and t_s > 0.0:
         s = s.filtered(_blur_kernel(s.grid, diffusion.sigma(t_s), t_s))
-    if magnetic is not None and t_s > 0.0:
-        grid = s.grid
-        s = s.phased(lambda: _phase_terms(magnetic, grid, t_s),
-                     lambda blocks: _dephased(blocks, grid, magnetic, t_s))
-    return s
+    if magnetic is None or not t_s > 0.0:
+        return s
+    grid = s.grid
+    uv = _phase_terms(magnetic, grid, t_s) if s.factors is not None else None
+    if uv is not None:
+        return TransverseField(grid, None, s.wavelength, s.factors.phased(*uv))
+    return TransverseField(grid, None, s.wavelength,
+                           stream=lambda: _dephased(s.row_blocks(), grid, magnetic, t_s))
 
 
 def diffuse(s: TransverseField, p: MemoryParams, t_s: float) -> TransverseField:
@@ -186,25 +189,29 @@ def _blur_kernel(grid: GridSpec, sigma: float, t_s: float) -> np.ndarray:
                              f"{sigma:g} m at t_s = {t_s:g} s has no finite square") from None
 
 
-def _peak(omega: np.ndarray) -> float:
-    """max |dOmega| of ``omega``; inf when an entry overflows and NaN when one is NaN."""
-    # ndarray.max and .min, unlike max, carry a NaN through, to both ends
-    return max(float(omega.max()), -float(omega.min()))
+def _shift(mdl: MagneticModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """dOmega of ``mdl`` in rad/s at the broadcast coordinates ``x``, ``y``.
+
+    An overflow or a NaN is kept, without a numpy warning, for
+    :func:`_phase` to report.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(mdl.angular_shift(x, y))
 
 
-def _check_phase(peak: float, t_s: float) -> None:
-    """Raises NonFiniteField, naming the Larmor phase and t_s, unless peak t_s is finite."""
-    # a float product overflows to inf without a warning
-    if not math.isfinite(peak * t_s):
-        raise NonFiniteField(f"field values must be finite: the Larmor phase dOmega t_s "
-                             f"reaches {peak * t_s:g} rad at t_s = {t_s:g} s")
-
-
-def _rotation(shift: np.ndarray, t_s: float, out: np.ndarray) -> np.ndarray:
+def _phase(shift: np.ndarray, t_s: float, out: np.ndarray) -> np.ndarray:
     """exp(i shift t_s), with ``shift`` broadcast, written into the complex ``out`` and returned.
 
-    The phase is formed in ``out.imag``, so no temporary is made.
+    Raises NonFiniteField, naming the Larmor phase and t_s, unless
+    max |shift| t_s is finite, before any cos or sin.  The phase is
+    formed in ``out.imag``, so no temporary is made.
     """
+    # ndarray.max and .min, unlike max, carry a NaN through, to both ends,
+    # and a float product overflows to inf without a warning
+    peak = max(float(shift.max()), -float(shift.min())) * t_s
+    if not math.isfinite(peak):
+        raise NonFiniteField(f"field values must be finite: the Larmor phase dOmega t_s "
+                             f"reaches {peak:g} rad at t_s = {t_s:g} s")
     np.multiply(shift, t_s, out=out.imag)
     np.cos(out.imag, out=out.real)
     np.sin(out.imag, out=out.imag)
@@ -216,24 +223,22 @@ def _larmor_map(mdl: MagneticModel, grid: GridSpec) -> np.ndarray:
     """Read-only angular shift dOmega(x, y) of ``mdl`` on ``grid`` in rad/s.
 
     Built once per (model, grid) pair, BLOCK_ROWS rows at a time, and
-    only for the dense phase of :func:`_dephased`, which checks its
-    values.  Rows are y, as in ``GridSpec.mesh``; the axes broadcast, so
-    no mesh is built and the model's temporaries stay one block in size,
-    and a ``field_at`` that ignores an axis gives a block that broadcasts
-    over it.
+    only for the dense phase of :func:`_dephased`.  Rows are y, as in
+    ``GridSpec.mesh``; the axes broadcast, so no mesh is built and the
+    model's temporaries stay one block in size, and a ``field_at`` that
+    ignores an axis gives a block that broadcasts over it.
     """
     xs, ys = grid.xs()[None, :], grid.ys()[:, None]
     omega = np.empty((grid.n, grid.n))
     for start in range(0, grid.n, BLOCK_ROWS):
-        with np.errstate(over="ignore", invalid="ignore"):
-            omega[start:start + BLOCK_ROWS] = mdl.angular_shift(xs, ys[start:start + BLOCK_ROWS])
+        omega[start:start + BLOCK_ROWS] = _shift(mdl, xs, ys[start:start + BLOCK_ROWS])
     omega.flags.writeable = False
     return omega
 
 
 @lru_cache(maxsize=1)
-def _probe_shift(mdl: MagneticModel, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, float]:
-    """The probes of :func:`_phase_terms`, dOmega of ``mdl`` on their lines, and its max |dOmega|.
+def _probe_shift(mdl: MagneticModel, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The probes of :func:`_phase_terms` and dOmega of ``mdl`` on their lines.
 
     The PHASE_PROBES probe indices are evenly spaced from the first to
     the last, so the probe rows and columns hold the grid's four edges.
@@ -245,11 +250,10 @@ def _probe_shift(mdl: MagneticModel, grid: GridSpec) -> tuple[np.ndarray, np.nda
     xs, ys = grid.xs(), grid.ys()
     probes = np.linspace(0, n - 1, PHASE_PROBES).round().astype(np.intp)
     shift = np.empty((2, len(probes), n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        shift[0] = mdl.angular_shift(xs[None, :], ys[probes, None])
-        shift[1] = mdl.angular_shift(xs[probes, None], ys[None, :])
+    shift[0] = _shift(mdl, xs[None, :], ys[probes, None])
+    shift[1] = _shift(mdl, xs[probes, None], ys[None, :])
     shift.flags.writeable = False
-    return probes, shift, _peak(shift)
+    return probes, shift
 
 
 def _dephased(blocks: Iterator[np.ndarray], grid: GridSpec, mdl: MagneticModel,
@@ -258,16 +262,13 @@ def _dephased(blocks: Iterator[np.ndarray], grid: GridSpec, mdl: MagneticModel,
 
     Every product is written into one phase buffer, which is yielded, so
     a yielded block is valid until the next one is requested; the input
-    blocks are not written.  Each block of the Larmor map is checked to
-    give a finite dOmega t_s before its cos and sin.
+    blocks are not written.
     """
     omega = _larmor_map(mdl, grid)
     rot = np.empty((min(BLOCK_ROWS, grid.n), grid.n), dtype=np.complex128)
     start = 0
     for block in blocks:
-        shift = omega[start:start + BLOCK_ROWS]
-        _check_phase(_peak(shift), t_s)
-        _rotation(shift, t_s, rot)
+        _phase(omega[start:start + BLOCK_ROWS], t_s, rot)
         # block first: numpy's complex product is not bitwise commutative
         np.multiply(block, rot, out=rot)
         start += len(block)
@@ -283,13 +284,13 @@ def _worst_probe_entry(exact: np.ndarray, w: np.ndarray,
     ``w[0]`` holds the R rows u_r(y) and ``w[1]`` the R rows v_r(x); the
     terms are sum_r u_r(y_p) v_r(x) on probe row p and sum_r v_r(x_p) u_r(y)
     on probe column p.  ``exact`` is [line, p, n], line 0 the rows and 1
-    the columns.  The terms on both lines, real and imaginary parts
-    apart, come from one real ``np.einsum`` over the 2R real and
+    the columns.  The terms on each line, real and imaginary parts
+    apart, come from one 2-D real ``np.einsum`` over the 2R real and
     imaginary parts of the terms, stacked, which keeps BLAS threads idle.
     Returns the entry's squared modulus, its line, p and index along the
     line, and the complex residual on that line.
     """
-    r = w.shape[1]
+    _, r, n = w.shape
     at_probes = w[:, :, probes].transpose(0, 2, 1)
     lines = w[::-1]
     # [line, part, p, k], against the 2R parts of the terms on the other axis, [line, k, x]
@@ -297,7 +298,12 @@ def _worst_probe_entry(exact: np.ndarray, w: np.ndarray,
     coeffs[:, 0, :, :r] = coeffs[:, 1, :, r:] = at_probes.real
     coeffs[:, 1, :, :r] = at_probes.imag
     coeffs[:, 0, :, r:] = -at_probes.imag
-    err = np.einsum("lcpk,lkx->lcpx", coeffs, np.concatenate((lines.real, lines.imag), axis=1))
+    err = np.empty((2, 2, len(probes), n))
+    for line in range(2):
+        # (part, p) as one axis: one 2-D product per line, bit for bit one 4-D product
+        np.einsum("qk,kx->qx", coeffs[line].reshape(-1, 2 * r),
+                  np.concatenate((lines[line].real, lines[line].imag)),
+                  out=err[line].reshape(-1, n))
     np.subtract(exact.real, err[:, 0], out=err[:, 0])
     np.subtract(exact.imag, err[:, 1], out=err[:, 1])
     size = np.einsum("lcpx,lcpx->lpx", err, err)
@@ -321,8 +327,8 @@ def _phase_terms(mdl: MagneticModel, grid: GridSpec,
     :func:`_probe_shift`: the terms stop when the residual there is at
     most PHASE_TOL in every entry, and otherwise the search restarts at
     the worst probe entry.  They give up (None) past n //
-    PHASE_RANK_DIVISOR terms.  Raises NonFiniteField, naming t_s, when
-    dOmega t_s is not finite on the probe lines or on a row or column it
+    PHASE_RANK_DIVISOR terms.  Raises NonFiniteField, naming t_s, where
+    :func:`_phase` does, on the probe lines or on a row or column it
     evaluates.  The returned arrays are read-only.
 
     The constants rest on measurements against the dense exp(i dOmega t)
@@ -357,21 +363,17 @@ def _phase_terms(mdl: MagneticModel, grid: GridSpec,
     """
     n = grid.n
     xs, ys = grid.xs(), grid.ys()
-    probes, shift, peak = _probe_shift(mdl, grid)
-    _check_phase(peak, t_s)
+    probes, shift = _probe_shift(mdl, grid)
+    exact = _phase(shift, t_s, np.empty(shift.shape, dtype=np.complex128))
 
     def phase(x, y):
-        with np.errstate(over="ignore", invalid="ignore"):
-            line = np.asarray(mdl.angular_shift(x, y))
-        _check_phase(_peak(line), t_s)
         # broadcast, for a map that ignores the line's axis
-        return _rotation(line, t_s, np.empty(n, dtype=np.complex128))
+        return _phase(_shift(mdl, x, y), t_s, np.empty(n, dtype=np.complex128))
 
     rank = max(1, n // PHASE_RANK_DIVISOR)
     # the terms so far, u in w[0] and v in w[1]; room for 16, doubled when full
     w = np.empty((2, min(rank, 16), n), dtype=np.complex128)
     free = np.ones(n, dtype=bool)
-    exact = _rotation(shift, t_s, np.empty(shift.shape, dtype=np.complex128))
     r, i = 0, n // 2
     residual = phase(xs, ys[i])
     while True:

@@ -21,9 +21,9 @@ A field is held in one of three representations, and only
 * factored: when it is separable, only its 1-D factors
   (:class:`Separable`, Y^T M X).  An ideal source's field and spin wave
   are K <= |l| + 1 real rows of n samples on each axis and a K x K
-  matrix; under a low-rank phase sum_r u_r(y) v_r(x)
-  (:meth:`TransverseField.phased`) they become K R complex rows on each
-  axis.  Filtering transforms the rows (K n log n work) and stays
+  matrix; times a rank-R map sum_r u_r(y) v_r(x)
+  (:meth:`Separable.phased`) they become K R complex rows on each axis.
+  Filtering transforms the rows (K n log n work) and stays
   factored, so no n x n spectrum exists; a projection onto separable
   modes contracts the rows alone (K^2 n work); its values are streamed
   as blocks contracted from the rows.
@@ -334,23 +334,6 @@ class TransverseField:
         np.fft.ifft(filtered, axis=1, out=filtered)
         np.fft.ifft(filtered, axis=0, out=filtered)
         return self.with_values(filtered)
-
-    def phased(self, terms: Callable[[], tuple[np.ndarray, np.ndarray] | None],
-               rows: Callable[[Iterator[np.ndarray]], Iterator[np.ndarray]]) -> "TransverseField":
-        """This field times the n x n phase map that two functions stand for, no map built.
-
-        ``terms()`` is the map as low-rank terms (u, v), the map being
-        sum_r u[r, y] v[r, x], or None when it has none worth using;
-        ``rows(blocks)`` yields the row blocks of a field times the map.
-        A factored field under a low-rank map stays factored
-        (``Separable.phased``), with no n x n array; any other field
-        streams ``rows`` of its row blocks, and ``terms`` is not called.
-        """
-        uv = terms() if self.factors is not None else None
-        if uv is not None:
-            return TransverseField(self.grid, None, self.wavelength, self.factors.phased(*uv))
-        return TransverseField(self.grid, None, self.wavelength,
-                               stream=lambda: rows(self.row_blocks()))
 
     def contract(self, rows: np.ndarray) -> np.ndarray:
         """sum_yx rows[j, y] F[y, x] rows[k, x] of ``values`` F, for real K x n ``rows``.

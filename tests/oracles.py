@@ -18,7 +18,8 @@ analysis that only the tests run: no campaign locates a dark line, and
 the dark-line tests measure its shift with it.  The count and log-gamma
 references are numpy's own: ``numpy.random``'s Generator, and its C
 ``random_loggam`` called through ``ctypes``, where ``oamem.rng`` ports
-them to Python.
+them to Python.  The low-rank phase's probe certificate contracts each
+probe line apart; its reference contracts both in one 4-D ``np.einsum``.
 """
 
 import csv
@@ -181,6 +182,27 @@ def dense_amplitudes(cfg, field, t_s: float = 0.0) -> np.ndarray:
     if cfg.decoherence.longitudinal_drift:
         a = a * longitudinal_drift_factor(cfg.memory, t_s)
     return a
+
+
+def worst_probe_entry_4d(exact: np.ndarray, w: np.ndarray, probes: np.ndarray):
+    """``decoherence._worst_probe_entry`` with the terms on both lines from one 4-D einsum.
+
+    The coefficients are [line, part, p, k] against the 2R parts of the
+    terms on the other axis, [line, k, x].
+    """
+    r = w.shape[1]
+    at_probes = w[:, :, probes].transpose(0, 2, 1)
+    lines = w[::-1]
+    coeffs = np.empty((2, 2, len(probes), 2 * r))
+    coeffs[:, 0, :, :r] = coeffs[:, 1, :, r:] = at_probes.real
+    coeffs[:, 1, :, :r] = at_probes.imag
+    coeffs[:, 0, :, r:] = -at_probes.imag
+    err = np.einsum("lcpk,lkx->lcpx", coeffs, np.concatenate((lines.real, lines.imag), axis=1))
+    np.subtract(exact.real, err[:, 0], out=err[:, 0])
+    np.subtract(exact.imag, err[:, 1], out=err[:, 1])
+    size = np.einsum("lcpx,lcpx->lpx", err, err)
+    line, p, k = np.unravel_index(np.argmax(size), size.shape)
+    return float(size[line, p, k]), line, p, k, err[line, 0, p] + 1j * err[line, 1, p]
 
 
 def reconstructed_fidelities(cfg, a: np.ndarray, reference: np.ndarray) -> tuple[float, float]:

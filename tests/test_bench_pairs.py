@@ -113,3 +113,18 @@ def test_time_decay_counts_the_child_process_cpu(monkeypatch, tmp_path):
     wall, cpu = tool.time_decay(tmp_path, tmp_path / "cfg.yaml", tmp_path / "out", 1)
     assert cpu >= 0.2
     assert wall > 0
+
+
+def test_points_times_each_workload_also_from_a_hologram(monkeypatch):
+    # the timer runs for real on this checkout, as both sides, at a small n
+    tool = load_tool()
+    monkeypatch.setattr(tool, "compile_checkouts", lambda *checkouts: None)
+    result = tool.points(TOOL.parents[1], TOOL.parents[1], [128])
+    names = [f"{workload}{source} n=128" for workload in tool.WORKLOADS
+             for source in ("", " hologram")]
+    assert sorted(result) == sorted(["bytecode", *names])
+    for name in names:
+        times = len(tool.WORKLOADS[name.split()[0]](1)[1]["storage_times"]) - 1
+        for side in ("parent", "change"):
+            assert len(result[name][side]) == times
+            assert all(t > 0 for t in result[name][side])

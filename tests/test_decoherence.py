@@ -5,12 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import NodalLineNotFound, direct_gaussian_convolution, overlap, qutrit_nodal_shift
+from oracles import (NodalLineNotFound, direct_gaussian_convolution, overlap, qutrit_nodal_shift,
+                     worst_probe_entry_4d)
 
 from oamem.config import parse_config
-from oamem.decoherence import (PHASE_RANK_DIVISOR, EfficiencyModel, MagneticModel, _dephased,
-                               _larmor_map, _phase_terms, _probe_shift, decohere,
-                               diffuse, longitudinal_drift_factor, magnetic_dephase)
+from oamem.decoherence import (PHASE_PROBES, PHASE_RANK_DIVISOR, EfficiencyModel, MagneticModel,
+                               _dephased, _larmor_map, _phase_terms, _probe_shift,
+                               _worst_probe_entry, decohere, diffuse, longitudinal_drift_factor,
+                               magnetic_dephase)
 from oamem.errors import NonFiniteField
 from oamem.fieldgrid import GridSpec, TransverseField, stack_rows
 from oamem.harness import _channels, _store
@@ -305,6 +307,70 @@ class TestDecohere:
                                                      r"t_s = 0\.0001 s"):
                 decohere(s, 1e-4, magnetic=mdl).values
 
+    # grid indices (x, y) of a NaN in dOmega on the 256-point grid, whose
+    # probe rows and columns are 0, 17, ..., 255, and of a finite bump
+    NAN_AT = {
+        # on probe row 34
+        "probe line": ((130, 34), None),
+        # on row n // 2, the first row that the cross approximation
+        # evaluates, off the probe lines
+        "ACA row": ((130, 128), None),
+        # off the probe lines and the first row; the bump on probe row 34
+        # fails the certificate there, which restarts at column 130
+        "ACA column": ((130, 140), (130, 34)),
+        # on the fourth block of 64 rows of the dense phase
+        "dense block": ((130, 200), None),
+    }
+
+    @pytest.mark.parametrize("where", list(NAN_AT))
+    def test_non_finite_phase_raises_where_it_is_formed(self, grid, monkeypatch, where):
+        # every array that becomes a phase is checked before its cos and sin,
+        # and the error names the Larmor phase and t_s: the probe lines, a
+        # row or a column of the cross approximation, a block of the dense
+        # phase as it is streamed, whose earlier blocks stream
+        import oamem.decoherence as decoherence
+
+        (nx, ny), bump = self.NAN_AT[where]
+        xs, ys = grid.xs(), grid.ys()
+
+        class Spot(MagneticModel):
+            def field_at(self, x, y):
+                b = np.where((x == xs[nx]) & (y == ys[ny]), np.nan, 2e-5)
+                if bump is not None:
+                    b = np.where((x == xs[bump[0]]) & (y == ys[bump[1]]), 3e-5, b)
+                return b + 0.0 * x * y
+
+        shapes, shift = [], decoherence._shift
+
+        def spy(mdl, x, y):
+            shapes.append((np.ndim(x), np.ndim(y)))
+            return shift(mdl, x, y)
+
+        monkeypatch.setattr(decoherence, "_shift", spy)
+        mdl = Spot(sensitivity=5e9)
+        s = stored(synthesize(QuditState([1.0, 0.5j, -0.3], l=1), W0, grid))
+        error = (r"field values must be finite: the Larmor phase dOmega t_s reaches nan rad "
+                 r"at t_s = 0\.0001 s")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if where == "dense block":
+                blocks = decohere(TransverseField(grid, s.values, s.wavelength), 1e-4,
+                                  magnetic=mdl).row_blocks()
+                for _ in range(3):
+                    next(blocks)
+                with pytest.raises(NonFiniteField, match=error):
+                    next(blocks)
+            else:
+                with pytest.raises(NonFiniteField, match=error):
+                    decohere(s, 1e-4, magnetic=mdl)
+                probes_finite = np.isfinite(_probe_shift(mdl, grid)[1]).all()
+                assert probes_finite == (where != "probe line")
+        # the coordinates of the last evaluation: the probe columns, a row (x
+        # along it), a column, or the last block of the map
+        last = {"probe line": (2, 2), "ACA row": (1, 0), "ACA column": (0, 1),
+                "dense block": (2, 2)}[where]
+        assert shapes[-1] == last
+
 
 class TestMagneticDephase:
     def test_clock_states_identity(self, grid):
@@ -382,15 +448,14 @@ class TestMagneticDephase:
     def test_larmor_map_filled_in_blocks_equals_the_mesh_map(self, grid):
         # filled 64 rows at a time, the map holds the numbers of one
         # evaluation on the whole mesh; so do the probe lines of the
-        # low-rank phase, whose peak is max |dOmega| on them
+        # low-rank phase
         mdl = MagneticModel(guiding_b=2e-5, sensitivity=5e9, second_order=3e12,
                             center=(3e-4, -2e-4))
         omega = _larmor_map(mdl, grid)
         expected = mdl.angular_shift(*grid.mesh())
         assert np.array_equal(omega, expected)
-        probes, shift, peak = _probe_shift(mdl, grid)
+        probes, shift = _probe_shift(mdl, grid)
         assert np.array_equal(shift, [expected[probes], expected[:, probes].T])
-        assert peak == np.max(np.abs(shift))
 
     def test_larmor_map_of_y_alone_fills_the_mesh(self, grid):
         class Column(MagneticModel):
@@ -402,7 +467,7 @@ class TestMagneticDephase:
         omega = _larmor_map(mdl, grid)
         assert np.array_equal(omega, mdl.angular_shift(*grid.mesh()))
         # the probe columns, the first and the last among them, hold every y
-        assert _probe_shift(mdl, grid)[2] == np.max(np.abs(3.0e4 * grid.ys()))
+        assert np.max(np.abs(_probe_shift(mdl, grid)[1])) == np.max(np.abs(3.0e4 * grid.ys()))
         expected = self.reference(s, mdl, 0.7)
         got = magnetic_dephase(s, mdl, 0.7).values
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -481,6 +546,22 @@ class TestLowRankPhase:
         err, rank = self.max_error(Ramp(sensitivity=1.0), grid, 0.7)
         assert rank == 1
         assert err <= 1e-12
+
+    def test_certificate_equals_the_4d_contraction_bit_for_bit(self):
+        # the probe residuals of one 2-D einsum per line hold the bits of one
+        # 4-D einsum over both lines, for terms held as the leading R rows of
+        # a larger buffer, as _phase_terms holds them
+        rng = np.random.default_rng(34)
+        for n in (16, 64, 256, 512, 1024):
+            probes = np.linspace(0, n - 1, PHASE_PROBES).round().astype(np.intp)
+            for r in range(1, 41):
+                shape = (2, 2 * r, n)
+                w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[:, :r]
+                exact = np.exp(1j * rng.uniform(-np.pi, np.pi, (2, len(probes), n)))
+                got = _worst_probe_entry(exact, w, probes)
+                want = worst_probe_entry_4d(exact, w, probes)
+                assert got[:4] == want[:4], (n, r)
+                assert np.array_equal(got[4].view(np.float64), want[4].view(np.float64)), (n, r)
 
     def test_terms_are_read_only_and_cached(self, grid):
         mdl = MagneticModel(guiding_b=2e-5, sensitivity=5e9, center=(3e-4, -2e-4))

@@ -501,6 +501,29 @@ class TestStream:
         run_storage_decay(cfg, out=tmp_path / "again")
         assert calls.count(2) == 2
 
+    @pytest.mark.parametrize("kind", ["ideal", "hologram"])
+    def test_only_a_factored_wave_asks_for_phase_terms(self, monkeypatch, tmp_path, kind):
+        # decohere alone chooses the phase's path: in a campaign, an ideal
+        # source's factored wave asks for the low-rank terms once per storage
+        # time past 0, and a hologram's sampled far field never asks
+        import oamem.decoherence as decoherence
+
+        calls, terms = [], decoherence._phase_terms
+
+        def spy(mdl, grid, t_s):
+            calls.append(t_s)
+            return terms(mdl, grid, t_s)
+
+        monkeypatch.setattr(decoherence, "_phase_terms", spy)
+        cfg = small_cfg(grid=README_GRID, counting={"poisson": False},
+                        source=dict(HOLOGRAM) if kind == "hologram" else {"kind": "ideal"},
+                        storage_times=[0.0, 3e-4, 6e-4, 9e-4],
+                        decoherence={"diffusion": True, "magnetic": True},
+                        magnetic={"guiding_b": 2e-5, "sensitivity": 5.3e9,
+                                  "center": [3.3e-4, 3.7e-4]})
+        run_storage_decay(cfg, out=tmp_path / "out")
+        assert calls == ([] if kind == "hologram" else list(cfg.storage_times[1:]))
+
     @pytest.mark.parametrize("runner, qudit", [
         (run_storage_decay, QUTRIT), (run_tomography, QUTRIT),
         (run_interference_scan, QUBIT), (run_meridian_sweep, QUBIT)],

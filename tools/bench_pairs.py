@@ -20,8 +20,10 @@ wave) of the seed-1 config of each workload at each grid size n, in a
 fresh interpreter per checkout: the best of 5 per storage time after one
 untimed pass, with the per-time low-rank phase terms, where a checkout
 has them, dropped before each call, since a campaign meets each storage
-time once, under ``per_point_s``.  Writes OUT.json, merged into what is
-already there.
+time once, under ``per_point_s["<workload> n=<n>"]``.  The same config
+from a hologram (``HOLOGRAM``), whose sampled wave takes the dense
+phase, goes under ``"<workload> hologram n=<n>"``.  Writes OUT.json,
+merged into what is already there.
 
 ``parallel`` times whole-process ``oamem decay`` (wall seconds of the
 ``python -m oamem.cli`` process, and its CPU seconds, the growth of
@@ -70,7 +72,7 @@ HOLOGRAM = {"kind": "hologram", "input_waist": 5.0e-4, "focal": 0.5}
 
 POINT_TIMER = r"""
 import json, sys, time
-root, n = sys.argv[1], int(sys.argv[2])
+root, n, hologram = sys.argv[1], int(sys.argv[2]), json.loads(sys.argv[3])
 sys.path[:0] = [root + "/src", root + "/perfbench"]
 from workloads import WORKLOADS
 from oamem.config import parse_config
@@ -78,23 +80,25 @@ from oamem.harness import _retrieve, _store
 import oamem.decoherence as decoherence
 terms = getattr(decoherence, "_phase_terms", None)
 out = {}
-for name, make in WORKLOADS.items():
+for workload, make in WORKLOADS.items():
     data = make(1)[1]
-    cfg = parse_config(dict(data, grid=dict(data["grid"], n=n)))
-    wave = _store(cfg)[1]
-    for t in cfg.storage_times[1:]:
-        _retrieve(cfg, wave, t)
-    best = []
-    for t in cfg.storage_times[1:]:
-        times = []
-        for _ in range(5):
-            if terms is not None:
-                terms.cache_clear()
-            start = time.perf_counter()
+    data = dict(data, grid=dict(data["grid"], n=n))
+    for name, cfg in ((workload, parse_config(data)),
+                      (workload + " hologram", parse_config(dict(data, source=hologram)))):
+        wave = _store(cfg)[1]
+        for t in cfg.storage_times[1:]:
             _retrieve(cfg, wave, t)
-            times.append(time.perf_counter() - start)
-        best.append(min(times))
-    out[name] = best
+        best = []
+        for t in cfg.storage_times[1:]:
+            times = []
+            for _ in range(5):
+                if terms is not None:
+                    terms.cache_clear()
+                start = time.perf_counter()
+                _retrieve(cfg, wave, t)
+                times.append(time.perf_counter() - start)
+            best.append(min(times))
+        out[name] = best
 print(json.dumps(out))
 """
 
@@ -156,10 +160,11 @@ def points(parent: Path, change: Path, sizes: list[int]) -> dict:
     result = {"bytecode": BYTECODE}
     for n in sizes:
         for side, checkout in (("parent", parent), ("change", change)):
-            proc = subprocess.run([sys.executable, "-c", POINT_TIMER, str(checkout), str(n)],
-                                  capture_output=True, text=True, check=True)
-            for workload, best in json.loads(proc.stdout).items():
-                result.setdefault(f"{workload} n={n}", {})[side] = best
+            proc = subprocess.run([sys.executable, "-c", POINT_TIMER, str(checkout), str(n),
+                                   json.dumps(HOLOGRAM)], capture_output=True, text=True,
+                                  check=True)
+            for name, best in json.loads(proc.stdout).items():
+                result.setdefault(f"{name} n={n}", {})[side] = best
     return result
 
 
